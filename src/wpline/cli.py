@@ -19,8 +19,8 @@ from .grading import line_invariants, make_line, normalize, parse_weights
 from .ktheory import abs_length, canonical_interval_sequence, cox_of, coxeter_element, euler_matrix
 from .nilpotent import Arc
 from .sheaves import (OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
-                      hom_dim_sheaf, line_bundle, perp_membership,
-                      sheaf_sort_key, simple_at, stack_at)
+                      hom_dim_sheaf, line_bundle, sheaf_sort_key, simple_at,
+                      stack_at)
 from .widposet import (build_poset, default_window, exc_torsion_perp_decompose,
                        poset_dot, poset_json, sheaf_universe)
 
@@ -146,13 +146,10 @@ def _cmd_tube_enum(args) -> int:
                  for f in fps}
         for f in fps:
             lines.append(f'  "{names[f]}";')
-        for f in fps:
-            for g in fps:
-                if f is g or not f.arcs < g.arcs:
-                    continue
-                if any(f.arcs < h.arcs < g.arcs for h in fps):
-                    continue
-                lines.append(f'  "{names[f]}" -> "{names[g]}";')
+        uni = tube.tube_universe(n)
+        _, covers = tube.inclusion_order([uni.mask(f.arcs) for f in fps])
+        for i, j in covers:
+            lines.append(f'  "{names[fps[i]]}" -> "{names[fps[j]]}";')
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
@@ -196,18 +193,21 @@ def _cmd_perp(args) -> int:
     gens = tuple(parse_sheaf(line, s) for s in args.sheaves.split(";"))
     lo, hi = _parse_window(args.window) if args.window else default_window(line)
     ids = tuple(x for x in args.universe.split(",") if x) if args.universe else ()
-    universe = sheaf_universe(line, lo, hi, ids)
-    members = [x for x in universe if perp_membership(x, gens)]
+    # generators outside the window join the universe, not the members
+    window = sheaf_universe(line, lo, hi, ids)
+    uni = tube.Universe(sorted(set(window) | set(gens), key=sheaf_sort_key),
+                        hom_dim_sheaf, ext_dim_sheaf)
+    members = uni.members(uni.right_perp(uni.mask(gens)) & uni.mask(window))
     doc = {
         "schema": 1,
         "weights": list(line.weights),
         "window": [lo, hi],
         "generators": [format_sheaf(g) for g in gens],
-        "members": [format_sheaf(x) for x in sorted(members, key=sheaf_sort_key)],
+        "members": [format_sheaf(x) for x in members],
     }
     if len(gens) == 1 and isinstance(gens[0], TorsionArc) \
             and gens[0].arc.length < line.weights[gens[0].point]:
-        rep = exc_torsion_perp_decompose(line, gens[0], lo, hi, ids)
+        rep = exc_torsion_perp_decompose(line, gens[0], uni)
         doc["decomposition"] = {
             "reduced_weights": list(rep["reduced_weights"]),
             "tube_block": [format_sheaf(x) for x in rep["block_tube"]],

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, sheaves
+from . import linalg, sheaves, tube
 from .grading import WeightData
 from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
                       ext_dim_sheaf, hom_dim_sheaf, line_bundle, simple_at)
@@ -208,7 +208,7 @@ def cox_of(line: WeightData, seq) -> WeylElement:
     yield the same element; the identity corresponds to the empty one.
     """
     seq = list(seq)
-    if not sheaves.is_exceptional_sequence(seq):
+    if not tube.is_exc_sequence(seq, hom_dim_sheaf, ext_dim_sheaf):
         raise ValueError("not an exceptional sequence")
     out = identity_weyl(line)
     for s in seq:

@@ -249,21 +249,6 @@ def hom_dim_rep(a: NilpRep, b: NilpRep) -> int:
     return len(hom_basis(a, b))
 
 
-def morphism_total_matrix(a: NilpRep, b: NilpRep, f):
-    """Block matrix of a morphism as one linear map on the total spaces."""
-    rows = sum(b.dims)
-    cols = sum(a.dims)
-    m = [[Fraction(0)] * cols for _ in range(rows)]
-    roff = coff = 0
-    for i in range(a.rank):
-        for r in range(b.dims[i]):
-            for c in range(a.dims[i]):
-                m[roff + r][coff + c] = f[i][r][c]
-        roff += b.dims[i]
-        coff += a.dims[i]
-    return m
-
-
 def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
     """Kernel of a morphism f: a -> b with its induced maps."""
     n = a.rank

@@ -167,22 +167,6 @@ def is_exceptional_sheaf(s: IndecSheaf) -> bool:
     return False
 
 
-def is_exceptional_sequence(seq) -> bool:
-    """Each member exceptional, no repeats, and Hom/Ext vanish from every
-    later member to every earlier one."""
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return False
-    for s in seq:
-        if not is_exceptional_sheaf(s) or ext_dim_sheaf(s, s) != 0:
-            return False
-    for i, late in enumerate(seq):
-        for early in seq[:i]:
-            if hom_dim_sheaf(late, early) != 0 or ext_dim_sheaf(late, early) != 0:
-                return False
-    return True
-
-
 def perp_membership(x: IndecSheaf, gens) -> bool:
     """Right-perpendicular test: Hom and Ext from every generator vanish."""
     return all(hom_dim_sheaf(g, x) == 0 and ext_dim_sheaf(g, x) == 0 for g in gens)

@@ -1,17 +1,29 @@
-"""Wide subcategories of a rank-n tube.
+"""Wide subcategories of a rank-n tube, and the perpendicular calculus.
 
-Objects of the tube are arcs (see nilpotent.Arc).  Morphism and
-extension dimensions are taken from the linear-algebra oracle; the
-composition-factor criterion for nonvanishing Hom is kept as a fast
-predicate and cross-checked in the tests.  Wide subcategories are
-represented by their fingerprint: the set of member arcs of length at
-most n, which determines the subcategory.  A fingerprint is exceptional
-("exc") exactly when it has no member of full length n, equivalently
-when its factors miss at least one simple.
+Objects of the tube are arcs (see nilpotent.Arc).  Hom between arcs is
+a closed-form winding count and Ext is Hom into the translate (Serre
+duality).  Wide subcategories are represented by their fingerprint: the
+set of member arcs of length at most n, which determines the
+subcategory.  A fingerprint is exceptional ("exc") exactly when it has
+no member of full length n, equivalently when its factors miss at least
+one simple.
+
+The perpendicular calculus is shared with the sheaf layer: a Universe
+indexes a finite set of objects and keeps, per object, the bitsets of
+objects with vanishing Hom and Ext, from which perpendiculars, closures
+of exceptional sequences (double perpendiculars, Geigle-Lenzing) and
+rigid subsets are read off.  The tube enumerates its lattice over the
+arcs of length at most n.
+
+The linear-algebra oracle (nilpotent, linalg) serves only as an
+independent check: wide_closure, extension_middles, bongartz_complete,
+enumerate_wide_bruteforce and ext_dim_via_presentation run on it and
+read neither the closed form nor a universe table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +47,7 @@ def _rep(arc: Arc) -> NilpRep:
 
 
 def arc_hom_basis(a: Arc, b: Arc):
+    """Basis of Hom(a, b) from the linear-algebra oracle."""
     key = (a, b)
     basis = _HOM_BASIS_CACHE.get(key)
     if basis is None:
@@ -43,10 +56,19 @@ def arc_hom_basis(a: Arc, b: Arc):
 
 
 def hom_dim(a: Arc, b: Arc) -> int:
-    """Dimension of Hom(a, b), from the oracle."""
-    if a.rank != b.rank:
+    """Dimension of Hom(a, b), by counting windings.
+
+    The image of a map a -> b is a quotient of a, so its top is the top
+    of a, and a submodule of b, so its socle is the socle of b.  Its
+    length s is then fixed modulo the rank, and each admissible
+    s <= min(len a, len b) gives one basis map.
+    """
+    n = a.rank
+    if n != b.rank:
         raise ValueError("arcs from tubes of different rank")
-    return len(arc_hom_basis(a, b))
+    first = (a.top - b.socle) % n + 1
+    shortest = min(a.length, b.length)
+    return 0 if first > shortest else (shortest - first) // n + 1
 
 
 def ext_dim(a: Arc, b: Arc) -> int:
@@ -306,31 +328,168 @@ def whole_fingerprint(n: int) -> TubeWideFingerprint:
 
 
 # ---------------------------------------------------------------------------
-# enumeration and perpendicular calculus
+# perpendicular calculus over an indexed universe
 
-def is_rigid_set(arcs) -> bool:
-    arcs = list(arcs)
-    return all(ext_dim(a, b) == 0 for a in arcs for b in arcs)
+def _bits(mask: int):
+    """Indices of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _rigid_subsets(candidates, max_size):
-    """All subsets (as tuples) of pairwise compatible arcs, via backtracking."""
-    arcs = sorted(candidates, key=lambda a: a.sort_key())
-    out = [()]
-    stack = [((), 0)]
-    while stack:
-        chosen, start = stack.pop()
-        if len(chosen) == max_size:
-            continue
-        for idx in range(start, len(arcs)):
-            cand = arcs[idx]
-            if ext_dim(cand, cand) != 0:
+class Universe:
+    """A finite indexed set of objects with Hom/Ext-vanishing bitsets.
+
+    Sets of objects are bitmasks over the object order.  Bit j of
+    right[i] is set when Hom and Ext^1 from object i to object j both
+    vanish, so the right perpendicular of a set is the AND of its rows;
+    left[i] is the transposed row.  compatible[i] marks the objects with
+    no Ext^1 to or from object i.  The tables are filled once from the
+    layer's own hom and ext.
+    """
+
+    def __init__(self, objects, hom, ext):
+        self.objects = tuple(objects)
+        self.index = {x: i for i, x in enumerate(self.objects)}
+        self.full = (1 << len(self.objects)) - 1
+        idx = range(len(self.objects))
+        no_hom = [[hom(x, y) == 0 for y in self.objects] for x in self.objects]
+        no_ext = [[ext(x, y) == 0 for y in self.objects] for x in self.objects]
+
+        def row(test):
+            return [sum(1 << j for j in idx if test(i, j)) for i in idx]
+
+        self.right = row(lambda i, j: no_hom[i][j] and no_ext[i][j])
+        self.left = row(lambda i, j: no_hom[j][i] and no_ext[j][i])
+        self.compatible = row(lambda i, j: no_ext[i][j] and no_ext[j][i])
+
+    def mask(self, objs) -> int:
+        out = 0
+        for x in objs:
+            out |= 1 << self.index[x]
+        return out
+
+    def members(self, mask: int) -> tuple:
+        return tuple(self.objects[i] for i in _bits(mask))
+
+    def right_perp(self, mask: int) -> int:
+        out = self.full
+        for i in _bits(mask):
+            out &= self.right[i]
+        return out
+
+    def left_perp(self, mask: int) -> int:
+        out = self.full
+        for i in _bits(mask):
+            out &= self.left[i]
+        return out
+
+    def double_perp(self, mask: int, within: int | None = None) -> int:
+        """Left perpendicular of the right perpendicular, both taken inside
+        `within` (default: everything).  For an exceptional sequence this
+        is the wide subcategory it generates (Geigle-Lenzing)."""
+        if within is None:
+            within = self.full
+        return self.left_perp(self.right_perp(mask) & within) & within
+
+    def rigid_subsets(self, candidates: int, max_size: int) -> list:
+        """All sets of at most max_size candidates with no Ext^1 between
+        or within their members, as object tuples in universe order; the
+        empty set comes first, the rest in depth-first order."""
+        cands = [i for i in _bits(candidates) if self.compatible[i] >> i & 1]
+        out = [()]
+        stack = [((), 0, self.full)]
+        while stack:
+            chosen, start, allowed = stack.pop()
+            if len(chosen) == max_size:
                 continue
-            if all(ext_dim(cand, c) == 0 and ext_dim(c, cand) == 0 for c in chosen):
-                nxt = chosen + (cand,)
-                out.append(nxt)
-                stack.append((nxt, idx + 1))
-    return out
+            for pos in range(start, len(cands)):
+                i = cands[pos]
+                if allowed >> i & 1:
+                    nxt = chosen + (self.objects[i],)
+                    out.append(nxt)
+                    stack.append((nxt, pos + 1, allowed & self.compatible[i]))
+        return out
+
+
+def inclusion_order(masks):
+    """Strict inclusion among distinct sets given as bitmasks.
+
+    Returns, per set, the bitmask over set indices of the sets strictly
+    containing it, and the cover pairs (i, j) of the order, in index
+    order: the transitive reduction.
+    """
+    above = [0] * len(masks)
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            if a != b and a & b == a:
+                above[i] |= 1 << j
+    covers = []
+    for i, up in enumerate(above):
+        reach = 0
+        for k in _bits(up):
+            reach |= above[k]
+        covers.extend((i, j) for j in _bits(up & ~reach))
+    return above, covers
+
+
+def is_rigid_set(objs, ext=ext_dim) -> bool:
+    objs = list(objs)
+    return all(ext(a, b) == 0 for a in objs for b in objs)
+
+
+def is_exc_sequence(seq, hom=hom_dim, ext=ext_dim) -> bool:
+    """Whether every member is exceptional (End one-dimensional, no
+    self-extensions) and Hom and Ext vanish from every later member to
+    every earlier one.  Defaults to arcs; the sheaf layer passes its
+    own Hom and Ext."""
+    seq = list(seq)
+    if len(set(seq)) != len(seq):
+        return False
+    if any(hom(s, s) != 1 or ext(s, s) != 0 for s in seq):
+        return False
+    return all(hom(late, early) == 0 and ext(late, early) == 0
+               for i, late in enumerate(seq) for early in seq[:i])
+
+
+def order_exc_sequence(objs, hom=hom_dim, ext=ext_dim, key=Arc.sort_key):
+    """Order a set of exceptional objects into an exceptional sequence.
+
+    Later members must have no morphisms back to earlier ones, so the
+    least member (by key) with no nonzero Hom to the rest is extracted
+    and placed last, repeatedly.  Raises ValueError when the result is
+    not an exceptional sequence.
+    """
+    objs = list(objs)
+    remaining = sorted(set(objs), key=key)
+    if len(remaining) != len(objs):
+        raise ValueError("members must be pairwise distinct")
+    extracted = []
+    while remaining:
+        pick = next((x for x in remaining
+                     if all(hom(x, y) == 0 for y in remaining if y != x)), None)
+        if pick is None:
+            raise ValueError("set admits no exceptional ordering")
+        remaining.remove(pick)
+        extracted.append(pick)
+    seq = tuple(reversed(extracted))
+    if not is_exc_sequence(seq, hom, ext):
+        raise ValueError("set admits no exceptional ordering")
+    return seq
+
+
+# ---------------------------------------------------------------------------
+# the lattice of the tube
+
+@functools.cache
+def tube_universe(n: int) -> Universe:
+    """The arcs of length at most n with the closed-form Hom and Ext."""
+    return Universe(all_arcs(n, n), hom_dim, ext_dim)
+
+
+def _fingerprint(n: int, mask: int) -> TubeWideFingerprint:
+    return TubeWideFingerprint(n, frozenset(tube_universe(n).members(mask)))
 
 
 def perp_pair(f: TubeWideFingerprint) -> TubeWideFingerprint:
@@ -340,36 +499,26 @@ def perp_pair(f: TubeWideFingerprint) -> TubeWideFingerprint:
     tube; a non-exc fingerprint to its left perpendicular.  The two
     directions are mutually inverse.
     """
-    n = f.rank
-    universe = all_arcs(n, n)
-    if f.exc:
-        arcs = [x for x in universe
-                if all(hom_dim(m, x) == 0 and ext_dim(m, x) == 0 for m in f.arcs)]
-    else:
-        arcs = [x for x in universe
-                if all(hom_dim(x, m) == 0 and ext_dim(x, m) == 0 for m in f.arcs)]
-    return TubeWideFingerprint(n, frozenset(arcs))
+    uni = tube_universe(f.rank)
+    mask = uni.mask(f.arcs)
+    return _fingerprint(f.rank, uni.right_perp(mask) if f.exc else uni.left_perp(mask))
 
 
 def enumerate_wide(n: int, max_rank: int = 6) -> frozenset:
     """All wide-subcategory fingerprints of the rank-n tube.
 
-    Exc members arise as closures of rigid arc sets, non-exc members as
+    Exc members are the double perpendiculars of rigid arc sets (whose
+    members are short, as a full arc extends itself), non-exc members
     their perpendiculars; the union is the whole lattice.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     if n > max_rank:
         raise ValueError(f"rank {n} above the configured bound {max_rank}")
-    short = [a for a in all_arcs(n, max(n - 1, 0)) if is_exceptional(a)]
-    exc = set()
-    for subset in _rigid_subsets(short, max_size=max(n - 1, 0)):
-        if subset:
-            exc.add(wide_closure(subset))
-        else:
-            exc.add(zero_fingerprint(n))
-    nexc = {perp_pair(f) for f in exc}
-    return frozenset(exc | nexc)
+    uni = tube_universe(n)
+    exc = {_fingerprint(n, uni.double_perp(uni.mask(subset)))
+           for subset in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    return frozenset(exc | {perp_pair(f) for f in exc})
 
 
 def enumerate_wide_bruteforce(n: int) -> frozenset:
@@ -393,12 +542,7 @@ def enumerate_wide_bruteforce(n: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# rigid completion, sequence ordering and extraction
-
-def _validate_rigid(arcs, label):
-    if not is_rigid_set(arcs):
-        raise ValueError(f"{label} is not rigid")
-
+# rigid completion and sequence extraction
 
 def bongartz_complete(part_a, part_b):
     """Complete two compatible rigid sets to one rigid generator.
@@ -406,28 +550,32 @@ def bongartz_complete(part_a, part_b):
     Requires Ext(a, b) = 0 for all a in the first set, b in the second.
     The returned rigid set generates the same wide closure as the union;
     the search prefers keeping the second set and adding middle terms of
-    the semi-universal extensions below elements of the first.
+    the semi-universal extensions below elements of the first.  Ext is
+    taken from projective presentations, so the search runs on the
+    linear-algebra oracle alone.
     """
+    ext = ext_dim_via_presentation
     part_a = sorted(set(part_a), key=lambda a: a.sort_key())
     part_b = sorted(set(part_b), key=lambda a: a.sort_key())
     if not part_a and not part_b:
         return ()
     n = (part_a or part_b)[0].rank
-    _validate_rigid(part_a, "first set")
-    _validate_rigid(part_b, "second set")
+    for part, label in ((part_a, "first set"), (part_b, "second set")):
+        if not is_rigid_set(part, ext):
+            raise ValueError(f"{label} is not rigid")
     for a in part_a:
         for b in part_b:
-            if ext_dim(a, b) != 0:
+            if ext(a, b) != 0:
                 raise ValueError("Ext from the first set to the second must vanish")
     union = sorted(set(part_a) | set(part_b), key=lambda a: a.sort_key())
-    if is_rigid_set(union):
+    if is_rigid_set(union, ext):
         return tuple(union)
     target = wide_closure(union)
     members = closure_members(union, n, 2 * n)
     semi = []
     for b in part_b:
         for a in part_a:
-            if ext_dim(b, a) != 0:
+            if ext(b, a) != 0:
                 for summands in extension_middles(b, a):
                     for arc in summands:
                         if is_exceptional(arc) and arc not in semi:
@@ -440,57 +588,11 @@ def bongartz_complete(part_a, part_b):
     for size in range(0, min(len(pool), n) + 1):
         for extra in itertools.combinations(range(len(pool)), size):
             cand = sorted(set(base) | {pool[i] for i in extra}, key=lambda a: a.sort_key())
-            if not is_rigid_set(cand):
+            if not is_rigid_set(cand, ext):
                 continue
             if wide_closure(cand, check_stability=False) == target:
                 return tuple(cand)
     raise AssertionError("no rigid completion found in the closure")
-
-
-def order_exc_sequence(summands):
-    """Order the summands of a rigid object into an exceptional sequence.
-
-    Later members must have no morphisms back to earlier ones, so the
-    element with no nonzero Hom to the rest is extracted and placed
-    last, repeatedly.  Ties break by (socle, length).
-    """
-    arcs = sorted(set(summands), key=lambda a: a.sort_key())
-    if len(arcs) != len(list(summands)):
-        raise ValueError("summands must be pairwise distinct")
-    _validate_rigid(arcs, "summand set")
-    remaining = list(arcs)
-    extracted = []
-    while remaining:
-        cands = [x for x in remaining
-                 if all(hom_dim(x, y) == 0 for y in remaining if y != x)]
-        if not cands:
-            raise AssertionError("rigid set admits no exceptional ordering")
-        pick = min(cands, key=lambda a: a.sort_key())
-        remaining.remove(pick)
-        extracted.append(pick)
-    seq = tuple(reversed(extracted))
-    assert is_exc_sequence(seq)
-    return seq
-
-
-def is_exc_sequence(seq) -> bool:
-    """Whether Hom and Ext vanish from every later member to every
-    earlier one and every member is exceptional."""
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return False
-    for a in seq:
-        if not is_exceptional(a) or ext_dim(a, a) != 0:
-            return False
-    for i, late in enumerate(seq):
-        for early in seq[:i]:
-            if hom_dim(late, early) != 0 or ext_dim(late, early) != 0:
-                return False
-    return True
-
-
-def factor_count_matrix(arcs):
-    return [list(a.factor_counts()) for a in arcs]
 
 
 def extract_exc_sequence(f: TubeWideFingerprint):
@@ -505,22 +607,22 @@ def extract_exc_sequence(f: TubeWideFingerprint):
     n = f.rank
     if not f.exc:
         raise ValueError("fingerprint is not exceptional-side, no sequence exists")
-    members = f.sorted_arcs()
+    uni = tube_universe(n)
+    target = uni.mask(f.arcs)
+    members = target
     greedy = []
     while members:
-        e = members[0]
-        greedy.append(e)
+        i = next(_bits(members))
+        greedy.append(uni.objects[i])
         if len(greedy) > n:
             raise AssertionError("extraction exceeded the rank bound")
-        members = [x for x in members[1:]
-                   if hom_dim(e, x) == 0 and ext_dim(e, x) == 0]
-    if linalg.rank(factor_count_matrix(greedy)) != len(greedy):
+        members &= uni.right[i]
+    if linalg.rank([list(a.factor_counts()) for a in greedy]) != len(greedy):
         raise AssertionError("extracted classes are dependent")
     seq = tuple(reversed(greedy))
     if not is_exc_sequence(seq):
         raise AssertionError("greedy extraction produced a non-sequence")
-    regenerated = wide_closure(seq) if seq else zero_fingerprint(n)
-    if regenerated != f:
+    if uni.double_perp(uni.mask(seq)) != target:
         raise AssertionError("extracted sequence does not regenerate the subcategory")
     return seq
 
@@ -531,24 +633,14 @@ def exc_perp_decompose(e: Arc):
     With S the top simple of e and m its length, the perpendicular is
     the orthogonal of the simples S, tau S, ..., tau^{m-1} S joined with
     the wide closure of tau S, ..., tau^{m-1} S.  Returns a membership
-    predicate for the first block and the fingerprint arcs of the
-    second.
+    predicate for the first block (on arcs of length at most the rank)
+    and the fingerprint arcs of the second.
     """
     if not is_exceptional(e):
         raise ValueError("arc is not exceptional")
     n = e.rank
-    t = e.top
-    ladder = [Arc(n, (t - k) % n, 1) for k in range(e.length)]
-    if e.length >= 2:
-        block2 = wide_closure(ladder[1:]).arcs
-    else:
-        block2 = frozenset()
-
-    def in_block1(x: Arc) -> bool:
-        return all(hom_dim(s, x) == 0 and ext_dim(s, x) == 0 for s in ladder)
-
-    return in_block1, block2
-
-
-def in_right_perp(f: TubeWideFingerprint, x: Arc) -> bool:
-    return all(hom_dim(m, x) == 0 and ext_dim(m, x) == 0 for m in f.arcs)
+    uni = tube_universe(n)
+    ladder = [Arc(n, (e.top - k) % n, 1) for k in range(e.length)]
+    block1 = frozenset(uni.members(uni.right_perp(uni.mask(ladder))))
+    block2 = frozenset(uni.members(uni.double_perp(uni.mask(ladder[1:]))))
+    return (lambda x: x in block1), block2

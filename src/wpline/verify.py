@@ -17,9 +17,10 @@ from .ktheory import (abs_length, class_of, cox_of, coxeter_element,
                       euler_form, k_rank, nc_leq)
 from .nilpotent import Arc
 from .sheaves import (TorsionArc, ext_dim_sheaf, ext_dim_sheaf_alt,
-                      hom_dim_sheaf, perp_membership)
+                      hom_dim_sheaf, perp_membership, sheaf_sort_key)
 from .widposet import (build_poset, cinv_snapshot, default_window,
-                       enumerate_wid_c, poset_dot, sheaf_universe)
+                       enumerate_wid_c, poset_dot, sheaf_universe,
+                       window_universe)
 
 TUBE_COUNTS = {1: 2, 2: 6, 3: 20, 4: 70, 5: 252}
 
@@ -276,7 +277,8 @@ def criterion_8():
     exc_nodes = [n for n in poset.nodes if n.exc_gens is not None]
     weyl = {}
     for n in exc_nodes:
-        seq = widposet.order_exc_sheaves(n.exc_gens)
+        seq = tube.order_exc_sequence(n.exc_gens, hom_dim_sheaf, ext_dim_sheaf,
+                                      sheaf_sort_key)
         weyl[n.name] = cox_of(line, seq)
     bad = []
     for u in exc_nodes:
@@ -401,7 +403,7 @@ def criterion_12():
         problems.append(f"torsion-only count {len(torsion_only)} != 24")
     if len(with_bundle) != 3:
         problems.append(f"bundle-side count {len(with_bundle)} != 3")
-    universe = sheaf_universe(line, -2, 3, ids)
+    uni = window_universe(line, -2, 3, ids)
     for d in with_bundle:
         back = tuple(tube.perp_pair(fp) for fp in d.per_point)
         if back != d.defining_exc:
@@ -411,17 +413,15 @@ def criterion_12():
         if rebuilt != d:
             problems.append("reconstruction differs")
         gens = widposet._cinv_defining_sheaves(line, d)
-        direct = frozenset(x for x in universe if perp_membership(x, gens))
-        if direct != cinv_snapshot(line, d, universe):
+        members = cinv_snapshot(line, d, uni)
+        direct = frozenset(x for x in uni.objects if perp_membership(x, gens))
+        if direct != frozenset(uni.members(members)):
             problems.append("window membership differs between paths")
+        left = uni.members(uni.left_perp(members))
         for k, i in enumerate(line.weighted_indices()):
-            members = cinv_snapshot(line, d, universe)
-            left = frozenset(
-                a for a in tube.all_arcs(line.weights[i], line.weights[i])
-                if all(hom_dim_sheaf(TorsionArc(line, i, a), mm) == 0
-                       and ext_dim_sheaf(TorsionArc(line, i, a), mm) == 0
-                       for mm in members))
-            if left != d.defining_exc[k].arcs:
+            arcs = frozenset(x.arc for x in left
+                             if isinstance(x, TorsionArc) and x.point == i)
+            if arcs != d.defining_exc[k].arcs:
                 problems.append(f"left perp at point {i} does not regenerate the data")
     return _report("shift-invariant round trip", not problems, t0,
                    "; ".join(problems) if problems else "27 subcategories, round trips exact")

@@ -6,9 +6,17 @@ torsion arcs of length up to the point weight, declared ordinary
 simples).  Nodes come from two enumerations that overlap: closures of
 rigid sets of exceptional window objects, and the shift-invariant
 subcategories built from per-point tube data.  The order is snapshot
-containment; every comparable pair is tagged by which of the two
-mechanisms certifies it, and the tagged union generating the whole
-order is the pushout property checked by the acceptance suite.
+containment, and its Hasse diagram is computed once per poset; every
+comparable pair is tagged by which of the two mechanisms certifies it,
+and the tagged union generating the whole order is the pushout property
+checked by the acceptance suite.
+
+Snapshots come from the perpendicular calculus of tube.Universe, built
+once per poset over the window enlarged by two canonical degrees on
+each side; the window itself and the one-degree enlargement are masks
+in it.  Closures of rigid sets are double perpendiculars, and bundles
+of a shift-invariant subcategory form the right perpendicular of its
+defining torsion sequence.
 
 Window faithfulness: a rigid set whose closure needs bundles outside
 the window (its snapshot would misrepresent the subcategory) is
@@ -25,9 +33,9 @@ from . import tube
 from .grading import WeightData
 from .ktheory import k_rank
 from .nilpotent import Arc
-from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
-                      ext_dim_sheaf, format_sheaf, hom_dim_sheaf,
-                      is_exceptional_sheaf, perp_membership, sheaf_sort_key)
+from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, ext_dim_sheaf,
+                      format_sheaf, hom_dim_sheaf, is_exceptional_sheaf,
+                      sheaf_sort_key)
 from .tube import TubeWideFingerprint
 
 
@@ -91,6 +99,12 @@ def sheaf_universe(line: WeightData, lo: int, hi: int, universe_ids):
     return tuple(out)
 
 
+def window_universe(line: WeightData, lo: int, hi: int, universe_ids) -> tube.Universe:
+    """The perpendicular calculus over the window universe."""
+    return tube.Universe(sheaf_universe(line, lo, hi, universe_ids),
+                         hom_dim_sheaf, ext_dim_sheaf)
+
+
 # ---------------------------------------------------------------------------
 # shift-invariant enumeration
 
@@ -146,86 +160,35 @@ def _cinv_defining_sheaves(line: WeightData, data: CInvData):
     return gens
 
 
-def cinv_snapshot(line: WeightData, data: CInvData, universe) -> frozenset:
+def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe) -> int:
+    """Members of a shift-invariant subcategory, as a mask over the universe."""
     widx = line.weighted_indices()
-    gens = _cinv_defining_sheaves(line, data) if data.contains_bundle else None
-    members = set()
-    for u in universe:
+    bundles = 0
+    if data.contains_bundle:
+        bundles = uni.right_perp(uni.mask(_cinv_defining_sheaves(line, data)))
+    members = 0
+    for i, u in enumerate(uni.objects):
         if isinstance(u, TorsionArc):
-            if u.arc in data.per_point[widx.index(u.point)].arcs:
-                members.add(u)
+            inside = u.arc in data.per_point[widx.index(u.point)].arcs
         elif isinstance(u, OrdinaryTorsion):
-            if u.point_id in data.ordinary_support:
-                members.add(u)
+            inside = u.point_id in data.ordinary_support
         else:
-            if data.contains_bundle and perp_membership(u, gens):
-                members.add(u)
-    return frozenset(members)
+            inside = bundles >> i & 1
+        members |= inside << i
+    return members
 
 
-def is_c_invariant(snapshot) -> bool:
-    """Shift-invariance read off a snapshot: either no bundles at all, or
-    some member is indecomposable non-exceptional torsion."""
-    has_bundle = any(isinstance(x, LineBundle) for x in snapshot)
-    if not has_bundle:
-        return True
-    return any(not is_exceptional_sheaf(x)
-               for x in snapshot if not isinstance(x, LineBundle))
+def exc_snapshot(gens, uni: tube.Universe, within: int | None = None) -> int:
+    """Members of the closure of a rigid set inside `within` (default:
+    the whole universe), as a mask: the double perpendicular."""
+    return uni.double_perp(uni.mask(gens), within)
 
 
-# ---------------------------------------------------------------------------
-# exceptional-side candidates
-
-def _rigid_sheaf_subsets(candidates, max_size):
-    objs = sorted(candidates, key=sheaf_sort_key)
-    ok_pair = {}
-
-    def compatible(a, b):
-        key = (a, b)
-        v = ok_pair.get(key)
-        if v is None:
-            v = ext_dim_sheaf(a, b) == 0 and ext_dim_sheaf(b, a) == 0
-            ok_pair[key] = v
-        return v
-
-    out = [()]
-    stack = [((), 0)]
-    while stack:
-        chosen, start = stack.pop()
-        if len(chosen) == max_size:
-            continue
-        for idx in range(start, len(objs)):
-            cand = objs[idx]
-            if all(compatible(c, cand) for c in chosen):
-                nxt = chosen + (cand,)
-                out.append(nxt)
-                stack.append((nxt, idx + 1))
-    return out
-
-
-def exc_snapshot(gens, universe) -> frozenset:
-    """Members of the closure of a rigid set, via the double
-    perpendicular inside the universe."""
-    perp = [u for u in universe if perp_membership(u, gens)]
-    return frozenset(x for x in universe
-                     if all(hom_dim_sheaf(x, p) == 0 and ext_dim_sheaf(x, p) == 0
-                            for p in perp))
-
-
-def order_exc_sheaves(gens):
-    """Order a rigid set of sheaves into an exceptional sequence by
-    repeatedly extracting a member with no Hom to the rest."""
-    remaining = sorted(gens, key=sheaf_sort_key)
-    extracted = []
-    while remaining:
-        cands = [x for x in remaining
-                 if all(hom_dim_sheaf(x, y) == 0 for y in remaining if y != x)]
-        if not cands:
-            raise ValueError("rigid set admits no exceptional ordering")
-        pick = min(cands, key=sheaf_sort_key)
-        remaining.remove(pick)
-        extracted.append(pick)
-    return tuple(reversed(extracted))
+def _cinv_leq(a: CInvData, b: CInvData) -> bool:
+    """Inclusion of shift-invariant subcategories, read off their data."""
+    return all(fa.arcs <= fb.arcs for fa, fb in zip(a.per_point, b.per_point)) \
+        and a.ordinary_support <= b.ordinary_support \
+        and (not a.contains_bundle or b.contains_bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +198,13 @@ def order_exc_sheaves(gens):
 class PosetNode:
     name: str
     snapshot: frozenset
-    exc_gens: tuple | None
+    exc_gens: frozenset | None
     cinv: CInvData | None
 
 
 class WidPoset:
-    def __init__(self, line, lo, hi, universe_ids, universe, nodes, clipped, undecidable):
+    def __init__(self, line, lo, hi, universe_ids, universe, nodes, clipped, undecidable,
+                 covers):
         self.line = line
         self.lo = lo
         self.hi = hi
@@ -249,6 +213,7 @@ class WidPoset:
         self.nodes = nodes
         self.clipped = clipped
         self.undecidable = undecidable
+        self._covers = sorted(covers)
         self._by_name = {n.name: n for n in nodes}
 
     def node(self, name: str) -> PosetNode:
@@ -259,17 +224,7 @@ class WidPoset:
 
     def tags(self, u: PosetNode, v: PosetNode):
         """Certifying mechanisms for u <= v."""
-        out = []
-        if u.exc_gens is not None and v.exc_gens is not None:
-            if all(g in v.snapshot for g in u.exc_gens):
-                out.append("exc")
-        if u.cinv is not None and v.cinv is not None:
-            a, b = u.cinv, v.cinv
-            stalks = all(fa.arcs <= fb.arcs for fa, fb in zip(a.per_point, b.per_point))
-            if stalks and a.ordinary_support <= b.ordinary_support \
-                    and (not a.contains_bundle or b.contains_bundle):
-                out.append("cinv")
-        return tuple(out)
+        return tuple(m for m, ok in _mechanisms(u, v).items() if ok)
 
     def comparable_pairs(self):
         for u in self.nodes:
@@ -278,12 +233,8 @@ class WidPoset:
                     yield u, v
 
     def covers(self):
-        out = []
-        for u, v in self.comparable_pairs():
-            if not any(self.leq(u, w) and self.leq(w, v)
-                       for w in self.nodes if w is not u and w is not v):
-                out.append((u.name, v.name))
-        return sorted(out)
+        """Cover pairs (lower, upper) by name, sorted."""
+        return list(self._covers)
 
     def certificate_ok(self) -> bool:
         """Every comparable pair is reachable through tagged steps."""
@@ -299,6 +250,18 @@ class WidPoset:
                         seen.add(b)
                         changed = True
         return all(v.name in reach[u.name] for u, v in self.comparable_pairs())
+
+
+def _mechanisms(u: PosetNode, v: PosetNode) -> dict:
+    """Verdict on u <= v of each window-independent mechanism that applies
+    to both nodes: containment of the generators, or of the invariant
+    data."""
+    out = {}
+    if u.exc_gens is not None and v.exc_gens is not None:
+        out["exc"] = u.exc_gens <= v.snapshot
+    if u.cinv is not None and v.cinv is not None:
+        out["cinv"] = _cinv_leq(u.cinv, v.cinv)
+    return out
 
 
 def _suffix(k: int) -> str:
@@ -368,25 +331,23 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
         raise ValueError("poset construction needs bundle support "
                          "(at most two weighted points)")
     p = line.p
-    universe = sheaf_universe(line, lo, hi, universe_ids)
-    big_universe = sheaf_universe(line, lo - p, hi + p, universe_ids)
-    big2_universe = sheaf_universe(line, lo - 2 * p, hi + 2 * p, universe_ids)
-    base_set = set(universe)
-
-    exceptional = [u for u in universe
-                   if is_exceptional_sheaf(u) and ext_dim_sheaf(u, u) == 0]
+    uni = window_universe(line, lo - 2 * p, hi + 2 * p, universe_ids)
+    window = uni.mask(sheaf_universe(line, lo, hi, universe_ids))
+    big = uni.mask(sheaf_universe(line, lo - p, hi + p, universe_ids))
+    exceptional = uni.mask(u for u in uni.members(window) if is_exceptional_sheaf(u))
 
     def gens_key(gens):
         return (len(gens), tuple(sheaf_sort_key(g) for g in gens))
 
+    # records are keyed by the window snapshot, as a mask
     undecidable = []
     records = {}
     for data in enumerate_wid_c(line, universe_ids):
-        snap = cinv_snapshot(line, data, universe)
-        rec = records.setdefault(snap, {"exc": None, "cinv": None})
+        members = cinv_snapshot(line, data, uni)
+        rec = records.setdefault(members & window, {"exc": None, "cinv": None})
         if rec["cinv"] is None:
             rec["cinv"] = data
-            rec["big_cinv"] = cinv_snapshot(line, data, big_universe)
+            rec["big_cinv"] = members & big
     cinv_keys = set(records)
 
     # Exceptional closures are resolved against the margin-enlarged
@@ -394,23 +355,21 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     # own; one reaching into the margin is either the window slice of a
     # shift-invariant node or not representable at this window scale.
     clipped = []
-    for gens in _rigid_sheaf_subsets(exceptional, max_size=k_rank(line)):
-        snap1 = exc_snapshot(gens, big_universe)
-        if snap1 <= base_set:
-            key = snap1
-        else:
-            key = frozenset(x for x in snap1 if x in base_set)
-            if key not in cinv_keys:
-                clipped.append(gens)
-                continue
-        snap2 = exc_snapshot(gens, big2_universe)
-        if snap1 <= base_set:
+    for gens in uni.rigid_subsets(exceptional, max_size=k_rank(line)):
+        snap1 = exc_snapshot(gens, uni, big)
+        inside = snap1 & ~window == 0
+        key = snap1 & window
+        if not inside and key not in cinv_keys:
+            clipped.append(gens)
+            continue
+        snap2 = exc_snapshot(gens, uni)
+        if inside:
             if snap2 != snap1:
                 undecidable.append(
                     "members of a closure keep appearing under enlargement: "
                     + ";".join(format_sheaf(g) for g in gens))
                 continue
-        elif frozenset(x for x in snap2 if x in base_set) != key:
+        elif snap2 & window != key:
             undecidable.append(
                 "window slice of a closure changes under enlargement: "
                 + ";".join(format_sheaf(g) for g in gens))
@@ -425,12 +384,15 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                 and rec["big_exc"] != rec["big_cinv"]:
             undecidable.append(
                 "window cannot separate two subcategories sharing a snapshot: "
-                + "{" + ";".join(format_sheaf(x) for x in sorted(snap, key=sheaf_sort_key)) + "}")
+                "{" + ";".join(format_sheaf(x) for x in uni.members(snap)) + "}")
 
     nodes = []
+    masks = sorted(records, key=lambda m: (m.bit_count(),
+                                           [sheaf_sort_key(x) for x in uni.members(m)]))
     used_names = set()
-    for snap in sorted(records, key=lambda s: (len(s), sorted(sheaf_sort_key(x) for x in s))):
-        rec = records[snap]
+    for mask in masks:
+        rec = records[mask]
+        snap = frozenset(uni.members(mask))
         if rec["cinv"] is not None:
             name = _cinv_name(line, rec["cinv"])
         else:
@@ -442,44 +404,37 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                 i += 1
             name = f"{name}#{i}"
         used_names.add(name)
-        nodes.append(PosetNode(name, snap, rec["exc"], rec["cinv"]))
+        gens = None if rec["exc"] is None else frozenset(rec["exc"])
+        nodes.append(PosetNode(name, snap, gens, rec["cinv"]))
 
     # Snapshot order must agree with the window-independent mechanisms
     # wherever one applies; a comparable pair seen by neither mechanism
     # cannot be trusted at window scale.
-    for u in nodes:
-        for v in nodes:
-            if u is v:
+    above, covers = tube.inclusion_order(masks)
+    for i, u in enumerate(nodes):
+        for j, v in enumerate(nodes):
+            if i == j:
                 continue
-            small = u.snapshot <= v.snapshot
-            checked = False
-            if u.exc_gens is not None and v.exc_gens is not None:
-                checked = True
-                if small != all(g in v.snapshot for g in u.exc_gens):
-                    undecidable.append(
-                        f"order of {u.name} and {v.name} disagrees with generators")
-            if u.cinv is not None and v.cinv is not None:
-                checked = True
-                a, b = u.cinv, v.cinv
-                truth = all(fa.arcs <= fb.arcs
-                            for fa, fb in zip(a.per_point, b.per_point)) \
-                    and a.ordinary_support <= b.ordinary_support \
-                    and (not a.contains_bundle or b.contains_bundle)
+            small = bool(above[i] >> j & 1)
+            verdicts = _mechanisms(u, v)
+            for mechanism, truth in verdicts.items():
                 if small != truth:
+                    source = "generators" if mechanism == "exc" else "invariant data"
                     undecidable.append(
-                        f"order of {u.name} and {v.name} disagrees with invariant data")
-            if small and not checked:
+                        f"order of {u.name} and {v.name} disagrees with {source}")
+            if small and not verdicts:
                 undecidable.append(
                     f"order of {u.name} and {v.name} undecidable at window scale")
 
-    return WidPoset(line, lo, hi, universe_ids, universe, tuple(nodes),
-                    tuple(clipped), tuple(undecidable))
+    return WidPoset(line, lo, hi, universe_ids, uni.members(window), tuple(nodes),
+                    tuple(clipped), tuple(undecidable),
+                    [(nodes[i].name, nodes[j].name) for i, j in covers])
 
 
 # ---------------------------------------------------------------------------
 # emission
 
-def _node_heights(poset: WidPoset):
+def poset_dot(poset: WidPoset) -> str:
     covers = poset.covers()
     below = {n.name: [] for n in poset.nodes}
     for a, b in covers:
@@ -493,18 +448,13 @@ def _node_heights(poset: WidPoset):
 
     for n in poset.nodes:
         height(n.name)
-    return heights
-
-
-def poset_dot(poset: WidPoset) -> str:
-    heights = _node_heights(poset)
     lines = ["digraph wid {", "  rankdir=BT;"]
     for name in sorted(heights):
         lines.append(f'  "{name}";')
     for h in sorted(set(heights.values())):
         group = sorted(n for n, hh in heights.items() if hh == h)
         lines.append("  { rank=same; " + " ".join(f'"{n}";' for n in group) + " }")
-    for a, b in poset.covers():
+    for a, b in covers:
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -540,44 +490,29 @@ def poset_json(poset: WidPoset) -> dict:
 # perpendicular splitting at an exceptional torsion sheaf
 
 def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc,
-                               lo: int = None, hi: int = None, universe_ids=()):
+                               uni: tube.Universe | None = None):
     """Split the right perpendicular of an exceptional torsion sheaf into
     a reduced-weight sheaf part and a finite tube part, and verify the
-    two blocks have no Hom or Ext between them inside the window."""
+    two blocks have no Hom or Ext between them inside the universe
+    (default: the window -2p..2p with no ordinary points)."""
     if not is_exceptional_sheaf(e):
         raise ValueError("torsion sheaf is not exceptional")
-    p = line.p
-    if lo is None:
-        lo = -2 * p
-    if hi is None:
-        hi = 2 * p
-    in_a, block_b = tube.exc_perp_decompose(e.arc)
+    if uni is None:
+        uni = window_universe(line, -2 * line.p, 2 * line.p, ())
+    _, block_b = tube.exc_perp_decompose(e.arc)
     weight = line.weights[e.point]
     reduced = tuple(w - e.arc.length if i == e.point else w
                     for i, w in enumerate(line.weights))
-    block_b_sheaves = sorted((TorsionArc(line, e.point, a) for a in block_b),
-                             key=sheaf_sort_key)
-    m = e.arc.length
-    t = e.arc.top
-    ladder = [TorsionArc(line, e.point, Arc(weight, (t - k) % weight, 1))
-              for k in range(m)]
-    universe = sheaf_universe(line, lo, hi, universe_ids)
-    block_a_members = []
-    for x in universe:
-        if not perp_membership(x, [e]):
-            continue
-        if perp_membership(x, ladder):
-            block_a_members.append(x)
-    cross_ok = all(
-        hom_dim_sheaf(a, b) == 0 and ext_dim_sheaf(a, b) == 0
-        and hom_dim_sheaf(b, a) == 0 and ext_dim_sheaf(b, a) == 0
-        for a in block_a_members for b in block_b_sheaves)
-    covered = all(x in block_a_members or x in block_b_sheaves
-                  for x in universe if perp_membership(x, [e]))
+    block_tube = uni.mask(TorsionArc(line, e.point, a) for a in block_b)
+    ladder = uni.mask(TorsionArc(line, e.point, Arc(weight, (e.arc.top - k) % weight, 1))
+                      for k in range(e.arc.length))
+    perp = uni.right_perp(uni.mask([e]))
+    block_sheaf = perp & uni.right_perp(ladder)
+    orthogonal = uni.right_perp(block_tube) & uni.left_perp(block_tube)
     return {
         "reduced_weights": reduced,
-        "block_tube": block_b_sheaves,
-        "block_sheaf_members": block_a_members,
-        "cross_orthogonal": cross_ok,
-        "perp_covered": covered,
+        "block_tube": list(uni.members(block_tube)),
+        "block_sheaf_members": list(uni.members(block_sheaf)),
+        "cross_orthogonal": block_sheaf & ~orthogonal == 0,
+        "perp_covered": perp & ~(block_sheaf | block_tube) == 0,
     }

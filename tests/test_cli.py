@@ -79,6 +79,14 @@ def test_tube_enum_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("rank", [3, 4])
+def test_tube_enum_dot_matches_golden(rank):
+    """The Hasse diagram of the tube lattice, pinned byte for byte."""
+    code, out, _ = run_cli(["tube-enum", "--rank", str(rank), "--format", "dot"])
+    assert code == 0
+    assert out == (GOLDEN.parent / f"tube_r{rank}.dot").read_text()
+
+
 def test_cox_default_element():
     code, out, _ = run_cli(["cox", "--weights", "2"])
     assert code == 0

@@ -6,11 +6,16 @@ import pytest
 
 from wpline.grading import dim_S, make_line
 from wpline import sheaves as sh
+from wpline import tube
 
 
 LINE2 = make_line((2,))
 LINE11 = make_line((1, 1))
 LINE23 = make_line((2, 3))
+
+
+def is_exc_sequence(seq):
+    return tube.is_exc_sequence(seq, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
 
 
 def bundles(line, lo, hi):
@@ -149,11 +154,11 @@ def test_exceptional_sequences():
     O = sh.line_bundle(LINE2, (0, 0))
     Ox = sh.line_bundle(LINE2, (1, 0))
     O2c = sh.line_bundle(LINE2, (0, 2))
-    assert sh.is_exceptional_sequence((O, Ox))
-    assert not sh.is_exceptional_sequence((Ox, O))
-    assert not sh.is_exceptional_sequence((O, O2c))
+    assert is_exc_sequence((O, Ox))
+    assert not is_exc_sequence((Ox, O))
+    assert not is_exc_sequence((O, O2c))
     S1 = sh.simple_at(LINE2, 0, 1)
-    assert sh.is_exceptional_sequence((S1, O))
+    assert is_exc_sequence((S1, O))
 
 
 def test_perp_membership_direction():

@@ -1,5 +1,6 @@
 """Window posets of wide subcategories and the shift-invariant side."""
 
+import functools
 import itertools
 
 import pytest
@@ -177,10 +178,42 @@ def test_cinv_round_trip_through_tube_perp():
 
 
 def test_exc_snapshot_double_perp_identity():
-    universe = wp.sheaf_universe(LINE2, -6, 7, ())
+    uni = wp.window_universe(LINE2, -6, 7, ())
     O = sh.line_bundle(LINE2, (0, -1))
-    snap = wp.exc_snapshot((O,), universe)
-    assert snap == frozenset({O})
+    snap = wp.exc_snapshot((O,), uni)
+    assert uni.members(snap) == (O,)
+
+
+@pytest.mark.parametrize("weights, lo, hi", [((2,), -2, 3), ((2, 3), -6, 6), ((4,), -8, 8)])
+def test_exc_snapshot_is_pointwise_double_perp(weights, lo, hi):
+    """On every rigid set of at most two exceptional window objects, the
+    bitset closure equals the double perpendicular written out from the
+    sheaf Hom and Ext, inside the one- and two-margin windows."""
+    line = make_line(weights)
+    p = line.p
+    uni = wp.window_universe(line, lo - 2 * p, hi + 2 * p, ())
+    big = wp.sheaf_universe(line, lo - p, hi + p, ())
+    window = wp.sheaf_universe(line, lo, hi, ())
+
+    @functools.cache
+    def orthogonal(a, b):
+        return sh.hom_dim_sheaf(a, b) == 0 and sh.ext_dim_sheaf(a, b) == 0
+
+    def double_perp(gens, inside):
+        perp = [u for u in inside if all(orthogonal(g, u) for g in gens)]
+        return tuple(x for x in inside if all(orthogonal(x, q) for q in perp))
+
+    exceptional = [u for u in window if sh.is_exceptional_sheaf(u)]
+    checked = 0
+    for r in (1, 2):
+        for gens in itertools.combinations(exceptional, r):
+            if any(sh.ext_dim_sheaf(a, b) for a in gens for b in gens):
+                continue
+            checked += 1
+            assert uni.members(wp.exc_snapshot(gens, uni, uni.mask(big))) \
+                == double_perp(gens, big), gens
+            assert uni.members(wp.exc_snapshot(gens, uni)) == double_perp(gens, uni.objects), gens
+    assert checked > len(exceptional)
 
 
 def test_order_exc_sheaves_gives_sequence():
@@ -188,9 +221,10 @@ def test_order_exc_sheaves_gives_sequence():
     Ox = sh.line_bundle(LINE2, (1, 0))
     S1 = sh.simple_at(LINE2, 0, 1)
     for gens in [(Ox, O), (S1, O), (O, S1), (O, Ox)]:
-        seq = wp.order_exc_sheaves(gens)
+        seq = tube.order_exc_sequence(gens, sh.hom_dim_sheaf, sh.ext_dim_sheaf,
+                                      sh.sheaf_sort_key)
         assert set(seq) == set(gens)
-        assert sh.is_exceptional_sequence(seq)
+        assert tube.is_exc_sequence(seq, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
 
 
 def test_decompose_simple_perpendicular():
