@@ -246,15 +246,17 @@ def _cmd_poset(args) -> int:
 
 def _cmd_verify(args) -> int:
     reports = verify.run_all()
-    failed = 0
-    for i, rep in enumerate(reports, start=1):
-        status = "PASS" if rep["ok"] else "FAIL"
-        if not rep["ok"]:
-            failed += 1
-        sys.stdout.write(f"[{i:2d}] {status} {rep['name']} "
-                         f"({rep['seconds']}s) {rep['detail']}\n")
-    sys.stdout.write(f"{len(reports) - failed}/{len(reports)} criteria passed\n")
-    return 1 if failed else 0
+    passed = sum(1 for rep in reports if rep["ok"])
+    if args.format == "json":
+        doc = {"schema": 1, "criteria": reports, "passed": passed, "total": len(reports)}
+        sys.stdout.write(_emit_json(doc))
+    else:
+        for i, rep in enumerate(reports, start=1):
+            status = "PASS" if rep["ok"] else "FAIL"
+            sys.stdout.write(f"[{i:2d}] {status} {rep['name']} "
+                             f"({rep['seconds']}s) {rep['detail']}\n")
+        sys.stdout.write(f"{passed}/{len(reports)} criteria passed\n")
+    return 0 if passed == len(reports) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

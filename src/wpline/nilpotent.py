@@ -245,10 +245,6 @@ def hom_basis(a: NilpRep, b: NilpRep):
     return _hom_basis_dense(a, b)
 
 
-def hom_dim_rep(a: NilpRep, b: NilpRep) -> int:
-    return len(hom_basis(a, b))
-
-
 def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
     """Kernel of a morphism f: a -> b with its induced maps."""
     n = a.rank
@@ -303,8 +299,7 @@ def cokernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
         t = (i - 1) % n
         m = [[Fraction(0)] * dims[i] for _ in range(dims[t])]
         for j, src in enumerate(keeps[i]):
-            lift = [Fraction(int(r == src)) for r in range(b.dims[i])]
-            img = linalg.mat_vec(b.map_as_lists(i), lift)
+            img = [row[src] for row in b.maps[i]]
             for k, x in enumerate(projs[t](img)):
                 m[k][j] = x
         maps.append(m)
@@ -326,16 +321,29 @@ def pushout_middle(k: NilpRep, p: NilpRep, incl, b: NilpRep, g) -> NilpRep:
     return cokernel_rep(k, pb, f)
 
 
+def _image_ranks(rep: NilpRep, start: int, limit: int) -> list:
+    """Ranks of the composites 0, 1, ..., `limit` vertices down from
+    `start`, cut after the first 0 (every later composite is 0 too).
+    No composite is formed: a reduced basis of its image is pushed
+    through one structure map per step."""
+    d = rep.dims[start]
+    basis = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    ranks = [d]
+    v = start
+    while basis and len(ranks) <= limit:
+        image = [[sum(x * y for x, y in zip(row, vec) if x and y) for row in rep.maps[v]]
+                 for vec in basis]
+        red, pivots = linalg.rref(image)
+        basis = red[:len(pivots)]
+        ranks.append(len(basis))
+        v = (v - 1) % rep.rank
+    return ranks
+
+
 def composite_rank(rep: NilpRep, start: int, steps: int) -> int:
     """Rank of the composite map going `steps` vertices down from `start`."""
-    if steps == 0:
-        return rep.dims[start]
-    m = linalg.identity(rep.dims[start])
-    v = start
-    for _ in range(steps):
-        m = linalg.mat_mul(rep.map_as_lists(v), m)
-        v = (v - 1) % rep.rank
-    return linalg.rank(m)
+    ranks = _image_ranks(rep, start, steps)
+    return ranks[steps] if steps < len(ranks) else 0
 
 
 def decompose(rep: NilpRep):
@@ -343,19 +351,23 @@ def decompose(rep: NilpRep):
 
     Multiplicities come from ranks of the composite downward maps, the
     cyclic analogue of reading Jordan block sizes off rank differences.
-    Raises ValueError when the representation is not nilpotent.
+    Each start vertex is walked once (`_image_ranks`): the image of the
+    composite is kept as a reduced basis and pushed one map further per
+    step, and the walk stops at the first empty image.  A walk that still
+    has a nonzero image after `total_dim` steps means the representation
+    is not nilpotent, and ValueError is raised.
     """
     n = rep.rank
     total = rep.total_dim
     if total == 0:
         return {}
-    for i in range(n):
-        if composite_rank(rep, i, total) != 0:
-            raise ValueError("representation is not nilpotent")
     rho = {}
     for i in range(n):
+        ranks = _image_ranks(rep, i, total)
+        if len(ranks) > total and ranks[total] != 0:
+            raise ValueError("representation is not nilpotent")
         for ell in range(total + 2):
-            rho[(i, ell)] = composite_rank(rep, i, ell) if ell <= total else 0
+            rho[(i, ell)] = ranks[ell] if ell < len(ranks) else 0
     result = {}
     for s in range(n):
         for length in range(1, total + 1):

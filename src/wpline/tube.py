@@ -76,12 +76,6 @@ def ext_dim(a: Arc, b: Arc) -> int:
     return hom_dim(b, a.tau())
 
 
-def hom_nonzero_criterion(a: Arc, b: Arc) -> bool:
-    """Fast predicate: Hom(a, b) != 0 iff top(a) is a factor of b and
-    the socle of b is a factor of a."""
-    return a.top in b.factors() and b.socle in a.factors()
-
-
 def is_exceptional(a: Arc) -> bool:
     """An arc is exceptional exactly when it is shorter than the rank."""
     return a.length < a.rank

@@ -155,6 +155,27 @@ def test_verify_passes():
     assert "13/13 criteria passed" in out
 
 
+CANNED_REPORTS = [
+    {"name": "first check", "ok": True, "seconds": 0.5, "detail": "fine"},
+    {"name": "second check", "ok": False, "seconds": 1.25, "detail": "off by one"},
+]
+
+
+@pytest.mark.parametrize("reports, code, text", [
+    (CANNED_REPORTS[:1], 0, "[ 1] PASS first check (0.5s) fine\n1/1 criteria passed\n"),
+    (CANNED_REPORTS, 1, "[ 1] PASS first check (0.5s) fine\n"
+                        "[ 2] FAIL second check (1.25s) off by one\n1/2 criteria passed\n"),
+])
+def test_verify_text_and_json_formats(monkeypatch, reports, code, text):
+    monkeypatch.setattr(verify, "run_all", lambda: [dict(r) for r in reports])
+    assert run_cli(["verify"])[:2] == (code, text)
+    json_code, out, _ = run_cli(["verify", "--format", "json"])
+    assert json_code == code
+    doc = json.loads(out)
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert doc == {"schema": 1, "criteria": reports, "passed": 1, "total": len(reports)}
+
+
 def test_usage_errors_exit_2():
     assert run_cli(["no-such-verb"])[0] == 2
     assert run_cli(["hom", "--weights", "2", "--from", "O"])[0] == 2

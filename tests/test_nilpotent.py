@@ -1,17 +1,25 @@
 """Nilpotent cyclic-quiver representations: hom bases and decomposition."""
 
+import collections
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wpline.nilpotent import (Arc, _hom_basis_dense, _hom_basis_unionfind,
-                              cokernel_rep, composite_rank, decompose,
-                              direct_sum, hom_basis, hom_dim_rep, kernel_rep,
-                              rep_of_arc)
+from wpline import linalg
+from wpline.nilpotent import (Arc, NilpRep, _hom_basis_dense,
+                              _hom_basis_unionfind, cokernel_rep,
+                              composite_rank, decompose, direct_sum, hom_basis,
+                              kernel_rep, rep_of_arc)
 
 
 def all_arcs_raw(n, max_len):
     return [Arc(n, s, l) for s in range(n) for l in range(1, max_len + 1)]
+
+
+def hom_dim_rep(a: NilpRep, b: NilpRep) -> int:
+    return len(hom_basis(a, b))
 
 
 def test_arc_basic_structure():
@@ -105,7 +113,82 @@ def test_composite_rank_nilpotence():
 
 
 def test_decompose_rejects_non_nilpotent():
-    from wpline.nilpotent import NilpRep
     rep = NilpRep(1, (1,), (((1,),),))
     with pytest.raises(ValueError):
         decompose(rep)
+
+
+# ---------------------------------------------------------------------------
+# property test: the oracle on dense rational bases
+
+
+def reference_composite_ranks(rep, start, max_steps):
+    """Ranks of the composites 0..max_steps vertices down from `start`,
+    each built as a matrix product and then ranked."""
+    m = linalg.identity(rep.dims[start])
+    ranks = [rep.dims[start]]
+    v = start
+    for _ in range(max_steps):
+        m = linalg.mat_mul(rep.map_as_lists(v), m)
+        ranks.append(linalg.rank(m))
+        v = (v - 1) % rep.rank
+    return ranks
+
+
+def cycle_rep(n):
+    """One-dimensional at every vertex with identity maps: the composite
+    around the cycle is 1, so this is not nilpotent."""
+    return NilpRep(n, (1,) * n, tuple(((Fraction(1),),) for _ in range(n)))
+
+
+@st.composite
+def unimodular(draw, d):
+    """A dense integer matrix of determinant 1: unit lower times unit upper."""
+    entry = st.integers(-2, 2)
+    low = [[1 if r == c else draw(entry) if c < r else 0 for c in range(d)]
+           for r in range(d)]
+    up = [[1 if r == c else draw(entry) if c > r else 0 for c in range(d)]
+          for r in range(d)]
+    return linalg.mat_mul(low, up)
+
+
+def conjugate(rep, bases):
+    """Same representation in new bases: map i becomes P_{i-1} M_i P_i^-1."""
+    n = rep.rank
+    maps = []
+    for i in range(n):
+        m = linalg.mat_mul(linalg.mat_mul(bases[(i - 1) % n], rep.map_as_lists(i)),
+                           linalg.invert(bases[i]))
+        maps.append(tuple(tuple(Fraction(x) for x in row) for row in m))
+    return NilpRep(n, rep.dims, tuple(maps))
+
+
+@st.composite
+def conjugated_sums(draw):
+    n = draw(st.integers(1, 4))
+    arcs = draw(st.lists(st.builds(Arc, st.just(n), st.integers(0, n - 1),
+                                   st.integers(1, n + 2)),
+                         min_size=1, max_size=3))
+    extra = [cycle_rep(n)] if draw(st.booleans()) else []
+    rep = direct_sum([rep_of_arc(a) for a in arcs] + extra)
+    bases = [draw(unimodular(d)) for d in rep.dims]
+    return arcs, bool(extra), conjugate(rep, bases)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(conjugated_sums())
+def test_decompose_survives_change_of_basis(case):
+    """Dense rational maps, not only 0/1 ones: decompose finds the summands,
+    composite_rank agrees with the product-then-rank definition, and a
+    non-nilpotent summand is still rejected."""
+    arcs, cyclic, rep = case
+    max_steps = rep.total_dim + rep.rank
+    for start in range(rep.rank):
+        want = reference_composite_ranks(rep, start, max_steps)
+        got = [composite_rank(rep, start, steps) for steps in range(max_steps + 1)]
+        assert got == want, start
+    if cyclic:
+        with pytest.raises(ValueError):
+            decompose(rep)
+    else:
+        assert decompose(rep) == dict(collections.Counter(arcs))
