@@ -134,8 +134,7 @@ def _cmd_tube_enum(args) -> int:
     n = args.rank
     if n < 1:
         raise ValueError("rank must be positive")
-    fps = sorted(tube.enumerate_wide(n),
-                 key=lambda f: (len(f.arcs), tuple(a.sort_key() for a in f.sorted_arcs())))
+    fps = sorted(tube.enumerate_wide(n), key=tube.TubeWideFingerprint.sort_key)
     if args.format == "json":
         doc = {"schema": 1, "rank": n, "count": len(fps),
                "subcategories": [_fp_doc(f) for f in fps]}

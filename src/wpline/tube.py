@@ -23,6 +23,7 @@ read neither the closed form nor a universe table.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
@@ -255,11 +256,12 @@ class TubeWideFingerprint:
     def sorted_arcs(self):
         return sorted(self.arcs, key=lambda a: a.sort_key())
 
-    def factor_support(self) -> frozenset:
-        return frozenset(v for a in self.arcs for v in a.factors())
+    def sort_key(self):
+        """Listing order: by size, then by the sorted member arcs."""
+        return (len(self.arcs), tuple(a.sort_key() for a in self.sorted_arcs()))
 
 
-def closure_members(gens, n: int, cap: int) -> frozenset:
+def closure_members(gens, cap: int) -> frozenset:
     """Arcs of length <= cap in the wide closure of the generators."""
     members = {g for g in gens if g.length <= cap}
     while True:
@@ -281,12 +283,12 @@ def closure_members(gens, n: int, cap: int) -> frozenset:
 _CLOSURE_CACHE: dict = {}
 
 
-def wide_closure(gens, cap: int | None = None, check_stability: bool = True) -> TubeWideFingerprint:
+def wide_closure(gens, check_stability: bool = True) -> TubeWideFingerprint:
     """Fingerprint of the wide closure of a set of arcs.
 
-    Kernels, cokernels and extension middles are accumulated up to the
-    length cap (default twice the rank).  The truncation is guarded by
-    recomputing at cap plus rank and insisting on the same fingerprint.
+    Kernels, cokernels and extension middles are accumulated up to twice
+    the rank.  The truncation is guarded by recomputing up to three times
+    the rank and insisting on the same fingerprint.
     """
     gens = list(gens)
     if not gens:
@@ -294,18 +296,14 @@ def wide_closure(gens, cap: int | None = None, check_stability: bool = True) -> 
     n = gens[0].rank
     if any(g.rank != n for g in gens):
         raise ValueError("generators from tubes of different rank")
-    if cap is None:
-        cap = 2 * n
-    if cap < 2 * n:
-        raise ValueError("cap below twice the rank would truncate extensions")
-    key = (n, frozenset(gens), cap, check_stability)
+    key = (n, frozenset(gens), check_stability)
     hit = _CLOSURE_CACHE.get(key)
     if hit is not None:
         return hit
-    members = closure_members(gens, n, cap)
+    members = closure_members(gens, 2 * n)
     fp = TubeWideFingerprint(n, frozenset(a for a in members if a.length <= n))
     if check_stability:
-        wider = closure_members(gens, n, cap + n)
+        wider = closure_members(gens, 3 * n)
         fp2 = TubeWideFingerprint(n, frozenset(a for a in wider if a.length <= n))
         if fp != fp2:
             raise AssertionError("wide closure unstable under cap increase")
@@ -324,12 +322,29 @@ def whole_fingerprint(n: int) -> TubeWideFingerprint:
 # ---------------------------------------------------------------------------
 # perpendicular calculus over an indexed universe
 
-def _bits(mask: int):
+def bits(mask: int):
     """Indices of the set bits of a mask, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def meet(rows, mask: int, start: int) -> int:
+    """The AND of start and of rows[i] over the set bits i of mask."""
+    for i in bits(mask):
+        start &= rows[i]
+    return start
+
+
+def holders(masks) -> collections.defaultdict:
+    """Per member bit, the bitset over set indices of the sets holding it:
+    the sets containing a mask are the meet of its members' holders."""
+    out = collections.defaultdict(int)
+    for j, m in enumerate(masks):
+        for i in bits(m):
+            out[i] |= 1 << j
+    return out
 
 
 class Universe:
@@ -365,19 +380,13 @@ class Universe:
         return out
 
     def members(self, mask: int) -> tuple:
-        return tuple(self.objects[i] for i in _bits(mask))
+        return tuple(self.objects[i] for i in bits(mask))
 
     def right_perp(self, mask: int) -> int:
-        out = self.full
-        for i in _bits(mask):
-            out &= self.right[i]
-        return out
+        return meet(self.right, mask, self.full)
 
     def left_perp(self, mask: int) -> int:
-        out = self.full
-        for i in _bits(mask):
-            out &= self.left[i]
-        return out
+        return meet(self.left, mask, self.full)
 
     def double_perp(self, mask: int, within: int | None = None) -> int:
         """Left perpendicular of the right perpendicular, both taken inside
@@ -391,7 +400,7 @@ class Universe:
         """All sets of at most max_size candidates with no Ext^1 between
         or within their members, as object tuples in universe order; the
         empty set comes first, the rest in depth-first order."""
-        cands = [i for i in _bits(candidates) if self.compatible[i] >> i & 1]
+        cands = [i for i in bits(candidates) if self.compatible[i] >> i & 1]
         out = [()]
         stack = [((), 0, self.full)]
         while stack:
@@ -414,17 +423,15 @@ def inclusion_order(masks):
     containing it, and the cover pairs (i, j) of the order, in index
     order: the transitive reduction.
     """
-    above = [0] * len(masks)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if a != b and a & b == a:
-                above[i] |= 1 << j
+    held = holders(masks)
+    everyone = (1 << len(masks)) - 1
+    above = [meet(held, m, everyone) & ~(1 << i) for i, m in enumerate(masks)]
     covers = []
     for i, up in enumerate(above):
         reach = 0
-        for k in _bits(up):
+        for k in bits(up):
             reach |= above[k]
-        covers.extend((i, j) for j in _bits(up & ~reach))
+        covers.extend((i, j) for j in bits(up & ~reach))
     return above, covers
 
 
@@ -498,7 +505,10 @@ def perp_pair(f: TubeWideFingerprint) -> TubeWideFingerprint:
     return _fingerprint(f.rank, uni.right_perp(mask) if f.exc else uni.left_perp(mask))
 
 
-def enumerate_wide(n: int, max_rank: int = 6) -> frozenset:
+MAX_RANK = 6
+
+
+def enumerate_wide(n: int) -> frozenset:
     """All wide-subcategory fingerprints of the rank-n tube.
 
     Exc members are the double perpendiculars of rigid arc sets (whose
@@ -507,8 +517,8 @@ def enumerate_wide(n: int, max_rank: int = 6) -> frozenset:
     """
     if n < 1:
         raise ValueError("rank must be positive")
-    if n > max_rank:
-        raise ValueError(f"rank {n} above the configured bound {max_rank}")
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} above the configured bound {MAX_RANK}")
     uni = tube_universe(n)
     exc = {_fingerprint(n, uni.double_perp(uni.mask(subset)))
            for subset in uni.rigid_subsets(uni.full, max_size=n - 1)}
@@ -565,7 +575,7 @@ def bongartz_complete(part_a, part_b):
     if is_rigid_set(union, ext):
         return tuple(union)
     target = wide_closure(union)
-    members = closure_members(union, n, 2 * n)
+    members = closure_members(union, 2 * n)
     semi = []
     for b in part_b:
         for a in part_a:
@@ -606,7 +616,7 @@ def extract_exc_sequence(f: TubeWideFingerprint):
     members = target
     greedy = []
     while members:
-        i = next(_bits(members))
+        i = next(bits(members))
         greedy.append(uni.objects[i])
         if len(greedy) > n:
             raise AssertionError("extraction exceeded the rank bound")

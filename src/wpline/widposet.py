@@ -6,10 +6,10 @@ torsion arcs of length up to the point weight, declared ordinary
 simples).  Nodes come from two enumerations that overlap: closures of
 rigid sets of exceptional window objects, and the shift-invariant
 subcategories built from per-point tube data.  The order is snapshot
-containment, and its Hasse diagram is computed once per poset; every
-comparable pair is tagged by which of the two mechanisms certifies it,
-and the tagged union generating the whole order is the pushout property
-checked by the acceptance suite.
+containment, decided once per poset as ANDs of per-member holder bitsets
+over node indices, beside the verdicts of generators ("exc") and of
+invariant data ("cinv", from a data mask); the acceptance suite checks
+that their tagged union generates the whole order (pushout property).
 
 Snapshots come from the perpendicular calculus of tube.Universe, built
 once per poset over the window enlarged by two canonical degrees on
@@ -36,7 +36,6 @@ from .nilpotent import Arc
 from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, ext_dim_sheaf,
                       format_sheaf, hom_dim_sheaf, is_exceptional_sheaf,
                       sheaf_sort_key)
-from .tube import TubeWideFingerprint
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,6 @@ class CInvData:
     ordinary_support: frozenset
     contains_bundle: bool
     defining_exc: tuple | None
-
-    def sort_key(self):
-        fps = tuple(tuple(a.sort_key() for a in fp.sorted_arcs()) for fp in self.per_point)
-        return (self.contains_bundle, fps, tuple(sorted(self.ordinary_support)))
 
 
 def default_window(line: WeightData):
@@ -108,10 +103,6 @@ def window_universe(line: WeightData, lo: int, hi: int, universe_ids) -> tube.Un
 # ---------------------------------------------------------------------------
 # shift-invariant enumeration
 
-def _fp_sort_key(fp: TubeWideFingerprint):
-    return (len(fp.arcs), tuple(a.sort_key() for a in fp.sorted_arcs()))
-
-
 def c_inv_from_torsion_exc(line: WeightData, exc_fps, universe_ids) -> CInvData:
     """Bundle-containing shift-invariant subcategory perpendicular to the
     given per-weighted-point exceptional fingerprints."""
@@ -126,7 +117,7 @@ def c_inv_from_torsion_exc(line: WeightData, exc_fps, universe_ids) -> CInvData:
     return CInvData(per_point, frozenset(universe_ids), True, exc_fps)
 
 
-def enumerate_wid_c(line: WeightData, universe_ids, max_weight: int = 6):
+def enumerate_wid_c(line: WeightData, universe_ids):
     """All shift-invariant wide subcategories over the declared universe.
 
     Torsion-only members are products of per-point tube fingerprints and
@@ -136,10 +127,10 @@ def enumerate_wid_c(line: WeightData, universe_ids, max_weight: int = 6):
     """
     widx = line.weighted_indices()
     for i in widx:
-        if line.weights[i] > max_weight:
+        if line.weights[i] > tube.MAX_RANK:
             raise ValueError("point weight above the enumeration bound")
-    lattices = [sorted(tube.enumerate_wide(line.weights[i]), key=_fp_sort_key)
-                for i in widx]
+    lattices = [sorted(tube.enumerate_wide(line.weights[i]),
+                       key=tube.TubeWideFingerprint.sort_key) for i in widx]
     ids = sorted(universe_ids)
     out = []
     for fps in itertools.product(*lattices):
@@ -184,11 +175,13 @@ def exc_snapshot(gens, uni: tube.Universe, within: int | None = None) -> int:
     return uni.double_perp(uni.mask(gens), within)
 
 
-def _cinv_leq(a: CInvData, b: CInvData) -> bool:
-    """Inclusion of shift-invariant subcategories, read off their data."""
-    return all(fa.arcs <= fb.arcs for fa, fb in zip(a.per_point, b.per_point)) \
-        and a.ordinary_support <= b.ordinary_support \
-        and (not a.contains_bundle or b.contains_bundle)
+def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe) -> int:
+    """Per-point arcs and ordinary support as a mask, plus one bit past the
+    universe when bundles belong: inclusion of masks is inclusion."""
+    arcs = [TorsionArc(line, i, a)
+            for fp, i in zip(data.per_point, line.weighted_indices()) for a in fp.arcs]
+    ordinary = [OrdinaryTorsion(line, q, 1) for q in data.ordinary_support]
+    return uni.mask(arcs + ordinary) | data.contains_bundle << len(uni.objects)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +196,11 @@ class PosetNode:
 
 
 class WidPoset:
+    """Nodes by snapshot size; bit j of above[i] when node j strictly contains
+    node i, of exc[i] or cinv[i] when that mechanism certifies it."""
+
     def __init__(self, line, lo, hi, universe_ids, universe, nodes, clipped, undecidable,
-                 covers):
+                 covers, above, exc, cinv):
         self.line = line
         self.lo = lo
         self.hi = hi
@@ -214,54 +210,40 @@ class WidPoset:
         self.clipped = clipped
         self.undecidable = undecidable
         self._covers = sorted(covers)
-        self._by_name = {n.name: n for n in nodes}
+        self.above = above
+        self.exc = exc
+        self.cinv = cinv
+        self._index = {n.name: i for i, n in enumerate(nodes)}
 
     def node(self, name: str) -> PosetNode:
-        return self._by_name[name]
+        return self.nodes[self._index[name]]
 
     def leq(self, u: PosetNode, v: PosetNode) -> bool:
-        return u.snapshot <= v.snapshot
+        return u is v or bool(self.above[self._index[u.name]] >> self._index[v.name] & 1)
 
     def tags(self, u: PosetNode, v: PosetNode):
         """Certifying mechanisms for u <= v."""
-        return tuple(m for m, ok in _mechanisms(u, v).items() if ok)
+        i, j = self._index[u.name], self._index[v.name]
+        return tuple(m for m, row in (("exc", self.exc), ("cinv", self.cinv)) if row[i] >> j & 1)
 
     def comparable_pairs(self):
-        for u in self.nodes:
-            for v in self.nodes:
-                if u is not v and self.leq(u, v):
-                    yield u, v
+        for i, u in enumerate(self.nodes):
+            for j in tube.bits(self.above[i]):
+                yield u, self.nodes[j]
 
     def covers(self):
         """Cover pairs (lower, upper) by name, sorted."""
         return list(self._covers)
 
     def certificate_ok(self) -> bool:
-        """Every comparable pair is reachable through tagged steps."""
-        tagged = {(u.name, v.name) for u, v in self.comparable_pairs()
-                  if self.tags(u, v)}
-        reach = {n.name: {n.name} for n in self.nodes}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in tagged:
-                for src, seen in reach.items():
-                    if a in seen and b not in seen:
-                        seen.add(b)
-                        changed = True
-        return all(v.name in reach[u.name] for u, v in self.comparable_pairs())
-
-
-def _mechanisms(u: PosetNode, v: PosetNode) -> dict:
-    """Verdict on u <= v of each window-independent mechanism that applies
-    to both nodes: containment of the generators, or of the invariant
-    data."""
-    out = {}
-    if u.exc_gens is not None and v.exc_gens is not None:
-        out["exc"] = u.exc_gens <= v.snapshot
-    if u.cinv is not None and v.cinv is not None:
-        out["cinv"] = _cinv_leq(u.cinv, v.cinv)
-    return out
+        """Every comparable pair is reachable through tagged steps; steps go
+        to larger indices, so one pass from the top settles reachability."""
+        reach = [0] * len(self.nodes)
+        for i in reversed(range(len(self.nodes))):
+            reach[i] = (self.exc[i] | self.cinv[i]) & self.above[i]
+            for k in tube.bits(reach[i]):
+                reach[i] |= reach[k]
+        return all(up & ~r == 0 for up, r in zip(self.above, reach))
 
 
 def _suffix(k: int) -> str:
@@ -411,24 +393,28 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     # wherever one applies; a comparable pair seen by neither mechanism
     # cannot be trusted at window scale.
     above, covers = tube.inclusion_order(masks)
+    exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
+    cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
+    held = tube.holders(masks)
+    exc = [0 if n.exc_gens is None else tube.meet(held, uni.mask(n.exc_gens), exc_nodes)
+           for n in nodes]
+    data = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni) for n in nodes]
+    held_data = tube.holders(data)
+    cinv = [0 if n.cinv is None else tube.meet(held_data, d, cinv_nodes)
+            for n, d in zip(nodes, data)]
     for i, u in enumerate(nodes):
-        for j, v in enumerate(nodes):
-            if i == j:
-                continue
-            small = bool(above[i] >> j & 1)
-            verdicts = _mechanisms(u, v)
-            for mechanism, truth in verdicts.items():
-                if small != truth:
-                    source = "generators" if mechanism == "exc" else "invariant data"
-                    undecidable.append(
-                        f"order of {u.name} and {v.name} disagrees with {source}")
-            if small and not verdicts:
-                undecidable.append(
-                    f"order of {u.name} and {v.name} undecidable at window scale")
+        by_exc = exc_nodes & ~(1 << i) if u.exc_gens is not None else 0
+        by_cinv = cinv_nodes & ~(1 << i) if u.cinv is not None else 0
+        flags = (("disagrees with generators", (exc[i] ^ above[i]) & by_exc),
+                 ("disagrees with invariant data", (cinv[i] ^ above[i]) & by_cinv),
+                 ("undecidable at window scale", above[i] & ~(by_exc | by_cinv)))
+        for j in tube.bits(flags[0][1] | flags[1][1] | flags[2][1]):
+            undecidable.extend(f"order of {u.name} and {nodes[j].name} {what}"
+                               for what, flagged in flags if flagged >> j & 1)
 
     return WidPoset(line, lo, hi, universe_ids, uni.members(window), tuple(nodes),
                     tuple(clipped), tuple(undecidable),
-                    [(nodes[i].name, nodes[j].name) for i, j in covers])
+                    [(nodes[i].name, nodes[j].name) for i, j in covers], above, exc, cinv)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,15 @@ def test_poset_undecidable_exit_code(monkeypatch):
     assert "window too small" in err
 
 
+def test_poset_undecidable_window_matches_golden():
+    """A window that leaves pairs undecided: exit 3, nothing on stdout,
+    and the report on stderr byte for byte."""
+    code, out, err = run_cli(["poset", "--weights", "4", "--window", "-4..2"])
+    assert code == 3
+    assert out == ""
+    assert err == (GOLDEN.parent / "poset_w4_undecidable.json").read_text()
+
+
 def test_verify_passes():
     code, out, _ = run_cli(["verify"])
     assert code == 0
@@ -181,6 +190,8 @@ def test_usage_errors_exit_2():
     assert run_cli(["hom", "--weights", "2", "--from", "O"])[0] == 2
     assert run_cli(["hom", "--weights", "2", "--from", "O", "--to", "what(4"])[0] == 2
     assert run_cli(["tube-enum", "--rank", "0"])[0] == 2
+    assert run_cli(["tube-enum", "--rank", "7"]) == \
+        (2, "", "error: rank 7 above the configured bound 6\n")
     assert run_cli(["poset", "--weights", "2", "--window", "3..-2"])[0] == 2
     assert run_cli(["classify", "--weights", "2,x"])[0] == 2
 

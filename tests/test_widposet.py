@@ -252,3 +252,106 @@ def test_decompose_stack_perpendicular():
 def test_poset_rejects_three_weighted_points():
     with pytest.raises(ValueError):
         wp.build_poset(make_line((2, 3, 5)), -2, 3)
+
+
+# ---------------------------------------------------------------------------
+# pairwise reference for the bitset order
+
+def ref_cinv_leq(a, b):
+    """Inclusion of shift-invariant subcategories, read off their data."""
+    return all(fa.arcs <= fb.arcs for fa, fb in zip(a.per_point, b.per_point)) \
+        and a.ordinary_support <= b.ordinary_support \
+        and (not a.contains_bundle or b.contains_bundle)
+
+
+def ref_mechanisms(u, v):
+    """Verdict on u <= v of each mechanism that applies to both nodes."""
+    out = {}
+    if u.exc_gens is not None and v.exc_gens is not None:
+        out["exc"] = u.exc_gens <= v.snapshot
+    if u.cinv is not None and v.cinv is not None:
+        out["cinv"] = ref_cinv_leq(u.cinv, v.cinv)
+    return out
+
+
+def ref_order_messages(nodes, dropped=frozenset()):
+    """The order check, pair by pair; `dropped` holds index pairs taken
+    out of the snapshot order."""
+    out = []
+    for i, u in enumerate(nodes):
+        for j, v in enumerate(nodes):
+            if i == j:
+                continue
+            small = u.snapshot <= v.snapshot and (i, j) not in dropped
+            verdicts = ref_mechanisms(u, v)
+            for mechanism, truth in verdicts.items():
+                if small != truth:
+                    source = "generators" if mechanism == "exc" else "invariant data"
+                    out.append(f"order of {u.name} and {v.name} disagrees with {source}")
+            if small and not verdicts:
+                out.append(f"order of {u.name} and {v.name} undecidable at window scale")
+    return out
+
+
+def ref_certificate_ok(poset):
+    """Every comparable pair is reachable from its lower end through
+    comparable pairs that carry a tag (depth-first search per node)."""
+    steps = {u.name: [v.name for v in poset.nodes if u is not v and u.snapshot <= v.snapshot
+                      and any(ref_mechanisms(u, v).values())]
+             for u in poset.nodes}
+    for u in poset.nodes:
+        seen, todo = set(), [u.name]
+        while todo:
+            for b in steps[todo.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        if any(u is not v and u.snapshot <= v.snapshot and v.name not in seen
+               for v in poset.nodes):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", [
+    ((2,), -2, 3, ()), ((2, 2), -2, 3, ()), ((4,), -8, 8, ()),
+    ((1, 1), -2, 3, ("0", "1")), ((4,), -4, 2, ())])
+def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
+    """The bitset rows give the pairwise definitions: snapshot inclusion,
+    generators inside the larger snapshot, and inclusion of invariant
+    data; 4 @ -4..2 is a window with undecidable pairs."""
+    poset = wp.build_poset(make_line(weights), lo, hi, ids)
+    nodes = poset.nodes
+    for u in nodes:
+        for v in nodes:
+            verdicts = ref_mechanisms(u, v)
+            assert poset.leq(u, v) == (u.snapshot <= v.snapshot), (u.name, v.name)
+            assert poset.tags(u, v) == tuple(m for m, ok in verdicts.items() if ok), \
+                (u.name, v.name)
+    assert [(u.name, v.name) for u, v in poset.comparable_pairs()] == \
+        [(u.name, v.name) for u in nodes for v in nodes
+         if u is not v and u.snapshot <= v.snapshot]
+    order = ref_order_messages(nodes)
+    rest = [m for m in poset.undecidable if not m.startswith("order of ")]
+    assert list(poset.undecidable) == rest + order
+    assert poset.certificate_ok() == ref_certificate_ok(poset)
+    assert bool(order) == ((weights, lo, hi) == ((4,), -4, 2))
+
+
+def test_order_disagreements_follow_pairwise_reference(monkeypatch):
+    """With the lowest pair of every row taken out of the snapshot order,
+    both mechanisms disagree somewhere, and the messages come out as the
+    pairwise loop writes them."""
+    real = tube.inclusion_order
+    dropped = set()
+
+    def thinned(masks):
+        above, covers = real(masks)
+        dropped.update((i, (up & -up).bit_length() - 1) for i, up in enumerate(above) if up)
+        return [up & (up - 1) for up in above], covers
+
+    monkeypatch.setattr(tube, "inclusion_order", thinned)
+    poset = wp.build_poset(LINE2, -2, 3)
+    expected = ref_order_messages(poset.nodes, dropped)
+    assert list(poset.undecidable) == expected
+    for source in ("generators", "invariant data"):
+        assert any(m.endswith(f"disagrees with {source}") for m in expected), source
