@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 
 
 class LineType(Enum):
@@ -37,6 +37,10 @@ class WeightData:
     Points of weight 1 are legitimate members of the sequence; appending
     them never changes the group, the degree map or dim_S, which is what
     makes the padding harmless.
+
+    `p`, `dualizing()` and `weighted_indices()` are computed once per
+    instance and kept outside the fields, so equality, hashing and repr
+    see only the weights and the labels.
     """
 
     weights: tuple[int, ...]
@@ -56,7 +60,7 @@ class WeightData:
     def n(self) -> int:
         return len(self.weights)
 
-    @property
+    @cached_property
     def p(self) -> int:
         return _lcm(self.weights)
 
@@ -78,10 +82,18 @@ class WeightData:
 
     def dualizing(self) -> "GradeElement":
         """omega = (n-2)*c - sum(x_i)."""
-        return self.element((-1,) * self.n, self.n - 2)
+        return self._omega
 
     def weighted_indices(self) -> tuple[int, ...]:
         """Indices of the points with weight at least 2."""
+        return self._weighted
+
+    @cached_property
+    def _omega(self) -> "GradeElement":
+        return self.element((-1,) * self.n, self.n - 2)
+
+    @cached_property
+    def _weighted(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.weights) if p >= 2)
 
 
@@ -142,7 +154,10 @@ class GradeElement:
         return normalize(self.line, tuple(-a for a in self.coeffs), -self.c_part)
 
     def __sub__(self, other: "GradeElement") -> "GradeElement":
-        return self + (-other)
+        if self.line != other.line:
+            raise ValueError("elements of different grading groups")
+        coeffs = tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return normalize(self.line, coeffs, self.c_part - other.c_part)
 
     def scale(self, k: int) -> "GradeElement":
         return normalize(self.line, tuple(k * a for a in self.coeffs), k * self.c_part)
@@ -167,13 +182,13 @@ class GradeElement:
 
 def normalize(line: WeightData, coeffs, c_part: int) -> GradeElement:
     """Reduce raw coefficients to the unique normal form."""
-    coeffs = tuple(int(a) for a in coeffs)
-    if len(coeffs) != line.n:
+    coeffs = tuple(coeffs)
+    if len(coeffs) != len(line.weights):
         raise ValueError("coefficient count does not match the weight count")
     carry = int(c_part)
     normed = []
     for a, p in zip(coeffs, line.weights):
-        q, r = divmod(a, p)
+        q, r = divmod(int(a), p)
         normed.append(r)
         carry += q
     return GradeElement(line, tuple(normed), carry)

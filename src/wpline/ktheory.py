@@ -11,23 +11,164 @@ symmetrized Euler form: single reflections conjugate the raw form into
 its transpose, so only the symmetrization is stable under all of them.
 The full form identity (E C = -E^T) is still enforced for the
 distinguished element produced by the canonical bundle sequence.
+
+Each line's constants live in one record, built on first use: the rank,
+the basis index, the simple classes, the class of every bundle's
+coefficient part and of every partial turn of an arc (so a class is one
+table read plus a multiple of the null class), the Euler matrix and its
+symmetrization.  Group elements are integer matrices throughout:
+products, the form check, inverses and the ranks behind abs_length use
+integer arithmetic, with fraction-free elimination where a division is
+needed.  linalg's Fraction routines stay in the tests as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
-from . import linalg, sheaves, tube
+from . import sheaves, tube
 from .grading import WeightData
 from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
                       ext_dim_sheaf, hom_dim_sheaf, line_bundle, simple_at)
 
-_EULER_CACHE: dict[WeightData, tuple] = {}
+
+class _LineTable:
+    """Constants of one line's Grothendieck group, computed once per line.
+
+    The rank, the basis index and the simple classes are filled on
+    construction.  The Euler matrix and its symmetrization are filled on
+    first use, because they need line bundles, which lines with three
+    weighted points do not model.  Classes of a bundle's coefficient part
+    and of an arc's partial turn are memoized per distinct part.
+    """
+
+    def __init__(self, line: WeightData):
+        self.line = line
+        self.index = {}             # (point, j) -> basis position, 1 <= j < p_point
+        for i in line.weighted_indices():
+            for j in range(1, line.weights[i]):
+                self.index[i, j] = len(self.index) + 2
+        self.rank = len(self.index) + 2
+        self.delta = _plus_delta((0,) * self.rank, 1)
+        self.simples = {i: tuple(self._simple(i, j) for j in range(line.weights[i]))
+                        for i in line.weighted_indices()}
+        self._bundle_parts = {}     # coefficient tuple -> class of O(coeffs; 0)
+        self._arc_parts = {}        # (point, socle, r) -> class of the first r factors
+
+    def _simple(self, point: int, j: int) -> tuple[int, ...]:
+        if j != 0:
+            return tuple(int(u == self.index[point, j]) for u in range(self.rank))
+        # the index-0 simple closes the cycle: delta minus the other p-1
+        vec = list(self.delta)
+        for jj in range(1, self.line.weights[point]):
+            vec[self.index[point, jj]] -= 1
+        return tuple(vec)
+
+    def bundle_part(self, coeffs) -> tuple[int, ...]:
+        """[O] plus the simples S_{i,1..l_i} of every weighted point i."""
+        vec = self._bundle_parts.get(coeffs)
+        if vec is None:
+            vec = [int(u == 0) for u in range(self.rank)]
+            for i in self.line.weighted_indices():
+                for j in range(1, coeffs[i] + 1):
+                    vec[self.index[i, j]] += 1
+            vec = self._bundle_parts[coeffs] = tuple(vec)
+        return vec
+
+    def arc_part(self, point: int, socle: int, r: int) -> tuple[int, ...]:
+        """Sum of the simples at socle, socle+1, ..., socle+r-1."""
+        key = (point, socle, r)
+        vec = self._arc_parts.get(key)
+        if vec is None:
+            simples = self.simples[point]
+            vec = (0,) * self.rank
+            for v in range(socle, socle + r):
+                vec = tuple(a + b for a, b in zip(vec, simples[v % len(simples)]))
+            self._arc_parts[key] = vec
+        return vec
+
+    @cached_property
+    def euler(self) -> tuple:
+        basis = basis_sheaves(self.line)
+        return tuple(tuple(hom_dim_sheaf(a, b) - ext_dim_sheaf(a, b) for b in basis)
+                     for a in basis)
+
+    @cached_property
+    def sym(self) -> tuple:
+        e = self.euler
+        return tuple(tuple(a + b for a, b in zip(row, col)) for row, col in zip(e, zip(*e)))
+
+
+_TABLES: dict[WeightData, _LineTable] = {}
+
+
+def _table(line: WeightData) -> _LineTable:
+    t = _TABLES.get(line)
+    if t is None:
+        t = _TABLES[line] = _LineTable(line)
+    return t
+
+
+def _plus_delta(x, k: int) -> tuple[int, ...]:
+    """x + k*delta; delta = [O(c)] - [O] lives on the first two basis vectors."""
+    return (x[0] - k, x[1] + k) + x[2:]
+
+
+def _mul(a, b) -> tuple:
+    """Integer matrix product on tuples of rows."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968): after k pivots every entry below them is a
+    (k+1)-minor, so each division by the previous pivot is exact."""
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def _inverse(a) -> tuple:
+    """Inverse of an integer matrix by fraction-free Gauss-Jordan
+    elimination: the left block ends as d*I and the right one as d*A^-1,
+    where d = +-det A is the last pivot."""
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[k], m[piv] = m[piv], m[k]
+        top = m[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    if any(x % prev for row in m for x in row[n:]):
+        raise ValueError("inverse is not integral")
+    return tuple(tuple(x // prev for x in row[n:]) for row in m)
 
 
 def k_rank(line: WeightData) -> int:
-    return 2 + sum(line.weights[i] - 1 for i in line.weighted_indices())
+    return _table(line).rank
 
 
 def basis_sheaves(line: WeightData):
@@ -40,90 +181,32 @@ def basis_sheaves(line: WeightData):
     return out
 
 
-def _basis_index(line: WeightData, point: int, j: int) -> int:
-    idx = 2
-    for i in line.weighted_indices():
-        if i == point:
-            return idx + j - 1
-        idx += line.weights[i] - 1
-    raise ValueError("not a weighted point")
-
-
 def delta_class(line: WeightData) -> tuple[int, ...]:
     """The null class [O(c)] - [O]."""
-    m = k_rank(line)
-    vec = [0] * m
-    vec[0] = -1
-    vec[1] = 1
-    return tuple(vec)
-
-
-def _simple_class(line: WeightData, point: int, j: int) -> tuple[int, ...]:
-    m = k_rank(line)
-    p = line.weights[point]
-    j = j % p
-    vec = [0] * m
-    if j != 0:
-        vec[_basis_index(line, point, j)] = 1
-        return tuple(vec)
-    # the index-0 simple closes the cycle: delta minus the other p-1
-    vec[0] = -1
-    vec[1] = 1
-    for jj in range(1, p):
-        vec[_basis_index(line, point, jj)] -= 1
-    return tuple(vec)
+    return _table(line).delta
 
 
 def class_of(s: IndecSheaf) -> tuple[int, ...]:
-    line = s.line
-    m = k_rank(line)
+    t = _table(s.line)
     if isinstance(s, LineBundle):
-        vec = [0] * m
-        vec[0] = 1
-        d = delta_class(line)
-        for u in range(m):
-            vec[u] += s.degree.c_part * d[u]
-        for i in line.weighted_indices():
-            for j in range(1, s.degree.coeffs[i] + 1):
-                sc = _simple_class(line, i, j)
-                for u in range(m):
-                    vec[u] += sc[u]
-        return tuple(vec)
+        return _plus_delta(t.bundle_part(s.degree.coeffs), s.degree.c_part)
     if isinstance(s, TorsionArc):
-        vec = [0] * m
-        for v in s.arc.factors():
-            sc = _simple_class(line, s.point, v)
-            for u in range(m):
-                vec[u] += sc[u]
-        return tuple(vec)
+        turns, r = divmod(s.arc.length, s.arc.rank)
+        return _plus_delta(t.arc_part(s.point, s.arc.socle, r), turns)
     if isinstance(s, OrdinaryTorsion):
-        d = delta_class(line)
-        return tuple(s.length * x for x in d)
+        return _plus_delta((0,) * t.rank, s.length)
     raise ValueError("unsupported sheaf kind")
 
 
 def euler_matrix(line: WeightData) -> tuple:
-    cached = _EULER_CACHE.get(line)
-    if cached is None:
-        basis = basis_sheaves(line)
-        cached = tuple(tuple(hom_dim_sheaf(a, b) - ext_dim_sheaf(a, b) for b in basis)
-                       for a in basis)
-        _EULER_CACHE[line] = cached
-    return cached
+    return _table(line).euler
 
 
 def euler_form(line: WeightData, x, y) -> int:
-    e = euler_matrix(line)
-    m = k_rank(line)
-    if len(x) != m or len(y) != m:
+    t = _table(line)
+    if len(x) != t.rank or len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
-    return sum(x[u] * e[u][v] * y[v] for u in range(m) for v in range(m))
-
-
-def _symmetrized(line: WeightData):
-    e = euler_matrix(line)
-    m = k_rank(line)
-    return tuple(tuple(e[u][v] + e[v][u] for v in range(m)) for u in range(m))
+    return sum(map(mul, x, [sum(map(mul, row, y)) for row in t.euler]))
 
 
 @dataclass(frozen=True)
@@ -134,39 +217,22 @@ class WeylElement:
     matrix: tuple
 
     def __post_init__(self):
-        m = k_rank(self.line)
-        if len(self.matrix) != m or any(len(row) != m for row in self.matrix):
+        t = _table(self.line)
+        if len(self.matrix) != t.rank or any(len(row) != t.rank for row in self.matrix):
             raise ValueError("matrix of wrong size")
-        sym = _symmetrized(self.line)
-        mt = linalg.transpose([list(r) for r in self.matrix])
-        prod = linalg.mat_mul(linalg.mat_mul(mt, [list(r) for r in sym]),
-                              [list(r) for r in self.matrix])
-        if [[Fraction(x) for x in row] for row in sym] != prod:
+        if _mul(tuple(zip(*self.matrix)), _mul(t.sym, self.matrix)) != t.sym:
             raise ValueError("matrix does not preserve the symmetrized form")
 
     def apply(self, x):
-        return tuple(int(v) for v in linalg.mat_vec([list(r) for r in self.matrix], list(x)))
+        return tuple(sum(map(mul, row, x)) for row in self.matrix)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         if self.line != other.line:
             raise ValueError("elements over different lines")
-        prod = linalg.mat_mul([list(r) for r in self.matrix],
-                              [list(r) for r in other.matrix])
-        return WeylElement(self.line, tuple(tuple(int(x) for x in row) for row in prod))
+        return WeylElement(self.line, _mul(self.matrix, other.matrix))
 
     def inverse(self) -> "WeylElement":
-        inv = linalg.invert([list(r) for r in self.matrix])
-        if inv is None:
-            raise ValueError("singular matrix")
-        rows = []
-        for row in inv:
-            out = []
-            for x in row:
-                if x.denominator != 1:
-                    raise ValueError("inverse is not integral")
-                out.append(int(x))
-            rows.append(tuple(out))
-        return WeylElement(self.line, tuple(rows))
+        return WeylElement(self.line, _inverse(self.matrix))
 
     def is_identity(self) -> bool:
         m = k_rank(self.line)
@@ -184,15 +250,10 @@ def reflection_of_class(line: WeightData, r) -> WeylElement:
     """s(x) = x - (<x,r> + <r,x>) r, defined when <r,r> = 1."""
     if euler_form(line, r, r) != 1:
         raise ValueError("class does not have unit self-pairing")
-    m = k_rank(line)
-    e = euler_matrix(line)
-    cols = []
-    for j in range(m):
-        ej = [1 if u == j else 0 for u in range(m)]
-        c = sum(e[j][v] * r[v] for v in range(m)) + sum(r[u] * e[u][j] for u in range(m))
-        cols.append(tuple(ej[u] - c * r[u] for u in range(m)))
-    matrix = tuple(tuple(cols[j][u] for j in range(m)) for u in range(m))
-    return WeylElement(line, matrix)
+    c = [sum(map(mul, row, r)) for row in _table(line).sym]
+    m = len(c)
+    return WeylElement(line, tuple(tuple(int(u == j) - c[j] * r[u] for j in range(m))
+                                   for u in range(m)))
 
 
 def reflection(line: WeightData, s: IndecSheaf) -> WeylElement:
@@ -236,10 +297,7 @@ def coxeter_element(line: WeightData) -> WeylElement:
     seq = canonical_interval_sequence(line)
     c = cox_of(line, seq)
     e = euler_matrix(line)
-    m = k_rank(line)
-    prod = linalg.mat_mul([list(r) for r in e], [list(r) for r in c.matrix])
-    neg_t = [[-e[v][u] for v in range(m)] for u in range(m)]
-    if prod != [[Fraction(x) for x in row] for row in neg_t]:
+    if _mul(e, c.matrix) != tuple(tuple(-x for x in col) for col in zip(*e)):
         raise ArithmeticError("canonical sequence fails the coxeter identity")
     return c
 
@@ -248,15 +306,15 @@ def abs_length(w: WeylElement) -> int:
     """Dimension of the moved space, plus one when the null class is moved
     into reach.  Computable surrogate for reflection length: 0 on the
     identity, 1 on reflections, 2 on translations, rank(K0) on the
-    coxeter element."""
-    m = k_rank(w.line)
-    moved = [[Fraction(w.matrix[u][v] - (1 if u == v else 0)) for v in range(m)]
-             for u in range(m)]
-    cols = linalg.transpose(moved)
-    r = linalg.rank(cols)
-    d = list(delta_class(w.line))
-    bonus = 1 if linalg.in_span(cols, [Fraction(x) for x in d]) else 0
-    return r + bonus
+    coxeter element.
+
+    Both the rank of the columns of w - 1 and the test whether the null
+    class lies in their span are integer ranks by fraction-free
+    elimination."""
+    m = len(w.matrix)
+    cols = tuple(tuple(w.matrix[u][v] - int(u == v) for u in range(m)) for v in range(m))
+    r = _rank(cols)
+    return r + int(_rank(cols + (_table(w.line).delta,)) == r)
 
 
 def nc_leq(u: WeylElement, v: WeylElement) -> bool:

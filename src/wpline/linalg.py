@@ -17,10 +17,6 @@ def mat_vec(a, v):
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def transpose(a):
     if not a:
         return []
@@ -99,13 +95,3 @@ def invert(a):
     if pivots != list(range(n)):
         return None
     return [row[n:] for row in red[:n]]
-
-
-def in_span(vectors, v):
-    """Whether v lies in the rational span of the given vectors."""
-    if all(x == 0 for x in v):
-        return True
-    if not vectors:
-        return False
-    base = rank(vectors)
-    return rank(vectors + [v]) == base

@@ -318,9 +318,6 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     big = uni.mask(sheaf_universe(line, lo - p, hi + p, universe_ids))
     exceptional = uni.mask(u for u in uni.members(window) if is_exceptional_sheaf(u))
 
-    def gens_key(gens):
-        return (len(gens), tuple(sheaf_sort_key(g) for g in gens))
-
     # records are keyed by the window snapshot, as a mask
     undecidable = []
     records = {}
@@ -357,9 +354,9 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                 + ";".join(format_sheaf(g) for g in gens))
             continue
         rec = records.setdefault(key, {"exc": None, "cinv": None})
-        if rec["exc"] is None or gens_key(gens) < gens_key(rec["exc"]):
-            rec["exc"] = gens
-            rec["big_exc"] = snap1
+        cand = (len(gens), tuple(sheaf_sort_key(g) for g in gens))
+        if rec["exc"] is None or cand < rec["exc_key"]:
+            rec["exc"], rec["exc_key"], rec["big_exc"] = gens, cand, snap1
 
     for snap, rec in records.items():
         if rec["exc"] is not None and rec["cinv"] is not None \

@@ -79,6 +79,8 @@ def test_group_axioms_sample():
              for i in range(2) for j in range(3) for c in (-1, 0, 1)]
     for a, b in itertools.product(elems[:6], repeat=2):
         assert (a + b) - b == a
+    for a, b in itertools.product(elems, repeat=2):
+        assert a - b == a + (-b)
     z = line.zero()
     for a in elems:
         assert a + z == a
@@ -172,3 +174,12 @@ def test_partial_order():
 def test_str_form():
     line = make_line((2, 3))
     assert str(normalize(line, (3, 4), 0)) == "(1,1;2)"
+
+
+def test_cached_constants_leave_equality_and_hash_alone():
+    a, b = make_line((2, 3)), make_line((2, 3))
+    assert (a.p, a.weighted_indices(), a.dualizing()) == (6, (0, 1), a.element((-1, -1), 0))
+    assert "p" in vars(a) and "p" not in vars(b)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert {a: "cached"}[b] == "cached"
+    assert b.dualizing() == a.dualizing() and b.weighted_indices() == a.weighted_indices()

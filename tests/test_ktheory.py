@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wpline.grading import make_line
 from wpline import ktheory as kt
+from wpline import linalg
 from wpline import sheaves as sh
-from wpline.linalg import identity, mat_mul, transpose
+from wpline.linalg import mat_mul, transpose
+from wpline.nilpotent import Arc
 
 
 LINE2 = make_line((2,))
@@ -92,8 +95,7 @@ def test_reflection_preserves_symmetrized_form():
     line = LINE2
     w = kt.reflection(line, sh.simple_at(line, 0, 0))
     e = kt.euler_matrix(line)
-    m = kt.k_rank(line)
-    basis = identity(m)
+    basis = kt.identity_weyl(line).matrix
     for x in basis:
         for y in basis:
             sym = kt.euler_form(line, tuple(x), tuple(y)) + kt.euler_form(line, tuple(y), tuple(x))
@@ -158,3 +160,176 @@ def test_nc_leq_tracks_subcategory_inclusion_spot():
     big = kt.cox_of(LINE2, (O, Ox))
     assert kt.nc_leq(small, big)
     assert not kt.nc_leq(big, small)
+
+
+# ---------------------------------------------------------------------------
+# the integer fast paths against their references
+
+QUERY_LINES = [make_line(w) for w in ((2,), (2, 3), (3, 3), (4,), (2, 2), (1, 1))]
+ORDINARY = {(2, 2): ("q",), (1, 1): ("a", "b")}
+
+
+def reference_class_of(s):
+    """One simple class per composition factor, summed."""
+    line = s.line
+    widx = [i for i, p in enumerate(line.weights) if p >= 2]
+    m = 2 + sum(line.weights[i] - 1 for i in widx)
+    delta = [-1, 1] + [0] * (m - 2)
+
+    def basis_index(point, j):
+        idx = 2
+        for i in widx:
+            if i == point:
+                return idx + j - 1
+            idx += line.weights[i] - 1
+
+    def simple_class(point, j):
+        p = line.weights[point]
+        j = j % p
+        vec = [0] * m
+        if j != 0:
+            vec[basis_index(point, j)] = 1
+            return vec
+        vec = list(delta)
+        for jj in range(1, p):
+            vec[basis_index(point, jj)] -= 1
+        return vec
+
+    if isinstance(s, sh.LineBundle):
+        vec = [0] * m
+        vec[0] = 1
+        for u in range(m):
+            vec[u] += s.degree.c_part * delta[u]
+        for i in widx:
+            for j in range(1, s.degree.coeffs[i] + 1):
+                vec = [a + b for a, b in zip(vec, simple_class(i, j))]
+        return tuple(vec)
+    if isinstance(s, sh.TorsionArc):
+        vec = [0] * m
+        for v in s.arc.factors():
+            vec = [a + b for a, b in zip(vec, simple_class(s.point, v))]
+        return tuple(vec)
+    return tuple(s.length * x for x in delta)
+
+
+def bundles(line, turns=6):
+    """Every line bundle within +-turns canonical steps of O."""
+    return [sh.line_bundle(line, coeffs, c)
+            for coeffs in itertools.product(*(range(p) for p in line.weights))
+            for c in range(-turns, turns + 1)]
+
+
+def exceptional_pool(line):
+    return bundles(line) + [
+        sh.TorsionArc(line, i, Arc(line.weights[i], socle, length))
+        for i in line.weighted_indices()
+        for socle in range(line.weights[i]) for length in range(1, line.weights[i])]
+
+
+POOLS = [exceptional_pool(line) for line in QUERY_LINES]
+
+
+def test_class_of_table_matches_per_factor_sum():
+    for line in QUERY_LINES:
+        objs = bundles(line)
+        objs += [sh.TorsionArc(line, i, Arc(line.weights[i], socle, length))
+                 for i in line.weighted_indices()
+                 for socle in range(line.weights[i])
+                 for length in range(1, 2 * line.weights[i] + 2)]
+        objs += [sh.OrdinaryTorsion(line, q, length)
+                 for q in ORDINARY.get(line.weights, ()) for length in range(1, 4)]
+        for s in objs:
+            assert kt.class_of(s) == reference_class_of(s), s
+
+
+def reference_abs_length(w):
+    """The moved-space rank and the span test, both as Fraction ranks."""
+    m = len(w.matrix)
+    cols = [[w.matrix[u][v] - int(u == v) for u in range(m)] for v in range(m)]
+    r = linalg.rank(cols)
+    return r + int(linalg.rank(cols + [list(kt.delta_class(w.line))]) == r)
+
+
+def reference_inverse(a):
+    """linalg.invert with the integrality check done on Fractions."""
+    inv = linalg.invert([list(r) for r in a])
+    if inv is None:
+        return "singular matrix"
+    if any(x.denominator != 1 for row in inv for x in row):
+        return "inverse is not integral"
+    return tuple(tuple(int(x) for x in row) for row in inv)
+
+
+def integer_inverse(a):
+    try:
+        return kt._inverse(a)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def reflection_products(draw):
+    li = draw(st.integers(0, len(QUERY_LINES) - 1))
+    picks = draw(st.lists(st.integers(0, len(POOLS[li]) - 1), max_size=8))
+    return li, picks
+
+
+@settings(max_examples=150)
+@given(reflection_products())
+@example((1, [POOLS[1].index(sh.line_bundle(QUERY_LINES[1], (0, 0))),
+              POOLS[1].index(sh.line_bundle(QUERY_LINES[1], (0, 0), 1))]))
+def test_weyl_integer_arithmetic_matches_fraction_reference(case):
+    """Products of reflections: the Bareiss rank and span test of
+    abs_length, the integer inverse and the integer products agree with
+    linalg's Fraction arithmetic."""
+    li, picks = case
+    line = QUERY_LINES[li]
+    w = kt.identity_weyl(line)
+    for k in picks:
+        r = kt.reflection(line, POOLS[li][k])
+        want = tuple(tuple(int(x) for x in row)
+                     for row in mat_mul([list(x) for x in w.matrix], [list(x) for x in r.matrix]))
+        w = w.compose(r)
+        assert w.matrix == want
+    assert kt.abs_length(w) == reference_abs_length(w)
+    assert w.inverse().matrix == reference_inverse(w.matrix)
+
+
+@st.composite
+def dependent_rows(draw):
+    """Integer matrices whose later rows are integer combinations of the
+    first ones, shuffled."""
+    ncols = draw(st.integers(1, 7))
+    entry = st.integers(-4, 4)
+    free = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5))
+    rows = list(free)
+    for coef in draw(st.lists(st.lists(entry, min_size=len(free), max_size=len(free)),
+                              max_size=4)):
+        rows.append([sum(c * row[j] for c, row in zip(coef, free)) for j in range(ncols)])
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300)
+@given(dependent_rows())
+def test_integer_rank_matches_fraction_rank(rows):
+    assert kt._rank(rows) == linalg.rank(rows)
+    if len(rows) == len(rows[0]):
+        assert integer_inverse(rows) == reference_inverse(rows)
+
+
+@pytest.mark.parametrize("matrix", [((1, 0), (0, 3)), ((2, 1), (1, 1)), ((1, 1), (1, 1))])
+def test_integer_inverse_failures_match_reference(matrix):
+    assert integer_inverse(matrix) == reference_inverse(matrix)
+
+
+def test_weyl_element_rejects_form_breaking_matrix():
+    line = LINE2
+    m = kt.k_rank(line)
+    shear = tuple(tuple(int(u == v or (u, v) == (0, 1)) for v in range(m)) for u in range(m))
+    with pytest.raises(ValueError, match="does not preserve"):
+        kt.WeylElement(line, shear)
+    double = tuple(tuple(2 * int(u == v) for v in range(m)) for u in range(m))
+    with pytest.raises(ValueError, match="does not preserve"):
+        kt.WeylElement(line, double)
+    with pytest.raises(ValueError, match="wrong size"):
+        kt.WeylElement(line, ((1, 0), (0, 1)))
