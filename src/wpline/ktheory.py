@@ -19,7 +19,7 @@ table read plus a multiple of the null class), the Euler matrix and its
 symmetrization.  Group elements are integer matrices throughout:
 products, the form check, inverses and the ranks behind abs_length use
 integer arithmetic, with fraction-free elimination where a division is
-needed.  linalg's Fraction routines stay in the tests as the reference.
+needed.  linalg's exact rational routines serve the tests as the reference.
 """
 
 from __future__ import annotations

@@ -1,4 +1,12 @@
-"""Exact linear algebra over the rationals on plain list-of-list matrices."""
+"""Exact linear algebra over the rationals on plain list-of-list matrices.
+
+Entries are `int` or `Fraction`, never `float`: the two mix exactly, so
+integral matrices stay in `int` until a division is needed.  `rref`
+copies its rows as they are and scales a pivot row only when the pivot
+is not 1: a pivot of -1 negates the row, and any other pivot p is
+inverted as `Fraction(p.denominator, p.numerator)`, never as `1 / p`
+(which is a float for an `int` p).
+"""
 
 from __future__ import annotations
 
@@ -17,15 +25,9 @@ def mat_vec(a, v):
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
 
 
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def rref(rows):
     """Reduced row echelon form. Returns (rref rows, pivot column list)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [list(row) for row in rows]
     pivots = []
     r = 0
     ncols = len(m[0]) if m else 0
@@ -34,12 +36,17 @@ def rref(rows):
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        p = m[r][c]
+        if p == -1:
+            m[r] = [-x for x in m[r]]
+        elif p != 1:
+            inv = Fraction(p.denominator, p.numerator)
+            m[r] = [x * inv for x in m[r]]
+        row = m[r]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], row)]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -56,13 +63,13 @@ def rank(rows):
 def nullspace(rows, ncols):
     """Basis of {x : rows @ x = 0} as a list of length-ncols vectors."""
     if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     red, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0] * ncols
+        v[f] = 1
         for r, p in enumerate(pivots):
             v[p] = -red[r][f]
         basis.append(v)
@@ -80,18 +87,7 @@ def solve(a_cols, target):
     red, pivots = rref(aug)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, p in enumerate(pivots):
         x[p] = red[r][ncols]
     return x
-
-
-def invert(a):
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red[:n]]

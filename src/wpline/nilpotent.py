@@ -5,7 +5,9 @@ representation places a vector space at each of n cyclically ordered
 vertices with a map from vertex i down to vertex i-1; the composite
 around the cycle must be nilpotent.  Indecomposables are "arcs": a socle
 vertex and a length.  Morphism spaces, kernels, cokernels, pushouts and
-direct-summand decompositions are all computed exactly.
+direct-summand decompositions are all computed exactly: matrix entries
+are `int` while they stay integral and `Fraction` once a division makes
+them rational (see linalg), never `float`.
 """
 
 from __future__ import annotations
@@ -61,11 +63,12 @@ class Arc:
 @dataclass(frozen=True)
 class NilpRep:
     """dims[i] is the dimension at vertex i, maps[i] the matrix from
-    vertex i to vertex i-1 (rows indexed by the target space)."""
+    vertex i to vertex i-1 (rows indexed by the target space).  Entries
+    are exact rationals, `int` or `Fraction`."""
 
     rank: int
     dims: tuple[int, ...]
-    maps: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    maps: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
 
     @property
     def total_dim(self) -> int:
@@ -76,7 +79,7 @@ class NilpRep:
 
 
 def _freeze(matrix):
-    return tuple(tuple(Fraction(x) for x in row) for row in matrix)
+    return tuple(tuple(row) for row in matrix)
 
 
 def _freeze_maps(maps):
@@ -120,7 +123,7 @@ def direct_sum(reps):
     maps = []
     for i in range(n):
         t = (i - 1) % n
-        m = [[Fraction(0)] * dims[i] for _ in range(dims[t])]
+        m = [[0] * dims[i] for _ in range(dims[t])]
         roff, coff = 0, 0
         for r in reps:
             for a in range(r.dims[t]):
@@ -193,9 +196,9 @@ def _hom_basis_unionfind(a: NilpRep, b: NilpRep):
             comps.setdefault(root, []).append(key)
     basis = []
     for root in sorted(comps, key=lambda r: sorted(comps[r])):
-        mats = [[[Fraction(0)] * a.dims[i] for _ in range(b.dims[i])] for i in range(n)]
+        mats = [[[0] * a.dims[i] for _ in range(b.dims[i])] for i in range(n)]
         for (i, r, c) in comps[root]:
-            mats[i][r][c] = Fraction(1)
+            mats[i][r][c] = 1
         basis.append(tuple(_freeze(m) for m in mats))
     return basis
 
@@ -216,7 +219,7 @@ def _hom_basis_dense(a: NilpRep, b: NilpRep):
         t = (i - 1) % n
         for rp in range(b.dims[t]):
             for c in range(a.dims[i]):
-                row = [Fraction(0)] * total
+                row = [0] * total
                 for k in range(a.dims[t]):
                     if a.maps[i][k][c] != 0:
                         row[vindex(t, rp, k)] += a.maps[i][k][c]
@@ -256,7 +259,7 @@ def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
     maps = []
     for i in range(n):
         t = (i - 1) % n
-        m = [[Fraction(0)] * dims[i] for _ in range(dims[t])]
+        m = [[0] * dims[i] for _ in range(dims[t])]
         cols_t = [[bases[t][k][r] for k in range(dims[t])] for r in range(a.dims[t])]
         col_vectors = [[cols_t[r][k] for r in range(a.dims[t])] for k in range(dims[t])]
         for j, v in enumerate(bases[i]):
@@ -285,7 +288,7 @@ def cokernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
         keeps.append(keep)
 
         def project(vec, red=red, pivots=pivots, keep=keep):
-            v = [Fraction(x) for x in vec]
+            v = list(vec)
             for r, p in enumerate(pivots):
                 if v[p] != 0:
                     coef = v[p]
@@ -297,7 +300,7 @@ def cokernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
     maps = []
     for i in range(n):
         t = (i - 1) % n
-        m = [[Fraction(0)] * dims[i] for _ in range(dims[t])]
+        m = [[0] * dims[i] for _ in range(dims[t])]
         for j, src in enumerate(keeps[i]):
             img = [row[src] for row in b.maps[i]]
             for k, x in enumerate(projs[t](img)):
@@ -325,18 +328,28 @@ def _image_ranks(rep: NilpRep, start: int, limit: int) -> list:
     """Ranks of the composites 0, 1, ..., `limit` vertices down from
     `start`, cut after the first 0 (every later composite is 0 too).
     No composite is formed: a reduced basis of its image is pushed
-    through one structure map per step."""
+    through one structure map per step, read as its nonzero columns."""
+    n = rep.rank
+    columns = [[[(r, m[r][c]) for r in range(len(m)) if m[r][c]] for c in range(rep.dims[i])]
+               for i, m in enumerate(rep.maps)]
     d = rep.dims[start]
-    basis = [[Fraction(int(r == c)) for c in range(d)] for r in range(d)]
+    basis = [[int(r == c) for c in range(d)] for r in range(d)]
     ranks = [d]
     v = start
     while basis and len(ranks) <= limit:
-        image = [[sum(x * y for x, y in zip(row, vec) if x and y) for row in rep.maps[v]]
-                 for vec in basis]
+        cols, t = columns[v], (v - 1) % n
+        image = []
+        for vec in basis:
+            out = [0] * rep.dims[t]
+            for c, y in enumerate(vec):
+                if y:
+                    for r, x in cols[c]:
+                        out[r] += x * y
+            image.append(out)
         red, pivots = linalg.rref(image)
         basis = red[:len(pivots)]
         ranks.append(len(basis))
-        v = (v - 1) % rep.rank
+        v = t
     return ranks
 
 

@@ -18,7 +18,10 @@ arcs of length at most n.
 The linear-algebra oracle (nilpotent, linalg) serves only as an
 independent check: wide_closure, extension_middles, bongartz_complete,
 enumerate_wide_bruteforce and ext_dim_via_presentation run on it and
-read neither the closed form nor a universe table.
+read neither the closed form nor a universe table.  The closure indexes
+the arcs of rank n by integer ids, (length - 1) * n + socle, and keeps
+one lazily filled table from an ordered pair of ids to the id mask of
+the oracle's kernels, cokernels and extension middles of that pair.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import collections
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .nilpotent import (Arc, NilpRep, cokernel_rep, decompose, hom_basis,
@@ -35,8 +37,7 @@ from .nilpotent import (Arc, NilpRep, cokernel_rep, decompose, hom_basis,
 
 _REP_CACHE: dict[Arc, NilpRep] = {}
 _HOM_BASIS_CACHE: dict[tuple[Arc, Arc], tuple] = {}
-_PAIR_KC_CACHE: dict[tuple[Arc, Arc], frozenset] = {}
-_PAIR_MID_CACHE: dict[tuple[Arc, Arc], frozenset] = {}
+_PAIR_TABLE: dict[tuple[int, int, int], int] = {}
 _EXT_CLASS_CACHE: dict[tuple[Arc, Arc], list] = {}
 
 
@@ -99,9 +100,9 @@ def _inclusion_matrices(k: NilpRep, p: NilpRep, k_arc: Arc, p_arc: Arc):
         pslots[(p_arc.socle + j) % n].append(j)
     incl = []
     for i in range(n):
-        m = [[Fraction(0)] * k.dims[i] for _ in range(p.dims[i])]
+        m = [[0] * k.dims[i] for _ in range(p.dims[i])]
         for kc, j in enumerate(kslots[i]):
-            m[pslots[i].index(j)][kc] = Fraction(1)
+            m[pslots[i].index(j)][kc] = 1
         incl.append(tuple(tuple(row) for row in m))
     return tuple(incl)
 
@@ -111,7 +112,7 @@ def _vec_morphism(b: NilpRep, k: NilpRep, f):
     for i in range(k.rank):
         for r in range(b.dims[i]):
             for c in range(k.dims[i]):
-                out.append(Fraction(f[i][r][c]))
+                out.append(f[i][r][c])
     return out
 
 
@@ -214,32 +215,40 @@ def extension_middles(a: Arc, b: Arc):
 # ---------------------------------------------------------------------------
 # wide closure and fingerprints
 
-def _pair_kernel_cokernel(a: Arc, b: Arc) -> frozenset:
-    key = (a, b)
-    cached = _PAIR_KC_CACHE.get(key)
-    if cached is not None:
-        return cached
-    found = set()
-    ra, rb = _rep(a), _rep(b)
-    for f in arc_hom_basis(a, b):
-        for rep_kind in (kernel_rep(ra, rb, f), cokernel_rep(ra, rb, f)):
-            found.update(decompose(rep_kind))
-    result = frozenset(found)
-    _PAIR_KC_CACHE[key] = result
-    return result
+def arc_id(a: Arc) -> int:
+    """Integer id of an arc among the arcs of its rank: the arcs of
+    length at most L are exactly the ids below L * rank."""
+    return (a.length - 1) * a.rank + a.socle
 
 
-def _pair_middles(a: Arc, b: Arc) -> frozenset:
-    key = (a, b)
-    cached = _PAIR_MID_CACHE.get(key)
-    if cached is not None:
-        return cached
-    found = set()
-    for summands in extension_middles(a, b):
-        found.update(summands)
-    result = frozenset(found)
-    _PAIR_MID_CACHE[key] = result
-    return result
+def arc_of_id(n: int, i: int) -> Arc:
+    return Arc(n, i % n, i // n + 1)
+
+
+def _id_mask(arcs) -> int:
+    mask = 0
+    for a in arcs:
+        mask |= 1 << arc_id(a)
+    return mask
+
+
+def _pair_row(n: int, ia: int, ib: int) -> int:
+    """Id mask of every summand of the kernels and cokernels of the Hom
+    basis maps a -> b and of the extension middles of a by b, read from
+    the linear-algebra oracle once per ordered pair."""
+    key = (n, ia, ib)
+    row = _PAIR_TABLE.get(key)
+    if row is None:
+        a, b = arc_of_id(n, ia), arc_of_id(n, ib)
+        ra, rb = _rep(a), _rep(b)
+        row = 0
+        for f in arc_hom_basis(a, b):
+            row |= _id_mask(decompose(kernel_rep(ra, rb, f)))
+            row |= _id_mask(decompose(cokernel_rep(ra, rb, f)))
+        for summands in extension_middles(a, b):
+            row |= _id_mask(summands)
+        _PAIR_TABLE[key] = row
+    return row
 
 
 @dataclass(frozen=True)
@@ -262,22 +271,31 @@ class TubeWideFingerprint:
 
 
 def closure_members(gens, cap: int) -> frozenset:
-    """Arcs of length <= cap in the wide closure of the generators."""
-    members = {g for g in gens if g.length <= cap}
+    """Arcs of length <= cap in the wide closure of the generators.
+
+    Members are a mask over integer arc ids (`arc_id`).  One pass ORs
+    the pair-table rows (`_pair_row`: kernels, cokernels and extension
+    middles) of every ordered pair of members and keeps the ids below
+    the cap; the loop stops when a pass adds nothing.  The table is
+    filled from the linear-algebra oracle alone, so the closure reads
+    neither the closed-form Hom nor a universe.
+    """
+    gens = list(gens)
+    if not gens:
+        return frozenset()
+    n = gens[0].rank
+    capped = (1 << cap * n) - 1
+    members = _id_mask(gens) & capped
     while True:
-        new = set()
-        current = sorted(members, key=lambda a: a.sort_key())
-        for a in current:
-            for b in current:
-                for arc in _pair_kernel_cokernel(a, b):
-                    if arc.length <= cap and arc not in members:
-                        new.add(arc)
-                for arc in _pair_middles(a, b):
-                    if arc.length <= cap and arc not in members:
-                        new.add(arc)
-        if not new:
-            return frozenset(members)
-        members.update(new)
+        ids = list(bits(members))
+        found = members
+        for ia in ids:
+            for ib in ids:
+                found |= _pair_row(n, ia, ib)
+        found &= capped
+        if found == members:
+            return frozenset(arc_of_id(n, i) for i in ids)
+        members = found
 
 
 _CLOSURE_CACHE: dict = {}

@@ -1,6 +1,7 @@
 """Numerical invariants: Euler pairing, reflections, absolute order."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ from wpline.grading import make_line
 from wpline import ktheory as kt
 from wpline import linalg
 from wpline import sheaves as sh
-from wpline.linalg import mat_mul, transpose
+from wpline.linalg import mat_mul
 from wpline.nilpotent import Arc
 
 
@@ -19,7 +20,7 @@ LINE23 = make_line((2, 3))
 
 
 def neg_transpose(m):
-    return tuple(tuple(-x for x in col) for col in transpose([list(r) for r in m]))
+    return tuple(tuple(-x for x in col) for col in zip(*m))
 
 
 def test_rank_of_lattice():
@@ -250,9 +251,21 @@ def reference_abs_length(w):
     return r + int(linalg.rank(cols + [list(kt.delta_class(w.line))]) == r)
 
 
+def invert(a):
+    """Inverse of a square rational matrix, or None if singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    red, pivots = linalg.rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
+
+
 def reference_inverse(a):
-    """linalg.invert with the integrality check done on Fractions."""
-    inv = linalg.invert([list(r) for r in a])
+    """Fraction Gauss-Jordan inverse with the integrality check done on
+    Fractions."""
+    inv = invert([list(r) for r in a])
     if inv is None:
         return "singular matrix"
     if any(x.denominator != 1 for row in inv for x in row):

@@ -126,6 +126,17 @@ def identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def invert(a):
+    """Inverse of a square rational matrix, or None if singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(a)]
+    red, pivots = linalg.rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red[:n]]
+
+
 def reference_composite_ranks(rep, start, max_steps):
     """Ranks of the composites 0..max_steps vertices down from `start`,
     each built as a matrix product and then ranked."""
@@ -162,7 +173,7 @@ def conjugate(rep, bases):
     maps = []
     for i in range(n):
         m = linalg.mat_mul(linalg.mat_mul(bases[(i - 1) % n], rep.map_as_lists(i)),
-                           linalg.invert(bases[i]))
+                           invert(bases[i]))
         maps.append(tuple(tuple(Fraction(x) for x in row) for row in m))
     return NilpRep(n, rep.dims, tuple(maps))
 

@@ -1,10 +1,12 @@
 """Tube combinatorics: hom/ext oracles, the wide lattice and its maps."""
 
+import functools
 import itertools
+import random
 
 import pytest
 
-from wpline.nilpotent import Arc
+from wpline.nilpotent import Arc, cokernel_rep, decompose, kernel_rep
 from wpline import tube
 
 
@@ -202,3 +204,90 @@ def test_exc_perp_decompose_stack():
 def test_exc_perp_decompose_rejects_full_arc():
     with pytest.raises(ValueError):
         tube.exc_perp_decompose(Arc(2, 0, 2))
+
+
+# ---------------------------------------------------------------------------
+# the id-indexed pair table against the set-based closure it replaced
+
+REF_PAIR_KC: dict = {}
+REF_PAIR_MID: dict = {}
+
+
+def reference_pair_kernel_cokernel(a: Arc, b: Arc) -> frozenset:
+    key = (a, b)
+    if key not in REF_PAIR_KC:
+        found = set()
+        ra, rb = tube._rep(a), tube._rep(b)
+        for f in tube.arc_hom_basis(a, b):
+            for rep_kind in (kernel_rep(ra, rb, f), cokernel_rep(ra, rb, f)):
+                found.update(decompose(rep_kind))
+        REF_PAIR_KC[key] = frozenset(found)
+    return REF_PAIR_KC[key]
+
+
+def reference_pair_middles(a: Arc, b: Arc) -> frozenset:
+    key = (a, b)
+    if key not in REF_PAIR_MID:
+        found = set()
+        for summands in tube.extension_middles(a, b):
+            found.update(summands)
+        REF_PAIR_MID[key] = frozenset(found)
+    return REF_PAIR_MID[key]
+
+
+def reference_closure_members(gens, cap: int) -> frozenset:
+    """Arcs of length <= cap in the wide closure, as sets of Arcs."""
+    members = {g for g in gens if g.length <= cap}
+    while True:
+        new = set()
+        current = sorted(members, key=lambda a: a.sort_key())
+        for a in current:
+            for b in current:
+                for arc in reference_pair_kernel_cokernel(a, b):
+                    if arc.length <= cap and arc not in members:
+                        new.add(arc)
+                for arc in reference_pair_middles(a, b):
+                    if arc.length <= cap and arc not in members:
+                        new.add(arc)
+        if not new:
+            return frozenset(members)
+        members.update(new)
+
+
+def test_arc_ids_enumerate_arcs_by_length():
+    for n in (1, 2, 3, 4):
+        arcs = tube.all_arcs(n, 3 * n)
+        assert sorted(tube.arc_id(a) for a in arcs) == list(range(3 * n * n))
+        for a in arcs:
+            assert tube.arc_of_id(n, tube.arc_id(a)) == a
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pair_table_matches_reference(n, monkeypatch):
+    """Every ordered pair of arcs up to three times the rank: the table
+    row is the set of summands the reference collects for the pair.
+    Both read extension middles through one memo, because the oracle
+    call is shared code and only the bookkeeping around it changed."""
+    monkeypatch.setattr(tube, "extension_middles", functools.cache(tube.extension_middles))
+    arcs = tube.all_arcs(n, 3 * n)
+    for a, b in itertools.product(arcs, repeat=2):
+        want = reference_pair_kernel_cokernel(a, b) | reference_pair_middles(a, b)
+        row = tube._pair_row(n, tube.arc_id(a), tube.arc_id(b))
+        assert {tube.arc_of_id(n, i) for i in tube.bits(row)} == want, (a, b)
+
+
+def generator_subsets(n):
+    arcs = tube.all_arcs(n, n)
+    return [combo for r in range(len(arcs) + 1) for combo in itertools.combinations(arcs, r)]
+
+
+@pytest.mark.parametrize("n, sample", [(2, None), (3, 60)])
+def test_closure_members_matches_reference(n, sample):
+    """Every generator subset at rank 2 and a fixed sample at rank 3, at
+    the closure cap and at the stability cap."""
+    subsets = generator_subsets(n)
+    if sample is not None:
+        subsets = random.Random(n).sample(subsets, sample)
+    for gens in subsets:
+        for cap in (2 * n, 3 * n):
+            assert tube.closure_members(gens, cap) == reference_closure_members(gens, cap), (gens, cap)
