@@ -38,9 +38,10 @@ class WeightData:
     them never changes the group, the degree map or dim_S, which is what
     makes the padding harmless.
 
-    `p`, `dualizing()` and `weighted_indices()` are computed once per
-    instance and kept outside the fields, so equality, hashing and repr
-    see only the weights and the labels.
+    `p`, `dualizing()`, `weighted_indices()` and the field hash are
+    computed once per instance and kept outside the fields, so equality,
+    hashing and repr see only the weights and the labels.  The class
+    keeps its `__dict__` for these per-instance constants.
     """
 
     weights: tuple[int, ...]
@@ -55,6 +56,13 @@ class WeightData:
             raise ValueError("point labels must be distinct")
         if len(self.weights) < 2:
             raise ValueError("use make_line(), which pads to two points")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.weights, self.points))
 
     @property
     def n(self) -> int:
@@ -136,7 +144,7 @@ def parse_weights(text: str) -> list[int]:
     return ws
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GradeElement:
     """Normal form l_1*x_1 + ... + l_n*x_n + l*c with 0 <= l_i < p_i."""
 
@@ -145,7 +153,7 @@ class GradeElement:
     c_part: int
 
     def __add__(self, other: "GradeElement") -> "GradeElement":
-        if self.line != other.line:
+        if self.line is not other.line and self.line != other.line:
             raise ValueError("elements of different grading groups")
         coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         return normalize(self.line, coeffs, self.c_part + other.c_part)
@@ -154,7 +162,7 @@ class GradeElement:
         return normalize(self.line, tuple(-a for a in self.coeffs), -self.c_part)
 
     def __sub__(self, other: "GradeElement") -> "GradeElement":
-        if self.line != other.line:
+        if self.line is not other.line and self.line != other.line:
             raise ValueError("elements of different grading groups")
         coeffs = tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
         return normalize(self.line, coeffs, self.c_part - other.c_part)

@@ -6,10 +6,13 @@ hom minus ext of the basis objects.  Exceptional sheaves give
 reflections, exceptional sequences multiply out to group elements, and
 the absolute-length order on those elements is the noncrossing order.
 
-The preserved bilinear invariant checked on every group element is the
-symmetrized Euler form: single reflections conjugate the raw form into
-its transpose, so only the symmetrization is stable under all of them.
-The full form identity (E C = -E^T) is still enforced for the
+The preserved bilinear invariant is the symmetrized Euler form: single
+reflections conjugate the raw form into its transpose, so only the
+symmetrization is stable under all of them.  It is checked on every
+constructed group element.  cox_of constructs one: it multiplies the
+reflections of a sequence as rank-one updates of a plain integer
+matrix, which preserve the form by construction, and checks the
+product.  The full form identity (E C = -E^T) is still enforced for the
 distinguished element produced by the canonical bundle sequence.
 
 Each line's constants live in one record, built on first use: the rank,
@@ -227,7 +230,7 @@ class WeylElement:
         return tuple(sum(map(mul, row, x)) for row in self.matrix)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
-        if self.line != other.line:
+        if self.line is not other.line and self.line != other.line:
             raise ValueError("elements over different lines")
         return WeylElement(self.line, _mul(self.matrix, other.matrix))
 
@@ -246,20 +249,24 @@ def identity_weyl(line: WeightData) -> WeylElement:
                                    for u in range(m)))
 
 
-def reflection_of_class(line: WeightData, r) -> WeylElement:
-    """s(x) = x - (<x,r> + <r,x>) r, defined when <r,r> = 1."""
+def _root(line: WeightData, s: IndecSheaf):
+    """(r, c) for the reflection of an exceptional sheaf s: its class r,
+    which must have unit self-pairing, and c = sym r, so that the
+    reflection is the matrix 1 - r c^T."""
+    if not sheaves.is_exceptional_sheaf(s) or ext_dim_sheaf(s, s) != 0:
+        raise ValueError("reflections come from exceptional sheaves")
+    r = class_of(s)
     if euler_form(line, r, r) != 1:
         raise ValueError("class does not have unit self-pairing")
-    c = [sum(map(mul, row, r)) for row in _table(line).sym]
-    m = len(c)
-    return WeylElement(line, tuple(tuple(int(u == j) - c[j] * r[u] for j in range(m))
-                                   for u in range(m)))
+    return r, [sum(map(mul, row, r)) for row in _table(line).sym]
 
 
 def reflection(line: WeightData, s: IndecSheaf) -> WeylElement:
-    if not sheaves.is_exceptional_sheaf(s) or ext_dim_sheaf(s, s) != 0:
-        raise ValueError("reflections come from exceptional sheaves")
-    return reflection_of_class(line, class_of(s))
+    """s(x) = x - (<x,r> + <r,x>) r for the class r of s."""
+    r, c = _root(line, s)
+    m = len(c)
+    return WeylElement(line, tuple(tuple(int(u == j) - c[j] * r[u] for j in range(m))
+                                   for u in range(m)))
 
 
 def cox_of(line: WeightData, seq) -> WeylElement:
@@ -267,14 +274,26 @@ def cox_of(line: WeightData, seq) -> WeylElement:
 
     Any two exceptional sequences generating the same wide subcategory
     yield the same element; the identity corresponds to the empty one.
+
+    The sequence and each member's reflection are checked as in
+    `reflection`.  The product is then accumulated on one integer
+    matrix: right multiplication by 1 - r c^T is the rank-one update
+    w <- w - (w r) c^T.  Only the result is constructed as a
+    WeylElement, so the form is checked once, on it; the intermediate
+    products preserve the form because each factor does.
     """
     seq = list(seq)
     if not tube.is_exc_sequence(seq, hom_dim_sheaf, ext_dim_sheaf):
         raise ValueError("not an exceptional sequence")
-    out = identity_weyl(line)
+    m = k_rank(line)
+    w = [[int(u == v) for v in range(m)] for u in range(m)]
     for s in seq:
-        out = out.compose(reflection(line, s))
-    return out
+        r, c = _root(line, s)
+        for row in w:
+            k = sum(map(mul, row, r))
+            if k:
+                row[:] = [x - k * y for x, y in zip(row, c)]
+    return WeylElement(line, tuple(map(tuple, w)))
 
 
 def canonical_interval_sequence(line: WeightData):
@@ -319,6 +338,6 @@ def abs_length(w: WeylElement) -> int:
 
 def nc_leq(u: WeylElement, v: WeylElement) -> bool:
     """Absolute-order comparison: lengths add along u, u^{-1} v, v."""
-    if u.line != v.line:
+    if u.line is not v.line and u.line != v.line:
         raise ValueError("elements over different lines")
     return abs_length(u) + abs_length(u.inverse().compose(v)) == abs_length(v)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import linalg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     """Indecomposable with socle vertex `socle` (mod rank) and `length` >= 1.
 

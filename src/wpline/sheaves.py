@@ -6,18 +6,27 @@ rank one), torsion arcs supported at a weighted point, and finite
 torsion stalks at ordinary points.  Hom dimensions come from a closed
 case table; Ext is Hom into the shift by the dualizing element, and a
 second, independent computation path exists for cross-checking.
+
+Hom between bundles O(a) -> O(b) is a borrow count read off the two
+normal forms, max(0, b.c - a.c - #{i : b_i < a_i} + 1), without building
+the element b - a.  The alternate Ext path stays on GradeElement
+arithmetic, dim_S(a + omega - b), so the two Ext paths remain
+independent.  The value classes are slotted and the line guards test
+identity before equality, because every object of a query shares one
+WeightData.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 
 from . import tube
 from .grading import GradeElement, WeightData, dim_S
 from .nilpotent import Arc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LineBundle:
     line: WeightData
     degree: GradeElement
@@ -26,11 +35,11 @@ class LineBundle:
         if len(self.line.weighted_indices()) > 2:
             raise ValueError("indecomposable bundles of rank >= 2 are not modeled; "
                              "use torsion-only queries on this line")
-        if self.degree.line != self.line:
+        if self.degree.line is not self.line and self.degree.line != self.line:
             raise ValueError("degree from a different line")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TorsionArc:
     """Torsion sheaf at the weighted point with index `point`."""
 
@@ -45,7 +54,7 @@ class TorsionArc:
             raise ValueError("arc rank must equal the point weight")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrdinaryTorsion:
     """Torsion stalk of uniserial length `length` at an ordinary point."""
 
@@ -89,7 +98,7 @@ def ordinary_simple(line: WeightData, point_id: str) -> OrdinaryTorsion:
 
 
 def _same_line(a: IndecSheaf, b: IndecSheaf):
-    if a.line != b.line:
+    if a.line is not b.line and a.line != b.line:
         raise ValueError("sheaves from different lines")
 
 
@@ -109,7 +118,11 @@ def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
     _same_line(a, b)
     if isinstance(a, LineBundle):
         if isinstance(b, LineBundle):
-            return dim_S(b.degree - a.degree)
+            # dim_S(b - a) is one more than the c part of the normal form
+            # of b - a, which borrows one c for each coefficient of b below a's
+            x, y = a.degree, b.degree
+            t = y.c_part - x.c_part - sum(map(lt, y.coeffs, x.coeffs))
+            return t + 1 if t >= 0 else 0
         if isinstance(b, TorsionArc):
             # a map lands on each factor whose index matches the degree
             # coefficient at the supporting point

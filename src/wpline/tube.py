@@ -273,29 +273,33 @@ class TubeWideFingerprint:
 def closure_members(gens, cap: int) -> frozenset:
     """Arcs of length <= cap in the wide closure of the generators.
 
-    Members are a mask over integer arc ids (`arc_id`).  One pass ORs
-    the pair-table rows (`_pair_row`: kernels, cokernels and extension
-    middles) of every ordered pair of members and keeps the ids below
-    the cap; the loop stops when a pass adds nothing.  The table is
-    filled from the linear-algebra oracle alone, so the closure reads
-    neither the closed-form Hom nor a universe.
+    Members are a mask over integer arc ids (`arc_id`).  The closure is
+    semi-naive: rows never change, so a pass ORs the pair-table rows
+    (`_pair_row`: kernels, cokernels and extension middles) of only the
+    ordered pairs with a member that the previous pass added, each pair
+    once, and keeps the ids below the cap; the loop stops when a pass
+    adds nothing.  The table is filled from the linear-algebra oracle
+    alone, so the closure reads neither the closed-form Hom nor a
+    universe.
     """
     gens = list(gens)
     if not gens:
         return frozenset()
     n = gens[0].rank
     capped = (1 << cap * n) - 1
-    members = _id_mask(gens) & capped
-    while True:
+    members = new = _id_mask(gens) & capped
+    while new:
         ids = list(bits(members))
-        found = members
-        for ia in ids:
+        old = list(bits(members & ~new))
+        found = 0
+        for ia in bits(new):
             for ib in ids:
                 found |= _pair_row(n, ia, ib)
-        found &= capped
-        if found == members:
-            return frozenset(arc_of_id(n, i) for i in ids)
-        members = found
+            for ib in old:
+                found |= _pair_row(n, ib, ia)
+        new = found & capped & ~members
+        members |= new
+    return frozenset(arc_of_id(n, i) for i in bits(members))
 
 
 _CLOSURE_CACHE: dict = {}

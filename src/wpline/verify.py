@@ -10,6 +10,7 @@ classification-driven results.
 from __future__ import annotations
 
 import time
+from itertools import combinations, product
 
 from . import tube, widposet
 from .grading import make_line
@@ -101,24 +102,29 @@ GOLDEN_DOT_W2 = """digraph wid {
 """
 
 
-def _set_partitions(m: int):
-    """All set partitions of range(m), as tuples of sorted tuples."""
-    parts = []
+def noncrossing_partitions(m: int) -> list:
+    """Noncrossing set partitions of range(m), as tuples of sorted tuples
+    listed by their smallest labels.  The block of the smallest label
+    picks its other members; the labels strictly between consecutive
+    members, and those after the last one, form intervals that no other
+    block may leave, so each interval is partitioned on its own."""
+    memo = {}
 
-    def rec(i, blocks):
-        if i == m:
-            parts.append(tuple(tuple(b) for b in blocks))
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        rec(i + 1, blocks)
-        blocks.pop()
+    def parts(lo, hi):
+        """Noncrossing partitions of range(lo, hi)."""
+        out = memo.get((lo, hi))
+        if out is None:
+            out = [] if lo < hi else [()]
+            for k in range(hi - lo):
+                for chosen in combinations(range(lo + 1, hi), k):
+                    cuts = (lo,) + chosen + (hi,)
+                    gaps = [parts(a + 1, b) for a, b in zip(cuts, cuts[1:])]
+                    for split in product(*gaps):
+                        out.append(((lo,) + chosen,) + sum(split, ()))
+            memo[lo, hi] = out
+        return out
 
-    rec(0, [])
-    return parts
+    return parts(0, m)
 
 
 def _blocks_cross(a, b) -> bool:
@@ -130,17 +136,19 @@ def _blocks_cross(a, b) -> bool:
 
 def noncrossing_symmetric_count(n: int) -> int:
     """Partitions of 2n cyclic labels, invariant under the half-turn,
-    with no two blocks interleaving.  Independent of the tube module."""
+    with no two blocks interleaving.  Independent of the tube module.
+
+    Only noncrossing partitions are generated; each one counted is
+    asserted to have no crossing pair of blocks."""
     m = 2 * n
     count = 0
-    for blocks in _set_partitions(m):
+    for blocks in noncrossing_partitions(m):
         key = frozenset(frozenset(b) for b in blocks)
         shifted = frozenset(frozenset((x + n) % m for x in b) for b in blocks)
         if key != shifted:
             continue
-        if any(_blocks_cross(a, b)
-               for i, a in enumerate(blocks) for b in blocks[i + 1:]):
-            continue
+        assert not any(_blocks_cross(a, b)
+                       for i, a in enumerate(blocks) for b in blocks[i + 1:]), blocks
         count += 1
     return count
 

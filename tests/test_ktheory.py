@@ -346,3 +346,26 @@ def test_weyl_element_rejects_form_breaking_matrix():
         kt.WeylElement(line, double)
     with pytest.raises(ValueError, match="wrong size"):
         kt.WeylElement(line, ((1, 0), (0, 1)))
+
+
+def reference_cox_of(line, seq):
+    """Reflection by reflection: a checked WeylElement per product."""
+    w = kt.identity_weyl(line)
+    for s in seq:
+        w = w.compose(kt.reflection(line, s))
+    return w
+
+
+@pytest.mark.parametrize("line", QUERY_LINES, ids=lambda line: str(line.weights))
+def test_cox_of_matches_compose_chain(line):
+    """Every prefix of the canonical sequence shifted by each coefficient
+    pattern and a few canonical steps."""
+    canonical = kt.canonical_interval_sequence(line)
+    for coeffs in itertools.product(*(range(p) for p in line.weights)):
+        for c in (-3, 0, 2):
+            step = line.element(coeffs, c)
+            seq = [sh.shift(s, step) for s in canonical]
+            for k in range(len(seq) + 1):
+                assert kt.cox_of(line, seq[:k]) == reference_cox_of(line, seq[:k]), (step, k)
+    with pytest.raises(ValueError):
+        kt.cox_of(line, canonical[::-1])

@@ -1,5 +1,6 @@
 """Indecomposable sheaves: hom and ext dimensions, shifts, sequences."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from wpline.grading import dim_S, make_line
 from wpline import sheaves as sh
 from wpline import tube
+from wpline.nilpotent import Arc
 
 
 LINE2 = make_line((2,))
@@ -178,3 +180,51 @@ def test_format_round_trip_spot():
 def test_mixed_lines_rejected():
     with pytest.raises(ValueError):
         sh.hom_dim_sheaf(sh.line_bundle(LINE2, (0, 0)), sh.line_bundle(LINE11, (0, 0)))
+
+
+QUERY_LINES = [make_line(w) for w in ((2,), (2, 3), (3, 3), (4,), (2, 2), (1, 1))]
+
+
+def test_closed_bundle_hom_matches_section_dimension():
+    """The borrow count against dim_S of the difference element, over
+    every bundle pair within +-6 canonical steps on the query lines."""
+    for line in QUERY_LINES:
+        objs = [sh.line_bundle(line, coeffs, c)
+                for coeffs in itertools.product(*(range(p) for p in line.weights))
+                for c in range(-6, 7)]
+        for a, b in itertools.product(objs, repeat=2):
+            assert sh.hom_dim_sheaf(a, b) == dim_S(b.degree - a.degree), (a, b)
+
+
+def test_line_guards_compare_equal_lines_by_value():
+    """Objects over separately built equal lines mix; different lines
+    still raise."""
+    twin = make_line((2,))
+    assert twin is not LINE2
+    a, b = sh.line_bundle(LINE2, (0, 0)), sh.line_bundle(twin, (1, 0))
+    assert sh.hom_dim_sheaf(a, b) == 1
+    assert sh.LineBundle(LINE2, twin.canonical()) == sh.line_bundle(LINE2, (0, 0), 1)
+    assert LINE2.zero() + twin.generator(0) == twin.generator(0) - LINE2.zero()
+    with pytest.raises(ValueError):
+        sh.LineBundle(LINE2, LINE23.zero())
+    with pytest.raises(ValueError):
+        LINE2.zero() + LINE23.zero()
+    with pytest.raises(ValueError):
+        LINE2.zero() - LINE23.zero()
+
+
+@pytest.mark.parametrize("obj, field", [
+    (LINE2.zero(), "c_part"),
+    (Arc(2, 0, 1), "length"),
+    (sh.line_bundle(LINE2, (0, 0)), "degree"),
+    (sh.simple_at(LINE2, 0, 1), "point"),
+    (sh.ordinary_simple(LINE2, "q"), "length"),
+])
+def test_slotted_value_classes_are_frozen(obj, field):
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
+    # a name outside the fields is refused too; before Python 3.12 a
+    # frozen slotted dataclass refuses it with TypeError instead
+    with pytest.raises((dataclasses.FrozenInstanceError, TypeError, AttributeError)):
+        obj.extra = 1

@@ -1,0 +1,97 @@
+"""The independent counter of criterion 1, and the exact-arithmetic rule."""
+
+import ast
+import pathlib
+
+import pytest
+
+import wpline
+from wpline import verify
+
+
+def set_partitions(m: int):
+    """All set partitions of range(m), as tuples of sorted tuples
+    listed by their smallest labels (Bell-number many)."""
+    parts = []
+
+    def rec(i, blocks):
+        if i == m:
+            parts.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in blocks:
+            b.append(i)
+            rec(i + 1, blocks)
+            b.pop()
+        blocks.append([i])
+        rec(i + 1, blocks)
+        blocks.pop()
+
+    rec(0, [])
+    return parts
+
+
+def is_noncrossing(blocks) -> bool:
+    return not any(verify._blocks_cross(a, b)
+                   for i, a in enumerate(blocks) for b in blocks[i + 1:])
+
+
+def is_half_turn_invariant(blocks, n: int) -> bool:
+    key = frozenset(frozenset(b) for b in blocks)
+    return key == frozenset(frozenset((x + n) % (2 * n) for x in b) for b in blocks)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_noncrossing_partitions_match_filtered_set_partitions(m):
+    want = [p for p in set_partitions(m) if is_noncrossing(p)]
+    got = verify.noncrossing_partitions(m)
+    assert len(got) == len(set(got))
+    assert set(got) == set(want)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_symmetric_count_matches_set_partition_reference(n):
+    want = sum(1 for p in set_partitions(2 * n)
+               if is_half_turn_invariant(p, n) and is_noncrossing(p))
+    assert verify.noncrossing_symmetric_count(n) == want == verify.TUBE_COUNTS[n]
+
+
+def float_uses(tree, allowed):
+    """Line numbers and kinds of true division, float() calls and float
+    literals in a module, skipping the allowed literal nodes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            yield node.lineno, "/"
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "float":
+            yield node.lineno, "float()"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)) \
+                and node not in allowed:
+            yield node.lineno, repr(node.value)
+
+
+def time_budgets(tree):
+    """The float literals of the comparisons `elapsed <= <literal>`: the
+    time budgets of the acceptance criteria."""
+    return {node.comparators[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and node.left.id == "elapsed" and len(node.ops) == 1
+            and isinstance(node.ops[0], ast.LtE)
+            and isinstance(node.comparators[0], ast.Constant)
+            and isinstance(node.comparators[0].value, float)}
+
+
+def test_library_arithmetic_is_exact():
+    """No module of the package divides with `/`, calls float() or
+    writes a float literal; the only floats allowed are the three time
+    budgets of verify."""
+    root = pathlib.Path(wpline.__file__).parent
+    modules = sorted(root.glob("*.py"))
+    assert {p.name for p in modules} >= {"grading.py", "ktheory.py", "sheaves.py", "verify.py"}
+    found, budgets = [], 0
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = time_budgets(tree) if path.name == "verify.py" else set()
+        budgets += len(allowed)
+        found += [(path.name, line, kind) for line, kind in float_uses(tree, allowed)]
+    assert found == []
+    assert budgets == 3
