@@ -20,7 +20,7 @@ from .ktheory import abs_length, canonical_interval_sequence, cox_of, coxeter_el
 from .nilpotent import Arc
 from .sheaves import (OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
                       hom_dim_sheaf, line_bundle, sheaf_sort_key, simple_at,
-                      stack_at)
+                      stack_at, tau_sheaf)
 from .widposet import (build_poset, default_window, exc_torsion_perp_decompose,
                        poset_dot, poset_json, sheaf_universe)
 
@@ -195,7 +195,7 @@ def _cmd_perp(args) -> int:
     # generators outside the window join the universe, not the members
     window = sheaf_universe(line, lo, hi, ids)
     uni = tube.Universe(sorted(set(window) | set(gens), key=sheaf_sort_key),
-                        hom_dim_sheaf, ext_dim_sheaf)
+                        hom_dim_sheaf, tau_sheaf)
     members = uni.members(uni.right_perp(uni.mask(gens)) & uni.mask(window))
     doc = {
         "schema": 1,

@@ -114,6 +114,11 @@ def shift(s: IndecSheaf, l: GradeElement) -> IndecSheaf:
     return s
 
 
+def tau_sheaf(s: IndecSheaf) -> IndecSheaf:
+    """Auslander-Reiten translate: the shift by the dualizing element."""
+    return shift(s, s.line.dualizing())
+
+
 def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
     _same_line(a, b)
     if isinstance(a, LineBundle):
@@ -142,9 +147,9 @@ def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
 
 
 def ext_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
-    """Ext^1(a, b) = Hom(b, a twisted by the dualizing element)."""
+    """Ext^1(a, b) = Hom(b, tau a) by Serre duality."""
     _same_line(a, b)
-    return hom_dim_sheaf(b, shift(a, a.line.dualizing()))
+    return hom_dim_sheaf(b, tau_sheaf(a))
 
 
 def ext_dim_sheaf_alt(a: IndecSheaf, b: IndecSheaf) -> int:

@@ -10,10 +10,10 @@ one simple.
 
 The perpendicular calculus is shared with the sheaf layer: a Universe
 indexes a finite set of objects and keeps, per object, the bitsets of
-objects with vanishing Hom and Ext, from which perpendiculars, closures
-of exceptional sequences (double perpendiculars, Geigle-Lenzing) and
-rigid subsets are read off.  The tube enumerates its lattice over the
-arcs of length at most n.
+objects with vanishing Hom and Ext (Ext as Hom into the translate),
+from which perpendiculars, closures of exceptional sequences (double
+perpendiculars, Geigle-Lenzing) and rigid subsets are read off.  The
+tube enumerates its lattice over the arcs of length at most n.
 
 The linear-algebra oracle (nilpotent, linalg) serves only as an
 independent check: wide_closure, extension_middles, bongartz_complete,
@@ -372,28 +372,29 @@ def holders(masks) -> collections.defaultdict:
 class Universe:
     """A finite indexed set of objects with Hom/Ext-vanishing bitsets.
 
-    Sets of objects are bitmasks over the object order.  Bit j of
-    right[i] is set when Hom and Ext^1 from object i to object j both
-    vanish, so the right perpendicular of a set is the AND of its rows;
-    left[i] is the transposed row.  compatible[i] marks the objects with
-    no Ext^1 to or from object i.  The tables are filled once from the
-    layer's own hom and ext.
+    Sets of objects are bitmasks over the object order; when the objects
+    are sorted by a key, ascending index tuples compare like key tuples.
+    Bit j of right[i] is set when Hom and Ext^1 from object i to object j
+    both vanish, so the right perpendicular of a set is the AND of its
+    rows; left is the bit transpose of right, and compatible[i] marks the
+    objects with no Ext^1 to or from object i.  Ext is filled by Serre
+    duality, Ext^1(x, y) = Hom(y, tau x), from the layer's Hom and its
+    translate tau, taken once per object.
     """
 
-    def __init__(self, objects, hom, ext):
+    def __init__(self, objects, hom, tau):
         self.objects = tuple(objects)
         self.index = {x: i for i, x in enumerate(self.objects)}
         self.full = (1 << len(self.objects)) - 1
-        idx = range(len(self.objects))
-        no_hom = [[hom(x, y) == 0 for y in self.objects] for x in self.objects]
-        no_ext = [[ext(x, y) == 0 for y in self.objects] for x in self.objects]
-
-        def row(test):
-            return [sum(1 << j for j in idx if test(i, j)) for i in idx]
-
-        self.right = row(lambda i, j: no_hom[i][j] and no_ext[i][j])
-        self.left = row(lambda i, j: no_hom[j][i] and no_ext[j][i])
-        self.compatible = row(lambda i, j: no_ext[i][j] and no_ext[j][i])
+        objs = self.objects
+        no_hom = [sum(1 << j for j, y in enumerate(objs) if hom(x, y) == 0) for x in objs]
+        no_ext = [sum(1 << j for j, y in enumerate(objs) if hom(y, tx) == 0)
+                  for tx in map(tau, objs)]
+        self.right = [h & e for h, e in zip(no_hom, no_ext)]
+        # the holders of a row set are its bit transpose
+        held, ext_held = holders(self.right), holders(no_ext)
+        self.left = [held[i] for i in range(len(objs))]
+        self.compatible = [e & ext_held[i] for i, e in enumerate(no_ext)]
 
     def mask(self, objs) -> int:
         out = 0
@@ -410,32 +411,30 @@ class Universe:
     def left_perp(self, mask: int) -> int:
         return meet(self.left, mask, self.full)
 
-    def double_perp(self, mask: int, within: int | None = None) -> int:
-        """Left perpendicular of the right perpendicular, both taken inside
-        `within` (default: everything).  For an exceptional sequence this
-        is the wide subcategory it generates (Geigle-Lenzing)."""
-        if within is None:
-            within = self.full
-        return self.left_perp(self.right_perp(mask) & within) & within
+    def double_perp(self, mask: int) -> int:
+        """Left perpendicular of the right perpendicular.  For an
+        exceptional sequence this is the wide subcategory it generates
+        (Geigle-Lenzing)."""
+        return self.left_perp(self.right_perp(mask))
 
-    def rigid_subsets(self, candidates: int, max_size: int) -> list:
-        """All sets of at most max_size candidates with no Ext^1 between
-        or within their members, as object tuples in universe order; the
-        empty set comes first, the rest in depth-first order."""
+    def rigid_subsets(self, candidates: int, max_size: int):
+        """Yield every set of at most max_size candidates with no Ext^1
+        between or within its members, as (mask, right perpendicular)
+        pairs: the empty set first, the rest in depth-first order.  The
+        perpendicular is carried along the search, one AND per step."""
         cands = [i for i in bits(candidates) if self.compatible[i] >> i & 1]
-        out = [()]
-        stack = [((), 0, self.full)]
+        yield 0, self.full
+        stack = [(0, 0, self.full, self.full)]
         while stack:
-            chosen, start, allowed = stack.pop()
-            if len(chosen) == max_size:
+            chosen, start, allowed, perp = stack.pop()
+            if chosen.bit_count() == max_size:
                 continue
             for pos in range(start, len(cands)):
                 i = cands[pos]
                 if allowed >> i & 1:
-                    nxt = chosen + (self.objects[i],)
-                    out.append(nxt)
-                    stack.append((nxt, pos + 1, allowed & self.compatible[i]))
-        return out
+                    nxt, nxt_perp = chosen | 1 << i, perp & self.right[i]
+                    yield nxt, nxt_perp
+                    stack.append((nxt, pos + 1, allowed & self.compatible[i], nxt_perp))
 
 
 def inclusion_order(masks):
@@ -508,7 +507,7 @@ def order_exc_sequence(objs, hom=hom_dim, ext=ext_dim, key=Arc.sort_key):
 @functools.cache
 def tube_universe(n: int) -> Universe:
     """The arcs of length at most n with the closed-form Hom and Ext."""
-    return Universe(all_arcs(n, n), hom_dim, ext_dim)
+    return Universe(all_arcs(n, n), hom_dim, Arc.tau)
 
 
 def _fingerprint(n: int, mask: int) -> TubeWideFingerprint:
@@ -542,8 +541,8 @@ def enumerate_wide(n: int) -> frozenset:
     if n > MAX_RANK:
         raise ValueError(f"rank {n} above the configured bound {MAX_RANK}")
     uni = tube_universe(n)
-    exc = {_fingerprint(n, uni.double_perp(uni.mask(subset)))
-           for subset in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    exc = {_fingerprint(n, uni.left_perp(perp))
+           for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
     return frozenset(exc | {perp_pair(f) for f in exc})
 
 

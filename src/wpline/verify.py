@@ -412,6 +412,7 @@ def criterion_12():
     if len(with_bundle) != 3:
         problems.append(f"bundle-side count {len(with_bundle)} != 3")
     uni = window_universe(line, -2, 3, ids)
+    bit = widposet.torsion_bits(uni)
     for d in with_bundle:
         back = tuple(tube.perp_pair(fp) for fp in d.per_point)
         if back != d.defining_exc:
@@ -421,7 +422,7 @@ def criterion_12():
         if rebuilt != d:
             problems.append("reconstruction differs")
         gens = widposet._cinv_defining_sheaves(line, d)
-        members = cinv_snapshot(line, d, uni)
+        members = cinv_snapshot(line, d, uni, bit)
         direct = frozenset(x for x in uni.objects if perp_membership(x, gens))
         if direct != frozenset(uni.members(members)):
             problems.append("window membership differs between paths")

@@ -14,9 +14,15 @@ that their tagged union generates the whole order (pushout property).
 Snapshots come from the perpendicular calculus of tube.Universe, built
 once per poset over the window enlarged by two canonical degrees on
 each side; the window itself and the one-degree enlargement are masks
-in it.  Closures of rigid sets are double perpendiculars, and bundles
-of a shift-invariant subcategory form the right perpendicular of its
-defining torsion sequence.
+in it; Ext is filled by Serre duality, Ext(x, y) = Hom(y, tau x), with
+tau x the shift by the dualizing element.  Closures of rigid sets are
+double perpendiculars, the left perpendiculars of the right one the
+rigid-set search carries.  Bundles of a shift-invariant subcategory form
+the right perpendicular of its defining torsion sequence.  Rigid sets,
+snapshots and records stay masks; the universe is sorted by
+sheaf_sort_key, so ascending index tuples order generators and nodes as
+sort-key tuples would, and sheaf objects are built only for clipped
+sets, messages, names and node snapshots.
 
 Window faithfulness: a rigid set whose closure needs bundles outside
 the window (its snapshot would misrepresent the subcategory) is
@@ -33,9 +39,8 @@ from . import tube
 from .grading import WeightData
 from .ktheory import k_rank
 from .nilpotent import Arc
-from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, ext_dim_sheaf,
-                      format_sheaf, hom_dim_sheaf, is_exceptional_sheaf,
-                      sheaf_sort_key)
+from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, format_sheaf,
+                      hom_dim_sheaf, is_exceptional_sheaf, sheaf_sort_key, tau_sheaf)
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,7 @@ def sheaf_universe(line: WeightData, lo: int, hi: int, universe_ids):
 
 def window_universe(line: WeightData, lo: int, hi: int, universe_ids) -> tube.Universe:
     """The perpendicular calculus over the window universe."""
-    return tube.Universe(sheaf_universe(line, lo, hi, universe_ids),
-                         hom_dim_sheaf, ext_dim_sheaf)
+    return tube.Universe(sheaf_universe(line, lo, hi, universe_ids), hom_dim_sheaf, tau_sheaf)
 
 
 # ---------------------------------------------------------------------------
@@ -151,37 +155,32 @@ def _cinv_defining_sheaves(line: WeightData, data: CInvData):
     return gens
 
 
-def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe) -> int:
-    """Members of a shift-invariant subcategory, as a mask over the universe."""
-    widx = line.weighted_indices()
-    bundles = 0
+def torsion_bits(uni: tube.Universe) -> dict:
+    """The bit of each torsion object of a window universe, keyed by
+    (point, arc) at weighted points and by the id at ordinary ones."""
+    return {(u.point, u.arc) if isinstance(u, TorsionArc) else u.point_id: 1 << i
+            for i, u in enumerate(uni.objects) if not isinstance(u, LineBundle)}
+
+
+def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe, bit: dict) -> int:
+    """Members of a shift-invariant subcategory, as a mask over the
+    universe; `bit` is the universe's torsion_bits."""
+    members = _cinv_data_mask(line, data, uni, bit) & uni.full
     if data.contains_bundle:
-        bundles = uni.right_perp(uni.mask(_cinv_defining_sheaves(line, data)))
-    members = 0
-    for i, u in enumerate(uni.objects):
-        if isinstance(u, TorsionArc):
-            inside = u.arc in data.per_point[widx.index(u.point)].arcs
-        elif isinstance(u, OrdinaryTorsion):
-            inside = u.point_id in data.ordinary_support
-        else:
-            inside = bundles >> i & 1
-        members |= inside << i
+        # distinct objects have distinct bits, so a sum of bits is their union
+        bundles = uni.full & ~sum(bit.values())
+        defining = sum(bit[g.point, g.arc] for g in _cinv_defining_sheaves(line, data))
+        members |= uni.right_perp(defining) & bundles
     return members
 
 
-def exc_snapshot(gens, uni: tube.Universe, within: int | None = None) -> int:
-    """Members of the closure of a rigid set inside `within` (default:
-    the whole universe), as a mask: the double perpendicular."""
-    return uni.double_perp(uni.mask(gens), within)
-
-
-def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe) -> int:
+def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe, bit: dict) -> int:
     """Per-point arcs and ordinary support as a mask, plus one bit past the
     universe when bundles belong: inclusion of masks is inclusion."""
-    arcs = [TorsionArc(line, i, a)
-            for fp, i in zip(data.per_point, line.weighted_indices()) for a in fp.arcs]
-    ordinary = [OrdinaryTorsion(line, q, 1) for q in data.ordinary_support]
-    return uni.mask(arcs + ordinary) | data.contains_bundle << len(uni.objects)
+    return (sum(bit[i, a] for fp, i in zip(data.per_point, line.weighted_indices())
+                for a in fp.arcs)
+            + sum(bit[q] for q in data.ordinary_support)
+            | data.contains_bundle << len(uni.objects))
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +256,10 @@ def _torsion_only_name(line, data: CInvData) -> str:
         if not fp.arcs:
             continue
         label = line.points[i]
-        if not fp.exc:
-            if len(fp.arcs) == len(tube.all_arcs(fp.rank, fp.rank)):
-                parts.append(f"tor({label})")
-                continue
+        # the whole tube: all rank * rank arcs of length at most the rank
+        if not fp.exc and len(fp.arcs) == fp.rank * fp.rank:
+            parts.append(f"tor({label})")
+            continue
         arcs = fp.sorted_arcs()
         if len(arcs) == 1 and arcs[0].length == 1:
             parts.append(f"S({label},{arcs[0].socle})")
@@ -288,12 +287,12 @@ def _cinv_name(line, data: CInvData) -> str:
     return f"perp({inner})"
 
 
-def _exc_name(line, snapshot) -> str:
-    bundles = sorted((x for x in snapshot if isinstance(x, LineBundle)),
-                     key=sheaf_sort_key)
-    torsion = [x for x in snapshot if not isinstance(x, LineBundle)]
+def _exc_name(line, members) -> str:
+    """Name of a closure from its members in sheaf_sort_key order."""
+    bundles = [x for x in members if isinstance(x, LineBundle)]
+    torsion = [x for x in members if not isinstance(x, LineBundle)]
     widx = line.weighted_indices()
-    if not snapshot:
+    if not members:
         return "0"
     if not widx and len(bundles) == 1 and not torsion:
         k = bundles[0].degree.degree()
@@ -304,8 +303,7 @@ def _exc_name(line, snapshot) -> str:
             return "T0" + _suffix(degs[0])
         if len(bundles) == 2 and degs[1] == degs[0] + 1 and len(torsion) == 1:
             return "T1" + _suffix(degs[0])
-    body = ";".join(format_sheaf(x) for x in sorted(snapshot, key=sheaf_sort_key))
-    return "W{" + body + "}"
+    return "W{" + ";".join(format_sheaf(x) for x in members) + "}"
 
 
 def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset:
@@ -313,16 +311,18 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
         raise ValueError("poset construction needs bundle support "
                          "(at most two weighted points)")
     p = line.p
+    # sheaf_universe is sorted by sheaf_sort_key, so the build orders masks by index
     uni = window_universe(line, lo - 2 * p, hi + 2 * p, universe_ids)
     window = uni.mask(sheaf_universe(line, lo, hi, universe_ids))
     big = uni.mask(sheaf_universe(line, lo - p, hi + p, universe_ids))
-    exceptional = uni.mask(u for u in uni.members(window) if is_exceptional_sheaf(u))
+    exceptional = sum(1 << i for i in tube.bits(window) if is_exceptional_sheaf(uni.objects[i]))
+    bit = torsion_bits(uni)
 
     # records are keyed by the window snapshot, as a mask
     undecidable = []
     records = {}
     for data in enumerate_wid_c(line, universe_ids):
-        members = cinv_snapshot(line, data, uni)
+        members = cinv_snapshot(line, data, uni, bit)
         rec = records.setdefault(members & window, {"exc": None, "cinv": None})
         if rec["cinv"] is None:
             rec["cinv"] = data
@@ -333,28 +333,29 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     # universe: a closure entirely inside the window is a node of its
     # own; one reaching into the margin is either the window slice of a
     # shift-invariant node or not representable at this window scale.
+    # Both closures are left perpendiculars of the carried right one.
     clipped = []
-    for gens in uni.rigid_subsets(exceptional, max_size=k_rank(line)):
-        snap1 = exc_snapshot(gens, uni, big)
+    for gens, perp in uni.rigid_subsets(exceptional, max_size=k_rank(line)):
+        snap1 = uni.left_perp(perp & big) & big
         inside = snap1 & ~window == 0
         key = snap1 & window
         if not inside and key not in cinv_keys:
-            clipped.append(gens)
+            clipped.append(uni.members(gens))
             continue
-        snap2 = exc_snapshot(gens, uni)
+        snap2 = uni.left_perp(perp)
         if inside:
             if snap2 != snap1:
                 undecidable.append(
                     "members of a closure keep appearing under enlargement: "
-                    + ";".join(format_sheaf(g) for g in gens))
+                    + ";".join(format_sheaf(g) for g in uni.members(gens)))
                 continue
         elif snap2 & window != key:
             undecidable.append(
                 "window slice of a closure changes under enlargement: "
-                + ";".join(format_sheaf(g) for g in gens))
+                + ";".join(format_sheaf(g) for g in uni.members(gens)))
             continue
         rec = records.setdefault(key, {"exc": None, "cinv": None})
-        cand = (len(gens), tuple(sheaf_sort_key(g) for g in gens))
+        cand = (gens.bit_count(), tuple(tube.bits(gens)))
         if rec["exc"] is None or cand < rec["exc_key"]:
             rec["exc"], rec["exc_key"], rec["big_exc"] = gens, cand, snap1
 
@@ -366,16 +367,15 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                 "{" + ";".join(format_sheaf(x) for x in uni.members(snap)) + "}")
 
     nodes = []
-    masks = sorted(records, key=lambda m: (m.bit_count(),
-                                           [sheaf_sort_key(x) for x in uni.members(m)]))
+    masks = sorted(records, key=lambda m: (m.bit_count(), list(tube.bits(m))))
     used_names = set()
     for mask in masks:
         rec = records[mask]
-        snap = frozenset(uni.members(mask))
+        members = uni.members(mask)
         if rec["cinv"] is not None:
             name = _cinv_name(line, rec["cinv"])
         else:
-            name = _exc_name(line, snap)
+            name = _exc_name(line, members)
         if name in used_names:
             undecidable.append(f"name collision at {name}")
             i = 2
@@ -383,8 +383,8 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                 i += 1
             name = f"{name}#{i}"
         used_names.add(name)
-        gens = None if rec["exc"] is None else frozenset(rec["exc"])
-        nodes.append(PosetNode(name, snap, gens, rec["cinv"]))
+        gens = None if rec["exc"] is None else frozenset(uni.members(rec["exc"]))
+        nodes.append(PosetNode(name, frozenset(members), gens, rec["cinv"]))
 
     # Snapshot order must agree with the window-independent mechanisms
     # wherever one applies; a comparable pair seen by neither mechanism
@@ -393,9 +393,9 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
     held = tube.holders(masks)
-    exc = [0 if n.exc_gens is None else tube.meet(held, uni.mask(n.exc_gens), exc_nodes)
-           for n in nodes]
-    data = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni) for n in nodes]
+    exc = [0 if records[m]["exc"] is None else tube.meet(held, records[m]["exc"], exc_nodes)
+           for m in masks]
+    data = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, bit) for n in nodes]
     held_data = tube.holders(data)
     cinv = [0 if n.cinv is None else tube.meet(held_data, d, cinv_nodes)
             for n, d in zip(nodes, data)]

@@ -1,11 +1,14 @@
 """Window posets of wide subcategories and the shift-invariant side."""
 
 import functools
+import hashlib
 import itertools
+from pathlib import Path
 
 import pytest
 
 from wpline.grading import make_line
+from wpline.ktheory import k_rank
 from wpline import sheaves as sh
 from wpline import tube
 from wpline import widposet as wp
@@ -13,6 +16,9 @@ from wpline import widposet as wp
 
 LINE2 = make_line((2,))
 LINE11 = make_line((1, 1))
+GOLDEN = Path(__file__).parent / "golden"
+# weights, lo, hi of the five benchmark poset inputs at shift 0
+BENCH_INPUTS = [((2,), -2, 3), ((2, 2), -2, 3), ((2, 3), -6, 6), ((4,), -8, 8), ((3, 3), -2, 3)]
 
 
 def names_of(poset):
@@ -177,10 +183,19 @@ def test_cinv_round_trip_through_tube_perp():
         assert wp.c_inv_from_torsion_exc(LINE2, back, ids) == d
 
 
+def exc_snapshot(gens, uni, within=None):
+    """Members of the closure of a rigid set inside `within` (default:
+    the whole universe), as a mask: the double perpendicular of the
+    generators, both perpendiculars taken inside `within`."""
+    if within is None:
+        within = uni.full
+    return uni.left_perp(uni.right_perp(uni.mask(gens)) & within) & within
+
+
 def test_exc_snapshot_double_perp_identity():
     uni = wp.window_universe(LINE2, -6, 7, ())
     O = sh.line_bundle(LINE2, (0, -1))
-    snap = wp.exc_snapshot((O,), uni)
+    snap = exc_snapshot((O,), uni)
     assert uni.members(snap) == (O,)
 
 
@@ -210,9 +225,9 @@ def test_exc_snapshot_is_pointwise_double_perp(weights, lo, hi):
             if any(sh.ext_dim_sheaf(a, b) for a in gens for b in gens):
                 continue
             checked += 1
-            assert uni.members(wp.exc_snapshot(gens, uni, uni.mask(big))) \
+            assert uni.members(exc_snapshot(gens, uni, uni.mask(big))) \
                 == double_perp(gens, big), gens
-            assert uni.members(wp.exc_snapshot(gens, uni)) == double_perp(gens, uni.objects), gens
+            assert uni.members(exc_snapshot(gens, uni)) == double_perp(gens, uni.objects), gens
     assert checked > len(exceptional)
 
 
@@ -355,3 +370,107 @@ def test_order_disagreements_follow_pairwise_reference(monkeypatch):
     assert list(poset.undecidable) == expected
     for source in ("generators", "invariant data"):
         assert any(m.endswith(f"disagrees with {source}") for m in expected), source
+
+
+# ---------------------------------------------------------------------------
+# the index-native build: universe tables, rigid subsets, index order
+
+def pairwise_tables(objects, hom, ext):
+    """The universe tables filled pair by pair from the layer's Hom and
+    Ext: right, left and compatible rows."""
+    idx = range(len(objects))
+    no_hom = [[hom(x, y) == 0 for y in objects] for x in objects]
+    no_ext = [[ext(x, y) == 0 for y in objects] for x in objects]
+
+    def row(test):
+        return [sum(1 << j for j in idx if test(i, j)) for i in idx]
+
+    return (row(lambda i, j: no_hom[i][j] and no_ext[i][j]),
+            row(lambda i, j: no_hom[j][i] and no_ext[j][i]),
+            row(lambda i, j: no_ext[i][j] and no_ext[j][i]))
+
+
+def margin_universe(weights, lo, hi, ids=()):
+    """The universe build_poset computes in: the window enlarged by two
+    canonical degrees on each side."""
+    line = make_line(weights)
+    return wp.window_universe(line, lo - 2 * line.p, hi + 2 * line.p, ids)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tau_fill_matches_pairwise_tube(n):
+    uni = tube.tube_universe(n)
+    assert (uni.right, uni.left, uni.compatible) == \
+        pairwise_tables(uni.objects, tube.hom_dim, tube.ext_dim)
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids",
+                         [(*inp, ()) for inp in BENCH_INPUTS] + [((1, 1), -2, 3, ("0", "1"))])
+def test_tau_fill_matches_pairwise_sheaves(weights, lo, hi, ids):
+    uni = margin_universe(weights, lo, hi, ids)
+    assert (uni.right, uni.left, uni.compatible) == \
+        pairwise_tables(uni.objects, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
+
+
+def reference_rigid_subsets(objects, max_size, ext):
+    """The depth-first search of rigid_subsets on object tuples, with
+    every extension tested by tube.is_rigid_set."""
+    cands = [x for x in objects if tube.is_rigid_set([x], ext)]
+    out = [()]
+    stack = [((), 0)]
+    while stack:
+        chosen, start = stack.pop()
+        if len(chosen) == max_size:
+            continue
+        for pos in range(start, len(cands)):
+            nxt = chosen + (cands[pos],)
+            if tube.is_rigid_set(nxt, ext):
+                out.append(nxt)
+                stack.append((nxt, pos + 1))
+    return out
+
+
+@pytest.mark.parametrize("layer", ["tube-1", "tube-2", "tube-3", "tube-4", "sheaf-2", "sheaf-2,2"])
+def test_rigid_subsets_carry_right_perpendicular(layer):
+    """Masks are the rigid sets of at most max_size objects in the
+    depth-first order, and each carried perpendicular is the right
+    perpendicular of its mask."""
+    kind, arg = layer.split("-")
+    if kind == "tube":
+        n = int(arg)
+        uni, max_size, ext = tube.tube_universe(n), n - 1, tube.ext_dim
+    else:
+        line = make_line(tuple(int(w) for w in arg.split(",")))
+        uni, max_size = wp.window_universe(line, -2, 3, ()), k_rank(line)
+        ext = functools.cache(sh.ext_dim_sheaf)
+    found = list(uni.rigid_subsets(uni.full, max_size))
+    assert [uni.members(m) for m, _ in found] == \
+        reference_rigid_subsets(uni.objects, max_size, ext)
+    rigid = {uni.mask(c) for r in range(max_size + 1)
+             for c in itertools.combinations(uni.objects, r) if tube.is_rigid_set(c, ext)}
+    assert len(found) == len(rigid) and {m for m, _ in found} == rigid
+    for mask, perp in found:
+        assert perp == uni.right_perp(mask), uni.members(mask)
+
+
+@pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
+@pytest.mark.parametrize("ids", [(), ("a", "b")])
+def test_sheaf_universe_strictly_sorted(weights, lo, hi, ids):
+    """build_poset compares sets by object index, which agrees with
+    sheaf_sort_key only while the universe is strictly increasing in it."""
+    line = make_line(weights)
+    for k in (0, 1, 2):
+        keys = [sh.sheaf_sort_key(x)
+                for x in wp.sheaf_universe(line, lo - k * line.p, hi + k * line.p, ids)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_poset_dot_digests():
+    """The DOT output of the five benchmark inputs, byte for byte."""
+    lines = (GOLDEN / "poset_dot_sha256.txt").read_text().splitlines()
+    assert len(lines) == len(BENCH_INPUTS)
+    for line in lines:
+        weights, lo, hi, digest = line.split()
+        poset = wp.build_poset(make_line(tuple(int(w) for w in weights.split(","))),
+                               int(lo), int(hi))
+        assert hashlib.sha256(wp.poset_dot(poset).encode()).hexdigest() == digest, weights
