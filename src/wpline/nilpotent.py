@@ -146,10 +146,19 @@ def _is_subpermutation(rep) -> bool:
     return True
 
 
-def _hom_basis_unionfind(a: NilpRep, b: NilpRep):
-    # Each commuting constraint between subpermutation maps identifies two
-    # entries of the morphism or forces one to zero, so components of a
-    # union-find graph give the basis directly.
+def hom_basis(a: NilpRep, b: NilpRep):
+    """Basis of the morphism space, each morphism a tuple of 0/1 matrices.
+
+    Both representations must have subpermutation maps (at most one
+    entry, a 1, per row and per column), as direct sums of arcs do.
+    Each commuting constraint then identifies two entries of the
+    morphism or forces one to zero, so the components of a union-find
+    graph give the basis directly.
+    """
+    if a.rank != b.rank:
+        raise ValueError("rank mismatch")
+    if not (_is_subpermutation(a) and _is_subpermutation(b)):
+        raise ValueError("hom_basis needs subpermutation maps")
     n = a.rank
     var = {}
     for i in range(n):
@@ -201,51 +210,6 @@ def _hom_basis_unionfind(a: NilpRep, b: NilpRep):
             mats[i][r][c] = 1
         basis.append(tuple(_freeze(m) for m in mats))
     return basis
-
-
-def _hom_basis_dense(a: NilpRep, b: NilpRep):
-    n = a.rank
-    offsets = []
-    total = 0
-    for i in range(n):
-        offsets.append(total)
-        total += b.dims[i] * a.dims[i]
-
-    def vindex(i, r, c):
-        return offsets[i] + r * a.dims[i] + c
-
-    rows = []
-    for i in range(n):
-        t = (i - 1) % n
-        for rp in range(b.dims[t]):
-            for c in range(a.dims[i]):
-                row = [0] * total
-                for k in range(a.dims[t]):
-                    if a.maps[i][k][c] != 0:
-                        row[vindex(t, rp, k)] += a.maps[i][k][c]
-                for r in range(b.dims[i]):
-                    if b.maps[i][rp][r] != 0:
-                        row[vindex(i, r, c)] -= b.maps[i][rp][r]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    basis_vecs = linalg.nullspace(rows, total)
-    basis = []
-    for v in basis_vecs:
-        mats = []
-        for i in range(n):
-            m = [[v[vindex(i, r, c)] for c in range(a.dims[i])] for r in range(b.dims[i])]
-            mats.append(m)
-        basis.append(tuple(_freeze(m) for m in mats))
-    return basis
-
-
-def hom_basis(a: NilpRep, b: NilpRep):
-    """Basis of the morphism space, each morphism a tuple of matrices."""
-    if a.rank != b.rank:
-        raise ValueError("rank mismatch")
-    if _is_subpermutation(a) and _is_subpermutation(b):
-        return _hom_basis_unionfind(a, b)
-    return _hom_basis_dense(a, b)
 
 
 def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:

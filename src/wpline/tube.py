@@ -18,10 +18,12 @@ tube enumerates its lattice over the arcs of length at most n.
 The linear-algebra oracle (nilpotent, linalg) serves only as an
 independent check: wide_closure, extension_middles, bongartz_complete,
 enumerate_wide_bruteforce and ext_dim_via_presentation run on it and
-read neither the closed form nor a universe table.  The closure indexes
-the arcs of rank n by integer ids, (length - 1) * n + socle, and keeps
-one lazily filled table from an ordered pair of ids to the id mask of
-the oracle's kernels, cokernels and extension middles of that pair.
+read neither the closed form nor a universe table.  Only this module
+and nilpotent use linalg.  Extension middles are enumerated exactly,
+one per orbit of Ext classes.  The closure indexes the arcs of rank n
+by integer ids, (length - 1) * n + socle, and keeps one lazily filled
+table from an ordered pair of ids to the id mask of the oracle's
+kernels, cokernels and extension middles of that pair.
 """
 
 from __future__ import annotations
@@ -178,38 +180,44 @@ def _middle_summands(b: Arc, cls) -> tuple:
     return tuple(out)
 
 
-def _scaled_sum_class(c1, c2, coef: int):
-    k_arc, p_arc, incl, g1 = c1
-    _, _, _, g2 = c2
-    g = tuple(tuple(tuple(g1[i][r][c] + coef * g2[i][r][c]
-                          for c in range(len(g1[i][r])))
-                    for r in range(len(g1[i])))
-              for i in range(len(g1)))
-    return (k_arc, p_arc, incl, g)
-
-
 def extension_middles(a: Arc, b: Arc):
-    """Iso-types of middle terms of extensions of a by b.
+    """Iso-types of the middle terms of the nonsplit extensions of a by b.
 
-    Middles are taken over every basis class; for Ext spaces of dimension
-    two or more, pairwise sums with small integer coefficients are added
-    and the resulting set of iso-types must already be stable before the
-    last coefficient, otherwise the sampling is reported as insufficient.
+    Exact, from the oracle alone (ext_classes and the Hom basis of
+    End(b)), by one middle per orbit representative:
+
+    - End(b) is the uniserial ring k[t]/(t^m), t the shift of b down by
+      the rank; its basis map of image length len b - j * rank is t^j
+      (times a unit).  Precomposing a map b -> tau a with t shortens its
+      image by the rank, so Hom(b, tau a) is cyclic over End(b), and so
+      is its dual Ext^1(a, b) (Serre duality is natural in b): it is
+      k[t]/(t^d), d its dimension, d <= m.
+    - Aut(b) has the orbits {0} and t^i g Aut(b), i < d, g a generator,
+      on it.  Aut(a) acts End(b)-linearly, so the orbits of
+      Aut(a) x Aut(b) are the same d + 1, and the middle is constant on
+      each.
+    - The generators are the classes outside the hyperplane t Ext^1, so
+      every basis has one.  Hence the pushouts t^i h of the basis
+      classes h along the d longest-image basis maps of End(b) meet
+      every nonzero orbit; each is zero or in some nonzero orbit.
+    - A class is zero exactly when its middle is a + b: a nonsplit short
+      exact sequence of modules of finite length never has the direct
+      sum of its ends as middle (Miyata 1967).  That middle is dropped.
     """
     classes = ext_classes(a, b)
-    middles = {_middle_summands(b, cls) for cls in classes}
-    if len(classes) >= 2:
-        seen_small = set(middles)
-        for i, j in itertools.combinations(range(len(classes)), 2):
-            for coef in (1, 2):
-                seen_small.add(_middle_summands(b, _scaled_sum_class(classes[i], classes[j], coef)))
-        seen_full = set(seen_small)
-        for i, j in itertools.combinations(range(len(classes)), 2):
-            seen_full.add(_middle_summands(b, _scaled_sum_class(classes[i], classes[j], 3)))
-        if seen_full != seen_small:
-            raise AssertionError("extension middle sampling did not stabilize")
-        middles = seen_full
+    powers = sorted(arc_hom_basis(b, b), key=_image_length, reverse=True)[:len(classes)]
+    split = tuple(sorted((a, b), key=Arc.sort_key))
+    rep_b = _rep(b)
+    middles = {_middle_summands(b, (k_arc, p_arc, incl, _compose(t, g, rep_b)))
+               for k_arc, p_arc, incl, g in classes for t in powers}
+    middles.discard(split)
     return middles
+
+
+def _image_length(f) -> int:
+    """Image length of a basis map between arcs: its matrices have one
+    entry 1 per basis vector of the image (nilpotent.hom_basis)."""
+    return sum(x != 0 for m in f for row in m for x in row)
 
 
 # ---------------------------------------------------------------------------

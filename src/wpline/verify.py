@@ -397,6 +397,17 @@ def criterion_11():
                    "; ".join(problems) if problems else "all pairs tagged, both posets")
 
 
+def _cinv_defining_sheaves(line, data):
+    """An exceptional sequence generating the defining torsion data of a
+    bundle-containing shift-invariant subcategory, as sheaves: the
+    independent path to its members."""
+    gens = []
+    for k, i in enumerate(line.weighted_indices()):
+        for arc in tube.extract_exc_sequence(data.defining_exc[k]):
+            gens.append(TorsionArc(line, i, arc))
+    return gens
+
+
 def criterion_12():
     """Shift-invariant round trip on the rank-2 line with two declared
     ordinary points."""
@@ -421,7 +432,7 @@ def criterion_12():
         rebuilt = widposet.c_inv_from_torsion_exc(line, back, ids)
         if rebuilt != d:
             problems.append("reconstruction differs")
-        gens = widposet._cinv_defining_sheaves(line, d)
+        gens = _cinv_defining_sheaves(line, d)
         members = cinv_snapshot(line, d, uni, bit)
         direct = frozenset(x for x in uni.objects if perp_membership(x, gens))
         if direct != frozenset(uni.members(members)):

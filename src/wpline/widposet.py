@@ -18,7 +18,7 @@ in it; Ext is filled by Serre duality, Ext(x, y) = Hom(y, tau x), with
 tau x the shift by the dualizing element.  Closures of rigid sets are
 double perpendiculars, the left perpendiculars of the right one the
 rigid-set search carries.  Bundles of a shift-invariant subcategory form
-the right perpendicular of its defining torsion sequence.  Rigid sets,
+the right perpendicular of its defining torsion subcategory.  Rigid sets,
 snapshots and records stay masks; the universe is sorted by
 sheaf_sort_key, so ascending index tuples order generators and nodes as
 sort-key tuples would, and sheaf objects are built only for clipped
@@ -147,14 +147,6 @@ def enumerate_wid_c(line: WeightData, universe_ids):
     return out
 
 
-def _cinv_defining_sheaves(line: WeightData, data: CInvData):
-    gens = []
-    for k, i in enumerate(line.weighted_indices()):
-        for arc in tube.extract_exc_sequence(data.defining_exc[k]):
-            gens.append(TorsionArc(line, i, arc))
-    return gens
-
-
 def torsion_bits(uni: tube.Universe) -> dict:
     """The bit of each torsion object of a window universe, keyed by
     (point, arc) at weighted points and by the id at ordinary ones."""
@@ -164,21 +156,28 @@ def torsion_bits(uni: tube.Universe) -> dict:
 
 def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe, bit: dict) -> int:
     """Members of a shift-invariant subcategory, as a mask over the
-    universe; `bit` is the universe's torsion_bits."""
+    universe; `bit` is the universe's torsion_bits.  The bundles of a
+    bundle-containing one are the right perpendicular of the members of
+    its defining torsion subcategory, all in the universe: that is the
+    perpendicular of any exceptional sequence generating it
+    (Geigle-Lenzing)."""
     members = _cinv_data_mask(line, data, uni, bit) & uni.full
     if data.contains_bundle:
         # distinct objects have distinct bits, so a sum of bits is their union
         bundles = uni.full & ~sum(bit.values())
-        defining = sum(bit[g.point, g.arc] for g in _cinv_defining_sheaves(line, data))
-        members |= uni.right_perp(defining) & bundles
+        members |= uni.right_perp(_arcs_mask(line, data.defining_exc, bit)) & bundles
     return members
+
+
+def _arcs_mask(line: WeightData, fps, bit: dict) -> int:
+    """The arcs of one tube fingerprint per weighted point, as a mask."""
+    return sum(bit[i, a] for fp, i in zip(fps, line.weighted_indices()) for a in fp.arcs)
 
 
 def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe, bit: dict) -> int:
     """Per-point arcs and ordinary support as a mask, plus one bit past the
     universe when bundles belong: inclusion of masks is inclusion."""
-    return (sum(bit[i, a] for fp, i in zip(data.per_point, line.weighted_indices())
-                for a in fp.arcs)
+    return (_arcs_mask(line, data.per_point, bit)
             + sum(bit[q] for q in data.ordinary_support)
             | data.contains_bundle << len(uni.objects))
 
@@ -453,10 +452,13 @@ def poset_json(poset: WidPoset) -> dict:
             "members": [format_sheaf(x) for x in sorted(n.snapshot, key=sheaf_sort_key)],
         })
     tags = {}
-    for u, v in poset.comparable_pairs():
-        t = poset.tags(u, v)
-        if t:
-            tags[f"{u.name}<{v.name}"] = list(t)
+    for i, u in enumerate(poset.nodes):
+        # the nodes above u split by their set of tags, read off u's rows
+        up, exc, cinv = poset.above[i], poset.exc[i], poset.cinv[i]
+        for mask, found in ((up & exc & ~cinv, ("exc",)), (up & cinv & ~exc, ("cinv",)),
+                            (up & exc & cinv, ("exc", "cinv"))):
+            for j in tube.bits(mask):
+                tags[f"{u.name}<{poset.nodes[j].name}"] = list(found)
     return {
         "schema": 1,
         "weights": list(poset.line.weights),

@@ -211,6 +211,10 @@ def test_exc_perp_decompose_rejects_full_arc():
 
 REF_PAIR_KC: dict = {}
 REF_PAIR_MID: dict = {}
+# one memo per oracle call for the whole module: the pair-table and the
+# middle tests read the same extensions
+extension_middles = functools.cache(tube.extension_middles)
+middle_summands = functools.cache(tube._middle_summands)
 
 
 def reference_pair_kernel_cokernel(a: Arc, b: Arc) -> frozenset:
@@ -268,7 +272,8 @@ def test_pair_table_matches_reference(n, monkeypatch):
     row is the set of summands the reference collects for the pair.
     Both read extension middles through one memo, because the oracle
     call is shared code and only the bookkeeping around it changed."""
-    monkeypatch.setattr(tube, "extension_middles", functools.cache(tube.extension_middles))
+    monkeypatch.setattr(tube, "extension_middles", extension_middles)
+    monkeypatch.setattr(tube, "_middle_summands", middle_summands)
     arcs = tube.all_arcs(n, 3 * n)
     for a, b in itertools.product(arcs, repeat=2):
         want = reference_pair_kernel_cokernel(a, b) | reference_pair_middles(a, b)
@@ -291,3 +296,74 @@ def test_closure_members_matches_reference(n, sample):
     for gens in subsets:
         for cap in (2 * n, 3 * n):
             assert tube.closure_members(gens, cap) == reference_closure_members(gens, cap), (gens, cap)
+
+
+# ---------------------------------------------------------------------------
+# exact extension middles against the sampler they replaced
+
+def scaled_sum_class(c1, c2, coef: int):
+    k_arc, p_arc, incl, g1 = c1
+    _, _, _, g2 = c2
+    g = tuple(tuple(tuple(g1[i][r][c] + coef * g2[i][r][c]
+                          for c in range(len(g1[i][r])))
+                    for r in range(len(g1[i])))
+              for i in range(len(g1)))
+    return (k_arc, p_arc, incl, g)
+
+
+def reference_extension_middles(a: Arc, b: Arc):
+    """Middles over every basis class and, for Ext of dimension two or
+    more, over pairwise sums with coefficients 1 and 2; coefficient 3
+    must add nothing, or the sample is reported as not stable."""
+    classes = tube.ext_classes(a, b)
+    middles = {middle_summands(b, cls) for cls in classes}
+    if len(classes) >= 2:
+        seen_small = set(middles)
+        for i, j in itertools.combinations(range(len(classes)), 2):
+            for coef in (1, 2):
+                seen_small.add(middle_summands(b, scaled_sum_class(classes[i], classes[j], coef)))
+        seen_full = set(seen_small)
+        for i, j in itertools.combinations(range(len(classes)), 2):
+            seen_full.add(middle_summands(b, scaled_sum_class(classes[i], classes[j], 3)))
+        assert seen_full == seen_small, "extension middle sampling did not stabilize"
+        middles = seen_full
+    return middles
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_extension_middles_match_sampler(n, monkeypatch):
+    """Every ordered pair of arcs up to three times the rank: the orbit
+    enumeration equals the sampler, no basis class has the split middle
+    (the premise that lets the enumeration drop it), and every middle
+    has the total length of its ends."""
+    monkeypatch.setattr(tube, "_middle_summands", middle_summands)
+    arcs = tube.all_arcs(n, 3 * n)
+    for a, b in itertools.product(arcs, repeat=2):
+        mids = extension_middles(a, b)
+        assert mids == reference_extension_middles(a, b), (a, b)
+        split = tuple(sorted((a, b), key=Arc.sort_key))
+        assert all(middle_summands(b, cls) != split for cls in tube.ext_classes(a, b)), (a, b)
+        assert all(sum(x.length for x in m) == a.length + b.length for m in mids), (a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_extension_middles_any_basis(n, monkeypatch):
+    """The enumeration holds for any basis of Ext, not only the oracle's
+    {g, t g, ...}: the basis h_j + (h_1 + ... + h_d) made from that one
+    has only generators, and the middles still match the sampler's."""
+    arcs = tube.all_arcs(n, 3 * n)
+    pairs = [(a, b) for a, b in itertools.product(arcs, repeat=2)
+             if len(tube.ext_classes(a, b)) >= 2]
+    assert pairs
+    monkeypatch.setattr(tube, "_middle_summands", middle_summands)
+    want = [reference_extension_middles(a, b) for a, b in pairs]
+    ext_classes = tube.ext_classes
+
+    def rotated(a, b):
+        classes = ext_classes(a, b)
+        total = functools.reduce(lambda c1, c2: scaled_sum_class(c1, c2, 1), classes)
+        return [scaled_sum_class(c, total, 1) for c in classes]
+
+    monkeypatch.setattr(tube, "ext_classes", rotated)
+    for (a, b), mids in zip(pairs, want):
+        assert tube.extension_middles(a, b) == mids, (a, b)

@@ -1,4 +1,5 @@
-"""The independent counter of criterion 1, and the exact-arithmetic rule."""
+"""The independent counter of criterion 1, the exact-arithmetic rule and
+the boundary of the linear-algebra oracle."""
 
 import ast
 import pathlib
@@ -95,3 +96,25 @@ def test_library_arithmetic_is_exact():
         found += [(path.name, line, kind) for line, kind in float_uses(tree, allowed)]
     assert found == []
     assert budgets == 3
+
+
+def imported_modules(tree):
+    """Names of the package modules a module imports, relative or absolute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = (node.module or "").removeprefix("wpline").lstrip(".")
+            if base:
+                yield base.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from (alias.name.removeprefix("wpline.") for alias in node.names)
+
+
+def test_only_the_oracle_imports_linalg():
+    """Exact linear algebra is the independent oracle behind the tube
+    layer: only nilpotent and tube may import linalg."""
+    root = pathlib.Path(wpline.__file__).parent
+    users = {path.stem for path in root.glob("*.py")
+             if "linalg" in imported_modules(ast.parse(path.read_text(), str(path)))}
+    assert users == {"nilpotent", "tube"}

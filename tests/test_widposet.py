@@ -9,6 +9,7 @@ import pytest
 
 from wpline.grading import make_line
 from wpline.ktheory import k_rank
+from wpline import linalg
 from wpline import sheaves as sh
 from wpline import tube
 from wpline import widposet as wp
@@ -333,7 +334,8 @@ def ref_certificate_ok(poset):
 def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
     """The bitset rows give the pairwise definitions: snapshot inclusion,
     generators inside the larger snapshot, and inclusion of invariant
-    data; 4 @ -4..2 is a window with undecidable pairs."""
+    data, also as the JSON tags; 4 @ -4..2 is a window with undecidable
+    pairs."""
     poset = wp.build_poset(make_line(weights), lo, hi, ids)
     nodes = poset.nodes
     for u in nodes:
@@ -345,6 +347,9 @@ def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
     assert [(u.name, v.name) for u, v in poset.comparable_pairs()] == \
         [(u.name, v.name) for u in nodes for v in nodes
          if u is not v and u.snapshot <= v.snapshot]
+    assert wp.poset_json(poset)["ord_tags"] == \
+        {f"{u.name}<{v.name}": list(poset.tags(u, v))
+         for u, v in poset.comparable_pairs() if poset.tags(u, v)}
     order = ref_order_messages(nodes)
     rest = [m for m in poset.undecidable if not m.startswith("order of ")]
     assert list(poset.undecidable) == rest + order
@@ -474,3 +479,47 @@ def test_poset_dot_digests():
         poset = wp.build_poset(make_line(tuple(int(w) for w in weights.split(","))),
                                int(lo), int(hi))
         assert hashlib.sha256(wp.poset_dot(poset).encode()).hexdigest() == digest, weights
+
+
+# ---------------------------------------------------------------------------
+# the build without linear algebra
+
+@pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
+def test_build_poset_makes_no_linear_algebra(weights, lo, hi, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("linear algebra in the poset build")
+
+    for name in ("rank", "rref", "nullspace", "solve", "mat_vec", "mat_mul"):
+        monkeypatch.setattr(linalg, name, forbidden)
+    assert wp.build_poset(make_line(weights), lo, hi).nodes
+
+
+def reference_cinv_snapshot(line, data, uni):
+    """Per-point arcs and ordinary simples, and the bundles in the right
+    perpendicular of an exceptional sequence generating the defining
+    data, extracted per point by the tube layer."""
+    widx = line.weighted_indices()
+    members = uni.mask([sh.TorsionArc(line, i, a) for fp, i in zip(data.per_point, widx)
+                        for a in fp.arcs]
+                       + [sh.OrdinaryTorsion(line, q, 1) for q in data.ordinary_support])
+    if data.contains_bundle:
+        seq = uni.mask(sh.TorsionArc(line, i, a) for fp, i in zip(data.defining_exc, widx)
+                       for a in tube.extract_exc_sequence(fp))
+        bundles = uni.mask(x for x in uni.objects if isinstance(x, sh.LineBundle))
+        members |= uni.right_perp(seq) & bundles
+    return members
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids",
+                         [(*inp, ()) for inp in BENCH_INPUTS] + [((1, 1), -2, 3, ("0", "1"))])
+def test_cinv_snapshot_matches_defining_sequence(weights, lo, hi, ids):
+    """The perpendicular of the defining subcategory is that of the
+    exceptional sequence extracted from it, on every shift-invariant
+    subcategory."""
+    line = make_line(weights)
+    uni = margin_universe(weights, lo, hi, ids)
+    bit = wp.torsion_bits(uni)
+    datas = wp.enumerate_wid_c(line, ids)
+    assert any(d.contains_bundle for d in datas)
+    for data in datas:
+        assert wp.cinv_snapshot(line, data, uni, bit) == reference_cinv_snapshot(line, data, uni), data
