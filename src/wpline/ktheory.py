@@ -209,7 +209,8 @@ def euler_form(line: WeightData, x, y) -> int:
     t = _table(line)
     if len(x) != t.rank or len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
-    return sum(map(mul, x, [sum(map(mul, row, y)) for row in t.euler]))
+    # classes of sheaves are sparse; rows under a zero coefficient of x are skipped
+    return sum([a * sum(map(mul, row, y)) for a, row in zip(x, t.euler) if a])
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,23 @@
 Three kinds of indecomposables are modeled: line bundles O(l) on lines
 with at most two weighted points (there every indecomposable bundle has
 rank one), torsion arcs supported at a weighted point, and finite
-torsion stalks at ordinary points.  Hom dimensions come from a closed
-case table; Ext is Hom into the shift by the dualizing element, and a
-second, independent computation path exists for cross-checking.
+torsion stalks at ordinary points.  Hom and Ext dimensions come from
+closed case tables read off normal forms and arc data; neither builds a
+sheaf, a grading element or an arc per call.  A second, independent Ext
+path exists for cross-checking.
 
 Hom between bundles O(a) -> O(b) is a borrow count read off the two
 normal forms, max(0, b.c - a.c - #{i : b_i < a_i} + 1), without building
-the element b - a.  The alternate Ext path stays on GradeElement
-arithmetic, dim_S(a + omega - b), so the two Ext paths remain
+the element b - a; Hom from O(a) to an arc counts the windings of the
+arc over the index a_i of its point.  Ext^1(a, b) = D Hom(b, tau a) by
+Serre duality (Geigle-Lenzing), where tau is the shift by the dualizing
+element omega, of normal form (p_i - 1; -2).  ext_dim_sheaf folds that
+shift into the same counts (the derivation is in its docstring);
+tau_sheaf still builds the translate for the universe fill and `perp`.
+
+The alternate Ext path stays on GradeElement arithmetic, dim_S(a + omega
+- b), for bundles and on projective presentations for torsion pairs.
+It shares no helper with ext_dim_sheaf, so the two Ext paths remain
 independent.  The value classes are slotted and the line guards test
 identity before equality, because every object of a query shares one
 WeightData.
@@ -130,8 +139,11 @@ def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
             return t + 1 if t >= 0 else 0
         if isinstance(b, TorsionArc):
             # a map lands on each factor whose index matches the degree
-            # coefficient at the supporting point
-            return b.arc.factor_counts()[a.degree.coeffs[b.point]]
+            # coefficient at the supporting point: the first one is r
+            # steps above the socle, then one every winding
+            p, length = b.arc.rank, b.arc.length
+            r = (a.degree.coeffs[b.point] - b.arc.socle) % p
+            return 0 if r >= length else (length - 1 - r) // p + 1
         return b.length
     if isinstance(b, LineBundle):
         return 0
@@ -142,14 +154,47 @@ def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
     if isinstance(a, OrdinaryTorsion) and isinstance(b, OrdinaryTorsion):
         if a.point_id != b.point_id:
             return 0
-        return tube.hom_dim(Arc(1, 0, a.length), Arc(1, 0, b.length))
+        return min(a.length, b.length)
     return 0
 
 
 def ext_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
-    """Ext^1(a, b) = Hom(b, tau a) by Serre duality."""
+    """Ext^1(a, b) = D Hom(b, tau a) by Serre duality, in closed form.
+
+    tau is the shift by omega = (p_i - 1; -2), so every case is a Hom
+    count of hom_dim_sheaf with the shift folded in:
+
+    - O(x) -> O(y): tau O(x) = O(z) with z_i = x_i - 1 and one c carried
+      where x_i >= 1, z_i = p_i - 1 where x_i = 0, and z.c = x.c - 2 plus
+      the carries.  In the borrow count of Hom(O(y), O(z)) a carry
+      survives its borrow [y_i > z_i] exactly when y_i < x_i, and no y_i
+      exceeds p_i - 1, so t = x.c - y.c - 2 + #{i : y_i < x_i}.
+    - bundle -> torsion: Hom(torsion, bundle) = 0.
+    - arc a at point i -> O(y): tau a is a with its socle moved back one
+      step, so the windings of Hom(O(y), tau a) start at
+      r = (y_i - a.socle + 1) mod p.
+    - ordinary torsion of length l -> bundle: tau fixes it, so l.
+    - two arcs at one point: tube.ext_dim; two ordinary stalks at one
+      point: the shorter length; every other pair: 0.
+    """
     _same_line(a, b)
-    return hom_dim_sheaf(b, tau_sheaf(a))
+    if isinstance(a, LineBundle):
+        if isinstance(b, LineBundle):
+            x, y = a.degree, b.degree
+            t = x.c_part - y.c_part - 2 + sum(map(lt, y.coeffs, x.coeffs))
+            return t + 1 if t >= 0 else 0
+        return 0
+    if isinstance(b, LineBundle):
+        if isinstance(a, TorsionArc):
+            p, length = a.arc.rank, a.arc.length
+            r = (b.degree.coeffs[a.point] - a.arc.socle + 1) % p
+            return 0 if r >= length else (length - 1 - r) // p + 1
+        return a.length
+    if isinstance(a, TorsionArc) and isinstance(b, TorsionArc):
+        return tube.ext_dim(a.arc, b.arc) if a.point == b.point else 0
+    if isinstance(a, OrdinaryTorsion) and isinstance(b, OrdinaryTorsion):
+        return min(a.length, b.length) if a.point_id == b.point_id else 0
+    return 0
 
 
 def ext_dim_sheaf_alt(a: IndecSheaf, b: IndecSheaf) -> int:

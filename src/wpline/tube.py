@@ -1,12 +1,12 @@
 """Wide subcategories of a rank-n tube, and the perpendicular calculus.
 
-Objects of the tube are arcs (see nilpotent.Arc).  Hom between arcs is
-a closed-form winding count and Ext is Hom into the translate (Serre
-duality).  Wide subcategories are represented by their fingerprint: the
-set of member arcs of length at most n, which determines the
-subcategory.  A fingerprint is exceptional ("exc") exactly when it has
-no member of full length n, equivalently when its factors miss at least
-one simple.
+Objects of the tube are arcs (see nilpotent.Arc).  Hom and Ext between
+arcs are closed-form winding counts, Ext counted as Hom into the
+translate (Serre duality) without building it.  Wide subcategories are
+represented by their fingerprint: the set of member arcs of length at
+most n, which determines the subcategory.  A fingerprint is exceptional
+("exc") exactly when it has no member of full length n, equivalently
+when its factors miss at least one simple.
 
 The perpendicular calculus is shared with the sheaf layer: a Universe
 indexes a finite set of objects and keeps, per object, the bitsets of
@@ -76,8 +76,18 @@ def hom_dim(a: Arc, b: Arc) -> int:
 
 
 def ext_dim(a: Arc, b: Arc) -> int:
-    """Dimension of Ext^1(a, b) = Hom(b, tau a) by Serre duality."""
-    return hom_dim(b, a.tau())
+    """Dimension of Ext^1(a, b) = Hom(b, tau a) by Serre duality.
+
+    This is the winding count of hom_dim(b, tau a): tau a is a with its
+    socle moved back one step, so the shortest image runs from the top
+    of b down to a.socle - 1.
+    """
+    n = a.rank
+    if n != b.rank:
+        raise ValueError("arcs from tubes of different rank")
+    first = (b.top - a.socle + 1) % n + 1
+    shortest = min(a.length, b.length)
+    return 0 if first > shortest else (shortest - first) // n + 1
 
 
 def is_exceptional(a: Arc) -> bool:

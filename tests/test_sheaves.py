@@ -2,10 +2,12 @@
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 
 from wpline.grading import dim_S, make_line
+from wpline import grading
 from wpline import sheaves as sh
 from wpline import tube
 from wpline.nilpotent import Arc
@@ -228,3 +230,68 @@ def test_slotted_value_classes_are_frozen(obj, field):
     # frozen slotted dataclass refuses it with TypeError instead
     with pytest.raises((dataclasses.FrozenInstanceError, TypeError, AttributeError)):
         obj.extra = 1
+
+
+def reference_ext(a, b):
+    """Ext^1(a, b) as Hom into the built translate, by Serre duality."""
+    return sh.hom_dim_sheaf(b, sh.tau_sheaf(a))
+
+
+def kind_grid(line, c_span, turns):
+    """Bundles within c_span canonical steps, arcs of up to `turns`
+    windings at every weighted point, and ordinary stalks at q."""
+    objs = [sh.line_bundle(line, coeffs, c)
+            for coeffs in itertools.product(*(range(p) for p in line.weights))
+            for c in range(-c_span, c_span + 1)]
+    for i in line.weighted_indices():
+        p = line.weights[i]
+        objs += [sh.TorsionArc(line, i, Arc(p, s, l))
+                 for s in range(p) for l in range(1, turns * p + 1)]
+    return objs + [sh.OrdinaryTorsion(line, "q", l) for l in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("line", QUERY_LINES + [make_line((3, 4))],
+                         ids=lambda line: ",".join(map(str, line.weights)))
+def test_closed_ext_matches_tau_path_and_alt(line):
+    """The closed Ext equals Hom into the built translate and the
+    independent dim_S/presentation path, on all nine kind pairs."""
+    objs = kind_grid(line, 1, 2)
+    kinds = set()
+    for a, b in itertools.product(objs, repeat=2):
+        e = sh.ext_dim_sheaf(a, b)
+        assert e == reference_ext(a, b) == sh.ext_dim_sheaf_alt(a, b), (a, b)
+        kinds.add((type(a), type(b)))
+    assert len(kinds) == (9 if line.weighted_indices() else 4)
+
+
+@pytest.mark.parametrize("line", QUERY_LINES + [make_line((3, 4))],
+                         ids=lambda line: ",".join(map(str, line.weights)))
+def test_closed_bundle_to_arc_hom_counts_factors(line):
+    """The winding count from O(x) to an arc is the number of its
+    composition factors with the index x_i."""
+    objs = kind_grid(line, 1, 3)
+    arcs = [t for t in objs if isinstance(t, sh.TorsionArc)]
+    for o in (x for x in objs if isinstance(x, sh.LineBundle)):
+        for t in arcs:
+            assert sh.hom_dim_sheaf(o, t) == \
+                t.arc.factor_counts()[o.degree.coeffs[t.point]], (o, t)
+
+
+def test_closed_dimensions_build_no_objects(monkeypatch):
+    """Hom and Ext on a seeded sample of query pairs neither shift,
+    translate nor normalize."""
+    rng = random.Random(20231)
+    pairs = []
+    for line in QUERY_LINES:
+        objs = kind_grid(line, 6, 1)
+        pairs += [(rng.choice(objs), rng.choice(objs)) for _ in range(400)]
+    expected = [(sh.hom_dim_sheaf(a, b), reference_ext(a, b)) for a, b in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("object built on the closed Hom/Ext path")
+
+    monkeypatch.setattr(sh, "shift", forbidden)
+    monkeypatch.setattr(sh, "tau_sheaf", forbidden)
+    monkeypatch.setattr(grading, "normalize", forbidden)
+    monkeypatch.setattr(Arc, "tau", forbidden)
+    assert [(sh.hom_dim_sheaf(a, b), sh.ext_dim_sheaf(a, b)) for a, b in pairs] == expected

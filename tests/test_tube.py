@@ -31,6 +31,17 @@ def test_ext_is_hom_into_translate():
             assert tube.ext_dim(a, b) == len(tube.arc_hom_basis(b, a.tau())), (a, b)
 
 
+def test_closed_ext_matches_translate_and_presentation():
+    """The closed Ext winding count equals Hom into the built translate
+    and, on arcs up to full length, the presentation count."""
+    for n in range(1, 6):
+        arcs = list(tube.all_arcs(n, 2 * n + 1))
+        for a, b in itertools.product(arcs, repeat=2):
+            assert tube.ext_dim(a, b) == tube.hom_dim(b, a.tau()), (a, b)
+            if a.length <= n and b.length <= n:
+                assert tube.ext_dim(a, b) == tube.ext_dim_via_presentation(a, b), (a, b)
+
+
 def test_ext_presentation_path_agrees():
     """Projective-free presentation count equals the duality count."""
     for n in range(1, 4):
