@@ -184,11 +184,6 @@ def basis_sheaves(line: WeightData):
     return out
 
 
-def delta_class(line: WeightData) -> tuple[int, ...]:
-    """The null class [O(c)] - [O]."""
-    return _table(line).delta
-
-
 def class_of(s: IndecSheaf) -> tuple[int, ...]:
     t = _table(s.line)
     if isinstance(s, LineBundle):
@@ -227,9 +222,6 @@ class WeylElement:
         if _mul(tuple(zip(*self.matrix)), _mul(t.sym, self.matrix)) != t.sym:
             raise ValueError("matrix does not preserve the symmetrized form")
 
-    def apply(self, x):
-        return tuple(sum(map(mul, row, x)) for row in self.matrix)
-
     def compose(self, other: "WeylElement") -> "WeylElement":
         if self.line is not other.line and self.line != other.line:
             raise ValueError("elements over different lines")
@@ -237,17 +229,6 @@ class WeylElement:
 
     def inverse(self) -> "WeylElement":
         return WeylElement(self.line, _inverse(self.matrix))
-
-    def is_identity(self) -> bool:
-        m = k_rank(self.line)
-        return all(self.matrix[u][v] == (1 if u == v else 0)
-                   for u in range(m) for v in range(m))
-
-
-def identity_weyl(line: WeightData) -> WeylElement:
-    m = k_rank(line)
-    return WeylElement(line, tuple(tuple(1 if u == v else 0 for v in range(m))
-                                   for u in range(m)))
 
 
 def _root(line: WeightData, s: IndecSheaf):

@@ -53,9 +53,6 @@ class Arc:
     def tau(self) -> "Arc":
         return Arc(self.rank, (self.socle - 1) % self.rank, self.length)
 
-    def tau_inv(self) -> "Arc":
-        return Arc(self.rank, (self.socle + 1) % self.rank, self.length)
-
     def sort_key(self):
         return (self.socle, self.length)
 

@@ -102,10 +102,6 @@ def stack_at(line: WeightData, point: int, top_j: int, m: int) -> TorsionArc:
     return TorsionArc(line, point, Arc(p, (top_j - m + 1) % p, m))
 
 
-def ordinary_simple(line: WeightData, point_id: str) -> OrdinaryTorsion:
-    return OrdinaryTorsion(line, point_id, 1)
-
-
 def _same_line(a: IndecSheaf, b: IndecSheaf):
     if a.line is not b.line and a.line != b.line:
         raise ValueError("sheaves from different lines")

@@ -23,7 +23,9 @@ and nilpotent use linalg.  Extension middles are enumerated exactly,
 one per orbit of Ext classes.  The closure indexes the arcs of rank n
 by integer ids, (length - 1) * n + socle, and keeps one lazily filled
 table from an ordered pair of ids to the id mask of the oracle's
-kernels, cokernels and extension middles of that pair.
+kernels, cokernels and extension middles of that pair.  It closes at
+the rank: no member longer than n is needed to reach one of length at
+most n (the proof is at closure_members).
 """
 
 from __future__ import annotations
@@ -206,22 +208,33 @@ def extension_middles(a: Arc, b: Arc):
       on it.  Aut(a) acts End(b)-linearly, so the orbits of
       Aut(a) x Aut(b) are the same d + 1, and the middle is constant on
       each.
-    - The generators are the classes outside the hyperplane t Ext^1, so
-      every basis has one.  Hence the pushouts t^i h of the basis
-      classes h along the d longest-image basis maps of End(b) meet
-      every nonzero orbit; each is zero or in some nonzero orbit.
+    - The generators are the classes h with t^(d-1) h != 0, those outside
+      the hyperplane t Ext^1, so every basis has one.  The pushouts t^i g,
+      i < d, of one generator g along the d longest-image basis maps of
+      End(b) meet every nonzero orbit.
     - A class is zero exactly when its middle is a + b: a nonsplit short
       exact sequence of modules of finite length never has the direct
-      sum of its ends as middle (Miyata 1967).  That middle is dropped.
+      sum of its ends as middle (Miyata 1967).  So the basis classes are
+      walked until the pushout of one along the shortest of those maps,
+      t^(d-1), has a nonsplit middle; that class is a generator, and it
+      is pushed out along the other d - 1 maps.
     """
     classes = ext_classes(a, b)
-    powers = sorted(arc_hom_basis(b, b), key=_image_length, reverse=True)[:len(classes)]
+    if not classes:
+        return set()
+    *longer, shortest = sorted(arc_hom_basis(b, b), key=_image_length, reverse=True)[:len(classes)]
     split = tuple(sorted((a, b), key=Arc.sort_key))
     rep_b = _rep(b)
-    middles = {_middle_summands(b, (k_arc, p_arc, incl, _compose(t, g, rep_b)))
-               for k_arc, p_arc, incl, g in classes for t in powers}
-    middles.discard(split)
-    return middles
+
+    def pushout(cls, t):
+        k_arc, p_arc, incl, g = cls
+        return _middle_summands(b, (k_arc, p_arc, incl, _compose(t, g, rep_b)))
+
+    for cls in classes:
+        last = pushout(cls, shortest)
+        if last != split:
+            return {last} | {pushout(cls, t) for t in longer}
+    raise AssertionError("no generator among the basis classes of Ext^1")
 
 
 def _image_length(f) -> int:
@@ -288,23 +301,45 @@ class TubeWideFingerprint:
         return (len(self.arcs), tuple(a.sort_key() for a in self.sorted_arcs()))
 
 
-def closure_members(gens, cap: int) -> frozenset:
-    """Arcs of length <= cap in the wide closure of the generators.
+def closure_members(gens) -> frozenset:
+    """Arcs of length at most the rank n in the wide closure of the
+    generators.
 
-    Members are a mask over integer arc ids (`arc_id`).  The closure is
-    semi-naive: rows never change, so a pass ORs the pair-table rows
-    (`_pair_row`: kernels, cokernels and extension middles) of only the
-    ordered pairs with a member that the previous pass added, each pair
-    once, and keeps the ids below the cap; the loop stops when a pass
-    adds nothing.  The table is filled from the linear-algebra oracle
-    alone, so the closure reads neither the closed-form Hom nor a
-    universe.
+    Members are a mask over integer arc ids (`arc_id`), kept below n * n.
+    The closure is semi-naive: rows never change, so a pass ORs the
+    pair-table rows (`_pair_row`: kernels, cokernels and extension
+    middles) of only the ordered pairs with a member that the previous
+    pass added, each pair once; the loop stops when a pass adds nothing.
+    The table is filled from the linear-algebra oracle alone, so the
+    closure reads neither the closed-form Hom nor a universe.
+
+    Closing at the rank is exact.  Let W be the wide closure of
+    generators of length <= n and C the fixpoint computed here, which
+    lies in W.
+    - The bricks of a rank-n tube are the arcs of length <= n, since
+      End(a) has dimension (len a - 1) // n + 1.
+    - A wide subcategory is the filtration closure of its relative
+      simples, which are bricks, and the filtration closure of any
+      semibrick is wide (Ringel 1976).
+    - Let S be the members of C with no proper nonzero sub-arc in C.
+      They are pairwise Hom-orthogonal bricks: a nonzero basis map
+      s -> s' has its kernel, a proper sub-arc of s, in C, so it is
+      mono, and its image, a sub-arc of s' in C, is all of s'.  They
+      filter every x in C: a proper sub-arc y of x in C puts x / y in
+      C, as the cokernel of the inclusion, which spans Hom(y, x).  So
+      Filt(S) is wide and holds the generators, and W lies in it.
+    - A filtration of an arc x of length <= n runs through its own
+      sub-arcs: each is the middle of a nonsplit extension of a factor
+      by the previous sub-arc, all of length <= n.  With factors in S,
+      each sub-arc lies in C by induction.
+    So no member longer than n is ever needed to reach a member of
+    length <= n: C is every arc of length <= n in W.
     """
     gens = list(gens)
     if not gens:
         return frozenset()
     n = gens[0].rank
-    capped = (1 << cap * n) - 1
+    capped = (1 << n * n) - 1
     members = new = _id_mask(gens) & capped
     while new:
         ids = list(bits(members))
@@ -323,40 +358,26 @@ def closure_members(gens, cap: int) -> frozenset:
 _CLOSURE_CACHE: dict = {}
 
 
-def wide_closure(gens, check_stability: bool = True) -> TubeWideFingerprint:
-    """Fingerprint of the wide closure of a set of arcs.
-
-    Kernels, cokernels and extension middles are accumulated up to twice
-    the rank.  The truncation is guarded by recomputing up to three times
-    the rank and insisting on the same fingerprint.
-    """
+def wide_closure(gens) -> TubeWideFingerprint:
+    """Fingerprint of the wide closure of a set of arcs of length at most
+    the rank (see closure_members)."""
     gens = list(gens)
     if not gens:
         raise ValueError("closure of no generators: pass the rank explicitly via an arc")
     n = gens[0].rank
     if any(g.rank != n for g in gens):
         raise ValueError("generators from tubes of different rank")
-    key = (n, frozenset(gens), check_stability)
-    hit = _CLOSURE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    members = closure_members(gens, 2 * n)
-    fp = TubeWideFingerprint(n, frozenset(a for a in members if a.length <= n))
-    if check_stability:
-        wider = closure_members(gens, 3 * n)
-        fp2 = TubeWideFingerprint(n, frozenset(a for a in wider if a.length <= n))
-        if fp != fp2:
-            raise AssertionError("wide closure unstable under cap increase")
-    _CLOSURE_CACHE[key] = fp
+    if any(g.length > n for g in gens):
+        raise ValueError("generators longer than the rank")
+    key = (n, frozenset(gens))
+    fp = _CLOSURE_CACHE.get(key)
+    if fp is None:
+        fp = _CLOSURE_CACHE[key] = TubeWideFingerprint(n, closure_members(gens))
     return fp
 
 
 def zero_fingerprint(n: int) -> TubeWideFingerprint:
     return TubeWideFingerprint(n, frozenset())
-
-
-def whole_fingerprint(n: int) -> TubeWideFingerprint:
-    return TubeWideFingerprint(n, frozenset(all_arcs(n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +597,7 @@ def enumerate_wide_bruteforce(n: int) -> frozenset:
         for combo in itertools.combinations(universe, r):
             fp_arcs = frozenset(combo)
             if combo:
-                fp = wide_closure(combo, check_stability=False)
+                fp = wide_closure(combo)
             else:
                 fp = zero_fingerprint(n)
             if fp.arcs == fp_arcs:
@@ -614,7 +635,6 @@ def bongartz_complete(part_a, part_b):
     if is_rigid_set(union, ext):
         return tuple(union)
     target = wide_closure(union)
-    members = closure_members(union, 2 * n)
     semi = []
     for b in part_b:
         for a in part_a:
@@ -623,8 +643,8 @@ def bongartz_complete(part_a, part_b):
                     for arc in summands:
                         if is_exceptional(arc) and arc not in semi:
                             semi.append(arc)
-    pool = [x for x in semi if x in members and x not in part_b]
-    for x in part_a + sorted(members, key=lambda a: a.sort_key()):
+    pool = [x for x in semi if x in target.arcs and x not in part_b]
+    for x in part_a + target.sorted_arcs():
         if is_exceptional(x) and x not in pool and x not in part_b:
             pool.append(x)
     base = tuple(part_b)
@@ -633,7 +653,7 @@ def bongartz_complete(part_a, part_b):
             cand = sorted(set(base) | {pool[i] for i in extra}, key=lambda a: a.sort_key())
             if not is_rigid_set(cand, ext):
                 continue
-            if wide_closure(cand, check_stability=False) == target:
+            if wide_closure(cand) == target:
                 return tuple(cand)
     raise AssertionError("no rigid completion found in the closure")
 

@@ -477,9 +477,7 @@ def criterion_13():
                 if not tube.is_rigid_set(comp):
                     problems.append(f"rank {n}: completion not rigid")
                     continue
-                if tube.wide_closure(comp, check_stability=False) != \
-                        tube.wide_closure(sorted(union, key=lambda a: a.sort_key()),
-                                          check_stability=False):
+                if tube.wide_closure(comp) != tube.wide_closure(union):
                     problems.append(f"rank {n}: closure mismatch for {part_a}+{part_b}")
                     continue
                 seq = tube.order_exc_sequence(comp)

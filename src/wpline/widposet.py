@@ -216,9 +216,6 @@ class WidPoset:
     def node(self, name: str) -> PosetNode:
         return self.nodes[self._index[name]]
 
-    def leq(self, u: PosetNode, v: PosetNode) -> bool:
-        return u is v or bool(self.above[self._index[u.name]] >> self._index[v.name] & 1)
-
     def tags(self, u: PosetNode, v: PosetNode):
         """Certifying mechanisms for u <= v."""
         i, j = self._index[u.name], self._index[v.name]

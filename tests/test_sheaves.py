@@ -85,7 +85,7 @@ def test_no_maps_from_torsion_to_bundles():
 def test_ordinary_point_dimensions():
     for line, ids in ((LINE11, ("0",)), (LINE2, ("x",))):
         O = sh.line_bundle(line, (0, 0))
-        t = sh.ordinary_simple(line, ids[0])
+        t = sh.OrdinaryTorsion(line, ids[0], 1)
         assert sh.hom_dim_sheaf(O, t) == 1
         assert sh.hom_dim_sheaf(t, O) == 0
         assert sh.ext_dim_sheaf(O, t) == 0
@@ -101,7 +101,7 @@ def test_shift_compose_and_identity():
     objs = [sh.line_bundle(LINE2, (1, 0), -1),
             sh.simple_at(LINE2, 0, 1),
             sh.stack_at(LINE2, 0, 0, 2),
-            sh.ordinary_simple(LINE2, "q")]
+            sh.OrdinaryTorsion(LINE2, "q", 1)]
     for s in objs:
         assert sh.shift(s, z) == s
         assert sh.shift(sh.shift(s, x), c) == sh.shift(s, x + c)
@@ -113,7 +113,7 @@ def test_shift_rotates_torsion_socle():
     assert sh.shift(S0, x) == sh.simple_at(LINE2, 0, 1)
     # the canonical class fixes every torsion sheaf
     assert sh.shift(S0, LINE2.canonical()) == S0
-    t = sh.ordinary_simple(LINE2, "q")
+    t = sh.OrdinaryTorsion(LINE2, "q", 1)
     assert sh.shift(t, x) == t
 
 
@@ -131,7 +131,7 @@ def test_ext_paths_agree_on_sample():
     objs = bundles(LINE23, -2, 2) + [
         sh.simple_at(LINE23, 0, 0), sh.simple_at(LINE23, 0, 1),
         sh.simple_at(LINE23, 1, 2), sh.stack_at(LINE23, 1, 1, 2),
-        sh.ordinary_simple(LINE23, "q")]
+        sh.OrdinaryTorsion(LINE23, "q", 1)]
     for a, b in itertools.product(objs, repeat=2):
         assert sh.ext_dim_sheaf(a, b) == sh.ext_dim_sheaf_alt(a, b), (a, b)
 
@@ -139,7 +139,7 @@ def test_ext_paths_agree_on_sample():
 def test_torsion_dimensions_cross_points_vanish():
     s = sh.simple_at(LINE23, 0, 0)
     t = sh.simple_at(LINE23, 1, 0)
-    q = sh.ordinary_simple(LINE23, "q")
+    q = sh.OrdinaryTorsion(LINE23, "q", 1)
     for a, b in ((s, t), (t, s), (s, q), (q, s)):
         assert sh.hom_dim_sheaf(a, b) == 0
         assert sh.ext_dim_sheaf(a, b) == 0
@@ -149,7 +149,7 @@ def test_exceptional_objects():
     assert sh.is_exceptional_sheaf(sh.line_bundle(LINE2, (0, 0)))
     assert sh.is_exceptional_sheaf(sh.simple_at(LINE2, 0, 0))
     assert not sh.is_exceptional_sheaf(sh.stack_at(LINE2, 0, 0, 2))
-    assert not sh.is_exceptional_sheaf(sh.ordinary_simple(LINE2, "q"))
+    assert not sh.is_exceptional_sheaf(sh.OrdinaryTorsion(LINE2, "q", 1))
     assert sh.is_exceptional_sheaf(sh.stack_at(LINE23, 1, 0, 2))
     assert not sh.is_exceptional_sheaf(sh.stack_at(LINE23, 1, 0, 3))
 
@@ -176,7 +176,7 @@ def test_format_round_trip_spot():
     assert sh.format_sheaf(sh.line_bundle(LINE2, (1, 0), -1)) == "O(1,0;-1)"
     assert sh.format_sheaf(sh.simple_at(LINE2, 0, 1)) == "S(inf,1)"
     assert sh.format_sheaf(sh.stack_at(LINE2, 0, 1, 2)) == "S[2](inf,1)"
-    assert sh.format_sheaf(sh.ordinary_simple(LINE2, "q")) == "ord(q,1)"
+    assert sh.format_sheaf(sh.OrdinaryTorsion(LINE2, "q", 1)) == "ord(q,1)"
 
 
 def test_mixed_lines_rejected():
@@ -220,7 +220,7 @@ def test_line_guards_compare_equal_lines_by_value():
     (Arc(2, 0, 1), "length"),
     (sh.line_bundle(LINE2, (0, 0)), "degree"),
     (sh.simple_at(LINE2, 0, 1), "point"),
-    (sh.ordinary_simple(LINE2, "q"), "length"),
+    (sh.OrdinaryTorsion(LINE2, "q", 1), "length"),
 ])
 def test_slotted_value_classes_are_frozen(obj, field):
     assert not hasattr(obj, "__dict__")

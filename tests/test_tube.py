@@ -95,25 +95,33 @@ def test_rank_two_lattice_frozen():
     ]
 
 
+def whole_fingerprint(n):
+    return tube.TubeWideFingerprint(n, frozenset(tube.all_arcs(n, n)))
+
+
 def test_wide_closure_of_two_simples_is_whole():
     f = tube.wide_closure([Arc(2, 0, 1), Arc(2, 1, 1)])
-    assert f == tube.whole_fingerprint(2)
+    assert f == whole_fingerprint(2)
     assert not f.exc
 
 
 def test_wide_closure_idempotent():
-    # stability of the cap is exercised separately; a closed member set
-    # only needs the fixpoint property here
     for n in (2, 3):
         for f in tube.enumerate_wide(n):
             if not f.arcs:
                 continue
-            assert tube.wide_closure(f.arcs, check_stability=False) == f
+            assert tube.wide_closure(f.arcs) == f
 
 
 def test_wide_closure_needs_rank_for_empty_input():
     with pytest.raises(ValueError):
         tube.wide_closure(())
+
+
+@pytest.mark.parametrize("gens", [[Arc(2, 0, 5)], [Arc(2, 0, 1), Arc(2, 1, 3)], [Arc(1, 0, 2)]])
+def test_wide_closure_rejects_generators_longer_than_rank(gens):
+    with pytest.raises(ValueError, match="longer than the rank"):
+        tube.wide_closure(gens)
 
 
 def test_perp_pair_swaps_halves_and_inverts():
@@ -128,7 +136,7 @@ def test_perp_pair_swaps_halves_and_inverts():
 
 def test_perp_pair_frozen_examples():
     zero = tube.zero_fingerprint(3)
-    assert tube.perp_pair(zero) == tube.whole_fingerprint(3)
+    assert tube.perp_pair(zero) == whole_fingerprint(3)
     # one simple in the rank 2 tube faces the opposite full arc
     f = tube.wide_closure([Arc(2, 0, 1)])
     assert sorted((a.socle, a.length) for a in tube.perp_pair(f).arcs) == [(1, 2)]
@@ -297,16 +305,36 @@ def generator_subsets(n):
     return [combo for r in range(len(arcs) + 1) for combo in itertools.combinations(arcs, r)]
 
 
-@pytest.mark.parametrize("n, sample", [(2, None), (3, 60)])
+@pytest.mark.parametrize("n, sample", [(1, None), (2, None), (3, 60)])
 def test_closure_members_matches_reference(n, sample):
-    """Every generator subset at rank 2 and a fixed sample at rank 3, at
-    the closure cap and at the stability cap."""
+    """Every generator subset at ranks 1 and 2 and a fixed sample at rank
+    3: closing at the rank gives the arcs of length <= n that the
+    reference finds when it closes at n, 2n and 3n."""
     subsets = generator_subsets(n)
     if sample is not None:
         subsets = random.Random(n).sample(subsets, sample)
     for gens in subsets:
-        for cap in (2 * n, 3 * n):
-            assert tube.closure_members(gens, cap) == reference_closure_members(gens, cap), (gens, cap)
+        got = tube.closure_members(gens)
+        for cap in (n, 2 * n, 3 * n):
+            want = frozenset(a for a in reference_closure_members(gens, cap) if a.length <= n)
+            assert got == want, (gens, cap)
+
+
+def test_closure_reads_no_pair_longer_than_rank(monkeypatch):
+    """The closure never reads the pair-table row of an arc longer than
+    the rank, and still finds every fingerprint at rank 3."""
+    pair_row = tube._pair_row
+
+    def guarded(n, ia, ib):
+        if max(ia, ib) >= n * n:
+            raise AssertionError(f"pair row read for ids {ia}, {ib} at rank {n}")
+        return pair_row(n, ia, ib)
+
+    monkeypatch.setattr(tube, "_pair_row", guarded)
+    monkeypatch.setattr(tube, "_CLOSURE_CACHE", {})
+    assert tube.enumerate_wide_bruteforce(3) == tube.enumerate_wide(3)
+    for s in range(3):
+        assert tube.wide_closure([Arc(3, s, 3)]).arcs == {Arc(3, s, 3)}
 
 
 # ---------------------------------------------------------------------------

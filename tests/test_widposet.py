@@ -95,15 +95,21 @@ def test_poset_mixed_representation_nodes():
     assert cinv_only == {"S[2](inf,0)", "S[2](inf,1)", "tor(inf)"}
 
 
+def leq(poset, u, v):
+    """u <= v in the built order: the same node, or v strictly above u."""
+    i, j = poset._index[u.name], poset._index[v.name]
+    return u is v or bool(poset.above[i] >> j & 1)
+
+
 def test_poset_order_is_snapshot_inclusion():
     poset = wp.build_poset(LINE2, -2, 3)
     t0 = poset.node("T0")
     t1 = poset.node("T1")
     t2 = poset.node("T2")
-    assert poset.leq(t0, t1)
-    assert poset.leq(t0, t2)
-    assert not poset.leq(t1, t2)
-    assert not poset.leq(t2, t1)
+    assert leq(poset, t0, t1)
+    assert leq(poset, t0, t2)
+    assert not leq(poset, t1, t2)
+    assert not leq(poset, t2, t1)
 
 
 def test_poset_every_comparable_pair_tagged_or_bridged():
@@ -122,7 +128,7 @@ def test_poset_unweighted_line():
     singles = [n for n in poset.nodes if n.name.startswith("<O")]
     assert len(singles) == 6
     for u, v in itertools.combinations(singles, 2):
-        assert not poset.leq(u, v) and not poset.leq(v, u)
+        assert not leq(poset, u, v) and not leq(poset, v, u)
     assert names_of(poset) == [
         "0", "<O(+1)>", "<O(+2)>", "<O(+3)>", "<O(-1)>", "<O(-2)>", "<O(0)>",
         "coh", "tor(0)", "tor(0,1)", "tor(1)",
@@ -341,7 +347,7 @@ def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
     for u in nodes:
         for v in nodes:
             verdicts = ref_mechanisms(u, v)
-            assert poset.leq(u, v) == (u.snapshot <= v.snapshot), (u.name, v.name)
+            assert leq(poset, u, v) == (u.snapshot <= v.snapshot), (u.name, v.name)
             assert poset.tags(u, v) == tuple(m for m, ok in verdicts.items() if ok), \
                 (u.name, v.name)
     assert [(u.name, v.name) for u, v in poset.comparable_pairs()] == \
