@@ -264,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "domestic weighted projective lines")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add_common(p, fmt_default="text"):
-        p.add_argument("--format", choices=("text", "json", "dot"), default=fmt_default)
+    def add_common(p, fmt_default="text", formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default=fmt_default)
 
     p = sub.add_parser("classify", help="weight type and degree invariants")
     p.add_argument("--weights", required=True)
@@ -280,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tube-enum", help="wide subcategories of one tube")
     p.add_argument("--rank", type=int, required=True)
-    add_common(p)
+    add_common(p, formats=("text", "json", "dot"))
 
     p = sub.add_parser("cox", help="reflection product of a sequence")
     p.add_argument("--weights", required=True)
@@ -298,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", required=True)
     p.add_argument("--window")
     p.add_argument("--universe")
-    add_common(p, "dot")
+    add_common(p, "dot", ("text", "json", "dot"))
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     add_common(p)

@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
+from operator import add, sub
 
 
 class LineType(Enum):
@@ -41,7 +42,8 @@ class WeightData:
     `p`, `dualizing()`, `weighted_indices()` and the field hash are
     computed once per instance and kept outside the fields, so equality,
     hashing and repr see only the weights and the labels.  The class
-    keeps its `__dict__` for these per-instance constants.
+    keeps its `__dict__` for these per-instance constants; `ktheory`
+    keeps the line's Grothendieck-group record there too.
     """
 
     weights: tuple[int, ...]
@@ -155,8 +157,8 @@ class GradeElement:
     def __add__(self, other: "GradeElement") -> "GradeElement":
         if self.line is not other.line and self.line != other.line:
             raise ValueError("elements of different grading groups")
-        coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        return normalize(self.line, coeffs, self.c_part + other.c_part)
+        return normalize(self.line, map(add, self.coeffs, other.coeffs),
+                         self.c_part + other.c_part)
 
     def __neg__(self) -> "GradeElement":
         return normalize(self.line, tuple(-a for a in self.coeffs), -self.c_part)
@@ -164,8 +166,8 @@ class GradeElement:
     def __sub__(self, other: "GradeElement") -> "GradeElement":
         if self.line is not other.line and self.line != other.line:
             raise ValueError("elements of different grading groups")
-        coeffs = tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        return normalize(self.line, coeffs, self.c_part - other.c_part)
+        return normalize(self.line, map(sub, self.coeffs, other.coeffs),
+                         self.c_part - other.c_part)
 
     def scale(self, k: int) -> "GradeElement":
         return normalize(self.line, tuple(k * a for a in self.coeffs), k * self.c_part)

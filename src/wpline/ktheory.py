@@ -15,14 +15,23 @@ matrix, which preserve the form by construction, and checks the
 product.  The full form identity (E C = -E^T) is still enforced for the
 distinguished element produced by the canonical bundle sequence.
 
-Each line's constants live in one record, built on first use: the rank,
-the basis index, the simple classes, the class of every bundle's
-coefficient part and of every partial turn of an arc (so a class is one
-table read plus a multiple of the null class), the Euler matrix and its
-symmetrization.  Group elements are integer matrices throughout:
-products, the form check, inverses and the ranks behind abs_length use
-integer arithmetic, with fraction-free elimination where a division is
-needed.  linalg's exact rational routines serve the tests as the reference.
+Each line's constants live in one record, built on first use and kept
+on the line itself (in its instance `__dict__`, like its cached `p` and
+hash), so no query hashes the line: the rank, the basis index, the
+simple classes, the class of every bundle's coefficient part and of
+every partial turn of an arc (so a class is one table read plus a
+multiple of the null class delta), the Euler matrix and its
+symmetrization.  The record also memoizes the Euler row x^T E and the
+reflection column S r per class modulo delta: the row of x is the row of
+its representative plus x1 <delta, ->, and S delta = 0, so S r depends
+on r modulo delta only.  A line's sheaf classes fall into finitely many
+classes modulo delta, which bounds both memos.
+
+Group elements are integer matrices throughout: products, the form
+check and inverses use integer arithmetic, with fraction-free
+elimination where a division is needed, and abs_length reads both of
+its ranks off one such elimination.  linalg's exact rational routines
+serve the tests as the reference.
 """
 
 from __future__ import annotations
@@ -38,13 +47,23 @@ from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
 
 
 class _LineTable:
-    """Constants of one line's Grothendieck group, computed once per line.
+    """Constants of one line's Grothendieck group, computed once per line
+    and kept in the line's own `__dict__`.
 
     The rank, the basis index and the simple classes are filled on
     construction.  The Euler matrix and its symmetrization are filled on
-    first use, because they need line bundles, which lines with three
-    weighted points do not model.  Classes of a bundle's coefficient part
-    and of an arc's partial turn are memoized per distinct part.
+    first use from Hom and Ext of the basis, because they need line
+    bundles, which lines with three weighted points do not model.
+    Classes of a bundle's coefficient part and of an arc's partial turn
+    are memoized per distinct part.
+
+    Euler rows x^T E and reflection columns S r are memoized per class
+    modulo delta, keyed by (x0 + x1, x2, ...): x is the representative
+    (x0 + x1, 0, x2, ...) plus x1 delta, so the row of x is the memoized
+    row plus x1 delta^T E.  S delta = 0 (the null class is in the radical
+    of the symmetrized form, checked when S is built), so S r is the
+    memoized column itself.  Sheaf classes take finitely many values
+    modulo delta on a line, which bounds both memos.
     """
 
     def __init__(self, line: WeightData):
@@ -59,6 +78,8 @@ class _LineTable:
                         for i in line.weighted_indices()}
         self._bundle_parts = {}     # coefficient tuple -> class of O(coeffs; 0)
         self._arc_parts = {}        # (point, socle, r) -> class of the first r factors
+        self.rows = {}              # class modulo delta -> its Euler row
+        self.sym_cols = {}          # class modulo delta -> S times the class
 
     def _simple(self, point: int, j: int) -> tuple[int, ...]:
         if j != 0:
@@ -101,16 +122,41 @@ class _LineTable:
     @cached_property
     def sym(self) -> tuple:
         e = self.euler
-        return tuple(tuple(a + b for a, b in zip(row, col)) for row, col in zip(e, zip(*e)))
+        s = tuple(tuple(a + b for a, b in zip(row, col)) for row, col in zip(e, zip(*e)))
+        if any(sum(map(mul, row, self.delta)) for row in s):
+            raise ArithmeticError("the null class is not in the radical of the symmetrized form")
+        return s
 
+    @cached_property
+    def delta_row(self) -> tuple:
+        """delta^T E, the row of <delta, ->."""
+        return tuple(b - a for a, b in zip(*self.euler[:2]))
 
-_TABLES: dict[WeightData, _LineTable] = {}
+    def euler_row(self, x) -> tuple:
+        """x^T E for the representative of x modulo delta."""
+        key = (x[0] + x[1], *x[2:])
+        row = self.rows.get(key)
+        if row is None:
+            rep = (key[0], 0) + key[1:]
+            row = self.rows[key] = tuple(sum(map(mul, rep, col)) for col in zip(*self.euler))
+        return row
+
+    def sym_col(self, r) -> tuple:
+        """S r, which depends only on r modulo delta."""
+        key = (r[0] + r[1], *r[2:])
+        col = self.sym_cols.get(key)
+        if col is None:
+            rep = (key[0], 0) + key[1:]
+            col = self.sym_cols[key] = tuple(sum(map(mul, row, rep)) for row in self.sym)
+        return col
 
 
 def _table(line: WeightData) -> _LineTable:
-    t = _TABLES.get(line)
+    """The line's K0 record, kept in its instance `__dict__` beside the
+    cached `p` and hash, so reading it hashes nothing."""
+    t = line.__dict__.get("_k0")
     if t is None:
-        t = _TABLES[line] = _LineTable(line)
+        t = line.__dict__["_k0"] = _LineTable(line)
     return t
 
 
@@ -123,27 +169,6 @@ def _mul(a, b) -> tuple:
     """Integer matrix product on tuples of rows."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def _rank(rows) -> int:
-    """Rank of an integer matrix by fraction-free elimination (Bareiss,
-    Math. Comp. 22, 1968): after k pivots every entry below them is a
-    (k+1)-minor, so each division by the previous pivot is exact."""
-    m = [list(r) for r in rows]
-    rank, prev = 0, 1
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        p = top[c]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        rank += 1
-    return rank
 
 
 def _inverse(a) -> tuple:
@@ -204,8 +229,9 @@ def euler_form(line: WeightData, x, y) -> int:
     t = _table(line)
     if len(x) != t.rank or len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
-    # classes of sheaves are sparse; rows under a zero coefficient of x are skipped
-    return sum([a * sum(map(mul, row, y)) for a, row in zip(x, t.euler) if a])
+    # x = (x0 + x1, 0, x2, ...) + x1 delta: a memoized row plus x1 <delta, y>
+    value = sum(map(mul, t.euler_row(x), y))
+    return value + x[1] * sum(map(mul, t.delta_row, y)) if x[1] else value
 
 
 @dataclass(frozen=True)
@@ -240,7 +266,7 @@ def _root(line: WeightData, s: IndecSheaf):
     r = class_of(s)
     if euler_form(line, r, r) != 1:
         raise ValueError("class does not have unit self-pairing")
-    return r, [sum(map(mul, row, r)) for row in _table(line).sym]
+    return r, _table(line).sym_col(r)
 
 
 def reflection(line: WeightData, s: IndecSheaf) -> WeylElement:
@@ -309,13 +335,32 @@ def abs_length(w: WeylElement) -> int:
     identity, 1 on reflections, 2 on translations, rank(K0) on the
     coxeter element.
 
-    Both the rank of the columns of w - 1 and the test whether the null
-    class lies in their span are integer ranks by fraction-free
-    elimination."""
+    One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) gives
+    both: the columns of w - 1 are reduced to echelon form, and delta,
+    appended as a last row that is never a pivot, is reduced against the
+    same pivots.  After k pivots every entry below them is a (k+1)-minor,
+    delta's row included, so each division by the previous pivot is
+    exact; delta lies in the span of the columns exactly when its row
+    ends at zero."""
     m = len(w.matrix)
-    cols = tuple(tuple(w.matrix[u][v] - int(u == v) for u in range(m)) for v in range(m))
-    r = _rank(cols)
-    return r + int(_rank(cols + (_table(w.line).delta,)) == r)
+    rows = [list(col) for col in zip(*w.matrix)]
+    for v in range(m):
+        rows[v][v] -= 1
+    rows.append(list(_table(w.line).delta))
+    rank, prev = 0, 1
+    for c in range(m):
+        piv = next((i for i in range(rank, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, m + 1):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+    return rank + int(not any(rows[m]))
 
 
 def nc_leq(u: WeylElement, v: WeylElement) -> bool:

@@ -194,6 +194,16 @@ def test_usage_errors_exit_2():
         (2, "", "error: rank 7 above the configured bound 6\n")
     assert run_cli(["poset", "--weights", "2", "--window", "3..-2"])[0] == 2
     assert run_cli(["classify", "--weights", "2,x"])[0] == 2
+    # dot is offered only by the verbs that emit it
+    for argv in (["classify", "--weights", "2"],
+                 ["hom", "--weights", "2", "--from", "O", "--to", "O"],
+                 ["ext", "--weights", "2", "--from", "O", "--to", "O"],
+                 ["cox", "--weights", "2"],
+                 ["perp", "--weights", "2", "--sheaves", "S(inf,0)"],
+                 ["verify"]):
+        rc, out, err = run_cli(argv + ["--format", "dot"])
+        assert (rc, out) == (2, ""), argv
+        assert "invalid choice: 'dot'" in err, argv
 
 
 def test_parse_sheaf_rejects_unknown_point():

@@ -1,6 +1,7 @@
 """Numerical invariants: Euler pairing, reflections, absolute order."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from wpline import linalg
 from wpline import sheaves as sh
 from wpline.linalg import mat_mul
 from wpline.nilpotent import Arc
+from test_sheaves import kind_grid
 
 
 LINE2 = make_line((2,))
@@ -336,10 +338,32 @@ def dependent_rows(draw):
     return draw(st.permutations(rows))
 
 
+def _rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 22, 1968): after k pivots every entry below them is a
+    (k+1)-minor, so each division by the previous pivot is exact.
+    abs_length runs the same elimination with delta appended."""
+    m = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank]
+        p = top[c]
+        for i in range(rank + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
 @settings(max_examples=300)
 @given(dependent_rows())
 def test_integer_rank_matches_fraction_rank(rows):
-    assert kt._rank(rows) == linalg.rank(rows)
+    assert _rank(rows) == linalg.rank(rows)
     if len(rows) == len(rows[0]):
         assert integer_inverse(rows) == reference_inverse(rows)
 
@@ -383,3 +407,50 @@ def test_cox_of_matches_compose_chain(line):
                 assert kt.cox_of(line, seq[:k]) == reference_cox_of(line, seq[:k]), (step, k)
     with pytest.raises(ValueError):
         kt.cox_of(line, canonical[::-1])
+
+
+@pytest.mark.parametrize("weights", [(2,), (2, 3), (3, 3), (4,), (2, 2), (1, 1), (3, 4)],
+                         ids=lambda w: ",".join(map(str, w)))
+def test_euler_rows_match_bilinear_form(weights):
+    """The memoized rows and reflection columns against the bilinear form
+    written out, on a fresh line so that the memo sizes can be read."""
+    line = make_line(weights)
+    e = kt.euler_matrix(line)
+    m = len(e)
+    delta = delta_class(line)
+
+    def form(x, y):
+        return sum(x[i] * e[i][j] * y[j] for i in range(m) for j in range(m))
+
+    def modulo_delta(x):
+        return tuple(a - x[1] * d for a, d in zip(x, delta))
+
+    rng = random.Random(sum(weights))
+    bases = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(12)]
+
+    def draw():
+        k = rng.randint(-1000, 1000)
+        return [a + k * d for a, d in zip(rng.choice(bases), delta)]
+
+    asked = set()
+    for _ in range(300):
+        x, y = draw(), draw()
+        want = form(x, y)
+        assert kt.euler_form(line, tuple(x), tuple(y)) == want
+        assert kt.euler_form(line, x, y) == want
+        asked.add(modulo_delta(x))
+
+    exceptional = [s for s in kind_grid(line, 6, 1) if sh.is_exceptional_sheaf(s)]
+    for s in exceptional:
+        r, c = kt._root(line, s)
+        assert r == kt.class_of(s)
+        assert c == tuple(sum((e[u][j] + e[j][u]) * r[j] for j in range(m))
+                          for u in range(m)), s
+        asked.add(modulo_delta(r))
+    table = kt._table(line)
+    assert len(table.rows) <= len(asked)
+    assert len(table.sym_cols) <= len({modulo_delta(kt.class_of(s)) for s in exceptional})
+
+    for x, y in (((0,) * (m - 1), (0,) * m), ((0,) * m, [0] * (m + 1))):
+        with pytest.raises(ValueError, match="class vector of wrong rank"):
+            kt.euler_form(line, x, y)

@@ -8,6 +8,7 @@ import pytest
 
 from wpline.grading import dim_S, make_line
 from wpline import grading
+from wpline import ktheory as kt
 from wpline import sheaves as sh
 from wpline import tube
 from wpline.nilpotent import Arc
@@ -295,3 +296,29 @@ def test_closed_dimensions_build_no_objects(monkeypatch):
     monkeypatch.setattr(grading, "normalize", forbidden)
     monkeypatch.setattr(Arc, "tau", forbidden)
     assert [(sh.hom_dim_sheaf(a, b), sh.ext_dim_sheaf(a, b)) for a, b in pairs] == expected
+
+
+def test_query_path_hashes_no_line(monkeypatch):
+    """Once each line carries its K0 record, the query stream's classes,
+    Euler forms, Hom and both Ext paths hash no line."""
+    rng = random.Random(20232)
+    pairs = []
+    for line in QUERY_LINES:
+        objs = kind_grid(line, 6, 1)
+        pairs += [(line, rng.choice(objs), rng.choice(objs)) for _ in range(200)]
+
+    def answers():
+        out = []
+        for line, a, b in pairs:
+            x, y = kt.class_of(a), kt.class_of(b)
+            out.append((x, y, kt.euler_form(line, x, y), sh.hom_dim_sheaf(a, b),
+                        sh.ext_dim_sheaf(a, b), sh.ext_dim_sheaf_alt(a, b)))
+        return out
+
+    expected = answers()
+
+    def forbidden(self):
+        raise AssertionError("a line was hashed on the query path")
+
+    monkeypatch.setattr(grading.WeightData, "__hash__", forbidden)
+    assert answers() == expected
