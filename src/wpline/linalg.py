@@ -5,12 +5,10 @@ integral matrices stay in `int` until a division is needed.  `rref`
 copies its rows as they are and scales a pivot row only when the pivot
 is not 1: a pivot of -1 negates the row, and any other pivot p is
 inverted as `Fraction(p.denominator, p.numerator)`, never as `1 / p`
-(which is a float for an `int` p).
+(a float for an `int` p), with `fractions` imported only on that path.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 def mat_mul(a, b):
@@ -40,6 +38,7 @@ def rref(rows):
         if p == -1:
             m[r] = [-x for x in m[r]]
         elif p != 1:
+            from fractions import Fraction
             inv = Fraction(p.denominator, p.numerator)
             m[r] = [x * inv for x in m[r]]
         row = m[r]

@@ -13,7 +13,6 @@ them rational (see linalg), never `float`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 

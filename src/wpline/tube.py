@@ -393,8 +393,10 @@ def bits(mask: int):
 
 def meet(rows, mask: int, start: int) -> int:
     """The AND of start and of rows[i] over the set bits i of mask."""
-    for i in bits(mask):
-        start &= rows[i]
+    while mask:
+        low = mask & -mask
+        start &= rows[low.bit_length() - 1]
+        mask ^= low
     return start
 
 
@@ -418,7 +420,8 @@ class Universe:
     rows; left is the bit transpose of right, and compatible[i] marks the
     objects with no Ext^1 to or from object i.  Ext is filled by Serre
     duality, Ext^1(x, y) = Hom(y, tau x), from the layer's Hom and its
-    translate tau, taken once per object.
+    translate tau, taken once per object: the Ext row of x is the Hom
+    column of tau x, or one Hom row into tau x when it is not a member.
     """
 
     def __init__(self, objects, hom, tau):
@@ -427,7 +430,9 @@ class Universe:
         self.full = (1 << len(self.objects)) - 1
         objs = self.objects
         no_hom = [sum(1 << j for j, y in enumerate(objs) if hom(x, y) == 0) for x in objs]
-        no_ext = [sum(1 << j for j, y in enumerate(objs) if hom(y, tx) == 0)
+        no_hom_into = holders(no_hom)
+        no_ext = [no_hom_into[k] if (k := self.index.get(tx)) is not None
+                  else sum(1 << j for j, y in enumerate(objs) if hom(y, tx) == 0)
                   for tx in map(tau, objs)]
         self.right = [h & e for h, e in zip(no_hom, no_ext)]
         # the holders of a row set are its bit transpose
@@ -481,17 +486,19 @@ def inclusion_order(masks):
 
     Returns, per set, the bitmask over set indices of the sets strictly
     containing it, and the cover pairs (i, j) of the order, in index
-    order: the transitive reduction.
+    order: the transitive reduction.  Every set must come after the sets
+    it strictly contains (sort by size first): then the lowest index left
+    above i is a cover of i, and its own row is cleared.
     """
     held = holders(masks)
     everyone = (1 << len(masks)) - 1
     above = [meet(held, m, everyone) & ~(1 << i) for i, m in enumerate(masks)]
     covers = []
-    for i, up in enumerate(above):
-        reach = 0
-        for k in bits(up):
-            reach |= above[k]
-        covers.extend((i, j) for j in bits(up & ~reach))
+    for i, rest in enumerate(above):
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append((i, j))
+            rest &= ~above[j] & ~(1 << j)
     return above, covers
 
 

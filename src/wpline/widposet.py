@@ -21,8 +21,8 @@ rigid-set search carries.  Bundles of a shift-invariant subcategory form
 the right perpendicular of its defining torsion subcategory.  Rigid sets,
 snapshots and records stay masks; the universe is sorted by
 sheaf_sort_key, so ascending index tuples order generators and nodes as
-sort-key tuples would, and sheaf objects are built only for clipped
-sets, messages, names and node snapshots.
+sort-key tuples would.  Sheaf objects are built for clipped sets,
+messages and names, and a node's snapshot and exc_gens on first access.
 
 Window faithfulness: a rigid set whose closure needs bundles outside
 the window (its snapshot would misrepresent the subcategory) is
@@ -33,7 +33,8 @@ that remain ambiguous after enlargement are reported as undecidable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import tube
 from .grading import WeightData
@@ -161,7 +162,11 @@ def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe, bit: dic
     its defining torsion subcategory, all in the universe: that is the
     perpendicular of any exceptional sequence generating it
     (Geigle-Lenzing)."""
-    members = _cinv_data_mask(line, data, uni, bit) & uni.full
+    return _cinv_members(line, data, uni, bit, _cinv_data_mask(line, data, uni, bit))
+
+
+def _cinv_members(line, data: CInvData, uni: tube.Universe, bit: dict, data_mask: int) -> int:
+    members = data_mask & uni.full
     if data.contains_bundle:
         # distinct objects have distinct bits, so a sum of bits is their union
         bundles = uni.full & ~sum(bit.values())
@@ -187,10 +192,21 @@ def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe, bit: d
 
 @dataclass(frozen=True)
 class PosetNode:
+    """Members and least generators (None unless exceptional) as masks."""
+
     name: str
-    snapshot: frozenset
-    exc_gens: frozenset | None
+    mask: int
+    gens: int | None
     cinv: CInvData | None
+    uni: tube.Universe = field(repr=False, compare=False)
+
+    @cached_property
+    def snapshot(self) -> frozenset:
+        return frozenset(self.uni.members(self.mask))
+
+    @cached_property
+    def exc_gens(self) -> frozenset | None:
+        return None if self.gens is None else frozenset(self.uni.members(self.gens))
 
 
 class WidPoset:
@@ -318,10 +334,11 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     undecidable = []
     records = {}
     for data in enumerate_wid_c(line, universe_ids):
-        members = cinv_snapshot(line, data, uni, bit)
+        data_mask = _cinv_data_mask(line, data, uni, bit)
+        members = _cinv_members(line, data, uni, bit, data_mask)
         rec = records.setdefault(members & window, {"exc": None, "cinv": None})
         if rec["cinv"] is None:
-            rec["cinv"] = data
+            rec["cinv"], rec["data"] = data, data_mask
             rec["big_cinv"] = members & big
     cinv_keys = set(records)
 
@@ -331,14 +348,16 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     # shift-invariant node or not representable at this window scale.
     # Both closures are left perpendiculars of the carried right one.
     clipped = []
+    closures = {}
     for gens, perp in uni.rigid_subsets(exceptional, max_size=k_rank(line)):
-        snap1 = uni.left_perp(perp & big) & big
+        if perp not in closures:
+            closures[perp] = uni.left_perp(perp & big) & big, uni.left_perp(perp)
+        snap1, snap2 = closures[perp]
         inside = snap1 & ~window == 0
         key = snap1 & window
         if not inside and key not in cinv_keys:
             clipped.append(uni.members(gens))
             continue
-        snap2 = uni.left_perp(perp)
         if inside:
             if snap2 != snap1:
                 undecidable.append(
@@ -367,11 +386,10 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     used_names = set()
     for mask in masks:
         rec = records[mask]
-        members = uni.members(mask)
         if rec["cinv"] is not None:
             name = _cinv_name(line, rec["cinv"])
         else:
-            name = _exc_name(line, members)
+            name = _exc_name(line, uni.members(mask))
         if name in used_names:
             undecidable.append(f"name collision at {name}")
             i = 2
@@ -379,24 +397,22 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                 i += 1
             name = f"{name}#{i}"
         used_names.add(name)
-        gens = None if rec["exc"] is None else frozenset(uni.members(rec["exc"]))
-        nodes.append(PosetNode(name, frozenset(members), gens, rec["cinv"]))
+        nodes.append(PosetNode(name, mask, rec["exc"], rec["cinv"], uni))
 
     # Snapshot order must agree with the window-independent mechanisms
     # wherever one applies; a comparable pair seen by neither mechanism
     # cannot be trusted at window scale.
     above, covers = tube.inclusion_order(masks)
-    exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
+    exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
     held = tube.holders(masks)
-    exc = [0 if records[m]["exc"] is None else tube.meet(held, records[m]["exc"], exc_nodes)
-           for m in masks]
-    data = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, bit) for n in nodes]
+    exc = [0 if n.gens is None else tube.meet(held, n.gens, exc_nodes) for n in nodes]
+    data = [records[m].get("data", 0) for m in masks]
     held_data = tube.holders(data)
     cinv = [0 if n.cinv is None else tube.meet(held_data, d, cinv_nodes)
             for n, d in zip(nodes, data)]
     for i, u in enumerate(nodes):
-        by_exc = exc_nodes & ~(1 << i) if u.exc_gens is not None else 0
+        by_exc = exc_nodes & ~(1 << i) if u.gens is not None else 0
         by_cinv = cinv_nodes & ~(1 << i) if u.cinv is not None else 0
         flags = (("disagrees with generators", (exc[i] ^ above[i]) & by_exc),
                  ("disagrees with invariant data", (cinv[i] ^ above[i]) & by_cinv),
@@ -444,7 +460,7 @@ def poset_json(poset: WidPoset) -> dict:
     for n in sorted(poset.nodes, key=lambda x: x.name):
         nodes.append({
             "name": n.name,
-            "exc": n.exc_gens is not None,
+            "exc": n.gens is not None,
             "c_invariant": n.cinv is not None,
             "members": [format_sheaf(x) for x in sorted(n.snapshot, key=sheaf_sort_key)],
         })

@@ -3,7 +3,10 @@
 import io
 import json
 import contextlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -102,6 +105,25 @@ def test_cox_of_sheaf_sequence():
     assert doc["abs_length"] == 2
 
 
+@pytest.mark.parametrize("weights", ["2", "2,3", "3,3", "4", "2,2"])
+def test_cox_sequence_feeds_back_through_sheaves(weights):
+    """The `;` inside O(l1,..,ln;c) does not split the list, so the
+    sequence cox prints is accepted back and gives the same document."""
+    code, out, _ = run_cli(["cox", "--weights", weights, "--format", "json"])
+    assert code == 0
+    listed = ";".join(json.loads(out)["sequence"])
+    assert run_cli(["cox", "--weights", weights, "--format", "json",
+                    "--sheaves", listed]) == (0, out, "")
+
+
+def test_perp_accepts_normal_form_bundles():
+    for forms in (("O(1,0;0)", "O(1)"), ("O(1,0;0);S(inf,1)", "O(1);S(inf,1)")):
+        normal, short = (run_cli(["perp", "--weights", "2", "--sheaves", s]) for s in forms)
+        assert normal[0] == 0
+        assert normal == short, forms
+    assert json.loads(normal[1])["generators"] == ["O(1,0;0)", "S(inf,1)"]
+
+
 def test_perp_members():
     code, out, _ = run_cli(["perp", "--weights", "2", "--sheaves", "S(inf,0)",
                             "--window", "-2..3"])
@@ -156,6 +178,22 @@ def test_poset_undecidable_window_matches_golden():
     assert code == 3
     assert out == ""
     assert err == (GOLDEN.parent / "poset_w4_undecidable.json").read_text()
+
+
+def test_poset_process_loads_no_fractions_or_verify():
+    """A fresh process that runs `poset` never imports fractions (nor
+    decimal, which it pulls in) or the acceptance criteria."""
+    script = ("import contextlib, io, sys\n"
+              "before = set(sys.modules)\n"
+              "from wpline import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.run(['poset', '--weights', '3,3', '--window', '-2..3'])\n"
+              "print(code, sorted({'fractions', 'decimal', 'wpline.verify'}\n"
+              "                   & set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")
 
 
 def test_verify_passes():

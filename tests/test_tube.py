@@ -6,8 +6,12 @@ import random
 
 import pytest
 
+from wpline.grading import make_line
 from wpline.nilpotent import Arc, cokernel_rep, decompose, kernel_rep
 from wpline import tube
+from wpline.widposet import build_poset
+
+from test_widposet import BENCH_INPUTS
 
 
 def lattice_sorted(n):
@@ -406,3 +410,44 @@ def test_extension_middles_any_basis(n, monkeypatch):
     monkeypatch.setattr(tube, "ext_classes", rotated)
     for (a, b), mids in zip(pairs, want):
         assert tube.extension_middles(a, b) == mids, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the Hasse reduction
+
+def reference_inclusion_order(masks):
+    """Strict inclusion rows and covers with the reduction written out: a
+    set above i covers it unless it lies above another set above i, found
+    by ORing the rows of every set above i."""
+    held = tube.holders(masks)
+    everyone = (1 << len(masks)) - 1
+    above = [tube.meet(held, m, everyone) & ~(1 << i) for i, m in enumerate(masks)]
+    covers = []
+    for i, up in enumerate(above):
+        reach = 0
+        for k in tube.bits(up):
+            reach |= above[k]
+        covers.extend((i, j) for j in tube.bits(up & ~reach))
+    return above, covers
+
+
+def order_inputs():
+    posets = [(w, lo, hi, ()) for w, lo, hi in BENCH_INPUTS] + [((1, 1), -2, 3, ("0", "1"))]
+    return ([pytest.param(p, id=f"poset-{','.join(map(str, p[0]))}-{len(p[3])}") for p in posets]
+            + [pytest.param(n, id=f"tube-enum-{n}") for n in range(1, 6)])
+
+
+@pytest.mark.parametrize("case", order_inputs())
+def test_inclusion_order_matches_reference(case):
+    """The lowest-bit walk gives the rows and the cover list, in order, of
+    the reduction that ORs every row above, on the node masks of the
+    benchmark posets (and of 1,1 with two ordinary points) and on the
+    tube-enum lattices of ranks 1 to 5."""
+    if isinstance(case, int):
+        uni = tube.tube_universe(case)
+        fps = sorted(tube.enumerate_wide(case), key=tube.TubeWideFingerprint.sort_key)
+        masks = [uni.mask(f.arcs) for f in fps]
+    else:
+        weights, lo, hi, ids = case
+        masks = [n.mask for n in build_poset(make_line(weights), lo, hi, ids).nodes]
+    assert tube.inclusion_order(masks) == reference_inclusion_order(masks)

@@ -418,7 +418,11 @@ def test_tau_fill_matches_pairwise_tube(n):
 @pytest.mark.parametrize("weights, lo, hi, ids",
                          [(*inp, ()) for inp in BENCH_INPUTS] + [((1, 1), -2, 3, ("0", "1"))])
 def test_tau_fill_matches_pairwise_sheaves(weights, lo, hi, ids):
+    """Both ways of filling an Ext row run: the Hom column of a tau x
+    inside the universe, and one Hom row into a tau x outside it."""
     uni = margin_universe(weights, lo, hi, ids)
+    inside = {sh.tau_sheaf(x) in uni.index for x in uni.objects}
+    assert inside == {True, False}
     assert (uni.right, uni.left, uni.compatible) == \
         pairwise_tables(uni.objects, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
 
@@ -485,6 +489,19 @@ def test_poset_dot_digests():
         poset = wp.build_poset(make_line(tuple(int(w) for w in weights.split(","))),
                                int(lo), int(hi))
         assert hashlib.sha256(wp.poset_dot(poset).encode()).hexdigest() == digest, weights
+
+
+@pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
+def test_node_sheaf_sets_built_on_first_access(weights, lo, hi):
+    """The DOT output builds no node snapshot or generator set; read
+    later, they are the members of the node's masks."""
+    poset = wp.build_poset(make_line(weights), lo, hi)
+    wp.poset_dot(poset)
+    assert not any({"snapshot", "exc_gens"} & set(vars(n)) for n in poset.nodes)
+    for n in poset.nodes:
+        assert n.snapshot == frozenset(n.uni.members(n.mask)), n.name
+        assert n.exc_gens == (None if n.gens is None else frozenset(n.uni.members(n.gens)))
+    assert any(n.gens is not None for n in poset.nodes)
 
 
 # ---------------------------------------------------------------------------
