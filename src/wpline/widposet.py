@@ -12,22 +12,35 @@ invariant data ("cinv", from a data mask); the acceptance suite checks
 that their tagged union generates the whole order (pushout property).
 
 Snapshots come from the perpendicular calculus of tube.Universe, built
-once per poset over the window enlarged by two canonical degrees on
-each side; the window itself and the one-degree enlargement are masks
-in it; Ext is filled by Serre duality, Ext(x, y) = Hom(y, tau x), with
-tau x the shift by the dualizing element.  Closures of rigid sets are
-double perpendiculars, the left perpendiculars of the right one the
-rigid-set search carries.  Bundles of a shift-invariant subcategory form
-the right perpendicular of its defining torsion subcategory.  Rigid sets,
-snapshots and records stay masks; the universe is sorted by
-sheaf_sort_key, so ascending index tuples order generators and nodes as
-sort-key tuples would.  Sheaf objects are built for clipped sets,
-messages and names, and a node's snapshot and exc_gens on first access.
+once per poset over the window enlarged by universe_margin degrees on
+each side; Ext is filled by Serre duality, Ext(x, y) = Hom(y, tau x),
+with tau x the shift by the dualizing element.  The closure of a rigid
+set is the left perpendicular of the right one the rigid-set search
+carries, taken once per distinct perpendicular; the bundles of a
+shift-invariant subcategory form the right perpendicular of its defining
+torsion.  Sets stay masks over a universe sorted by sheaf_sort_key, so
+ascending index tuples order generators and nodes as sort-key tuples
+would; sheaf objects are built for clipped sets, messages and names,
+and a node's snapshot and exc_gens on first access.
 
-Window faithfulness: a rigid set whose closure needs bundles outside
-the window (its snapshot would misrepresent the subcategory) is
-detected by recomputing against an enlarged window and dropped; nodes
-that remain ambiguous after enlargement are reported as undecidable.
+Exactness (Geigle-Lenzing).  With p = delta(c): Hom(O(x), O(y)) = 0
+exactly when y - x is not effective, a non-effective element has degree
+at most delta(omega) + p, and Ext(O(x), O(y)) = D Hom(O(y), O(x + omega)).
+So O(y)^perp holds arcs shorter than their weight and bundles of degree
+delta(y) - p .. delta(y) + delta(omega) + p, and the bundles of perp O(z)
+have degree delta(z) - delta(omega) - p .. delta(z) + p.  The margin is
+m = max(p, 2p + delta(omega)).  For a rigid set G of exceptional window
+objects with a bundle, G^perp lies in the universe, so the left
+perpendicular of the carried one is exactly the closure W(G) on the
+universe.  If G^perp holds a bundle, every bundle of W(G) lies within m
+of the window, so a closure reaching past it is clipped, exactly; if
+not, W(G) is perpendicular to torsion, hence shift-invariant, and by the
+paper's first theorem equals its invariant record on the universe.  If
+G is torsion, so is W(G), and its snapshot holds no bundle.  A check
+that fails is reported as undecidable.  Every snapshot is then the
+window slice of its node, so an exceptional node lies below a node v
+exactly when v's snapshot holds its generators; the order check tests
+that, and the data of two invariant nodes, against snapshot inclusion.
 """
 
 from __future__ import annotations
@@ -70,17 +83,12 @@ def default_window(line: WeightData):
 def window_degrees(line: WeightData, lo: int, hi: int):
     """All grading elements with degree in [lo, hi]."""
     out = []
-    ranges = [range(line.weights[i]) for i in range(line.n)]
     p = line.p
-    for coeffs in itertools.product(*ranges):
-        base = sum(coeffs[i] * (p // line.weights[i]) for i in range(line.n))
-        c_lo = -((base - lo) // p)
-        while base + c_lo * p >= lo:
-            c_lo -= 1
-        c = c_lo + 1
-        while base + c * p <= hi:
-            out.append(line.element(coeffs, c))
-            c += 1
+    for coeffs in itertools.product(*map(range, line.weights)):
+        base = sum(a * (p // w) for a, w in zip(coeffs, line.weights))
+        # the c with lo <= base + c * p <= hi
+        cs = range(-((base - lo) // p), (hi - base) // p + 1)
+        out.extend(line.element(coeffs, c) for c in cs)
     out.sort(key=lambda l: (l.degree(), l.coeffs, l.c_part))
     return out
 
@@ -213,13 +221,12 @@ class WidPoset:
     """Nodes by snapshot size; bit j of above[i] when node j strictly contains
     node i, of exc[i] or cinv[i] when that mechanism certifies it."""
 
-    def __init__(self, line, lo, hi, universe_ids, universe, nodes, clipped, undecidable,
+    def __init__(self, line, lo, hi, universe_ids, nodes, clipped, undecidable,
                  covers, above, exc, cinv):
         self.line = line
         self.lo = lo
         self.hi = hi
         self.universe_ids = tuple(sorted(universe_ids))
-        self.universe = universe
         self.nodes = nodes
         self.clipped = clipped
         self.undecidable = undecidable
@@ -318,111 +325,102 @@ def _exc_name(line, members) -> str:
     return "W{" + ";".join(format_sheaf(x) for x in members) + "}"
 
 
+def universe_margin(line: WeightData) -> int:
+    """Degrees added on each side of the window: max(p, 2p + delta(omega))."""
+    return max(line.p, 2 * line.p + line.dualizing().degree())
+
+
 def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset:
     if len(line.weighted_indices()) > 2:
         raise ValueError("poset construction needs bundle support "
                          "(at most two weighted points)")
-    p = line.p
+    m = universe_margin(line)
     # sheaf_universe is sorted by sheaf_sort_key, so the build orders masks by index
-    uni = window_universe(line, lo - 2 * p, hi + 2 * p, universe_ids)
+    uni = window_universe(line, lo - m, hi + m, universe_ids)
     window = uni.mask(sheaf_universe(line, lo, hi, universe_ids))
-    big = uni.mask(sheaf_universe(line, lo - p, hi + p, universe_ids))
     exceptional = sum(1 << i for i in tube.bits(window) if is_exceptional_sheaf(uni.objects[i]))
     bit = torsion_bits(uni)
+    bundles = uni.full & ~sum(bit.values())
 
     # records are keyed by the window snapshot, as a mask
-    undecidable = []
-    records = {}
+    undecidable, records = [], {}
     for data in enumerate_wid_c(line, universe_ids):
         data_mask = _cinv_data_mask(line, data, uni, bit)
         members = _cinv_members(line, data, uni, bit, data_mask)
-        rec = records.setdefault(members & window, {"exc": None, "cinv": None})
-        if rec["cinv"] is None:
-            rec["cinv"], rec["data"] = data, data_mask
-            rec["big_cinv"] = members & big
-    cinv_keys = set(records)
+        rec = records.setdefault(members & window, {"exc": None, "cinv": data, "data": data_mask,
+                                                    "members": members})
+        if rec["cinv"] is not data:
+            undecidable.append(f"window cannot separate {_cinv_name(line, rec['cinv'])} "
+                               f"and {_cinv_name(line, data)}")
 
-    # Exceptional closures are resolved against the margin-enlarged
-    # universe: a closure entirely inside the window is a node of its
-    # own; one reaching into the margin is either the window slice of a
-    # shift-invariant node or not representable at this window scale.
-    # Both closures are left perpendiculars of the carried right one.
-    clipped = []
-    closures = {}
+    # Closures are exact on the universe, so each case of the module
+    # docstring is a test; a failed one is reported, never guessed.
+    clipped, closures = [], {}
     for gens, perp in uni.rigid_subsets(exceptional, max_size=k_rank(line)):
         if perp not in closures:
-            closures[perp] = uni.left_perp(perp & big) & big, uni.left_perp(perp)
-        snap1, snap2 = closures[perp]
-        inside = snap1 & ~window == 0
-        key = snap1 & window
-        if not inside and key not in cinv_keys:
+            closures[perp] = uni.left_perp(perp)
+        key = snap = closures[perp]
+        if not gens & bundles:
+            problem = "torsion generators close on a bundle" if snap & bundles else None
+        elif not perp & bundles:
+            key = snap & window
+            problem = None if records.get(key, {}).get("members") == snap \
+                else "closure of a bundle-free perpendicular is not shift-invariant"
+        elif snap & ~window:
             clipped.append(uni.members(gens))
             continue
-        if inside:
-            if snap2 != snap1:
-                undecidable.append(
-                    "members of a closure keep appearing under enlargement: "
-                    + ";".join(format_sheaf(g) for g in uni.members(gens)))
-                continue
-        elif snap2 & window != key:
-            undecidable.append(
-                "window slice of a closure changes under enlargement: "
-                + ";".join(format_sheaf(g) for g in uni.members(gens)))
+        else:
+            problem = "window slice of a closure with bundles is an invariant one" \
+                if records.get(snap, {}).get("cinv") else None
+        if problem:
+            shown = ";".join(format_sheaf(g) for g in uni.members(gens))
+            undecidable.append(f"{problem}: {shown}")
             continue
         rec = records.setdefault(key, {"exc": None, "cinv": None})
         cand = (gens.bit_count(), tuple(tube.bits(gens)))
         if rec["exc"] is None or cand < rec["exc_key"]:
-            rec["exc"], rec["exc_key"], rec["big_exc"] = gens, cand, snap1
-
-    for snap, rec in records.items():
-        if rec["exc"] is not None and rec["cinv"] is not None \
-                and rec["big_exc"] != rec["big_cinv"]:
-            undecidable.append(
-                "window cannot separate two subcategories sharing a snapshot: "
-                "{" + ";".join(format_sheaf(x) for x in uni.members(snap)) + "}")
+            rec["exc"], rec["exc_key"] = gens, cand
 
     nodes = []
     masks = sorted(records, key=lambda m: (m.bit_count(), list(tube.bits(m))))
     used_names = set()
     for mask in masks:
         rec = records[mask]
-        if rec["cinv"] is not None:
-            name = _cinv_name(line, rec["cinv"])
-        else:
-            name = _exc_name(line, uni.members(mask))
+        name = _cinv_name(line, rec["cinv"]) if rec["cinv"] is not None \
+            else _exc_name(line, uni.members(mask))
         if name in used_names:
             undecidable.append(f"name collision at {name}")
-            i = 2
-            while f"{name}#{i}" in used_names:
-                i += 1
-            name = f"{name}#{i}"
+            name = next(f"{name}#{i}" for i in itertools.count(2)
+                        if f"{name}#{i}" not in used_names)
         used_names.add(name)
         nodes.append(PosetNode(name, mask, rec["exc"], rec["cinv"], uni))
 
-    # Snapshot order must agree with the window-independent mechanisms
-    # wherever one applies; a comparable pair seen by neither mechanism
-    # cannot be trusted at window scale.
+    # Snapshot order must agree with the generators of an exceptional node
+    # against every node, and with the data of two invariant nodes; the exc
+    # tag is left off pairs of invariant nodes that the data certify.
     above, covers = tube.inclusion_order(masks)
+    everyone = (1 << len(nodes)) - 1
     exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
     held = tube.holders(masks)
-    exc = [0 if n.gens is None else tube.meet(held, n.gens, exc_nodes) for n in nodes]
-    data = [records[m].get("data", 0) for m in masks]
-    held_data = tube.holders(data)
-    cinv = [0 if n.cinv is None else tube.meet(held_data, d, cinv_nodes)
-            for n, d in zip(nodes, data)]
+    held_data = tube.holders(records[m].get("data", 0) for m in masks)
+    exc, cinv = [], []
     for i, u in enumerate(nodes):
-        by_exc = exc_nodes & ~(1 << i) if u.gens is not None else 0
+        by_gens = 0 if u.gens is None else tube.meet(held, u.gens, everyone)
+        by_data = 0 if u.cinv is None else tube.meet(held_data, records[u.mask]["data"],
+                                                      cinv_nodes)
+        exc.append(by_gens & (exc_nodes | ~by_data))
+        cinv.append(by_data)
+        by_exc = everyone & ~(1 << i) if u.gens is not None else 0
         by_cinv = cinv_nodes & ~(1 << i) if u.cinv is not None else 0
-        flags = (("disagrees with generators", (exc[i] ^ above[i]) & by_exc),
-                 ("disagrees with invariant data", (cinv[i] ^ above[i]) & by_cinv),
+        flags = (("disagrees with generators", (by_gens ^ above[i]) & by_exc),
+                 ("disagrees with invariant data", (by_data ^ above[i]) & by_cinv),
                  ("undecidable at window scale", above[i] & ~(by_exc | by_cinv)))
         for j in tube.bits(flags[0][1] | flags[1][1] | flags[2][1]):
             undecidable.extend(f"order of {u.name} and {nodes[j].name} {what}"
                                for what, flagged in flags if flagged >> j & 1)
 
-    return WidPoset(line, lo, hi, universe_ids, uni.members(window), tuple(nodes),
-                    tuple(clipped), tuple(undecidable),
+    return WidPoset(line, lo, hi, universe_ids, tuple(nodes), tuple(clipped), tuple(undecidable),
                     [(nodes[i].name, nodes[j].name) for i, j in covers], above, exc, cinv)
 
 

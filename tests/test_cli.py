@@ -12,6 +12,9 @@ import pytest
 
 from wpline import cli, verify
 from wpline.grading import make_line
+from wpline.widposet import build_poset
+
+from test_widposet import ref_order_messages, thin_inclusion_order
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "poset_w2.dot"
@@ -171,13 +174,26 @@ def test_poset_undecidable_exit_code(monkeypatch):
     assert "window too small" in err
 
 
-def test_poset_undecidable_window_matches_golden():
-    """A window that leaves pairs undecided: exit 3, nothing on stdout,
-    and the report on stderr byte for byte."""
-    code, out, err = run_cli(["poset", "--weights", "4", "--window", "-4..2"])
-    assert code == 3
-    assert out == ""
-    assert err == (GOLDEN.parent / "poset_w4_undecidable.json").read_text()
+def test_poset_disagreement_exits_3(monkeypatch):
+    """An order check that disagrees with the mechanisms: exit 3, nothing
+    on stdout, and the pairwise messages on stderr as schema-1 JSON."""
+    dropped = thin_inclusion_order(monkeypatch)
+    code, out, err = run_cli(["poset", "--weights", "2"])
+    expected = ref_order_messages(build_poset(make_line((2,)), -2, 3).nodes, dropped)
+    assert expected
+    assert (code, out) == (3, "")
+    assert err == json.dumps({"schema": 1, "undecidable": expected}, sort_keys=True,
+                             indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["--weights", w] for w in ("2,3", "4", "2,4", "5", "6")]
+                         + [["--weights", "4", "--window", "-4..2"]])
+def test_poset_decides_default_windows(argv):
+    """Lines whose default window left pairs undecided at window scale
+    before the generators certified every node."""
+    code, out, err = run_cli(["poset", *argv])
+    assert (code, err) == (0, "")
+    assert out.startswith("digraph wid {")
 
 
 def test_poset_process_loads_no_fractions_or_verify():

@@ -190,6 +190,24 @@ def test_cinv_round_trip_through_tube_perp():
         assert wp.c_inv_from_torsion_exc(LINE2, back, ids) == d
 
 
+def margin_universe(weights, lo, hi, ids=()):
+    """The universe build_poset computes in: the window enlarged by
+    universe_margin degrees on each side."""
+    line = make_line(weights)
+    m = wp.universe_margin(line)
+    return wp.window_universe(line, lo - m, hi + m, ids)
+
+
+def rigid_window_sets(weights, lo, hi):
+    """The poset universe, and the rigid sets of exceptional window
+    objects with their right perpendiculars, as build_poset walks them."""
+    line = make_line(weights)
+    uni = margin_universe(weights, lo, hi)
+    window = uni.mask(wp.sheaf_universe(line, lo, hi, ()))
+    exceptional = sum(1 << i for i in tube.bits(window) if sh.is_exceptional_sheaf(uni.objects[i]))
+    return uni, uni.rigid_subsets(exceptional, k_rank(line))
+
+
 def exc_snapshot(gens, uni, within=None):
     """Members of the closure of a rigid set inside `within` (default:
     the whole universe), as a mask: the double perpendicular of the
@@ -210,12 +228,9 @@ def test_exc_snapshot_double_perp_identity():
 def test_exc_snapshot_is_pointwise_double_perp(weights, lo, hi):
     """On every rigid set of at most two exceptional window objects, the
     bitset closure equals the double perpendicular written out from the
-    sheaf Hom and Ext, inside the one- and two-margin windows."""
-    line = make_line(weights)
-    p = line.p
-    uni = wp.window_universe(line, lo - 2 * p, hi + 2 * p, ())
-    big = wp.sheaf_universe(line, lo - p, hi + p, ())
-    window = wp.sheaf_universe(line, lo, hi, ())
+    sheaf Hom and Ext, inside the window and inside the poset universe."""
+    uni = margin_universe(weights, lo, hi)
+    window = wp.sheaf_universe(make_line(weights), lo, hi, ())
 
     @functools.cache
     def orthogonal(a, b):
@@ -232,10 +247,54 @@ def test_exc_snapshot_is_pointwise_double_perp(weights, lo, hi):
             if any(sh.ext_dim_sheaf(a, b) for a in gens for b in gens):
                 continue
             checked += 1
-            assert uni.members(exc_snapshot(gens, uni, uni.mask(big))) \
-                == double_perp(gens, big), gens
+            assert uni.members(exc_snapshot(gens, uni, uni.mask(window))) \
+                == double_perp(gens, window), gens
             assert uni.members(exc_snapshot(gens, uni)) == double_perp(gens, uni.objects), gens
     assert checked > len(exceptional)
+
+
+@pytest.mark.parametrize("weights, lo, hi", [
+    ((2,), -2, 3), ((2, 2), -2, 3), ((2, 3), -6, 6), ((4,), -8, 8),
+    ((2, 2), -1, 0), ((2, 3), 0, 1)])
+def test_closures_exact_on_poset_universe(weights, lo, hi):
+    """The closure of every rigid set of exceptional window objects, taken
+    over the poset universe, is the closure over the window enlarged by
+    three canonical degrees on each side, restricted to the poset
+    universe: the margin is wide enough that no member appears or
+    disappears further out."""
+    line = make_line(weights)
+    uni, rigid = rigid_window_sets(weights, lo, hi)
+    wide = wp.window_universe(line, lo - 3 * line.p, hi + 3 * line.p, ())
+    assert wp.universe_margin(line) < 3 * line.p
+    inside = wide.mask(uni.objects)
+    seen = {}
+    for gens, perp in rigid:
+        if perp not in seen:
+            seen[perp] = uni.left_perp(perp)
+            far = wide.double_perp(wide.mask(uni.members(gens))) & inside
+            assert uni.members(seen[perp]) == wide.members(far), uni.members(gens)
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("weights, lo, hi", [((2,), 0, 0), ((4,), -4, -2), ((2, 3), 0, 1)])
+def test_narrow_window_cannot_separate_invariant_nodes(weights, lo, hi):
+    """A window narrower than delta(c) can miss every bundle of an invariant
+    subcategory, whose window slice is then that of another one: each such
+    pair is reported, never merged into one node."""
+    line = make_line(weights)
+    uni = margin_universe(weights, lo, hi)
+    window = uni.mask(wp.sheaf_universe(line, lo, hi, ()))
+    bit = wp.torsion_bits(uni)
+    datas = wp.enumerate_wid_c(line, ())
+    shared = len(datas) - len({wp.cinv_snapshot(line, d, uni, bit) & window for d in datas})
+    poset = wp.build_poset(line, lo, hi)
+    assert shared > 0
+    assert [m.startswith("window cannot separate ") for m in poset.undecidable] == [True] * shared
+
+
+def test_universe_margin_values():
+    """max(p, 2p + delta(omega)) on the five lines of the benchmark."""
+    assert [wp.universe_margin(make_line(w)) for w, _, _ in BENCH_INPUTS] == [2, 2, 7, 4, 4]
 
 
 def test_order_exc_sheaves_gives_sequence():
@@ -287,13 +346,23 @@ def ref_cinv_leq(a, b):
 
 
 def ref_mechanisms(u, v):
-    """Verdict on u <= v of each mechanism that applies to both nodes."""
+    """Verdict on u <= v of each mechanism that applies: the generators of
+    an exceptional u against any v, the data of two invariant nodes."""
     out = {}
-    if u.exc_gens is not None and v.exc_gens is not None:
+    if u.exc_gens is not None:
         out["exc"] = u.exc_gens <= v.snapshot
     if u.cinv is not None and v.cinv is not None:
         out["cinv"] = ref_cinv_leq(u.cinv, v.cinv)
     return out
+
+
+def ref_tags(u, v):
+    """The tags of u <= v: each mechanism that certifies it, except the
+    generators of u against an invariant-only v whose data certify it."""
+    verdicts = ref_mechanisms(u, v)
+    if v.exc_gens is None and verdicts.get("cinv"):
+        verdicts.pop("exc", None)
+    return tuple(m for m, ok in verdicts.items() if ok)
 
 
 def ref_order_messages(nodes, dropped=frozenset()):
@@ -340,16 +409,14 @@ def ref_certificate_ok(poset):
 def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
     """The bitset rows give the pairwise definitions: snapshot inclusion,
     generators inside the larger snapshot, and inclusion of invariant
-    data, also as the JSON tags; 4 @ -4..2 is a window with undecidable
-    pairs."""
+    data, also as the JSON tags.  On 4 @ -4..2 the generators are the
+    only certificate of some pairs of a finite and an invariant node."""
     poset = wp.build_poset(make_line(weights), lo, hi, ids)
     nodes = poset.nodes
     for u in nodes:
         for v in nodes:
-            verdicts = ref_mechanisms(u, v)
             assert leq(poset, u, v) == (u.snapshot <= v.snapshot), (u.name, v.name)
-            assert poset.tags(u, v) == tuple(m for m, ok in verdicts.items() if ok), \
-                (u.name, v.name)
+            assert poset.tags(u, v) == ref_tags(u, v), (u.name, v.name)
     assert [(u.name, v.name) for u, v in poset.comparable_pairs()] == \
         [(u.name, v.name) for u in nodes for v in nodes
          if u is not v and u.snapshot <= v.snapshot]
@@ -360,13 +427,42 @@ def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
     rest = [m for m in poset.undecidable if not m.startswith("order of ")]
     assert list(poset.undecidable) == rest + order
     assert poset.certificate_ok() == ref_certificate_ok(poset)
-    assert bool(order) == ((weights, lo, hi) == ((4,), -4, 2))
+    assert order == []
+    assert poset.undecidable == ()
+    mixed = [(u, v) for u, v in poset.comparable_pairs() if u.cinv is None and v.exc_gens is None]
+    assert bool(mixed) == ((weights, lo, hi) == ((4,), -4, 2))
 
 
-def test_order_disagreements_follow_pairwise_reference(monkeypatch):
-    """With the lowest pair of every row taken out of the snapshot order,
-    both mechanisms disagree somewhere, and the messages come out as the
-    pairwise loop writes them."""
+@pytest.mark.parametrize("weights, lo, hi", [((2,), -2, 3), ((4,), -4, 2), ((2, 3), -4, 6)])
+def test_exceptional_below_invariant_matches_defining_data(weights, lo, hi):
+    """An exceptional node u lies below a bundle-containing invariant node
+    v = T^perp exactly when Hom and Ext vanish from every arc of T to
+    every generator of u: the paper's first theorem, read off closed-form
+    sheaf Hom and Ext with no window or snapshot."""
+    line = make_line(weights)
+    poset = wp.build_poset(line, lo, hi)
+
+    @functools.cache
+    def orthogonal(t, g):
+        return sh.hom_dim_sheaf(t, g) == 0 and sh.ext_dim_sheaf(t, g) == 0
+
+    checked = 0
+    for v in poset.nodes:
+        if v.cinv is None or not v.cinv.contains_bundle:
+            continue
+        arcs = [sh.TorsionArc(line, i, a)
+                for fp, i in zip(v.cinv.defining_exc, line.weighted_indices()) for a in fp.arcs]
+        for u in poset.nodes:
+            if u.gens is not None and u is not v:
+                checked += 1
+                assert leq(poset, u, v) == all(orthogonal(t, g) for t in arcs for g in u.exc_gens), \
+                    (u.name, v.name)
+    assert checked > len(poset.nodes)
+
+
+def thin_inclusion_order(monkeypatch):
+    """Take the lowest pair of every row out of the snapshot order; the
+    returned set collects the index pairs taken out."""
     real = tube.inclusion_order
     dropped = set()
 
@@ -376,6 +472,14 @@ def test_order_disagreements_follow_pairwise_reference(monkeypatch):
         return [up & (up - 1) for up in above], covers
 
     monkeypatch.setattr(tube, "inclusion_order", thinned)
+    return dropped
+
+
+def test_order_disagreements_follow_pairwise_reference(monkeypatch):
+    """With the lowest pair of every row taken out of the snapshot order,
+    both mechanisms disagree somewhere, and the messages come out as the
+    pairwise loop writes them."""
+    dropped = thin_inclusion_order(monkeypatch)
     poset = wp.build_poset(LINE2, -2, 3)
     expected = ref_order_messages(poset.nodes, dropped)
     assert list(poset.undecidable) == expected
@@ -401,11 +505,6 @@ def pairwise_tables(objects, hom, ext):
             row(lambda i, j: no_ext[i][j] and no_ext[j][i]))
 
 
-def margin_universe(weights, lo, hi, ids=()):
-    """The universe build_poset computes in: the window enlarged by two
-    canonical degrees on each side."""
-    line = make_line(weights)
-    return wp.window_universe(line, lo - 2 * line.p, hi + 2 * line.p, ids)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -515,6 +614,30 @@ def test_build_poset_makes_no_linear_algebra(weights, lo, hi, monkeypatch):
     for name in ("rank", "rref", "nullspace", "solve", "mat_vec", "mat_mul"):
         monkeypatch.setattr(linalg, name, forbidden)
     assert wp.build_poset(make_line(weights), lo, hi).nodes
+
+
+@pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
+def test_build_poset_closes_each_perpendicular_once(weights, lo, hi, monkeypatch):
+    """build_poset makes one tube.Universe, the window enlarged by
+    universe_margin, and takes one left perpendicular per distinct right
+    perpendicular of its rigid window sets."""
+    uni, rigid = rigid_window_sets(weights, lo, hi)
+    perps = {perp for _, perp in rigid}
+    made, closed = [], []
+
+    class Counted(tube.Universe):
+        def __init__(self, objects, hom, tau):
+            super().__init__(objects, hom, tau)
+            made.append(self.objects)
+
+        def left_perp(self, mask):
+            closed.append(mask)
+            return super().left_perp(mask)
+
+    monkeypatch.setattr(tube, "Universe", Counted)
+    wp.build_poset(make_line(weights), lo, hi)
+    assert made == [uni.objects]
+    assert len(closed) == len(perps) and set(closed) == perps
 
 
 def reference_cinv_snapshot(line, data, uni):
