@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
-from operator import add, sub
+from operator import add, floordiv, mod, sub
 
 
 class LineType(Enum):
@@ -191,17 +191,13 @@ class GradeElement:
 
 
 def normalize(line: WeightData, coeffs, c_part: int) -> GradeElement:
-    """Reduce raw coefficients to the unique normal form."""
+    """Reduce raw coefficients to the unique normal form: each a_i
+    becomes a_i mod p_i and carries a_i // p_i canonical steps."""
     coeffs = tuple(coeffs)
-    if len(coeffs) != len(line.weights):
+    ws = line.weights
+    if len(coeffs) != len(ws):
         raise ValueError("coefficient count does not match the weight count")
-    carry = int(c_part)
-    normed = []
-    for a, p in zip(coeffs, line.weights):
-        q, r = divmod(int(a), p)
-        normed.append(r)
-        carry += q
-    return GradeElement(line, tuple(normed), carry)
+    return GradeElement(line, tuple(map(mod, coeffs, ws)), c_part + sum(map(floordiv, coeffs, ws)))
 
 
 def line_invariants(line: WeightData):

@@ -21,17 +21,24 @@ hash), so no query hashes the line: the rank, the basis index, the
 simple classes, the class of every bundle's coefficient part and of
 every partial turn of an arc (so a class is one table read plus a
 multiple of the null class delta), the Euler matrix and its
-symmetrization.  The record also memoizes the Euler row x^T E and the
-reflection column S r per class modulo delta: the row of x is the row of
-its representative plus x1 <delta, ->, and S delta = 0, so S r depends
-on r modulo delta only.  A line's sheaf classes fall into finitely many
-classes modulo delta, which bounds both memos.
+symmetrization.  class_of and euler_form read the record's memos
+directly.  The record also memoizes the Euler row x^T E and the column
+S r per class modulo delta: the row of x is the row of its
+representative plus x1 <delta, ->, and S delta = 0, so S r depends on r
+modulo delta only.  A line's sheaf classes fall into finitely many
+classes modulo delta, which bounds the rows.
 
-Group elements are integer matrices throughout: products, the form
-check and inverses use integer arithmetic, with fraction-free
-elimination where a division is needed, and abs_length reads both of
-its ranks off one such elimination.  linalg's exact rational routines
-serve the tests as the reference.
+Group elements are integer matrices throughout, with fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968) where a division is needed.
+The form check compares the upper triangle of the symmetric w^T S w,
+entry (i, j) being w_i . S w_j with S w_j read from the column memo.
+Each column w_j is a real root, w_j^T S w_j = S_jj = 2, as every basis
+class is exceptional; S is positive definite on K0 / Z delta, so real
+roots are finitely many modulo delta and the column memo stays bounded.
+A matrix adds its columns to the memo only once it has passed.  nc_leq
+gets u^-1 v from one solve of [u | v], checked as one element; inverses
+solve against the identity.  abs_length reads both of its ranks off one
+elimination.  linalg's exact rational routines are the tests' reference.
 """
 
 from __future__ import annotations
@@ -57,13 +64,14 @@ class _LineTable:
     Classes of a bundle's coefficient part and of an arc's partial turn
     are memoized per distinct part.
 
-    Euler rows x^T E and reflection columns S r are memoized per class
-    modulo delta, keyed by (x0 + x1, x2, ...): x is the representative
+    Euler rows x^T E and columns S r are memoized per class modulo
+    delta, keyed by (x0 + x1, x2, ...): x is the representative
     (x0 + x1, 0, x2, ...) plus x1 delta, so the row of x is the memoized
     row plus x1 delta^T E.  S delta = 0 (the null class is in the radical
     of the symmetrized form, checked when S is built), so S r is the
     memoized column itself.  Sheaf classes take finitely many values
-    modulo delta on a line, which bounds both memos.
+    modulo delta on a line, and the columns are real roots, which bounds
+    both memos.
     """
 
     def __init__(self, line: WeightData):
@@ -73,7 +81,7 @@ class _LineTable:
             for j in range(1, line.weights[i]):
                 self.index[i, j] = len(self.index) + 2
         self.rank = len(self.index) + 2
-        self.delta = _plus_delta((0,) * self.rank, 1)
+        self.delta = (-1, 1) + (0,) * (self.rank - 2)   # [O(c)] - [O]
         self.simples = {i: tuple(self._simple(i, j) for j in range(line.weights[i]))
                         for i in line.weighted_indices()}
         self._bundle_parts = {}     # coefficient tuple -> class of O(coeffs; 0)
@@ -146,9 +154,14 @@ class _LineTable:
         key = (r[0] + r[1], *r[2:])
         col = self.sym_cols.get(key)
         if col is None:
-            rep = (key[0], 0) + key[1:]
-            col = self.sym_cols[key] = tuple(sum(map(mul, row, rep)) for row in self.sym)
+            col = self.sym_cols[key] = self.sym_of(key)
         return col
+
+    def sym_of(self, key) -> tuple:
+        """S times the representative (key[0], 0, key[1], ...) of a class
+        modulo delta, not memoized."""
+        rep = (key[0], 0) + key[1:]
+        return tuple(sum(map(mul, row, rep)) for row in self.sym)
 
 
 def _table(line: WeightData) -> _LineTable:
@@ -160,23 +173,20 @@ def _table(line: WeightData) -> _LineTable:
     return t
 
 
-def _plus_delta(x, k: int) -> tuple[int, ...]:
-    """x + k*delta; delta = [O(c)] - [O] lives on the first two basis vectors."""
-    return (x[0] - k, x[1] + k) + x[2:]
-
-
 def _mul(a, b) -> tuple:
     """Integer matrix product on tuples of rows."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _inverse(a) -> tuple:
-    """Inverse of an integer matrix by fraction-free Gauss-Jordan
-    elimination: the left block ends as d*I and the right one as d*A^-1,
-    where d = +-det A is the last pivot."""
+def _solve(a, b) -> tuple:
+    """a^-1 b for integer matrices, by fraction-free Gauss-Jordan
+    elimination of [a | b] (Bareiss, Math. Comp. 22, 1968): every entry
+    stays a minor of [a | b], so each division by the previous pivot is
+    exact, and the left block ends as d*I and the right one as d*a^-1 b,
+    where d = +-det a is the last pivot."""
     n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    m = [list(row) + list(rhs) for row, rhs in zip(a, b)]
     prev = 1
     for k in range(n):
         piv = next((i for i in range(k, n) if m[i][k]), None)
@@ -191,7 +201,7 @@ def _inverse(a) -> tuple:
                 m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
         prev = p
     if any(x % prev for row in m for x in row[n:]):
-        raise ValueError("inverse is not integral")
+        raise ValueError("solution is not integral")
     return tuple(tuple(x // prev for x in row[n:]) for row in m)
 
 
@@ -210,15 +220,23 @@ def basis_sheaves(line: WeightData):
 
 
 def class_of(s: IndecSheaf) -> tuple[int, ...]:
-    t = _table(s.line)
+    """A memoized part plus k*delta, with delta = [O(c)] - [O]: the part of
+    a bundle's coefficients and k its c part, or the partial turn of an
+    arc and k its full turns, or zero and k the length of a stalk."""
+    t = s.line.__dict__.get("_k0") or _table(s.line)
     if isinstance(s, LineBundle):
-        return _plus_delta(t.bundle_part(s.degree.coeffs), s.degree.c_part)
-    if isinstance(s, TorsionArc):
-        turns, r = divmod(s.arc.length, s.arc.rank)
-        return _plus_delta(t.arc_part(s.point, s.arc.socle, r), turns)
-    if isinstance(s, OrdinaryTorsion):
-        return _plus_delta((0,) * t.rank, s.length)
-    raise ValueError("unsupported sheaf kind")
+        d = s.degree
+        vec = t._bundle_parts.get(d.coeffs) or t.bundle_part(d.coeffs)
+        k = d.c_part
+    elif isinstance(s, TorsionArc):
+        k, r = divmod(s.arc.length, s.arc.rank)
+        key = (s.point, s.arc.socle, r)
+        vec = t._arc_parts.get(key) or t.arc_part(*key)
+    elif isinstance(s, OrdinaryTorsion):
+        vec, k = (0,) * t.rank, s.length
+    else:
+        raise ValueError("unsupported sheaf kind")
+    return (vec[0] - k, vec[1] + k) + vec[2:] if k else vec
 
 
 def euler_matrix(line: WeightData) -> tuple:
@@ -226,11 +244,12 @@ def euler_matrix(line: WeightData) -> tuple:
 
 
 def euler_form(line: WeightData, x, y) -> int:
-    t = _table(line)
+    t = line.__dict__.get("_k0") or _table(line)
     if len(x) != t.rank or len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
     # x = (x0 + x1, 0, x2, ...) + x1 delta: a memoized row plus x1 <delta, y>
-    value = sum(map(mul, t.euler_row(x), y))
+    row = t.rows.get((x[0] + x[1], *x[2:])) or t.euler_row(x)
+    value = sum(map(mul, row, y))
     return value + x[1] * sum(map(mul, t.delta_row, y)) if x[1] else value
 
 
@@ -245,8 +264,22 @@ class WeylElement:
         t = _table(self.line)
         if len(self.matrix) != t.rank or any(len(row) != t.rank for row in self.matrix):
             raise ValueError("matrix of wrong size")
-        if _mul(tuple(zip(*self.matrix)), _mul(t.sym, self.matrix)) != t.sym:
-            raise ValueError("matrix does not preserve the symmetrized form")
+        # w^T S w is symmetric, so its upper triangle decides: entry (i, j)
+        # is w_i . S w_j for columns w_i, w_j.  New columns S w_j enter
+        # the memo only when the whole check passes.
+        cols = tuple(zip(*self.matrix))
+        memo, fresh = t.sym_cols, []
+        for j, w in enumerate(cols):
+            key = (w[0] + w[1], *w[2:])
+            sw = memo.get(key)
+            if sw is None:
+                sw = t.sym_of(key)
+                fresh.append((key, sw))
+            row = t.sym[j]
+            for i in range(j + 1):
+                if sum(map(mul, cols[i], sw)) != row[i]:
+                    raise ValueError("matrix does not preserve the symmetrized form")
+        memo.update(fresh)
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         if self.line is not other.line and self.line != other.line:
@@ -254,14 +287,17 @@ class WeylElement:
         return WeylElement(self.line, _mul(self.matrix, other.matrix))
 
     def inverse(self) -> "WeylElement":
-        return WeylElement(self.line, _inverse(self.matrix))
+        m = len(self.matrix)
+        return WeylElement(self.line, _solve(self.matrix, [[int(u == v) for v in range(m)]
+                                                           for u in range(m)]))
 
 
 def _root(line: WeightData, s: IndecSheaf):
     """(r, c) for the reflection of an exceptional sheaf s: its class r,
     which must have unit self-pairing, and c = sym r, so that the
-    reflection is the matrix 1 - r c^T."""
-    if not sheaves.is_exceptional_sheaf(s) or ext_dim_sheaf(s, s) != 0:
+    reflection is the matrix 1 - r c^T.  Callers check End and self-Ext
+    of s through `tube.is_exc_sequence`."""
+    if not sheaves.is_exceptional_sheaf(s):
         raise ValueError("reflections come from exceptional sheaves")
     r = class_of(s)
     if euler_form(line, r, r) != 1:
@@ -271,6 +307,8 @@ def _root(line: WeightData, s: IndecSheaf):
 
 def reflection(line: WeightData, s: IndecSheaf) -> WeylElement:
     """s(x) = x - (<x,r> + <r,x>) r for the class r of s."""
+    if not tube.is_exc_sequence([s], hom_dim_sheaf, ext_dim_sheaf):
+        raise ValueError("reflections come from exceptional sheaves")
     r, c = _root(line, s)
     m = len(c)
     return WeylElement(line, tuple(tuple(int(u == j) - c[j] * r[u] for j in range(m))
@@ -283,12 +321,12 @@ def cox_of(line: WeightData, seq) -> WeylElement:
     Any two exceptional sequences generating the same wide subcategory
     yield the same element; the identity corresponds to the empty one.
 
-    The sequence and each member's reflection are checked as in
-    `reflection`.  The product is then accumulated on one integer
-    matrix: right multiplication by 1 - r c^T is the rank-one update
-    w <- w - (w r) c^T.  Only the result is constructed as a
-    WeylElement, so the form is checked once, on it; the intermediate
-    products preserve the form because each factor does.
+    The sequence is checked once, as in `reflection`, so each member's
+    self-Ext is read once, and then each member's root.  The product is
+    accumulated on one integer matrix: right multiplication by 1 - r c^T
+    is the rank-one update w <- w - (w r) c^T.  Only the result is
+    constructed as a WeylElement, so the form is checked once, on it; the
+    intermediate products preserve the form because each factor does.
     """
     seq = list(seq)
     if not tube.is_exc_sequence(seq, hom_dim_sheaf, ext_dim_sheaf):
@@ -364,7 +402,9 @@ def abs_length(w: WeylElement) -> int:
 
 
 def nc_leq(u: WeylElement, v: WeylElement) -> bool:
-    """Absolute-order comparison: lengths add along u, u^{-1} v, v."""
+    """Absolute-order comparison: lengths add along u, u^{-1} v, v.
+    u^{-1} v is one solve of [u | v], checked as one WeylElement."""
     if u.line is not v.line and u.line != v.line:
         raise ValueError("elements over different lines")
-    return abs_length(u) + abs_length(u.inverse().compose(v)) == abs_length(v)
+    return abs_length(u) + abs_length(WeylElement(u.line, _solve(u.matrix, v.matrix))) \
+        == abs_length(v)

@@ -17,21 +17,21 @@ element omega, of normal form (p_i - 1; -2).  ext_dim_sheaf folds that
 shift into the same counts (the derivation is in its docstring);
 tau_sheaf still builds the translate for the universe fill and `perp`.
 
-The alternate Ext path stays on GradeElement arithmetic, dim_S(a + omega
-- b), for bundles and on projective presentations for torsion pairs.
-It shares no helper with ext_dim_sheaf, so the two Ext paths remain
-independent.  The value classes are slotted and the line guards test
-identity before equality, because every object of a query shares one
-WeightData.
+The alternate Ext path reads dim_S off the normal form of a + omega - b
+for bundles, reduced by one normalize call from the raw coefficient sum,
+and uses projective presentations for torsion pairs.  It shares no
+helper with ext_dim_sheaf, so the two Ext paths remain independent.  The
+value classes are slotted and the line guards test identity before
+equality, because every object of a query shares one WeightData.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import lt
+from operator import add, lt, sub
 
 from . import tube
-from .grading import GradeElement, WeightData, dim_S
+from .grading import GradeElement, WeightData, dim_S, normalize
 from .nilpotent import Arc
 
 
@@ -197,10 +197,12 @@ def ext_dim_sheaf_alt(a: IndecSheaf, b: IndecSheaf) -> int:
     """Independent Ext path: direct dual-degree formula for bundles,
     presentation-based computation for torsion pairs."""
     _same_line(a, b)
-    omega = a.line.dualizing()
     if isinstance(a, LineBundle):
         if isinstance(b, LineBundle):
-            return dim_S(a.degree + omega - b.degree)
+            # one normal form of a + omega - b, reduced from the raw sum
+            x, y, omega = a.degree, b.degree, a.line.dualizing()
+            return dim_S(normalize(a.line, map(sub, map(add, x.coeffs, omega.coeffs), y.coeffs),
+                                   x.c_part + omega.c_part - y.c_part))
         return 0
     if isinstance(b, LineBundle):
         if isinstance(a, TorsionArc):

@@ -511,10 +511,11 @@ def is_exc_sequence(seq, hom=hom_dim, ext=ext_dim) -> bool:
     """Whether every member is exceptional (End one-dimensional, no
     self-extensions) and Hom and Ext vanish from every later member to
     every earlier one.  Defaults to arcs; the sheaf layer passes its
-    own Hom and Ext."""
+    own Hom and Ext.
+
+    A repeated member fails the Hom condition, since Hom(s, s) = 1, so
+    distinctness needs no separate test, and no member is hashed."""
     seq = list(seq)
-    if len(set(seq)) != len(seq):
-        return False
     if any(hom(s, s) != 1 or ext(s, s) != 0 for s in seq):
         return False
     return all(hom(late, early) == 0 and ext(late, early) == 0

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from . import tube
 from .grading import WeightData
@@ -330,6 +330,17 @@ def universe_margin(line: WeightData) -> int:
     return max(line.p, 2 * line.p + line.dualizing().degree())
 
 
+def _mask_before(a: int, b: int) -> bool:
+    """Whether mask a comes before mask b by size, then by its sorted bit
+    indices.  For equal sizes the indices agree below the lowest bit of
+    a ^ b, and the mask holding that bit has the smaller next index."""
+    na, nb = a.bit_count(), b.bit_count()
+    if na != nb:
+        return na < nb
+    d = a ^ b
+    return bool(a & d & -d)
+
+
 def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset:
     if len(line.weighted_indices()) > 2:
         raise ValueError("poset construction needs bundle support "
@@ -377,12 +388,11 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
             undecidable.append(f"{problem}: {shown}")
             continue
         rec = records.setdefault(key, {"exc": None, "cinv": None})
-        cand = (gens.bit_count(), tuple(tube.bits(gens)))
-        if rec["exc"] is None or cand < rec["exc_key"]:
-            rec["exc"], rec["exc_key"] = gens, cand
+        if rec["exc"] is None or _mask_before(gens, rec["exc"]):
+            rec["exc"] = gens
 
     nodes = []
-    masks = sorted(records, key=lambda m: (m.bit_count(), list(tube.bits(m))))
+    masks = sorted(records, key=cmp_to_key(lambda a, b: -1 if _mask_before(a, b) else 1))
     used_names = set()
     for mask in masks:
         rec = records[mask]

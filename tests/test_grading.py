@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpline.grading import (GradeElement, LineType, dim_S, line_invariants,
                             make_line, normalize, parse_weights)
@@ -196,3 +197,43 @@ def test_separately_built_lines_are_equal_values():
     assert repr(a) == repr(b) == "WeightData(weights=(2, 3), points=('inf', '0'))"
     assert a != (2, 3) and a != ((2, 3), ("inf", "0"))
     assert a != make_line((3, 2))
+
+
+def reference_normalize(line, coeffs, c_part):
+    """The per-coefficient divmod loop that normalize replaced."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) != len(line.weights):
+        raise ValueError("coefficient count does not match the weight count")
+    carry = int(c_part)
+    normed = []
+    for a, p in zip(coeffs, line.weights):
+        q, r = divmod(int(a), p)
+        normed.append(r)
+        carry += q
+    return GradeElement(line, tuple(normed), carry)
+
+
+@st.composite
+def raw_elements(draw):
+    """A line of one to three points and raw coefficients of any sign,
+    with the count sometimes off by one."""
+    line = make_line(draw(st.lists(st.integers(1, 7), min_size=1, max_size=3)))
+    n = line.n + draw(st.sampled_from((0, 0, 0, -1, 1)))
+    big = st.integers(-10 ** 6, 10 ** 6)
+    return line, draw(st.lists(big, min_size=n, max_size=n)), draw(big)
+
+
+@settings(max_examples=400)
+@given(raw_elements())
+def test_normalize_matches_divmod_reference(case):
+    line, coeffs, c_part = case
+
+    def outcome(f, *args):
+        try:
+            return f(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    got = outcome(normalize, line, coeffs, c_part)
+    assert got == outcome(reference_normalize, line, coeffs, c_part)
+    assert outcome(normalize, line, iter(coeffs), c_part) == got

@@ -285,13 +285,14 @@ def reference_inverse(a):
     if inv is None:
         return "singular matrix"
     if any(x.denominator != 1 for row in inv for x in row):
-        return "inverse is not integral"
+        return "solution is not integral"
     return tuple(tuple(int(x) for x in row) for row in inv)
 
 
 def integer_inverse(a):
+    """The fraction-free solve against the identity."""
     try:
-        return kt._inverse(a)
+        return kt._solve(a, [[int(u == v) for v in range(len(a))] for u in range(len(a))])
     except ValueError as exc:
         return str(exc)
 
@@ -384,6 +385,163 @@ def test_weyl_element_rejects_form_breaking_matrix():
         kt.WeylElement(line, double)
     with pytest.raises(ValueError, match="wrong size"):
         kt.WeylElement(line, ((1, 0), (0, 1)))
+
+
+def reference_preserves_form(line, matrix):
+    """The full form check: w^T S w == S from two matrix products."""
+    sym = [list(row) for row in kt._table(line).sym]
+    w = [list(row) for row in matrix]
+    return mat_mul([list(col) for col in zip(*w)], mat_mul(sym, w)) == sym
+
+
+def is_real_root_mod_delta(line, key):
+    """Whether the representative (key[0], 0, key[1], ...) pairs to 2
+    with itself under the symmetrized form."""
+    rep = (key[0], 0) + tuple(key[1:])
+    sym = kt._table(line).sym
+    return sum(rep[i] * sym[i][j] * rep[j] for i in range(len(rep)) for j in range(len(rep))) == 2
+
+
+def perturb(matrix, kind, i, j, k):
+    """A Weyl element's matrix changed by one edit; the form survives
+    "none", "negate" and a multiple of delta added to a column."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    i, j = i % n, j % n
+    if kind == "entry":
+        m[i][j] += k
+    elif kind == "swap_rows":
+        m[i], m[j] = m[j], m[i]
+    elif kind == "swap_cols":
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+    elif kind == "negate_col":
+        for row in m:
+            row[j] = -row[j]
+    elif kind == "negate":
+        m = [[-x for x in row] for row in m]
+    elif kind == "transpose":
+        m = [list(col) for col in zip(*m)]
+    elif kind == "delta_col":
+        m[0][j] -= k
+        m[1][j] += k
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=200)
+@given(reflection_products(),
+       st.sampled_from(("none", "entry", "swap_rows", "swap_cols", "negate_col", "negate",
+                        "transpose", "delta_col")),
+       st.integers(0, 5), st.integers(0, 5), st.sampled_from((-2, -1, 1, 2)))
+def test_triangular_form_check_matches_full_product(case, kind, i, j, k):
+    """The upper-triangle check accepts and rejects exactly the matrices
+    that the full product w^T S w == S does, a rejected matrix leaves the
+    column memo as it was, and every memoized column is a real root
+    modulo delta, so the memo stays bounded."""
+    li, picks = case
+    line = QUERY_LINES[li]
+    w = identity_weyl(line)
+    for pick in picks:
+        w = w.compose(kt.reflection(line, POOLS[li][pick]))
+    matrix = perturb(w.matrix, kind, i, j, k)
+    memo = kt._table(line).sym_cols
+    before = dict(memo)
+    try:
+        kt.WeylElement(line, matrix)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == reference_preserves_form(line, matrix)
+    if not accepted:
+        assert memo == before
+    assert all(is_real_root_mod_delta(line, key) for key in memo)
+
+
+def reference_nc_leq(u, v):
+    """The comparison on an inverse, then a product, each checked."""
+    return kt.abs_length(u) + kt.abs_length(u.inverse().compose(v)) == kt.abs_length(v)
+
+
+@settings(max_examples=100)
+@given(reflection_products(), st.lists(st.integers(0, 10 ** 6), max_size=8))
+def test_nc_leq_solve_matches_inverse_then_compose(case, more):
+    """u^-1 v from the solve of [u | v] equals u.inverse().compose(v), and
+    nc_leq agrees with the reference both ways round."""
+    li, picks = case
+    line = QUERY_LINES[li]
+    pool = POOLS[li]
+    u = v = identity_weyl(line)
+    for pick in picks:
+        u = u.compose(kt.reflection(line, pool[pick]))
+    for pick in more:
+        v = v.compose(kt.reflection(line, pool[pick % len(pool)]))
+    assert kt._solve(u.matrix, v.matrix) == u.inverse().compose(v).matrix
+    assert kt.nc_leq(u, v) == reference_nc_leq(u, v)
+    assert kt.nc_leq(v, u) == reference_nc_leq(v, u)
+
+
+def shifted_canonical(line, rng):
+    step = line.element([rng.randrange(p) for p in line.weights], rng.randint(-6, 6))
+    return [sh.shift(s, step) for s in kt.canonical_interval_sequence(line)]
+
+
+def test_nc_leq_builds_one_weyl_element(monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for line in QUERY_LINES:
+        for _ in range(10):
+            seq = shifted_canonical(line, rng)
+            k = rng.randint(1, len(seq) - 1)
+            cases.append((kt.cox_of(line, seq[:k]), kt.cox_of(line, seq)))
+    expected = [(reference_nc_leq(u, v), reference_nc_leq(v, u)) for u, v in cases]
+
+    built = []
+    real = kt.WeylElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(kt.WeylElement, "__post_init__", counting)
+    for (u, v), want in zip(cases, expected):
+        for a, b, answer in ((u, v, want[0]), (v, u, want[1])):
+            del built[:]
+            assert kt.nc_leq(a, b) == answer
+            assert len(built) == 1
+
+
+def test_cox_of_reads_each_self_ext_once(monkeypatch):
+    rng = random.Random(8)
+    seqs = []
+    for line in QUERY_LINES:
+        kt.euler_matrix(line)
+        for _ in range(10):
+            seq = shifted_canonical(line, rng)
+            seqs.append((line, seq[:rng.randint(1, len(seq))]))
+    expected = [kt.cox_of(line, seq) for line, seq in seqs]
+
+    selves = []
+    real = sh.ext_dim_sheaf
+
+    def counting(a, b):
+        if a == b:
+            selves.append(a)
+        return real(a, b)
+
+    monkeypatch.setattr(kt, "ext_dim_sheaf", counting)
+    monkeypatch.setattr(sh, "ext_dim_sheaf", counting)
+    for (line, seq), want in zip(seqs, expected):
+        del selves[:]
+        assert kt.cox_of(line, seq) == want
+        assert selves == seq
+
+
+def test_reflection_rejects_non_exceptional_sheaves():
+    for s in (sh.stack_at(LINE2, 0, 0, 2), sh.OrdinaryTorsion(LINE2, "q", 1)):
+        with pytest.raises(ValueError, match="reflections come from exceptional sheaves"):
+            kt.reflection(LINE2, s)
+        with pytest.raises(ValueError, match="not an exceptional sequence"):
+            kt.cox_of(LINE2, [sh.line_bundle(LINE2, (0, 0)), s])
 
 
 def reference_cox_of(line, seq):

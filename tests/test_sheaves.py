@@ -164,6 +164,8 @@ def test_exceptional_sequences():
     assert not is_exc_sequence((O, O2c))
     S1 = sh.simple_at(LINE2, 0, 1)
     assert is_exc_sequence((S1, O))
+    assert not is_exc_sequence((O, O))
+    assert not is_exc_sequence((S1, O, sh.simple_at(LINE2, 0, 1)))
 
 
 def test_perp_membership_direction():
@@ -238,6 +240,12 @@ def reference_ext(a, b):
     return sh.hom_dim_sheaf(b, sh.tau_sheaf(a))
 
 
+def reference_alt_bundle_ext(a, b):
+    """The alternate bundle Ext on two GradeElement operations, as it was
+    before the single normal form of a + omega - b."""
+    return dim_S(a.degree + a.line.dualizing() - b.degree)
+
+
 def kind_grid(line, c_span, turns):
     """Bundles within c_span canonical steps, arcs of up to `turns`
     windings at every weighted point, and ordinary stalks at q."""
@@ -278,6 +286,34 @@ def test_closed_bundle_to_arc_hom_counts_factors(line):
                 t.arc.factor_counts()[o.degree.coeffs[t.point]], (o, t)
 
 
+def test_alt_bundle_ext_normalizes_once(monkeypatch):
+    """A bundle pair's alternate Ext reduces one normal form, and agrees
+    with the two-GradeElement reference on every bundle pair within +-6
+    canonical steps of the query lines and of 3,4."""
+    pairs = []
+    for line in QUERY_LINES + [make_line((3, 4))]:
+        line.dualizing()
+        objs = [o for o in kind_grid(line, 6, 0) if isinstance(o, sh.LineBundle)]
+        pairs += itertools.product(objs, repeat=2)
+    expected = [reference_alt_bundle_ext(a, b) for a, b in pairs]
+
+    calls = []
+    real = grading.normalize
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(grading, "normalize", counting)
+    monkeypatch.setattr(sh, "normalize", counting)
+    got = []
+    for a, b in pairs:
+        del calls[:]
+        got.append(sh.ext_dim_sheaf_alt(a, b))
+        assert len(calls) == 1, (a, b)
+    assert got == expected
+
+
 def test_closed_dimensions_build_no_objects(monkeypatch):
     """Hom and Ext on a seeded sample of query pairs neither shift,
     translate nor normalize."""
@@ -300,12 +336,18 @@ def test_closed_dimensions_build_no_objects(monkeypatch):
 
 def test_query_path_hashes_no_line(monkeypatch):
     """Once each line carries its K0 record, the query stream's classes,
-    Euler forms, Hom and both Ext paths hash no line."""
+    Euler forms, Hom, both Ext paths, cox_of and nc_leq hash no line.
+    The cox queries are prefixes of the canonical sequence, shifted."""
     rng = random.Random(20232)
-    pairs = []
+    pairs, cox = [], []
     for line in QUERY_LINES:
         objs = kind_grid(line, 6, 1)
         pairs += [(line, rng.choice(objs), rng.choice(objs)) for _ in range(200)]
+        canonical = kt.canonical_interval_sequence(line)
+        for _ in range(20):
+            step = line.element([rng.randrange(p) for p in line.weights], rng.randint(-6, 6))
+            seq = [sh.shift(s, step) for s in canonical]
+            cox.append((line, seq[:rng.randint(1, len(seq) - 1)], seq))
 
     def answers():
         out = []
@@ -313,6 +355,9 @@ def test_query_path_hashes_no_line(monkeypatch):
             x, y = kt.class_of(a), kt.class_of(b)
             out.append((x, y, kt.euler_form(line, x, y), sh.hom_dim_sheaf(a, b),
                         sh.ext_dim_sheaf(a, b), sh.ext_dim_sheaf_alt(a, b)))
+        for line, short, full in cox:
+            u, v = kt.cox_of(line, short), kt.cox_of(line, full)
+            out.append((u.matrix, v.matrix, kt.nc_leq(u, v), kt.nc_leq(v, u)))
         return out
 
     expected = answers()

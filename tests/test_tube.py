@@ -196,6 +196,8 @@ def test_order_exc_sequence_frozen():
     seq = tube.order_exc_sequence([Arc(3, 0, 2), Arc(3, 0, 1)])
     assert tube.is_exc_sequence(seq)
     assert set(seq) == {Arc(3, 0, 2), Arc(3, 0, 1)}
+    assert not tube.is_exc_sequence(list(seq) + [Arc(3, 0, 2)])
+    assert not tube.is_exc_sequence([Arc(3, 0, 1), Arc(3, 0, 1)])
 
 
 def test_exc_perp_decompose_simple():

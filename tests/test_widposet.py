@@ -640,6 +640,36 @@ def test_build_poset_closes_each_perpendicular_once(weights, lo, hi, monkeypatch
     assert len(closed) == len(perps) and set(closed) == perps
 
 
+def reference_mask_key(mask):
+    """The order of the build before it compared masks directly: size,
+    then the sorted bit indices."""
+    return mask.bit_count(), tuple(tube.bits(mask))
+
+
+def test_mask_order_matches_reference_key():
+    masks = range(1 << 7)
+    for a, b in itertools.product(masks, repeat=2):
+        assert wp._mask_before(a, b) == (reference_mask_key(a) < reference_mask_key(b)), (a, b)
+
+
+@pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
+def test_nodes_and_least_generators_follow_reference_key(weights, lo, hi):
+    """Nodes come in the reference order, and each exceptional node keeps
+    the least rigid set, by the reference key, of its perpendicular."""
+    uni, rigid = rigid_window_sets(weights, lo, hi)
+    perp_of, by_perp = {}, {}
+    for gens, perp in rigid:
+        perp_of[gens] = perp
+        by_perp.setdefault(perp, []).append(gens)
+    poset = wp.build_poset(make_line(weights), lo, hi)
+    masks = [n.mask for n in poset.nodes]
+    assert masks == sorted(masks, key=reference_mask_key)
+    exc = [n for n in poset.nodes if n.gens is not None]
+    assert exc
+    for n in exc:
+        assert n.gens == min(by_perp[perp_of[n.gens]], key=reference_mask_key), n.name
+
+
 def reference_cinv_snapshot(line, data, uni):
     """Per-point arcs and ordinary simples, and the bundles in the right
     perpendicular of an exceptional sequence generating the defining
