@@ -70,9 +70,6 @@ class NilpRep:
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    def map_as_lists(self, i):
-        return [list(row) for row in self.maps[i]]
-
 
 def _freeze(matrix):
     return tuple(tuple(row) for row in matrix)
@@ -220,11 +217,8 @@ def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
     for i in range(n):
         t = (i - 1) % n
         m = [[0] * dims[i] for _ in range(dims[t])]
-        cols_t = [[bases[t][k][r] for k in range(dims[t])] for r in range(a.dims[t])]
-        col_vectors = [[cols_t[r][k] for r in range(a.dims[t])] for k in range(dims[t])]
         for j, v in enumerate(bases[i]):
-            img = linalg.mat_vec(a.map_as_lists(i), v)
-            coords = linalg.solve(col_vectors, img) if dims[t] else ([] if all(x == 0 for x in img) else None)
+            coords = linalg.solve(bases[t], linalg.mat_vec(a.maps[i], v))
             if coords is None:
                 raise AssertionError("kernel is not a subrepresentation")
             for k in range(dims[t]):

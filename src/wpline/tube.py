@@ -159,20 +159,12 @@ def ext_classes(a: Arc, b: Arc):
     k_hom = arc_hom_basis(k_arc, b)
     restricted = [_vec_morphism(b_rep, k_rep, _compose(f, incl, p_rep))
                   for f in arc_hom_basis(p_arc, b)]
-    span = [v for v in restricted if any(x != 0 for x in v)]
-    chosen = []
-    base_rank = linalg.rank(span) if span else 0
-    current = list(span)
-    current_rank = base_rank
-    for f in k_hom:
-        v = _vec_morphism(b_rep, k_rep, f)
-        cand = current + [v]
-        r = linalg.rank(cand)
-        if r > current_rank:
-            chosen.append(f)
-            current = cand
-            current_rank = r
-    result = [(k_arc, p_arc, incl, f) for f in chosen]
+    # as columns after the restrictions, a basis map is a pivot exactly
+    # when it is independent of the maps before it
+    cols = restricted + [_vec_morphism(b_rep, k_rep, f) for f in k_hom]
+    _, pivots = linalg.rref(list(zip(*cols)))
+    result = [(k_arc, p_arc, incl, k_hom[c - len(restricted)])
+              for c in pivots if c >= len(restricted)]
     _EXT_CLASS_CACHE[key] = result
     return result
 
@@ -464,21 +456,25 @@ class Universe:
     def rigid_subsets(self, candidates: int, max_size: int):
         """Yield every set of at most max_size candidates with no Ext^1
         between or within its members, as (mask, right perpendicular)
-        pairs: the empty set first, the rest in depth-first order.  The
-        perpendicular is carried along the search, one AND per step."""
+        pairs, in level order: the empty set first, then one size at a
+        time, each size in ascending order of sorted indices.  Extending
+        each set of a level, in order, by its larger candidates in order
+        gives exactly that order, so the first set yielded with some
+        property is the least one by size, then sorted indices.  The
+        perpendicular is carried along, one AND per step."""
         cands = [i for i in bits(candidates) if self.compatible[i] >> i & 1]
         yield 0, self.full
-        stack = [(0, 0, self.full, self.full)]
-        while stack:
-            chosen, start, allowed, perp = stack.pop()
-            if chosen.bit_count() == max_size:
-                continue
-            for pos in range(start, len(cands)):
-                i = cands[pos]
-                if allowed >> i & 1:
-                    nxt, nxt_perp = chosen | 1 << i, perp & self.right[i]
-                    yield nxt, nxt_perp
-                    stack.append((nxt, pos + 1, allowed & self.compatible[i], nxt_perp))
+        level = [(0, 0, self.full, self.full)]
+        for _ in range(max_size):
+            grown = []
+            for chosen, start, allowed, perp in level:
+                for pos in range(start, len(cands)):
+                    i = cands[pos]
+                    if allowed >> i & 1:
+                        nxt, nxt_perp = chosen | 1 << i, perp & self.right[i]
+                        yield nxt, nxt_perp
+                        grown.append((nxt, pos + 1, allowed & self.compatible[i], nxt_perp))
+            level = grown
 
 
 def inclusion_order(masks):
@@ -703,9 +699,9 @@ def exc_perp_decompose(e: Arc):
 
     With S the top simple of e and m its length, the perpendicular is
     the orthogonal of the simples S, tau S, ..., tau^{m-1} S joined with
-    the wide closure of tau S, ..., tau^{m-1} S.  Returns a membership
-    predicate for the first block (on arcs of length at most the rank)
-    and the fingerprint arcs of the second.
+    the wide closure of tau S, ..., tau^{m-1} S.  Returns the arcs of
+    length at most the rank in the first block, and the fingerprint
+    arcs of the second.
     """
     if not is_exceptional(e):
         raise ValueError("arc is not exceptional")
@@ -714,4 +710,4 @@ def exc_perp_decompose(e: Arc):
     ladder = [Arc(n, (e.top - k) % n, 1) for k in range(e.length)]
     block1 = frozenset(uni.members(uni.right_perp(uni.mask(ladder))))
     block2 = frozenset(uni.members(uni.double_perp(uni.mask(ladder[1:]))))
-    return (lambda x: x in block1), block2
+    return block1, block2

@@ -16,12 +16,14 @@ once per poset over the window enlarged by universe_margin degrees on
 each side; Ext is filled by Serre duality, Ext(x, y) = Hom(y, tau x),
 with tau x the shift by the dualizing element.  The closure of a rigid
 set is the left perpendicular of the right one the rigid-set search
-carries, taken once per distinct perpendicular; the bundles of a
-shift-invariant subcategory form the right perpendicular of its defining
-torsion.  Sets stay masks over a universe sorted by sheaf_sort_key, so
-ascending index tuples order generators and nodes as sort-key tuples
-would; sheaf objects are built for clipped sets, messages and names,
-and a node's snapshot and exc_gens on first access.
+carries, taken once per distinct perpendicular; a shift-invariant
+subcategory with bundles is the right perpendicular of its defining
+torsion, in one step.  Sets stay masks over a universe sorted by
+sheaf_sort_key, so ascending index tuples order generators and nodes as
+sort-key tuples would.  Rigid sets come in level order (by size, then
+by sorted indices), so the first one found for a node is its least
+generator.  Sheaf objects are built only for names and messages, and a
+node's snapshot and exc_gens on first access.
 
 Exactness (Geigle-Lenzing).  With p = delta(c): Hom(O(x), O(y)) = 0
 exactly when y - x is not effective, a non-effective element has degree
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 
 from . import tube
 from .grading import WeightData
@@ -165,21 +167,13 @@ def torsion_bits(uni: tube.Universe) -> dict:
 
 def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe, bit: dict) -> int:
     """Members of a shift-invariant subcategory, as a mask over the
-    universe; `bit` is the universe's torsion_bits.  The bundles of a
-    bundle-containing one are the right perpendicular of the members of
-    its defining torsion subcategory, all in the universe: that is the
-    perpendicular of any exceptional sequence generating it
-    (Geigle-Lenzing)."""
-    return _cinv_members(line, data, uni, bit, _cinv_data_mask(line, data, uni, bit))
-
-
-def _cinv_members(line, data: CInvData, uni: tube.Universe, bit: dict, data_mask: int) -> int:
-    members = data_mask & uni.full
+    universe; `bit` is the universe's torsion_bits.  A bundle-containing
+    one is the right perpendicular of its defining torsion subcategory,
+    which is that of any exceptional sequence generating it (the paper's
+    first theorem; Geigle-Lenzing); a torsion-only one is its data."""
     if data.contains_bundle:
-        # distinct objects have distinct bits, so a sum of bits is their union
-        bundles = uni.full & ~sum(bit.values())
-        members |= uni.right_perp(_arcs_mask(line, data.defining_exc, bit)) & bundles
-    return members
+        return uni.right_perp(_arcs_mask(line, data.defining_exc, bit))
+    return _cinv_data_mask(line, data, uni, bit)
 
 
 def _arcs_mask(line: WeightData, fps, bit: dict) -> int:
@@ -219,14 +213,16 @@ class PosetNode:
 
 class WidPoset:
     """Nodes by snapshot size; bit j of above[i] when node j strictly contains
-    node i, of exc[i] or cinv[i] when that mechanism certifies it."""
+    node i, of exc[i] or cinv[i] when that mechanism certifies it.  Nodes
+    and clipped generator sets are masks over the build universe uni."""
 
-    def __init__(self, line, lo, hi, universe_ids, nodes, clipped, undecidable,
+    def __init__(self, line, lo, hi, universe_ids, uni, nodes, clipped, undecidable,
                  covers, above, exc, cinv):
         self.line = line
         self.lo = lo
         self.hi = hi
         self.universe_ids = tuple(sorted(universe_ids))
+        self.uni = uni
         self.nodes = nodes
         self.clipped = clipped
         self.undecidable = undecidable
@@ -330,17 +326,6 @@ def universe_margin(line: WeightData) -> int:
     return max(line.p, 2 * line.p + line.dualizing().degree())
 
 
-def _mask_before(a: int, b: int) -> bool:
-    """Whether mask a comes before mask b by size, then by its sorted bit
-    indices.  For equal sizes the indices agree below the lowest bit of
-    a ^ b, and the mask holding that bit has the smaller next index."""
-    na, nb = a.bit_count(), b.bit_count()
-    if na != nb:
-        return na < nb
-    d = a ^ b
-    return bool(a & d & -d)
-
-
 def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset:
     if len(line.weighted_indices()) > 2:
         raise ValueError("poset construction needs bundle support "
@@ -348,25 +333,25 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     m = universe_margin(line)
     # sheaf_universe is sorted by sheaf_sort_key, so the build orders masks by index
     uni = window_universe(line, lo - m, hi + m, universe_ids)
-    window = uni.mask(sheaf_universe(line, lo, hi, universe_ids))
+    window = sum(1 << i for i, x in enumerate(uni.objects)
+                 if not isinstance(x, LineBundle) or lo <= x.degree.degree() <= hi)
     exceptional = sum(1 << i for i in tube.bits(window) if is_exceptional_sheaf(uni.objects[i]))
     bit = torsion_bits(uni)
     bundles = uni.full & ~sum(bit.values())
 
-    # records are keyed by the window snapshot, as a mask
-    undecidable, records = [], {}
+    # invariant data and members by window slice, the first one kept
+    undecidable, invariant = [], {}
     for data in enumerate_wid_c(line, universe_ids):
-        data_mask = _cinv_data_mask(line, data, uni, bit)
-        members = _cinv_members(line, data, uni, bit, data_mask)
-        rec = records.setdefault(members & window, {"exc": None, "cinv": data, "data": data_mask,
-                                                    "members": members})
-        if rec["cinv"] is not data:
-            undecidable.append(f"window cannot separate {_cinv_name(line, rec['cinv'])} "
+        members = cinv_snapshot(line, data, uni, bit)
+        first = invariant.setdefault(members & window, (data, members))[0]
+        if first is not data:
+            undecidable.append(f"window cannot separate {_cinv_name(line, first)} "
                                f"and {_cinv_name(line, data)}")
 
     # Closures are exact on the universe, so each case of the module
-    # docstring is a test; a failed one is reported, never guessed.
-    clipped, closures = [], {}
+    # docstring is a test; a failed one is reported, never guessed.  Rigid
+    # sets come in level order, so the first one of a node is its least.
+    clipped, closures, least = [], {}, {}
     for gens, perp in uni.rigid_subsets(exceptional, max_size=k_rank(line)):
         if perp not in closures:
             closures[perp] = uni.left_perp(perp)
@@ -375,35 +360,33 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
             problem = "torsion generators close on a bundle" if snap & bundles else None
         elif not perp & bundles:
             key = snap & window
-            problem = None if records.get(key, {}).get("members") == snap \
+            problem = None if invariant.get(key, (None, None))[1] == snap \
                 else "closure of a bundle-free perpendicular is not shift-invariant"
         elif snap & ~window:
-            clipped.append(uni.members(gens))
+            clipped.append(gens)
             continue
         else:
             problem = "window slice of a closure with bundles is an invariant one" \
-                if records.get(snap, {}).get("cinv") else None
+                if snap in invariant else None
         if problem:
             shown = ";".join(format_sheaf(g) for g in uni.members(gens))
             undecidable.append(f"{problem}: {shown}")
             continue
-        rec = records.setdefault(key, {"exc": None, "cinv": None})
-        if rec["exc"] is None or _mask_before(gens, rec["exc"]):
-            rec["exc"] = gens
+        least.setdefault(key, gens)
 
     nodes = []
-    masks = sorted(records, key=cmp_to_key(lambda a, b: -1 if _mask_before(a, b) else 1))
+    masks = sorted(invariant.keys() | least.keys(),
+                   key=lambda mask: (mask.bit_count(), tuple(tube.bits(mask))))
     used_names = set()
     for mask in masks:
-        rec = records[mask]
-        name = _cinv_name(line, rec["cinv"]) if rec["cinv"] is not None \
-            else _exc_name(line, uni.members(mask))
+        data, _ = invariant.get(mask, (None, None))
+        name = _cinv_name(line, data) if data is not None else _exc_name(line, uni.members(mask))
         if name in used_names:
             undecidable.append(f"name collision at {name}")
             name = next(f"{name}#{i}" for i in itertools.count(2)
                         if f"{name}#{i}" not in used_names)
         used_names.add(name)
-        nodes.append(PosetNode(name, mask, rec["exc"], rec["cinv"], uni))
+        nodes.append(PosetNode(name, mask, least.get(mask), data, uni))
 
     # Snapshot order must agree with the generators of an exceptional node
     # against every node, and with the data of two invariant nodes; the exc
@@ -412,13 +395,12 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     everyone = (1 << len(nodes)) - 1
     exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
-    held = tube.holders(masks)
-    held_data = tube.holders(records[m].get("data", 0) for m in masks)
+    data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, bit) for n in nodes]
+    held, held_data = tube.holders(masks), tube.holders(data_masks)
     exc, cinv = [], []
     for i, u in enumerate(nodes):
         by_gens = 0 if u.gens is None else tube.meet(held, u.gens, everyone)
-        by_data = 0 if u.cinv is None else tube.meet(held_data, records[u.mask]["data"],
-                                                      cinv_nodes)
+        by_data = 0 if u.cinv is None else tube.meet(held_data, data_masks[i], cinv_nodes)
         exc.append(by_gens & (exc_nodes | ~by_data))
         cinv.append(by_data)
         by_exc = everyone & ~(1 << i) if u.gens is not None else 0
@@ -430,8 +412,9 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
             undecidable.extend(f"order of {u.name} and {nodes[j].name} {what}"
                                for what, flagged in flags if flagged >> j & 1)
 
-    return WidPoset(line, lo, hi, universe_ids, tuple(nodes), tuple(clipped), tuple(undecidable),
-                    [(nodes[i].name, nodes[j].name) for i, j in covers], above, exc, cinv)
+    return WidPoset(line, lo, hi, universe_ids, uni, tuple(nodes), tuple(clipped),
+                    tuple(undecidable), [(nodes[i].name, nodes[j].name) for i, j in covers],
+                    above, exc, cinv)
 
 
 # ---------------------------------------------------------------------------

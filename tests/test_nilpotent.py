@@ -185,7 +185,7 @@ def reference_composite_ranks(rep, start, max_steps):
     ranks = [rep.dims[start]]
     v = start
     for _ in range(max_steps):
-        m = linalg.mat_mul(rep.map_as_lists(v), m)
+        m = linalg.mat_mul(rep.maps[v], m)
         ranks.append(linalg.rank(m))
         v = (v - 1) % rep.rank
     return ranks
@@ -213,7 +213,7 @@ def conjugate(rep, bases):
     n = rep.rank
     maps = []
     for i in range(n):
-        m = linalg.mat_mul(linalg.mat_mul(bases[(i - 1) % n], rep.map_as_lists(i)),
+        m = linalg.mat_mul(linalg.mat_mul(bases[(i - 1) % n], rep.maps[i]),
                            invert(bases[i]))
         maps.append(tuple(tuple(Fraction(x) for x in row) for row in m))
     return NilpRep(n, rep.dims, tuple(maps))

@@ -203,9 +203,9 @@ def test_order_exc_sequence_frozen():
 def test_exc_perp_decompose_simple():
     # the opposite simple extends S_0, so only the full opposite arc
     # survives in the perpendicular
-    in_block1, block2 = tube.exc_perp_decompose(Arc(2, 0, 1))
+    block1, block2 = tube.exc_perp_decompose(Arc(2, 0, 1))
     assert block2 == frozenset()
-    members = [x for x in tube.all_arcs(2, 2) if in_block1(x)]
+    members = [x for x in tube.all_arcs(2, 2) if x in block1]
     assert sorted((a.socle, a.length) for a in members) == [(1, 2)]
 
 
@@ -213,11 +213,11 @@ def test_exc_perp_decompose_stack():
     """A length 2 arc in the rank 3 tube splits its perpendicular into
     an orthogonal pair of blocks covering it."""
     e = Arc(3, 1, 2)
-    in_block1, block2 = tube.exc_perp_decompose(e)
+    block1, block2 = tube.exc_perp_decompose(e)
     assert sorted((a.socle, a.length) for a in block2) == [(1, 1)]
     perp = [x for x in tube.all_arcs(3, 3)
             if tube.hom_dim(e, x) == 0 and tube.ext_dim(e, x) == 0]
-    b1 = [x for x in perp if in_block1(x)]
+    b1 = [x for x in perp if x in block1]
     rest = [x for x in perp if x not in b1]
     assert set(rest) <= set(block2) | {x for x in tube.all_arcs(3, 3) if not tube.is_exceptional(x)}
     for x in b1:

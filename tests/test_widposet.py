@@ -83,7 +83,7 @@ def test_poset_rank_two_single_clip():
     bundle support leaks below the window, so it is not a node."""
     poset = wp.build_poset(LINE2, -2, 3)
     assert len(poset.clipped) == 1
-    assert sorted(sh.format_sheaf(g) for g in poset.clipped[0]) == ["O(0,0;-1)", "S(inf,0)"]
+    assert fmt_set(poset.uni.members(poset.clipped[0])) == ["O(0,0;-1)", "S(inf,0)"]
 
 
 def test_poset_mixed_representation_nodes():
@@ -526,28 +526,11 @@ def test_tau_fill_matches_pairwise_sheaves(weights, lo, hi, ids):
         pairwise_tables(uni.objects, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
 
 
-def reference_rigid_subsets(objects, max_size, ext):
-    """The depth-first search of rigid_subsets on object tuples, with
-    every extension tested by tube.is_rigid_set."""
-    cands = [x for x in objects if tube.is_rigid_set([x], ext)]
-    out = [()]
-    stack = [((), 0)]
-    while stack:
-        chosen, start = stack.pop()
-        if len(chosen) == max_size:
-            continue
-        for pos in range(start, len(cands)):
-            nxt = chosen + (cands[pos],)
-            if tube.is_rigid_set(nxt, ext):
-                out.append(nxt)
-                stack.append((nxt, pos + 1))
-    return out
-
-
 @pytest.mark.parametrize("layer", ["tube-1", "tube-2", "tube-3", "tube-4", "sheaf-2", "sheaf-2,2"])
 def test_rigid_subsets_carry_right_perpendicular(layer):
-    """Masks are the rigid sets of at most max_size objects in the
-    depth-first order, and each carried perpendicular is the right
+    """Masks are the rigid sets of at most max_size objects in level
+    order, which is the order of the exhaustive list by size and then by
+    combination, and each carried perpendicular is the right
     perpendicular of its mask."""
     kind, arg = layer.split("-")
     if kind == "tube":
@@ -559,10 +542,8 @@ def test_rigid_subsets_carry_right_perpendicular(layer):
         ext = functools.cache(sh.ext_dim_sheaf)
     found = list(uni.rigid_subsets(uni.full, max_size))
     assert [uni.members(m) for m, _ in found] == \
-        reference_rigid_subsets(uni.objects, max_size, ext)
-    rigid = {uni.mask(c) for r in range(max_size + 1)
-             for c in itertools.combinations(uni.objects, r) if tube.is_rigid_set(c, ext)}
-    assert len(found) == len(rigid) and {m for m, _ in found} == rigid
+        [c for r in range(max_size + 1) for c in itertools.combinations(uni.objects, r)
+         if tube.is_rigid_set(c, ext)]
     for mask, perp in found:
         assert perp == uni.right_perp(mask), uni.members(mask)
 
@@ -640,16 +621,35 @@ def test_build_poset_closes_each_perpendicular_once(weights, lo, hi, monkeypatch
     assert len(closed) == len(perps) and set(closed) == perps
 
 
+@pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
+def test_build_poset_makes_sheaf_objects_for_names_only(weights, lo, hi, monkeypatch):
+    """build_poset lists the sheaf window once, for its universe, and reads
+    the members of a mask only to name a node from its snapshot: clipped
+    generator sets stay masks."""
+    listed, read = [], []
+    sheaf_universe = wp.sheaf_universe
+
+    def counted_universe(*args):
+        listed.append(args)
+        return sheaf_universe(*args)
+
+    class Counted(tube.Universe):
+        def members(self, mask):
+            read.append(mask)
+            return super().members(mask)
+
+    monkeypatch.setattr(wp, "sheaf_universe", counted_universe)
+    monkeypatch.setattr(tube, "Universe", Counted)
+    poset = wp.build_poset(make_line(weights), lo, hi)
+    assert poset.clipped and poset.undecidable == ()
+    assert len(listed) == 1
+    assert read == [n.mask for n in poset.nodes if n.cinv is None]
+    assert all(isinstance(gens, int) for gens in poset.clipped)
+
+
 def reference_mask_key(mask):
-    """The order of the build before it compared masks directly: size,
-    then the sorted bit indices."""
+    """Size, then the sorted bit indices."""
     return mask.bit_count(), tuple(tube.bits(mask))
-
-
-def test_mask_order_matches_reference_key():
-    masks = range(1 << 7)
-    for a, b in itertools.product(masks, repeat=2):
-        assert wp._mask_before(a, b) == (reference_mask_key(a) < reference_mask_key(b)), (a, b)
 
 
 @pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
