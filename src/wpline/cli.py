@@ -115,7 +115,8 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_hom(args, ext: bool) -> int:
+def _cmd_hom(args) -> int:
+    ext = args.verb == "ext"
     line = _line_from_args(args)
     a = parse_sheaf(line, args.src)
     b = parse_sheaf(line, args.dst)
@@ -273,26 +274,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=fmt_default)
 
     p = sub.add_parser("classify", help="weight type and degree invariants")
+    p.set_defaults(run=_cmd_classify)
     p.add_argument("--weights", required=True)
     add_common(p)
 
     for verb in ("hom", "ext"):
         p = sub.add_parser(verb, help=f"{verb} dimension between sheaves")
+        p.set_defaults(run=_cmd_hom)
         p.add_argument("--weights", required=True)
         p.add_argument("--from", dest="src", required=True)
         p.add_argument("--to", dest="dst", required=True)
         add_common(p)
 
     p = sub.add_parser("tube-enum", help="wide subcategories of one tube")
+    p.set_defaults(run=_cmd_tube_enum)
     p.add_argument("--rank", type=int, required=True)
     add_common(p, formats=("text", "json", "dot"))
 
     p = sub.add_parser("cox", help="reflection product of a sequence")
+    p.set_defaults(run=_cmd_cox)
     p.add_argument("--weights", required=True)
     p.add_argument("--sheaves")
     add_common(p, "json")
 
     p = sub.add_parser("perp", help="right perpendicular members in a window")
+    p.set_defaults(run=_cmd_perp)
     p.add_argument("--weights", required=True)
     p.add_argument("--sheaves", required=True)
     p.add_argument("--window")
@@ -300,12 +306,14 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, "json")
 
     p = sub.add_parser("poset", help="inclusion poset over a shift window")
+    p.set_defaults(run=_cmd_poset)
     p.add_argument("--weights", required=True)
     p.add_argument("--window")
     p.add_argument("--universe")
     add_common(p, "dot", ("text", "json", "dot"))
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
+    p.set_defaults(run=_cmd_verify)
     add_common(p)
     return ap
 
@@ -330,23 +338,7 @@ def run(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.verb == "classify":
-            return _cmd_classify(args)
-        if args.verb == "hom":
-            return _cmd_hom(args, ext=False)
-        if args.verb == "ext":
-            return _cmd_hom(args, ext=True)
-        if args.verb == "tube-enum":
-            return _cmd_tube_enum(args)
-        if args.verb == "cox":
-            return _cmd_cox(args)
-        if args.verb == "perp":
-            return _cmd_perp(args)
-        if args.verb == "poset":
-            return _cmd_poset(args)
-        if args.verb == "verify":
-            return _cmd_verify(args)
-        return 2
+        return args.run(args)
     except ValueError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

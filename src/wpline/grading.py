@@ -107,7 +107,7 @@ class WeightData:
         return tuple(i for i, p in enumerate(self.weights) if p >= 2)
 
 
-def make_line(weights, extra_points=()) -> WeightData:
+def make_line(weights) -> WeightData:
     """Build WeightData from a raw weight list, padding to two points.
 
     Labels follow the usual normalization: the first three points sit at
@@ -128,11 +128,7 @@ def make_line(weights, extra_points=()) -> WeightData:
             names.append("1")
         else:
             names.append(f"l{i + 1}")
-    line = WeightData(tuple(ws), tuple(names))
-    for q in extra_points:
-        if q in names:
-            raise ValueError(f"ordinary point {q!r} clashes with a weighted point")
-    return line
+    return WeightData(tuple(ws), tuple(names))
 
 
 def parse_weights(text: str) -> list[int]:

@@ -21,11 +21,12 @@ enumerate_wide_bruteforce and ext_dim_via_presentation run on it and
 read neither the closed form nor a universe table.  Only this module
 and nilpotent use linalg.  Extension middles are enumerated exactly,
 one per orbit of Ext classes.  The closure indexes the arcs of rank n
-by integer ids, (length - 1) * n + socle, and keeps one lazily filled
-table from an ordered pair of ids to the id mask of the oracle's
-kernels, cokernels and extension middles of that pair.  It closes at
-the rank: no member longer than n is needed to reach one of length at
-most n (the proof is at closure_members).
+by integer ids, (length - 1) * n + socle, and reads one cached row per
+ordered pair of ids (`_pair_row`): the id mask of the oracle's kernels,
+cokernels and extension middles of that pair.  It closes at the rank:
+no member longer than n is needed to reach one of length at most n
+(the proof is at closure_members).  The oracle's memo tables are
+functools.cache on the functions that fill them.
 """
 
 from __future__ import annotations
@@ -39,26 +40,16 @@ from . import linalg
 from .nilpotent import (Arc, NilpRep, cokernel_rep, decompose, hom_basis,
                         kernel_rep, pushout_middle, rep_of_arc)
 
-_REP_CACHE: dict[Arc, NilpRep] = {}
-_HOM_BASIS_CACHE: dict[tuple[Arc, Arc], tuple] = {}
-_PAIR_TABLE: dict[tuple[int, int, int], int] = {}
-_EXT_CLASS_CACHE: dict[tuple[Arc, Arc], list] = {}
 
-
+@functools.cache
 def _rep(arc: Arc) -> NilpRep:
-    rep = _REP_CACHE.get(arc)
-    if rep is None:
-        rep = _REP_CACHE[arc] = rep_of_arc(arc)
-    return rep
+    return rep_of_arc(arc)
 
 
+@functools.cache
 def arc_hom_basis(a: Arc, b: Arc):
     """Basis of Hom(a, b) from the linear-algebra oracle."""
-    key = (a, b)
-    basis = _HOM_BASIS_CACHE.get(key)
-    if basis is None:
-        basis = _HOM_BASIS_CACHE[key] = tuple(hom_basis(_rep(a), _rep(b)))
-    return basis
+    return tuple(hom_basis(_rep(a), _rep(b)))
 
 
 def hom_dim(a: Arc, b: Arc) -> int:
@@ -104,30 +95,12 @@ def all_arcs(n: int, max_len: int):
 # ---------------------------------------------------------------------------
 # extensions via projective presentations at a truncation
 
-def _inclusion_matrices(k: NilpRep, p: NilpRep, k_arc: Arc, p_arc: Arc):
-    n = k_arc.rank
-    kslots = [[] for _ in range(n)]
-    for j in range(k_arc.length):
-        kslots[(k_arc.socle + j) % n].append(j)
-    pslots = [[] for _ in range(n)]
-    for j in range(p_arc.length):
-        pslots[(p_arc.socle + j) % n].append(j)
-    incl = []
-    for i in range(n):
-        m = [[0] * k.dims[i] for _ in range(p.dims[i])]
-        for kc, j in enumerate(kslots[i]):
-            m[pslots[i].index(j)][kc] = 1
-        incl.append(tuple(tuple(row) for row in m))
-    return tuple(incl)
-
-
-def _vec_morphism(b: NilpRep, k: NilpRep, f):
-    out = []
-    for i in range(k.rank):
-        for r in range(b.dims[i]):
-            for c in range(k.dims[i]):
-                out.append(f[i][r][c])
-    return out
+def _inclusion_matrices(k: NilpRep, p: NilpRep):
+    """The inclusion of K into P, where K and P are arcs with one socle:
+    rep_of_arc numbers basis vectors from the socle up, so at every
+    vertex K's basis vectors are P's first ones."""
+    return tuple(tuple(tuple(int(r == c) for c in range(kd)) for r in range(pd))
+                 for kd, pd in zip(k.dims, p.dims))
 
 
 def _compose(f, g, mid: NilpRep):
@@ -138,6 +111,7 @@ def _compose(f, g, mid: NilpRep):
                  for i in range(mid.rank))
 
 
+@functools.cache
 def ext_classes(a: Arc, b: Arc):
     """Basis of Ext^1(a, b) as morphisms from the presentation kernel to b.
 
@@ -146,27 +120,20 @@ def ext_classes(a: Arc, b: Arc):
     lives below the truncation.  Classes are coset representatives of
     Hom(K, b) modulo restrictions of Hom(P, b).
     """
-    key = (a, b)
-    cached = _EXT_CLASS_CACHE.get(key)
-    if cached is not None:
-        return cached
     n = a.rank
     N = a.length + b.length + n
     p_arc = Arc(n, (a.socle + a.length - N) % n, N)
     k_arc = Arc(n, p_arc.socle, N - a.length)
-    p_rep, k_rep, b_rep = _rep(p_arc), _rep(k_arc), _rep(b)
-    incl = _inclusion_matrices(k_rep, p_rep, k_arc, p_arc)
+    p_rep = _rep(p_arc)
+    incl = _inclusion_matrices(_rep(k_arc), p_rep)
     k_hom = arc_hom_basis(k_arc, b)
-    restricted = [_vec_morphism(b_rep, k_rep, _compose(f, incl, p_rep))
-                  for f in arc_hom_basis(p_arc, b)]
+    restricted = [_compose(f, incl, p_rep) for f in arc_hom_basis(p_arc, b)]
     # as columns after the restrictions, a basis map is a pivot exactly
     # when it is independent of the maps before it
-    cols = restricted + [_vec_morphism(b_rep, k_rep, f) for f in k_hom]
+    cols = [[x for m in f for row in m for x in row] for f in (*restricted, *k_hom)]
     _, pivots = linalg.rref(list(zip(*cols)))
-    result = [(k_arc, p_arc, incl, k_hom[c - len(restricted)])
-              for c in pivots if c >= len(restricted)]
-    _EXT_CLASS_CACHE[key] = result
-    return result
+    return [(k_arc, p_arc, incl, k_hom[c - len(restricted)])
+            for c in pivots if c >= len(restricted)]
 
 
 def ext_dim_via_presentation(a: Arc, b: Arc) -> int:
@@ -255,22 +222,19 @@ def _id_mask(arcs) -> int:
     return mask
 
 
+@functools.cache
 def _pair_row(n: int, ia: int, ib: int) -> int:
     """Id mask of every summand of the kernels and cokernels of the Hom
     basis maps a -> b and of the extension middles of a by b, read from
     the linear-algebra oracle once per ordered pair."""
-    key = (n, ia, ib)
-    row = _PAIR_TABLE.get(key)
-    if row is None:
-        a, b = arc_of_id(n, ia), arc_of_id(n, ib)
-        ra, rb = _rep(a), _rep(b)
-        row = 0
-        for f in arc_hom_basis(a, b):
-            row |= _id_mask(decompose(kernel_rep(ra, rb, f)))
-            row |= _id_mask(decompose(cokernel_rep(ra, rb, f)))
-        for summands in extension_middles(a, b):
-            row |= _id_mask(summands)
-        _PAIR_TABLE[key] = row
+    a, b = arc_of_id(n, ia), arc_of_id(n, ib)
+    ra, rb = _rep(a), _rep(b)
+    row = 0
+    for f in arc_hom_basis(a, b):
+        row |= _id_mask(decompose(kernel_rep(ra, rb, f)))
+        row |= _id_mask(decompose(cokernel_rep(ra, rb, f)))
+    for summands in extension_middles(a, b):
+        row |= _id_mask(summands)
     return row
 
 
@@ -347,7 +311,9 @@ def closure_members(gens) -> frozenset:
     return frozenset(arc_of_id(n, i) for i in bits(members))
 
 
-_CLOSURE_CACHE: dict = {}
+@functools.cache
+def _closure(n: int, gens: frozenset) -> TubeWideFingerprint:
+    return TubeWideFingerprint(n, closure_members(gens))
 
 
 def wide_closure(gens) -> TubeWideFingerprint:
@@ -361,15 +327,7 @@ def wide_closure(gens) -> TubeWideFingerprint:
         raise ValueError("generators from tubes of different rank")
     if any(g.length > n for g in gens):
         raise ValueError("generators longer than the rank")
-    key = (n, frozenset(gens))
-    fp = _CLOSURE_CACHE.get(key)
-    if fp is None:
-        fp = _CLOSURE_CACHE[key] = TubeWideFingerprint(n, closure_members(gens))
-    return fp
-
-
-def zero_fingerprint(n: int) -> TubeWideFingerprint:
-    return TubeWideFingerprint(n, frozenset())
+    return _closure(n, frozenset(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -590,22 +548,21 @@ def enumerate_wide(n: int) -> frozenset:
 
 
 def enumerate_wide_bruteforce(n: int) -> frozenset:
-    """Fingerprints found by scanning every arc subset for closure fixpoints.
+    """Fingerprints found by scanning every set of arcs of length <= n
+    for closure fixpoints.
 
-    Exponential in n*n; meant for small ranks as an independent check of
-    the classification-driven enumeration.
+    A set is a fixpoint of closure_members exactly when no pair-table
+    row (`_pair_row`) of an ordered pair of its members leaves the set
+    below the rank, so each id mask below 1 << n*n is tested against the
+    rows of its pairs.  Exponential in n*n; meant for small ranks as an
+    independent check of the classification-driven enumeration.
     """
-    universe = all_arcs(n, n)
+    capped = (1 << n * n) - 1
     found = set()
-    for r in range(len(universe) + 1):
-        for combo in itertools.combinations(universe, r):
-            fp_arcs = frozenset(combo)
-            if combo:
-                fp = wide_closure(combo)
-            else:
-                fp = zero_fingerprint(n)
-            if fp.arcs == fp_arcs:
-                found.add(TubeWideFingerprint(n, fp_arcs))
+    for mask in range(capped + 1):
+        ids = list(bits(mask))
+        if not any(_pair_row(n, ia, ib) & capped & ~mask for ia in ids for ib in ids):
+            found.add(TubeWideFingerprint(n, frozenset(arc_of_id(n, i) for i in ids)))
     return frozenset(found)
 
 
@@ -616,11 +573,12 @@ def bongartz_complete(part_a, part_b):
     """Complete two compatible rigid sets to one rigid generator.
 
     Requires Ext(a, b) = 0 for all a in the first set, b in the second.
-    The returned rigid set generates the same wide closure as the union;
-    the search prefers keeping the second set and adding middle terms of
-    the semi-universal extensions below elements of the first.  Ext is
-    taken from projective presentations, so the search runs on the
-    linear-algebra oracle alone.
+    The returned rigid set generates the same wide closure as the union:
+    it is the second set plus the fewest arcs of one pool, the
+    exceptional arcs of that closure outside the second set, found by an
+    exhaustive search over the pool by size.  The first set lies in the
+    closure, so it is in the pool.  Ext is taken from projective
+    presentations, so the search runs on the linear-algebra oracle alone.
     """
     ext = ext_dim_via_presentation
     part_a = sorted(set(part_a), key=lambda a: a.sort_key())
@@ -639,25 +597,11 @@ def bongartz_complete(part_a, part_b):
     if is_rigid_set(union, ext):
         return tuple(union)
     target = wide_closure(union)
-    semi = []
-    for b in part_b:
-        for a in part_a:
-            if ext(b, a) != 0:
-                for summands in extension_middles(b, a):
-                    for arc in summands:
-                        if is_exceptional(arc) and arc not in semi:
-                            semi.append(arc)
-    pool = [x for x in semi if x in target.arcs and x not in part_b]
-    for x in part_a + target.sorted_arcs():
-        if is_exceptional(x) and x not in pool and x not in part_b:
-            pool.append(x)
-    base = tuple(part_b)
-    for size in range(0, min(len(pool), n) + 1):
-        for extra in itertools.combinations(range(len(pool)), size):
-            cand = sorted(set(base) | {pool[i] for i in extra}, key=lambda a: a.sort_key())
-            if not is_rigid_set(cand, ext):
-                continue
-            if wide_closure(cand) == target:
+    pool = [x for x in target.sorted_arcs() if is_exceptional(x) and x not in part_b]
+    for size in range(min(len(pool), n) + 1):
+        for extra in itertools.combinations(pool, size):
+            cand = sorted((*part_b, *extra), key=Arc.sort_key)
+            if is_rigid_set(cand, ext) and wide_closure(cand) == target:
                 return tuple(cand)
     raise AssertionError("no rigid completion found in the closure")
 

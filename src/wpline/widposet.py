@@ -98,6 +98,8 @@ def window_degrees(line: WeightData, lo: int, hi: int):
 def sheaf_universe(line: WeightData, lo: int, hi: int, universe_ids):
     """Window universe: bundles by degree, torsion arcs up to the point
     weight, one simple per declared ordinary point."""
+    if len(set(universe_ids)) != len(universe_ids):
+        raise ValueError("ordinary point ids must be distinct")
     out = []
     if len(line.weighted_indices()) <= 2:
         out.extend(LineBundle(line, l) for l in window_degrees(line, lo, hi))

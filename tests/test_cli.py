@@ -260,6 +260,15 @@ def test_usage_errors_exit_2():
         assert "invalid choice: 'dot'" in err, argv
 
 
+@pytest.mark.parametrize("argv", [["poset"], ["perp", "--sheaves", "S(inf,0)"]],
+                         ids=["poset", "perp"])
+def test_duplicate_universe_ids_exit_2(argv):
+    """An ordinary point declared twice in --universe is a usage error on
+    both verbs that take one, with nothing on stdout."""
+    assert run_cli([*argv, "--weights", "2", "--universe", "q,q"]) == \
+        (2, "", "error: ordinary point ids must be distinct\n")
+
+
 def test_parse_sheaf_rejects_unknown_point():
     line = make_line((2,))
     with pytest.raises(ValueError):

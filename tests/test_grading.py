@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from wpline.grading import (GradeElement, LineType, dim_S, line_invariants,
                             make_line, normalize, parse_weights)
+from wpline.sheaves import OrdinaryTorsion
 
 
 def section_count_oracle(line, a: GradeElement) -> int:
@@ -41,9 +42,9 @@ def test_make_line_three_weights():
 
 
 def test_make_line_rejects_clashing_ordinary_label():
-    with pytest.raises(ValueError):
-        make_line((2,), extra_points=("inf",))
-    make_line((2,), extra_points=("a", "b"))
+    with pytest.raises(ValueError, match="clashes with a weighted point"):
+        OrdinaryTorsion(make_line((2,)), "inf", 1)
+    OrdinaryTorsion(make_line((2,)), "a", 1)
 
 
 def test_parse_weights():

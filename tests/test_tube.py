@@ -139,7 +139,7 @@ def test_perp_pair_swaps_halves_and_inverts():
 
 
 def test_perp_pair_frozen_examples():
-    zero = tube.zero_fingerprint(3)
+    zero = tube.TubeWideFingerprint(3, frozenset())
     assert tube.perp_pair(zero) == whole_fingerprint(3)
     # one simple in the rank 2 tube faces the opposite full arc
     f = tube.wide_closure([Arc(2, 0, 1)])
@@ -337,10 +337,96 @@ def test_closure_reads_no_pair_longer_than_rank(monkeypatch):
         return pair_row(n, ia, ib)
 
     monkeypatch.setattr(tube, "_pair_row", guarded)
-    monkeypatch.setattr(tube, "_CLOSURE_CACHE", {})
+    tube._closure.cache_clear()
     assert tube.enumerate_wide_bruteforce(3) == tube.enumerate_wide(3)
     for s in range(3):
         assert tube.wide_closure([Arc(3, s, 3)]).arcs == {Arc(3, s, 3)}
+
+
+def reference_pair_row_closure(n: int, gens, cap: int) -> frozenset:
+    """Arcs of length <= cap in the wide closure: a naive fixpoint over id
+    masks that ORs the pair-table row of every ordered member pair on
+    every pass."""
+    capped = (1 << cap * n) - 1
+    members = tube._id_mask(gens) & capped
+    while True:
+        ids = list(tube.bits(members))
+        found = members
+        for ia in ids:
+            for ib in ids:
+                found |= tube._pair_row(n, ia, ib)
+        found &= capped
+        if found == members:
+            return frozenset(tube.arc_of_id(n, i) for i in ids)
+        members = found
+
+
+def test_closure_members_matches_pair_row_fixpoint_rank3():
+    """Every generator subset at rank 3: closing at the rank gives the
+    arcs of length <= 3 of the naive fixpoint closed at 3, 6 and 9."""
+    n = 3
+    for gens in generator_subsets(n):
+        got = tube.closure_members(gens)
+        for cap in (n, 2 * n, 3 * n):
+            want = frozenset(a for a in reference_pair_row_closure(n, gens, cap) if a.length <= n)
+            assert got == want, (gens, cap)
+
+
+def reference_bruteforce(n: int) -> frozenset:
+    """The scan the pair-mask scan replaced: every generator subset that
+    is its own wide closure (the empty set always is)."""
+    return frozenset(tube.TubeWideFingerprint(n, frozenset(combo))
+                     for combo in generator_subsets(n)
+                     if not combo or tube.wide_closure(combo).arcs == frozenset(combo))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bruteforce_matches_closure_fixpoint_scan(n, monkeypatch):
+    """The scan over pair-table masks finds the fixpoints the closures
+    find, and closes nothing itself."""
+    want = reference_bruteforce(n)
+
+    def closed(*args):
+        raise AssertionError("the brute-force scan called a closure")
+
+    monkeypatch.setattr(tube, "closure_members", closed)
+    monkeypatch.setattr(tube, "wide_closure", closed)
+    assert tube.enumerate_wide_bruteforce(n) == want
+
+
+# ---------------------------------------------------------------------------
+# presentation inclusions against the slot walk they replaced
+
+def reference_inclusion(k_arc: Arc, p_arc: Arc):
+    """The inclusion K -> P placed by walking the basis slots of both arcs."""
+    n = k_arc.rank
+    kslots = [[] for _ in range(n)]
+    for j in range(k_arc.length):
+        kslots[(k_arc.socle + j) % n].append(j)
+    pslots = [[] for _ in range(n)]
+    for j in range(p_arc.length):
+        pslots[(p_arc.socle + j) % n].append(j)
+    incl = []
+    for i in range(n):
+        m = [[0] * len(kslots[i]) for _ in range(len(pslots[i]))]
+        for kc, j in enumerate(kslots[i]):
+            m[pslots[i].index(j)][kc] = 1
+        incl.append(tuple(tuple(row) for row in m))
+    return tuple(incl)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inclusion_matches_slot_walk(n):
+    """Every presentation ext_classes builds for arcs up to three times
+    the rank: the identity blocks are the slot-walk inclusion, and the
+    classes carry that presentation."""
+    for a, b in itertools.product(tube.all_arcs(n, 3 * n), repeat=2):
+        big = a.length + b.length + n
+        p_arc = Arc(n, (a.socle + a.length - big) % n, big)
+        k_arc = Arc(n, p_arc.socle, big - a.length)
+        got = tube._inclusion_matrices(tube._rep(k_arc), tube._rep(p_arc))
+        assert got == reference_inclusion(k_arc, p_arc), (a, b)
+        assert all(cls[:3] == (k_arc, p_arc, got) for cls in tube.ext_classes(a, b)), (a, b)
 
 
 # ---------------------------------------------------------------------------

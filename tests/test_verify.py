@@ -118,3 +118,28 @@ def test_only_the_oracle_imports_linalg():
     users = {path.stem for path in root.glob("*.py")
              if "linalg" in imported_modules(ast.parse(path.read_text(), str(path)))}
     assert users == {"nilpotent", "tube"}
+
+
+def empty_dict_bindings(tree):
+    """Names a module binds at its top level to an empty dict display or
+    to dict() with no arguments."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if (isinstance(value, ast.Dict) and not value.keys) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "dict" and not value.args and not value.keywords):
+            yield from (ast.unparse(t) for t in targets)
+
+
+def test_memo_tables_are_functools_cache():
+    """No module keeps a hand-filled module-level table: a memo is
+    functools.cache on the function that computes its entries."""
+    root = pathlib.Path(wpline.__file__).parent
+    found = [(path.name, name) for path in sorted(root.glob("*.py"))
+             for name in empty_dict_bindings(ast.parse(path.read_text(), str(path)))]
+    assert found == []
