@@ -167,7 +167,7 @@ def _cmd_tube_enum(args) -> int:
 
 def _cmd_cox(args) -> int:
     line = _line_from_args(args)
-    if args.sheaves:
+    if args.sheaves is not None:
         seq = tuple(parse_sheaf(line, s) for s in _SHEAF_LIST.split(args.sheaves))
         w = cox_of(line, seq)
         labels = [format_sheaf(s) for s in seq]

@@ -80,12 +80,6 @@ class WeightData:
     def zero(self) -> "GradeElement":
         return self.element((0,) * self.n)
 
-    def generator(self, i: int) -> "GradeElement":
-        """The element x_i (0-based point index)."""
-        coeffs = [0] * self.n
-        coeffs[i] = 1
-        return self.element(coeffs)
-
     def canonical(self) -> "GradeElement":
         """c, the common value of the p_i * x_i."""
         return self.element((0,) * self.n, 1)
@@ -164,9 +158,6 @@ class GradeElement:
             raise ValueError("elements of different grading groups")
         return normalize(self.line, map(sub, self.coeffs, other.coeffs),
                          self.c_part - other.c_part)
-
-    def scale(self, k: int) -> "GradeElement":
-        return normalize(self.line, tuple(k * a for a in self.coeffs), k * self.c_part)
 
     def degree(self) -> int:
         p = self.line.p

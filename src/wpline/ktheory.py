@@ -35,10 +35,11 @@ entry (i, j) being w_i . S w_j with S w_j read from the column memo.
 Each column w_j is a real root, w_j^T S w_j = S_jj = 2, as every basis
 class is exceptional; S is positive definite on K0 / Z delta, so real
 roots are finitely many modulo delta and the column memo stays bounded.
-A matrix adds its columns to the memo only once it has passed.  nc_leq
-gets u^-1 v from one solve of [u | v], checked as one element; inverses
-solve against the identity.  abs_length reads both of its ranks off one
-elimination.  linalg's exact rational routines are the tests' reference.
+A matrix adds its columns to the memo only once it has passed.  One
+elimination of a difference b - a serves abs_length (b = w, a = 1) and
+nc_leq, which reads the length of u^-1 v off v - u, so it inverts
+nothing and builds no element.  linalg's exact rational routines are
+the tests' reference.
 """
 
 from __future__ import annotations
@@ -179,32 +180,6 @@ def _mul(a, b) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _solve(a, b) -> tuple:
-    """a^-1 b for integer matrices, by fraction-free Gauss-Jordan
-    elimination of [a | b] (Bareiss, Math. Comp. 22, 1968): every entry
-    stays a minor of [a | b], so each division by the previous pivot is
-    exact, and the left block ends as d*I and the right one as d*a^-1 b,
-    where d = +-det a is the last pivot."""
-    n = len(a)
-    m = [list(row) + list(rhs) for row, rhs in zip(a, b)]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[k], m[piv] = m[piv], m[k]
-        top = m[k]
-        p = top[k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-    if any(x % prev for row in m for x in row[n:]):
-        raise ValueError("solution is not integral")
-    return tuple(tuple(x // prev for x in row[n:]) for row in m)
-
-
 def k_rank(line: WeightData) -> int:
     return _table(line).rank
 
@@ -281,16 +256,6 @@ class WeylElement:
                     raise ValueError("matrix does not preserve the symmetrized form")
         memo.update(fresh)
 
-    def compose(self, other: "WeylElement") -> "WeylElement":
-        if self.line is not other.line and self.line != other.line:
-            raise ValueError("elements over different lines")
-        return WeylElement(self.line, _mul(self.matrix, other.matrix))
-
-    def inverse(self) -> "WeylElement":
-        m = len(self.matrix)
-        return WeylElement(self.line, _solve(self.matrix, [[int(u == v) for v in range(m)]
-                                                           for u in range(m)]))
-
 
 def _root(line: WeightData, s: IndecSheaf):
     """(r, c) for the reflection of an exceptional sheaf s: its class r,
@@ -305,23 +270,14 @@ def _root(line: WeightData, s: IndecSheaf):
     return r, _table(line).sym_col(r)
 
 
-def reflection(line: WeightData, s: IndecSheaf) -> WeylElement:
-    """s(x) = x - (<x,r> + <r,x>) r for the class r of s."""
-    if not tube.is_exc_sequence([s], hom_dim_sheaf, ext_dim_sheaf):
-        raise ValueError("reflections come from exceptional sheaves")
-    r, c = _root(line, s)
-    m = len(c)
-    return WeylElement(line, tuple(tuple(int(u == j) - c[j] * r[u] for j in range(m))
-                                   for u in range(m)))
-
-
 def cox_of(line: WeightData, seq) -> WeylElement:
     """Product of the reflections of an exceptional sequence, in order.
 
     Any two exceptional sequences generating the same wide subcategory
     yield the same element; the identity corresponds to the empty one.
 
-    The sequence is checked once, as in `reflection`, so each member's
+    The sequence [s] gives the reflection x - (<x,r> + <r,x>) r of the
+    class r of s.  The sequence is checked once, so each member's
     self-Ext is read once, and then each member's root.  The product is
     accumulated on one integer matrix: right multiplication by 1 - r c^T
     is the rank-one update w <- w - (w r) c^T.  Only the result is
@@ -367,24 +323,19 @@ def coxeter_element(line: WeightData) -> WeylElement:
     return c
 
 
-def abs_length(w: WeylElement) -> int:
-    """Dimension of the moved space, plus one when the null class is moved
-    into reach.  Computable surrogate for reflection length: 0 on the
-    identity, 1 on reflections, 2 on translations, rank(K0) on the
-    coxeter element.
+def _moved(line: WeightData, a, b) -> int:
+    """rank(b - a), plus one when delta lies in the column span of b - a.
 
     One fraction-free elimination (Bareiss, Math. Comp. 22, 1968) gives
-    both: the columns of w - 1 are reduced to echelon form, and delta,
+    both: the columns of b - a are reduced to echelon form, and delta,
     appended as a last row that is never a pivot, is reduced against the
     same pivots.  After k pivots every entry below them is a (k+1)-minor,
     delta's row included, so each division by the previous pivot is
     exact; delta lies in the span of the columns exactly when its row
     ends at zero."""
-    m = len(w.matrix)
-    rows = [list(col) for col in zip(*w.matrix)]
-    for v in range(m):
-        rows[v][v] -= 1
-    rows.append(list(_table(w.line).delta))
+    m = len(a)
+    rows = [[y - x for x, y in zip(ca, cb)] for ca, cb in zip(zip(*a), zip(*b))]
+    rows.append(list(_table(line).delta))
     rank, prev = 0, 1
     for c in range(m):
         piv = next((i for i in range(rank, m) if rows[i][c]), None)
@@ -401,10 +352,24 @@ def abs_length(w: WeylElement) -> int:
     return rank + int(not any(rows[m]))
 
 
+def abs_length(w: WeylElement) -> int:
+    """Dimension of the moved space, plus one when the null class is moved
+    into reach: `_moved` of the identity and w.  Computable surrogate for
+    reflection length: 0 on the identity, 1 on reflections, 2 on
+    translations, rank(K0) on the coxeter element."""
+    m = len(w.matrix)
+    return _moved(w.line, tuple(tuple(int(u == v) for v in range(m)) for u in range(m)),
+                  w.matrix)
+
+
 def nc_leq(u: WeylElement, v: WeylElement) -> bool:
-    """Absolute-order comparison: lengths add along u, u^{-1} v, v.
-    u^{-1} v is one solve of [u | v], checked as one WeylElement."""
+    """Absolute-order comparison: lengths add along u, u^-1 v, v.
+
+    The length of u^-1 v is `_moved` of u and v, with no inverse: from
+    u^-1 v - 1 = u^-1 (v - u), the moved space of u^-1 v has the rank of
+    v - u, and its span holds delta exactly when the span of v - u holds
+    u delta.  Every reflection fixes delta, because S delta = 0, so
+    every product of reflections does too, and u delta = delta."""
     if u.line is not v.line and u.line != v.line:
         raise ValueError("elements over different lines")
-    return abs_length(u) + abs_length(WeylElement(u.line, _solve(u.matrix, v.matrix))) \
-        == abs_length(v)
+    return abs_length(u) + _moved(u.line, u.matrix, v.matrix) == abs_length(v)

@@ -82,28 +82,15 @@ def _freeze_maps(maps):
 def rep_of_arc(arc: Arc) -> NilpRep:
     """Canonical representation of an arc.
 
-    Basis vector j (0 <= j < length) sits at vertex socle+j and is sent
-    to vector j-1 by the maps; vector 0 spans the socle.
+    Basis vector j (0 <= j < length) sits at vertex (socle + j) mod rank,
+    as the (j // rank)-th vector there, and is sent to vector j - 1, the
+    ((j - 1) // rank)-th vector of the vertex below; vector 0 spans the
+    socle.
     """
-    n = arc.rank
-    slots = [[] for _ in range(n)]
-    for j in range(arc.length):
-        slots[(arc.socle + j) % n].append(j)
-    dims = tuple(len(s) for s in slots)
-    pos = {}
-    for i in range(n):
-        for k, j in enumerate(slots[i]):
-            pos[j] = (i, k)
-    maps = []
-    for i in range(n):
-        t = (i - 1) % n
-        m = [[0] * dims[i] for _ in range(dims[t])]
-        for k, j in enumerate(slots[i]):
-            if j >= 1:
-                ti, tk = pos[j - 1]
-                assert ti == t
-                m[tk][k] = 1
-        maps.append(m)
+    n, dims = arc.rank, arc.factor_counts()
+    maps = [[[0] * dims[i] for _ in range(dims[(i - 1) % n])] for i in range(n)]
+    for j in range(1, arc.length):
+        maps[(arc.socle + j) % n][(j - 1) // n][j // n] = 1
     return NilpRep(n, dims, _freeze_maps(maps))
 
 

@@ -103,12 +103,9 @@ def _inclusion_matrices(k: NilpRep, p: NilpRep):
                  for kd, pd in zip(k.dims, p.dims))
 
 
-def _compose(f, g, mid: NilpRep):
-    # (f after g), g: X -> mid, f: mid -> Y, all tuples of matrices
-    return tuple(tuple(tuple(sum(f[i][r][k] * g[i][k][c] for k in range(mid.dims[i]))
-                             for c in range(len(g[i][0]) if g[i] else 0))
-                       for r in range(len(f[i])))
-                 for i in range(mid.rank))
+def _compose(f, g):
+    # (f after g) vertex by vertex, as tuples so that a composite stays hashable
+    return tuple(tuple(map(tuple, linalg.mat_mul(x, y))) for x, y in zip(f, g))
 
 
 @functools.cache
@@ -127,7 +124,7 @@ def ext_classes(a: Arc, b: Arc):
     p_rep = _rep(p_arc)
     incl = _inclusion_matrices(_rep(k_arc), p_rep)
     k_hom = arc_hom_basis(k_arc, b)
-    restricted = [_compose(f, incl, p_rep) for f in arc_hom_basis(p_arc, b)]
+    restricted = [_compose(f, incl) for f in arc_hom_basis(p_arc, b)]
     # as columns after the restrictions, a basis map is a pivot exactly
     # when it is independent of the maps before it
     cols = [[x for m in f for row in m for x in row] for f in (*restricted, *k_hom)]
@@ -183,11 +180,10 @@ def extension_middles(a: Arc, b: Arc):
         return set()
     *longer, shortest = sorted(arc_hom_basis(b, b), key=_image_length, reverse=True)[:len(classes)]
     split = tuple(sorted((a, b), key=Arc.sort_key))
-    rep_b = _rep(b)
 
     def pushout(cls, t):
         k_arc, p_arc, incl, g = cls
-        return _middle_summands(b, (k_arc, p_arc, incl, _compose(t, g, rep_b)))
+        return _middle_summands(b, (k_arc, p_arc, incl, _compose(t, g)))
 
     for cls in classes:
         last = pushout(cls, shortest)

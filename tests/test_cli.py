@@ -119,6 +119,15 @@ def test_cox_sequence_feeds_back_through_sheaves(weights):
                     "--sheaves", listed]) == (0, out, "")
 
 
+@pytest.mark.parametrize("verb", ["cox", "perp"])
+def test_empty_sheaf_list_exits_2(verb):
+    """An explicitly empty --sheaves is a parse error on both verbs, as a
+    blank one is; cox does not fall back to the canonical sequence."""
+    for listed in ("", " "):
+        assert run_cli([verb, "--weights", "2", "--sheaves", listed]) == \
+            (2, "", f"error: cannot parse sheaf {listed!r}\n")
+
+
 def test_perp_accepts_normal_form_bundles():
     for forms in (("O(1,0;0)", "O(1)"), ("O(1,0;0);S(inf,1)", "O(1);S(inf,1)")):
         normal, short = (run_cli(["perp", "--weights", "2", "--sheaves", s]) for s in forms)

@@ -10,6 +10,16 @@ from wpline.grading import (GradeElement, LineType, dim_S, line_invariants,
 from wpline.sheaves import OrdinaryTorsion
 
 
+def generator(line, i: int) -> GradeElement:
+    """The element x_i (0-based point index)."""
+    return line.element([int(j == i) for j in range(line.n)])
+
+
+def scale(a: GradeElement, k: int) -> GradeElement:
+    """k times a, in normal form."""
+    return normalize(a.line, tuple(k * x for x in a.coeffs), k * a.c_part)
+
+
 def section_count_oracle(line, a: GradeElement) -> int:
     """Count monomials of degree a directly.
 
@@ -21,9 +31,9 @@ def section_count_oracle(line, a: GradeElement) -> int:
     for k in itertools.product(*(range(p) for p in line.weights)):
         base = line.zero()
         for idx, mult in enumerate(k):
-            base = base + line.generator(idx).scale(mult)
+            base = base + scale(generator(line, idx), mult)
         for m in range(bound + 1):
-            if base + line.canonical().scale(m) == a:
+            if base + scale(line.canonical(), m) == a:
                 total += m + 1
     return total
 
@@ -87,7 +97,6 @@ def test_group_axioms_sample():
     for a in elems:
         assert a + z == a
         assert a + (-a) == z
-        assert a.scale(3) == a + a + a
 
 
 def test_dualizing_element_normal_form():
@@ -102,7 +111,7 @@ def test_dualizing_element_normal_form():
 def test_degree_values():
     line = make_line((2,))
     assert line.canonical().degree() == 2
-    assert line.generator(0).degree() == 1
+    assert generator(line, 0).degree() == 1
     assert line.dualizing().degree() == -3
     line = make_line((1, 1))
     assert line.dualizing().degree() == -2
@@ -141,9 +150,9 @@ def test_section_dimension_formula():
     line = make_line((2,))
     zero = line.zero()
     assert dim_S(zero) == 1
-    assert dim_S(line.generator(0)) == 1
+    assert dim_S(generator(line, 0)) == 1
     assert dim_S(line.canonical()) == 2
-    assert dim_S(-line.generator(0)) == 0
+    assert dim_S(-generator(line, 0)) == 0
     assert dim_S(line.dualizing()) == 0
 
 

@@ -143,3 +143,44 @@ def test_memo_tables_are_functools_cache():
     found = [(path.name, name) for path in sorted(root.glob("*.py"))
              for name in empty_dict_bindings(ast.parse(path.read_text(), str(path)))]
     assert found == []
+
+
+# kept without a library caller, with the reason
+DEAD_FUNCTION_ALLOWLIST = {
+    ("nilpotent.py", "composite_rank"): "the benchmark traces it by name (ROADMAP item 1)",
+}
+
+
+def public_functions(tree):
+    """Public module-level functions and public methods of top-level
+    classes."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        yield from (f for f in body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+
+
+def names_outside(tree, skip):
+    """Every name and attribute read in tree, except inside the node skip."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_public_function_has_a_library_caller():
+    """A public function or method of src/wpline that nothing in
+    src/wpline names outside its own definition is dead code: it moves to
+    the tests that use it, or goes."""
+    root = pathlib.Path(wpline.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(root.glob("*.py"))}
+    dead = {(module, f.name) for module, tree in trees.items() for f in public_functions(tree)
+            if not any(f.name in names_outside(other, f) for other in trees.values())}
+    assert dead == set(DEAD_FUNCTION_ALLOWLIST)
