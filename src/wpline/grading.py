@@ -15,10 +15,11 @@ domestic, tubular and wild.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, reduce
 from operator import add, floordiv, mod, sub
+
+from ._record import Record
 
 
 class LineType(Enum):
@@ -31,8 +32,7 @@ def _lcm(values):
     return reduce(math.lcm, values, 1)
 
 
-@dataclass(frozen=True)
-class WeightData:
+class WeightData(Record):
     """Weight sequence with point labels, padded to at least two points.
 
     Points of weight 1 are legitimate members of the sequence; appending
@@ -46,8 +46,10 @@ class WeightData:
     keeps the line's Grothendieck-group record there too.
     """
 
-    weights: tuple[int, ...]
-    points: tuple[str, ...]
+    _fields = ("weights", "points")
+
+    def __init__(self, weights: tuple[int, ...], points: tuple[str, ...]):
+        self._init(weights, points)
 
     def __post_init__(self):
         if any(p < 1 for p in self.weights):
@@ -136,13 +138,16 @@ def parse_weights(text: str) -> list[int]:
     return ws
 
 
-@dataclass(frozen=True, slots=True)
-class GradeElement:
+class GradeElement(Record):
     """Normal form l_1*x_1 + ... + l_n*x_n + l*c with 0 <= l_i < p_i."""
 
-    line: WeightData
-    coeffs: tuple[int, ...]
-    c_part: int
+    __slots__ = _fields = ("line", "coeffs", "c_part")
+
+    def __init__(self, line: WeightData, coeffs: tuple[int, ...], c_part: int):
+        # set without the loop of `_init`: every `normalize` builds one
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "c_part", c_part)
 
     def __add__(self, other: "GradeElement") -> "GradeElement":
         if self.line is not other.line and self.line != other.line:

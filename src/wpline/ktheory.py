@@ -44,11 +44,11 @@ the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
 from . import sheaves, tube
+from ._record import Record
 from .grading import WeightData
 from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
                       ext_dim_sheaf, hom_dim_sheaf, line_bundle, simple_at)
@@ -228,12 +228,13 @@ def euler_form(line: WeightData, x, y) -> int:
     return value + x[1] * sum(map(mul, t.delta_row, y)) if x[1] else value
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """Integer matrix preserving the symmetrized Euler form."""
 
-    line: WeightData
-    matrix: tuple
+    _fields = ("line", "matrix")
+
+    def __init__(self, line: WeightData, matrix: tuple):
+        self._init(line, matrix)
 
     def __post_init__(self):
         t = _table(self.line)

@@ -12,22 +12,21 @@ them rational (see linalg), never `float`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
+from ._record import Record
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(Record):
     """Indecomposable with socle vertex `socle` (mod rank) and `length` >= 1.
 
     Composition factors from the socle upward are the simples at
     socle, socle+1, ..., socle+length-1.
     """
 
-    rank: int
-    socle: int
-    length: int
+    __slots__ = _fields = ("rank", "socle", "length")
+
+    def __init__(self, rank: int, socle: int, length: int):
+        self._init(rank, socle, length)
 
     def __post_init__(self):
         if self.rank < 1 or self.length < 1:
@@ -56,15 +55,16 @@ class Arc:
         return (self.socle, self.length)
 
 
-@dataclass(frozen=True)
-class NilpRep:
+class NilpRep(Record):
     """dims[i] is the dimension at vertex i, maps[i] the matrix from
     vertex i to vertex i-1 (rows indexed by the target space).  Entries
     are exact rationals, `int` or `Fraction`."""
 
-    rank: int
-    dims: tuple[int, ...]
-    maps: tuple[tuple[tuple[int | Fraction, ...], ...], ...]
+    _fields = ("rank", "dims", "maps")
+
+    def __init__(self, rank: int, dims: tuple[int, ...],
+                 maps: tuple[tuple[tuple[int | Fraction, ...], ...], ...]):
+        self._init(rank, dims, maps)
 
     @property
     def total_dim(self) -> int:

@@ -27,18 +27,19 @@ equality, because every object of a query shares one WeightData.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, lt, sub
 
 from . import tube
+from ._record import Record
 from .grading import GradeElement, WeightData, dim_S, normalize
 from .nilpotent import Arc
 
 
-@dataclass(frozen=True, slots=True)
-class LineBundle:
-    line: WeightData
-    degree: GradeElement
+class LineBundle(Record):
+    __slots__ = _fields = ("line", "degree")
+
+    def __init__(self, line: WeightData, degree: GradeElement):
+        self._init(line, degree)
 
     def __post_init__(self):
         if len(self.line.weighted_indices()) > 2:
@@ -48,13 +49,13 @@ class LineBundle:
             raise ValueError("degree from a different line")
 
 
-@dataclass(frozen=True, slots=True)
-class TorsionArc:
+class TorsionArc(Record):
     """Torsion sheaf at the weighted point with index `point`."""
 
-    line: WeightData
-    point: int
-    arc: Arc
+    __slots__ = _fields = ("line", "point", "arc")
+
+    def __init__(self, line: WeightData, point: int, arc: Arc):
+        self._init(line, point, arc)
 
     def __post_init__(self):
         if self.point not in self.line.weighted_indices():
@@ -63,13 +64,13 @@ class TorsionArc:
             raise ValueError("arc rank must equal the point weight")
 
 
-@dataclass(frozen=True, slots=True)
-class OrdinaryTorsion:
+class OrdinaryTorsion(Record):
     """Torsion stalk of uniserial length `length` at an ordinary point."""
 
-    line: WeightData
-    point_id: str
-    length: int
+    __slots__ = _fields = ("line", "point_id", "length")
+
+    def __init__(self, line: WeightData, point_id: str, length: int):
+        self._init(line, point_id, length)
 
     def __post_init__(self):
         weighted_labels = {self.line.points[i] for i in self.line.weighted_indices()}

@@ -34,9 +34,9 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
+from ._record import Record
 from .nilpotent import (Arc, NilpRep, cokernel_rep, decompose, hom_basis,
                         kernel_rep, pushout_middle, rep_of_arc)
 
@@ -234,12 +234,13 @@ def _pair_row(n: int, ia: int, ib: int) -> int:
     return row
 
 
-@dataclass(frozen=True)
-class TubeWideFingerprint:
+class TubeWideFingerprint(Record):
     """Member arcs of length <= rank of a wide subcategory of the tube."""
 
-    rank: int
-    arcs: frozenset
+    _fields = ("rank", "arcs")
+
+    def __init__(self, rank: int, arcs: frozenset):
+        self._init(rank, arcs)
 
     @property
     def exc(self) -> bool:

@@ -48,10 +48,10 @@ that, and the data of two invariant nodes, against snapshot inclusion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import tube
+from ._record import Record
 from .grading import WeightData
 from .ktheory import k_rank
 from .nilpotent import Arc
@@ -59,8 +59,7 @@ from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, format_sheaf,
                       hom_dim_sheaf, is_exceptional_sheaf, sheaf_sort_key, tau_sheaf)
 
 
-@dataclass(frozen=True)
-class CInvData:
+class CInvData(Record):
     """Shift-invariant subcategory: per weighted point a tube
     fingerprint, ordinary-point support, and whether bundles belong.
 
@@ -69,10 +68,11 @@ class CInvData:
     fingerprints are the perpendicular partners of that data.
     """
 
-    per_point: tuple
-    ordinary_support: frozenset
-    contains_bundle: bool
-    defining_exc: tuple | None
+    _fields = ("per_point", "ordinary_support", "contains_bundle", "defining_exc")
+
+    def __init__(self, per_point: tuple, ordinary_support: frozenset, contains_bundle: bool,
+                 defining_exc: tuple | None):
+        self._init(per_point, ordinary_support, contains_bundle, defining_exc)
 
 
 def default_window(line: WeightData):
@@ -194,15 +194,16 @@ def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe, bit: d
 # ---------------------------------------------------------------------------
 # the poset
 
-@dataclass(frozen=True)
-class PosetNode:
-    """Members and least generators (None unless exceptional) as masks."""
+class PosetNode(Record):
+    """Members and least generators (None unless exceptional) as masks.
+    The universe `uni` they index is left out of equality, hash and repr."""
 
-    name: str
-    mask: int
-    gens: int | None
-    cinv: CInvData | None
-    uni: tube.Universe = field(repr=False, compare=False)
+    _fields = ("name", "mask", "gens", "cinv")
+
+    def __init__(self, name: str, mask: int, gens: int | None, cinv: CInvData | None,
+                 uni: tube.Universe):
+        self._init(name, mask, gens, cinv)
+        object.__setattr__(self, "uni", uni)
 
     @cached_property
     def snapshot(self) -> frozenset:

@@ -221,6 +221,39 @@ def test_poset_process_loads_no_fractions_or_verify():
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")
 
 
+VERB_ARGVS = [
+    ["classify", "--weights", "2,3"],
+    ["hom", "--weights", "2", "--from", "O", "--to", "S(inf,0)"],
+    ["ext", "--weights", "2", "--from", "S(inf,0)", "--to", "S(inf,1)"],
+    ["cox", "--weights", "2,2"],
+    ["perp", "--weights", "2", "--sheaves", "S(inf,0)"],
+    ["tube-enum", "--rank", "3", "--format", "dot"],
+    ["poset", "--weights", "2,3", "--window", "-6..6"],
+]
+
+
+def test_processes_load_no_dataclasses_or_inspect():
+    """A fresh process that runs every verb but verify, and one that
+    imports the tube layer alone as a closure request does, loads
+    neither dataclasses nor inspect (with its ast, dis and tokenize)."""
+    watched = "{'dataclasses', 'inspect'}"
+    verbs = ("import contextlib, io, sys\n"
+             "before = set(sys.modules)\n"
+             "from wpline import cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    codes = [cli.run(argv) for argv in {VERB_ARGVS!r}]\n"
+             f"print(codes, sorted({watched} & set(sys.modules) - before))\n")
+    tube = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import wpline.tube\n"
+            f"print(sorted({watched} & set(sys.modules) - before))\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    for script, want in ((verbs, f"{[0] * len(VERB_ARGVS)} []\n"), (tube, "[]\n")):
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
 def test_verify_passes():
     code, out, _ = run_cli(["verify"])
     assert code == 0

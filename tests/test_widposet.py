@@ -699,3 +699,13 @@ def test_cinv_snapshot_matches_defining_sequence(weights, lo, hi, ids):
     assert any(d.contains_bundle for d in datas)
     for data in datas:
         assert wp.cinv_snapshot(line, data, uni, bit) == reference_cinv_snapshot(line, data, uni), data
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids",
+                         [(*inp, ()) for inp in BENCH_INPUTS]
+                         + [((1, 1), -2, 3, ("0", "1")), ((2, 2), -4, 4, ("q",))])
+def test_node_masks_closed_under_meet(weights, lo, hi, ids):
+    """An intersection of wide subcategories is wide, so the AND of any
+    two node masks of the universe is again a node mask."""
+    masks = {n.mask for n in wp.build_poset(make_line(weights), lo, hi, ids).nodes}
+    assert {a & b for a, b in itertools.combinations(masks, 2)} <= masks
