@@ -19,10 +19,10 @@ from .grading import line_invariants, make_line, normalize, parse_weights
 from .ktheory import abs_length, canonical_interval_sequence, cox_of, coxeter_element, euler_matrix
 from .nilpotent import Arc
 from .sheaves import (OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
-                      hom_dim_sheaf, line_bundle, sheaf_sort_key, simple_at,
-                      stack_at, tau_sheaf)
+                      hom_dim_sheaf, is_exceptional_sheaf, line_bundle, perp_membership,
+                      simple_at, stack_at)
 from .widposet import (build_poset, default_window, exc_torsion_perp_decompose,
-                       poset_dot, poset_json, sheaf_universe)
+                       poset_dot, poset_json, sheaf_universe, window_universe)
 
 
 def _emit_json(doc) -> str:
@@ -197,11 +197,7 @@ def _cmd_perp(args) -> int:
     gens = tuple(parse_sheaf(line, s) for s in _SHEAF_LIST.split(args.sheaves))
     lo, hi = _parse_window(args.window) if args.window else default_window(line)
     ids = tuple(x for x in args.universe.split(",") if x) if args.universe else ()
-    # generators outside the window join the universe, not the members
-    window = sheaf_universe(line, lo, hi, ids)
-    uni = tube.Universe(sorted(set(window) | set(gens), key=sheaf_sort_key),
-                        hom_dim_sheaf, tau_sheaf)
-    members = uni.members(uni.right_perp(uni.mask(gens)) & uni.mask(window))
+    members = [x for x in sheaf_universe(line, lo, hi, ids) if perp_membership(x, gens)]
     doc = {
         "schema": 1,
         "weights": list(line.weights),
@@ -209,9 +205,8 @@ def _cmd_perp(args) -> int:
         "generators": [format_sheaf(g) for g in gens],
         "members": [format_sheaf(x) for x in members],
     }
-    if len(gens) == 1 and isinstance(gens[0], TorsionArc) \
-            and gens[0].arc.length < line.weights[gens[0].point]:
-        rep = exc_torsion_perp_decompose(line, gens[0], uni)
+    if len(gens) == 1 and isinstance(gens[0], TorsionArc) and is_exceptional_sheaf(gens[0]):
+        rep = exc_torsion_perp_decompose(line, gens[0], window_universe(line, lo, hi, ids))
         doc["decomposition"] = {
             "reduced_weights": list(rep["reduced_weights"]),
             "tube_block": [format_sheaf(x) for x in rep["block_tube"]],
@@ -238,8 +233,7 @@ def _cmd_poset(args) -> int:
         sys.stdout.write(_emit_json(poset_json(poset)))
     elif args.format == "text":
         for n in sorted(poset.nodes, key=lambda x: x.name):
-            members = ", ".join(format_sheaf(x)
-                                for x in sorted(n.snapshot, key=sheaf_sort_key))
+            members = ", ".join(format_sheaf(x) for x in poset.uni.members(n.mask))
             sys.stdout.write(f"{n.name}: {members}\n")
         for a, b in poset.covers():
             sys.stdout.write(f"{a} < {b}\n")

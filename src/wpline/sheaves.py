@@ -15,7 +15,7 @@ arc over the index a_i of its point.  Ext^1(a, b) = D Hom(b, tau a) by
 Serre duality (Geigle-Lenzing), where tau is the shift by the dualizing
 element omega, of normal form (p_i - 1; -2).  ext_dim_sheaf folds that
 shift into the same counts (the derivation is in its docstring);
-tau_sheaf still builds the translate for the universe fill and `perp`.
+tau_sheaf still builds the translate for the universe fill.
 
 The alternate Ext path reads dim_S off the normal form of a + omega - b
 for bundles, reduced by one normalize call from the raw coefficient sum,

@@ -22,8 +22,9 @@ torsion, in one step.  Sets stay masks over a universe sorted by
 sheaf_sort_key, so ascending index tuples order generators and nodes as
 sort-key tuples would.  Rigid sets come in level order (by size, then
 by sorted indices), so the first one found for a node is its least
-generator.  Sheaf objects are built only for names and messages, and a
-node's snapshot and exc_gens on first access.
+generator.  A node holds its members and generators as masks only;
+sheaf objects are built for names and messages, and by readers that
+take a mask's members from the poset's universe.
 
 Exactness (Geigle-Lenzing).  With p = delta(c): Hom(O(x), O(y)) = 0
 exactly when y - x is not effective, a non-effective element has degree
@@ -48,7 +49,6 @@ that, and the data of two invariant nodes, against snapshot inclusion.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 
 from . import tube
 from ._record import Record
@@ -83,7 +83,7 @@ def default_window(line: WeightData):
 
 
 def window_degrees(line: WeightData, lo: int, hi: int):
-    """All grading elements with degree in [lo, hi]."""
+    """All grading elements with degree in [lo, hi], in no set order."""
     out = []
     p = line.p
     for coeffs in itertools.product(*map(range, line.weights)):
@@ -91,7 +91,6 @@ def window_degrees(line: WeightData, lo: int, hi: int):
         # the c with lo <= base + c * p <= hi
         cs = range(-((base - lo) // p), (hi - base) // p + 1)
         out.extend(line.element(coeffs, c) for c in cs)
-    out.sort(key=lambda l: (l.degree(), l.coeffs, l.c_part))
     return out
 
 
@@ -195,23 +194,13 @@ def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe, bit: d
 # the poset
 
 class PosetNode(Record):
-    """Members and least generators (None unless exceptional) as masks.
-    The universe `uni` they index is left out of equality, hash and repr."""
+    """Members and least generators (None unless exceptional) as masks
+    over the universe of the poset that holds the node."""
 
-    _fields = ("name", "mask", "gens", "cinv")
+    __slots__ = _fields = ("name", "mask", "exc_gens", "cinv")
 
-    def __init__(self, name: str, mask: int, gens: int | None, cinv: CInvData | None,
-                 uni: tube.Universe):
-        self._init(name, mask, gens, cinv)
-        object.__setattr__(self, "uni", uni)
-
-    @cached_property
-    def snapshot(self) -> frozenset:
-        return frozenset(self.uni.members(self.mask))
-
-    @cached_property
-    def exc_gens(self) -> frozenset | None:
-        return None if self.gens is None else frozenset(self.uni.members(self.gens))
+    def __init__(self, name: str, mask: int, exc_gens: int | None, cinv: CInvData | None):
+        self._init(name, mask, exc_gens, cinv)
 
 
 class WidPoset:
@@ -389,24 +378,24 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
             name = next(f"{name}#{i}" for i in itertools.count(2)
                         if f"{name}#{i}" not in used_names)
         used_names.add(name)
-        nodes.append(PosetNode(name, mask, least.get(mask), data, uni))
+        nodes.append(PosetNode(name, mask, least.get(mask), data))
 
     # Snapshot order must agree with the generators of an exceptional node
     # against every node, and with the data of two invariant nodes; the exc
     # tag is left off pairs of invariant nodes that the data certify.
     above, covers = tube.inclusion_order(masks)
     everyone = (1 << len(nodes)) - 1
-    exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.gens is not None)
+    exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
     data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, bit) for n in nodes]
     held, held_data = tube.holders(masks), tube.holders(data_masks)
     exc, cinv = [], []
     for i, u in enumerate(nodes):
-        by_gens = 0 if u.gens is None else tube.meet(held, u.gens, everyone)
+        by_gens = 0 if u.exc_gens is None else tube.meet(held, u.exc_gens, everyone)
         by_data = 0 if u.cinv is None else tube.meet(held_data, data_masks[i], cinv_nodes)
         exc.append(by_gens & (exc_nodes | ~by_data))
         cinv.append(by_data)
-        by_exc = everyone & ~(1 << i) if u.gens is not None else 0
+        by_exc = everyone & ~(1 << i) if u.exc_gens is not None else 0
         by_cinv = cinv_nodes & ~(1 << i) if u.cinv is not None else 0
         flags = (("disagrees with generators", (by_gens ^ above[i]) & by_exc),
                  ("disagrees with invariant data", (by_data ^ above[i]) & by_cinv),
@@ -454,9 +443,9 @@ def poset_json(poset: WidPoset) -> dict:
     for n in sorted(poset.nodes, key=lambda x: x.name):
         nodes.append({
             "name": n.name,
-            "exc": n.gens is not None,
+            "exc": n.exc_gens is not None,
             "c_invariant": n.cinv is not None,
-            "members": [format_sheaf(x) for x in sorted(n.snapshot, key=sheaf_sort_key)],
+            "members": [format_sheaf(x) for x in poset.uni.members(n.mask)],
         })
     tags = {}
     for i, u in enumerate(poset.nodes):
@@ -481,16 +470,12 @@ def poset_json(poset: WidPoset) -> dict:
 # ---------------------------------------------------------------------------
 # perpendicular splitting at an exceptional torsion sheaf
 
-def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc,
-                               uni: tube.Universe | None = None):
+def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, uni: tube.Universe):
     """Split the right perpendicular of an exceptional torsion sheaf into
     a reduced-weight sheaf part and a finite tube part, and verify the
-    two blocks have no Hom or Ext between them inside the universe
-    (default: the window -2p..2p with no ordinary points)."""
+    two blocks have no Hom or Ext between them inside the universe."""
     if not is_exceptional_sheaf(e):
         raise ValueError("torsion sheaf is not exceptional")
-    if uni is None:
-        uni = window_universe(line, -2 * line.p, 2 * line.p, ())
     _, block_b = tube.exc_perp_decompose(e.arc)
     weight = line.weights[e.point]
     reduced = tuple(w - e.arc.length if i == e.point else w

@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import sys
 
 import pytest
 
-from wpline import cli, verify
+from wpline import cli, tube, verify
 from wpline.grading import make_line
 from wpline.widposet import build_poset
 
@@ -150,14 +151,15 @@ def test_poset_dot_matches_golden_bytes():
     code, out, _ = run_cli(["poset", "--weights", "2"])
     assert code == 0
     assert out == GOLDEN.read_text()
-    assert out == verify.GOLDEN_DOT_W2
+    assert hashlib.sha256(out.encode()).hexdigest() == verify.GOLDEN_DOT_W2_SHA256
 
 
 def test_poset_explicit_window_same_golden():
     code, out, _ = run_cli(["poset", "--weights", "2", "--window", "-2..3",
                             "--format", "dot"])
     assert code == 0
-    assert out == verify.GOLDEN_DOT_W2
+    assert out == GOLDEN.read_text()
+    assert hashlib.sha256(out.encode()).hexdigest() == verify.GOLDEN_DOT_W2_SHA256
 
 
 def test_poset_json_counts():
@@ -188,7 +190,7 @@ def test_poset_disagreement_exits_3(monkeypatch):
     on stdout, and the pairwise messages on stderr as schema-1 JSON."""
     dropped = thin_inclusion_order(monkeypatch)
     code, out, err = run_cli(["poset", "--weights", "2"])
-    expected = ref_order_messages(build_poset(make_line((2,)), -2, 3).nodes, dropped)
+    expected = ref_order_messages(build_poset(make_line((2,)), -2, 3), dropped)
     assert expected
     assert (code, out) == (3, "")
     assert err == json.dumps({"schema": 1, "undecidable": expected}, sort_keys=True,
@@ -258,6 +260,23 @@ def test_verify_passes():
     code, out, _ = run_cli(["verify"])
     assert code == 0
     assert "13/13 criteria passed" in out
+
+
+def test_verify_reports_a_raising_criterion_as_failed(monkeypatch):
+    """A criterion that raises fails alone: criterion 8 reports under its
+    function name with the exception, criterion 13 counts the error as a
+    problem, and the verb prints all thirteen lines and exits 1."""
+    def refuse(*args):
+        raise ValueError("set admits no exceptional ordering")
+
+    monkeypatch.setattr(tube, "order_exc_sequence", refuse)
+    code, out, err = run_cli(["verify"])
+    lines = out.splitlines()
+    assert (code, err, len(lines), lines[-1]) == (1, "", 14, "11/13 criteria passed")
+    assert lines[7].startswith("[ 8] FAIL criterion_8 (")
+    assert lines[7].endswith(") ValueError: set admits no exceptional ordering")
+    assert lines[12].startswith("[13] FAIL completion and ordering ranks 1..4 (")
+    assert lines[12].endswith(": set admits no exceptional ordering")
 
 
 CANNED_REPORTS = [

@@ -490,9 +490,11 @@ def test_nc_leq_matches_reference_on_exceptional_nodes(weights, count):
     Lengths are nonnegative, so the reference needs the length of u^-1 v
     only where the length of u is at most that of v."""
     line = make_line(weights)
-    nodes = [n for n in build_poset(line, -2, 3).nodes if n.exc_gens is not None]
-    elements = [kt.cox_of(line, tube.order_exc_sequence(n.exc_gens, sh.hom_dim_sheaf,
-                                                        sh.ext_dim_sheaf, sh.sheaf_sort_key))
+    poset = build_poset(line, -2, 3)
+    nodes = [n for n in poset.nodes if n.exc_gens is not None]
+    elements = [kt.cox_of(line, tube.order_exc_sequence(poset.uni.members(n.exc_gens),
+                                                        sh.hom_dim_sheaf, sh.ext_dim_sheaf,
+                                                        sh.sheaf_sort_key))
                 for n in nodes]
     assert len(elements) == count
     lengths = [reference_abs_length(w) for w in elements]

@@ -89,9 +89,8 @@ class CInvDataTwin:
 class PosetNodeTwin:
     name: str
     mask: int
-    gens: int
+    exc_gens: int | None
     cinv: object
-    uni: object = dataclasses.field(repr=False, compare=False)
 
 
 TWINS = {cls.__name__.removesuffix("Twin"): cls for cls in (
@@ -169,11 +168,13 @@ def test_equality_is_class_aware(monkeypatch):
 
 
 def test_poset_node_ignores_its_universe():
+    """A node holds no universe: its four fields alone give equality, hash
+    and repr, and it has no attribute dict to hold one."""
     node = wp.build_poset(make_line((2,)), -2, 3).nodes[1]
-    other = wp.PosetNode(node.name, node.mask, node.gens, node.cinv, uni=None)
+    other = wp.PosetNode(node.name, node.mask, node.exc_gens, node.cinv)
     assert other == node and hash(other) == hash(node)
     assert repr(other) == repr(node) and "uni" not in repr(node)
-    assert other.uni is None and node.uni is not None
+    assert not hasattr(node, "uni") and not hasattr(node, "__dict__")
 
 
 @pytest.mark.parametrize("cls_name", sorted(FIRST))

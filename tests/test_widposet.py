@@ -30,6 +30,13 @@ def fmt_set(snapshot):
     return sorted(sh.format_sheaf(x) for x in snapshot)
 
 
+@functools.cache
+def snapshot(poset, mask):
+    """The sheaves of a mask over the poset's universe, as a set; the
+    pairwise references ask for each one many times."""
+    return frozenset(poset.uni.members(mask))
+
+
 def test_default_windows():
     assert wp.default_window(LINE2) == (-2, 3)
     assert wp.default_window(LINE11) == (-2, 3)
@@ -66,16 +73,18 @@ def test_poset_rank_two_cover_count():
 
 def test_poset_rank_two_snapshots_frozen():
     poset = wp.build_poset(LINE2, -2, 3)
-    assert fmt_set(poset.node("T1").snapshot) == ["O(0,0;0)", "O(1,0;0)", "S(inf,1)"]
-    assert fmt_set(poset.node("T0").snapshot) == ["O(0,0;0)"]
-    assert fmt_set(poset.node("T0(-2)").snapshot) == ["O(0,0;-1)"]
-    assert fmt_set(poset.node("T1(-2)").snapshot) == ["O(0,0;-1)", "O(1,0;-1)", "S(inf,1)"]
-    assert fmt_set(poset.node("T2").snapshot) == [
-        "O(0,0;-1)", "O(0,0;0)", "O(0,0;1)", "S[2](inf,0)"]
-    assert fmt_set(poset.node("tor(inf)").snapshot) == [
-        "S(inf,0)", "S(inf,1)", "S[2](inf,0)", "S[2](inf,1)"]
-    assert poset.node("0").snapshot == frozenset()
-    assert len(poset.node("coh").snapshot) == 10
+
+    def members(name):
+        return fmt_set(snapshot(poset, poset.node(name).mask))
+
+    assert members("T1") == ["O(0,0;0)", "O(1,0;0)", "S(inf,1)"]
+    assert members("T0") == ["O(0,0;0)"]
+    assert members("T0(-2)") == ["O(0,0;-1)"]
+    assert members("T1(-2)") == ["O(0,0;-1)", "O(1,0;-1)", "S(inf,1)"]
+    assert members("T2") == ["O(0,0;-1)", "O(0,0;0)", "O(0,0;1)", "S[2](inf,0)"]
+    assert members("tor(inf)") == ["S(inf,0)", "S(inf,1)", "S[2](inf,0)", "S[2](inf,1)"]
+    assert snapshot(poset, poset.node("0").mask) == frozenset()
+    assert len(snapshot(poset, poset.node("coh").mask)) == 10
 
 
 def test_poset_rank_two_single_clip():
@@ -310,7 +319,8 @@ def test_order_exc_sheaves_gives_sequence():
 
 def test_decompose_simple_perpendicular():
     S0 = sh.simple_at(LINE2, 0, 0)
-    out = wp.exc_torsion_perp_decompose(LINE2, S0)
+    out = wp.exc_torsion_perp_decompose(
+        LINE2, S0, wp.window_universe(LINE2, -2 * LINE2.p, 2 * LINE2.p, ()))
     assert out["reduced_weights"] == (1, 1)
     assert out["cross_orthogonal"] is True
     assert out["perp_covered"] is True
@@ -323,7 +333,8 @@ def test_decompose_simple_perpendicular():
 def test_decompose_stack_perpendicular():
     line = make_line((3,))
     e = sh.stack_at(line, 0, 1, 2)
-    out = wp.exc_torsion_perp_decompose(line, e)
+    out = wp.exc_torsion_perp_decompose(
+        line, e, wp.window_universe(line, -2 * line.p, 2 * line.p, ()))
     assert out["reduced_weights"] == (1, 1)
     assert out["cross_orthogonal"] is True
     assert out["perp_covered"] is True
@@ -345,36 +356,36 @@ def ref_cinv_leq(a, b):
         and (not a.contains_bundle or b.contains_bundle)
 
 
-def ref_mechanisms(u, v):
+def ref_mechanisms(poset, u, v):
     """Verdict on u <= v of each mechanism that applies: the generators of
     an exceptional u against any v, the data of two invariant nodes."""
     out = {}
     if u.exc_gens is not None:
-        out["exc"] = u.exc_gens <= v.snapshot
+        out["exc"] = snapshot(poset, u.exc_gens) <= snapshot(poset, v.mask)
     if u.cinv is not None and v.cinv is not None:
         out["cinv"] = ref_cinv_leq(u.cinv, v.cinv)
     return out
 
 
-def ref_tags(u, v):
+def ref_tags(poset, u, v):
     """The tags of u <= v: each mechanism that certifies it, except the
     generators of u against an invariant-only v whose data certify it."""
-    verdicts = ref_mechanisms(u, v)
+    verdicts = ref_mechanisms(poset, u, v)
     if v.exc_gens is None and verdicts.get("cinv"):
         verdicts.pop("exc", None)
     return tuple(m for m, ok in verdicts.items() if ok)
 
 
-def ref_order_messages(nodes, dropped=frozenset()):
+def ref_order_messages(poset, dropped=frozenset()):
     """The order check, pair by pair; `dropped` holds index pairs taken
     out of the snapshot order."""
     out = []
-    for i, u in enumerate(nodes):
-        for j, v in enumerate(nodes):
+    for i, u in enumerate(poset.nodes):
+        for j, v in enumerate(poset.nodes):
             if i == j:
                 continue
-            small = u.snapshot <= v.snapshot and (i, j) not in dropped
-            verdicts = ref_mechanisms(u, v)
+            small = snapshot(poset, u.mask) <= snapshot(poset, v.mask) and (i, j) not in dropped
+            verdicts = ref_mechanisms(poset, u, v)
             for mechanism, truth in verdicts.items():
                 if small != truth:
                     source = "generators" if mechanism == "exc" else "invariant data"
@@ -387,8 +398,11 @@ def ref_order_messages(nodes, dropped=frozenset()):
 def ref_certificate_ok(poset):
     """Every comparable pair is reachable from its lower end through
     comparable pairs that carry a tag (depth-first search per node)."""
-    steps = {u.name: [v.name for v in poset.nodes if u is not v and u.snapshot <= v.snapshot
-                      and any(ref_mechanisms(u, v).values())]
+    def below(u, v):
+        return u is not v and snapshot(poset, u.mask) <= snapshot(poset, v.mask)
+
+    steps = {u.name: [v.name for v in poset.nodes
+                      if below(u, v) and any(ref_mechanisms(poset, u, v).values())]
              for u in poset.nodes}
     for u in poset.nodes:
         seen, todo = set(), [u.name]
@@ -397,8 +411,7 @@ def ref_certificate_ok(poset):
                 if b not in seen:
                     seen.add(b)
                     todo.append(b)
-        if any(u is not v and u.snapshot <= v.snapshot and v.name not in seen
-               for v in poset.nodes):
+        if any(below(u, v) and v.name not in seen for v in poset.nodes):
             return False
     return True
 
@@ -415,15 +428,16 @@ def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
     nodes = poset.nodes
     for u in nodes:
         for v in nodes:
-            assert leq(poset, u, v) == (u.snapshot <= v.snapshot), (u.name, v.name)
-            assert poset.tags(u, v) == ref_tags(u, v), (u.name, v.name)
+            small = snapshot(poset, u.mask) <= snapshot(poset, v.mask)
+            assert leq(poset, u, v) == small, (u.name, v.name)
+            assert poset.tags(u, v) == ref_tags(poset, u, v), (u.name, v.name)
     assert [(u.name, v.name) for u, v in poset.comparable_pairs()] == \
         [(u.name, v.name) for u in nodes for v in nodes
-         if u is not v and u.snapshot <= v.snapshot]
+         if u is not v and snapshot(poset, u.mask) <= snapshot(poset, v.mask)]
     assert wp.poset_json(poset)["ord_tags"] == \
         {f"{u.name}<{v.name}": list(poset.tags(u, v))
          for u, v in poset.comparable_pairs() if poset.tags(u, v)}
-    order = ref_order_messages(nodes)
+    order = ref_order_messages(poset)
     rest = [m for m in poset.undecidable if not m.startswith("order of ")]
     assert list(poset.undecidable) == rest + order
     assert poset.certificate_ok() == ref_certificate_ok(poset)
@@ -453,9 +467,10 @@ def test_exceptional_below_invariant_matches_defining_data(weights, lo, hi):
         arcs = [sh.TorsionArc(line, i, a)
                 for fp, i in zip(v.cinv.defining_exc, line.weighted_indices()) for a in fp.arcs]
         for u in poset.nodes:
-            if u.gens is not None and u is not v:
+            if u.exc_gens is not None and u is not v:
                 checked += 1
-                assert leq(poset, u, v) == all(orthogonal(t, g) for t in arcs for g in u.exc_gens), \
+                gens = poset.uni.members(u.exc_gens)
+                assert leq(poset, u, v) == all(orthogonal(t, g) for t in arcs for g in gens), \
                     (u.name, v.name)
     assert checked > len(poset.nodes)
 
@@ -481,7 +496,7 @@ def test_order_disagreements_follow_pairwise_reference(monkeypatch):
     pairwise loop writes them."""
     dropped = thin_inclusion_order(monkeypatch)
     poset = wp.build_poset(LINE2, -2, 3)
-    expected = ref_order_messages(poset.nodes, dropped)
+    expected = ref_order_messages(poset, dropped)
     assert list(poset.undecidable) == expected
     for source in ("generators", "invariant data"):
         assert any(m.endswith(f"disagrees with {source}") for m in expected), source
@@ -573,15 +588,16 @@ def test_poset_dot_digests():
 
 @pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
 def test_node_sheaf_sets_built_on_first_access(weights, lo, hi):
-    """The DOT output builds no node snapshot or generator set; read
-    later, they are the members of the node's masks."""
+    """A node holds masks only, so its sheaf sets are built when a reader
+    asks the poset's universe for them: the members of a mask come out in
+    sheaf_sort_key order, as the emitters print them."""
     poset = wp.build_poset(make_line(weights), lo, hi)
-    wp.poset_dot(poset)
-    assert not any({"snapshot", "exc_gens"} & set(vars(n)) for n in poset.nodes)
     for n in poset.nodes:
-        assert n.snapshot == frozenset(n.uni.members(n.mask)), n.name
-        assert n.exc_gens == (None if n.gens is None else frozenset(n.uni.members(n.gens)))
-    assert any(n.gens is not None for n in poset.nodes)
+        assert not hasattr(n, "__dict__") and not hasattr(n, "uni"), n.name
+        assert all(isinstance(m, int) for m in (n.mask, n.exc_gens) if m is not None)
+        members = poset.uni.members(n.mask)
+        assert list(members) == sorted(members, key=sh.sheaf_sort_key), n.name
+    assert any(n.exc_gens is not None for n in poset.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +680,10 @@ def test_nodes_and_least_generators_follow_reference_key(weights, lo, hi):
     poset = wp.build_poset(make_line(weights), lo, hi)
     masks = [n.mask for n in poset.nodes]
     assert masks == sorted(masks, key=reference_mask_key)
-    exc = [n for n in poset.nodes if n.gens is not None]
+    exc = [n for n in poset.nodes if n.exc_gens is not None]
     assert exc
     for n in exc:
-        assert n.gens == min(by_perp[perp_of[n.gens]], key=reference_mask_key), n.name
+        assert n.exc_gens == min(by_perp[perp_of[n.exc_gens]], key=reference_mask_key), n.name
 
 
 def reference_cinv_snapshot(line, data, uni):
