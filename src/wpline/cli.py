@@ -10,7 +10,6 @@ byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
@@ -22,10 +21,11 @@ from .sheaves import (OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
                       hom_dim_sheaf, is_exceptional_sheaf, line_bundle, perp_membership,
                       simple_at, stack_at)
 from .widposet import (build_poset, default_window, exc_torsion_perp_decompose,
-                       poset_dot, poset_json, sheaf_universe, window_universe)
+                       poset_dot, poset_json, sheaf_universe)
 
 
 def _emit_json(doc) -> str:
+    import json  # only JSON output pays for the module
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -131,37 +131,30 @@ def _cmd_hom(args) -> int:
     return 0
 
 
-def _fp_doc(f):
-    return {"arcs": [[a.socle, a.length] for a in f.sorted_arcs()], "exc": f.exc}
-
-
 def _cmd_tube_enum(args) -> int:
     n = args.rank
-    if n < 1:
-        raise ValueError("rank must be positive")
-    fps = sorted(tube.enumerate_wide(n), key=tube.TubeWideFingerprint.sort_key)
+    lattice = tube.tube_lattice(n)
+    members = [tube.tube_universe(n).members(m) for m in lattice]
     if args.format == "json":
-        doc = {"schema": 1, "rank": n, "count": len(fps),
-               "subcategories": [_fp_doc(f) for f in fps]}
+        doc = {"schema": 1, "rank": n, "count": len(lattice),
+               "subcategories": [{"arcs": [[a.socle, a.length] for a in arcs],
+                                  "exc": tube.is_exc(n, m)}
+                                 for m, arcs in zip(lattice, members)]}
         sys.stdout.write(_emit_json(doc))
     elif args.format == "dot":
         lines = ["digraph tube {", "  rankdir=BT;"]
-        names = {f: "{" + ",".join(f"{a.socle}.{a.length}" for a in f.sorted_arcs()) + "}"
-                 for f in fps}
-        for f in fps:
-            lines.append(f'  "{names[f]}";')
-        uni = tube.tube_universe(n)
-        _, covers = tube.inclusion_order([uni.mask(f.arcs) for f in fps])
-        for i, j in covers:
-            lines.append(f'  "{names[fps[i]]}" -> "{names[fps[j]]}";')
+        names = ["{" + ",".join(f"{a.socle}.{a.length}" for a in arcs) + "}" for arcs in members]
+        lines.extend(f'  "{name}";' for name in names)
+        _, covers = tube.inclusion_order(lattice)
+        lines.extend(f'  "{names[i]}" -> "{names[j]}";' for i, j in covers)
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
-        for f in fps:
-            arcs = ",".join(f"({a.socle},{a.length})" for a in f.sorted_arcs())
-            side = "exc" if f.exc else "non-exc"
-            sys.stdout.write(f"{{{arcs}}} {side}\n")
-        sys.stdout.write(f"total {len(fps)}\n")
+        for m, arcs in zip(lattice, members):
+            shown = ",".join(f"({a.socle},{a.length})" for a in arcs)
+            side = "exc" if tube.is_exc(n, m) else "non-exc"
+            sys.stdout.write(f"{{{shown}}} {side}\n")
+        sys.stdout.write(f"total {len(lattice)}\n")
     return 0
 
 
@@ -197,7 +190,8 @@ def _cmd_perp(args) -> int:
     gens = tuple(parse_sheaf(line, s) for s in _SHEAF_LIST.split(args.sheaves))
     lo, hi = _parse_window(args.window) if args.window else default_window(line)
     ids = tuple(x for x in args.universe.split(",") if x) if args.universe else ()
-    members = [x for x in sheaf_universe(line, lo, hi, ids) if perp_membership(x, gens)]
+    objects = sheaf_universe(line, lo, hi, ids)
+    members = [x for x in objects if perp_membership(x, gens)]
     doc = {
         "schema": 1,
         "weights": list(line.weights),
@@ -206,7 +200,7 @@ def _cmd_perp(args) -> int:
         "members": [format_sheaf(x) for x in members],
     }
     if len(gens) == 1 and isinstance(gens[0], TorsionArc) and is_exceptional_sheaf(gens[0]):
-        rep = exc_torsion_perp_decompose(line, gens[0], window_universe(line, lo, hi, ids))
+        rep = exc_torsion_perp_decompose(line, gens[0], objects)
         doc["decomposition"] = {
             "reduced_weights": list(rep["reduced_weights"]),
             "tube_block": [format_sheaf(x) for x in rep["block_tube"]],

@@ -2,18 +2,19 @@
 
 Objects of the tube are arcs (see nilpotent.Arc).  Hom and Ext between
 arcs are closed-form winding counts, Ext counted as Hom into the
-translate (Serre duality) without building it.  Wide subcategories are
-represented by their fingerprint: the set of member arcs of length at
-most n, which determines the subcategory.  A fingerprint is exceptional
-("exc") exactly when it has no member of full length n, equivalently
-when its factors miss at least one simple.
+translate (Serre duality) without building it.  The lattice of wide
+subcategories (tube_lattice) holds each one as the mask of its member
+arcs of length at most n over tube_universe(n), where the arc of socle s
+and length l has index s * n + l - 1.  A mask is exceptional-side ("exc")
+exactly when it has no full-length member, equivalently when its factors
+miss a simple.  Frozenset fingerprints are output only (enumerate_wide,
+wide_closure, enumerate_wide_bruteforce).
 
 The perpendicular calculus is shared with the sheaf layer: a Universe
 indexes a finite set of objects and keeps, per object, the bitsets of
 objects with vanishing Hom and Ext (Ext as Hom into the translate),
 from which perpendiculars, closures of exceptional sequences (double
-perpendiculars, Geigle-Lenzing) and rigid subsets are read off.  The
-tube enumerates its lattice over the arcs of length at most n.
+perpendiculars, Geigle-Lenzing) and rigid subsets are read off.
 
 The linear-algebra oracle (nilpotent, linalg) serves only as an
 independent check: wide_closure, extension_middles, bongartz_complete,
@@ -242,17 +243,6 @@ class TubeWideFingerprint(Record):
     def __init__(self, rank: int, arcs: frozenset):
         self._init(rank, arcs)
 
-    @property
-    def exc(self) -> bool:
-        return all(a.length < self.rank for a in self.arcs)
-
-    def sorted_arcs(self):
-        return sorted(self.arcs, key=lambda a: a.sort_key())
-
-    def sort_key(self):
-        """Listing order: by size, then by the sorted member arcs."""
-        return (len(self.arcs), tuple(a.sort_key() for a in self.sorted_arcs()))
-
 
 def closure_members(gens) -> frozenset:
     """Arcs of length at most the rank n in the wide closure of the
@@ -336,6 +326,11 @@ def bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def level_key(mask: int) -> tuple:
+    """Size, then sorted indices: the order of Universe.rigid_subsets."""
+    return mask.bit_count(), tuple(bits(mask))
 
 
 def meet(rows, mask: int, start: int) -> int:
@@ -508,40 +503,48 @@ def tube_universe(n: int) -> Universe:
     return Universe(all_arcs(n, n), hom_dim, Arc.tau)
 
 
-def _fingerprint(n: int, mask: int) -> TubeWideFingerprint:
-    return TubeWideFingerprint(n, frozenset(tube_universe(n).members(mask)))
+def is_exc(n: int, mask: int) -> bool:
+    """Whether a mask over tube_universe(n) has no full-length arc; the
+    one of socle s has index s * n + n - 1."""
+    return not any(mask >> (s * n + n - 1) & 1 for s in range(n))
 
 
-def perp_pair(f: TubeWideFingerprint) -> TubeWideFingerprint:
-    """The partner of a fingerprint under the perpendicular bijection.
+def perp_pair(n: int, mask: int) -> int:
+    """The partner of a lattice mask under the perpendicular bijection.
 
-    An exc fingerprint is sent to its right perpendicular inside the
-    tube; a non-exc fingerprint to its left perpendicular.  The two
-    directions are mutually inverse.
+    An exc mask is sent to its right perpendicular inside the tube; a
+    non-exc mask to its left perpendicular.  The two directions are
+    mutually inverse.
     """
-    uni = tube_universe(f.rank)
-    mask = uni.mask(f.arcs)
-    return _fingerprint(f.rank, uni.right_perp(mask) if f.exc else uni.left_perp(mask))
+    uni = tube_universe(n)
+    return uni.right_perp(mask) if is_exc(n, mask) else uni.left_perp(mask)
 
 
 MAX_RANK = 6
 
 
-def enumerate_wide(n: int) -> frozenset:
-    """All wide-subcategory fingerprints of the rank-n tube.
+@functools.cache
+def tube_lattice(n: int) -> tuple:
+    """Every wide subcategory of the rank-n tube, as a mask over
+    tube_universe(n), listed by level_key.
 
     Exc members are the double perpendiculars of rigid arc sets (whose
     members are short, as a full arc extends itself), non-exc members
-    their perpendiculars; the union is the whole lattice.
+    their right perpendiculars; the union is the whole lattice.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     if n > MAX_RANK:
         raise ValueError(f"rank {n} above the configured bound {MAX_RANK}")
     uni = tube_universe(n)
-    exc = {_fingerprint(n, uni.left_perp(perp))
-           for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
-    return frozenset(exc | {perp_pair(f) for f in exc})
+    exc = {uni.left_perp(perp) for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    return tuple(sorted(exc | {uni.right_perp(m) for m in exc}, key=level_key))
+
+
+def enumerate_wide(n: int) -> frozenset:
+    """All wide-subcategory fingerprints of the rank-n tube."""
+    members = tube_universe(n).members
+    return frozenset(TubeWideFingerprint(n, frozenset(members(m))) for m in tube_lattice(n))
 
 
 def enumerate_wide_bruteforce(n: int) -> frozenset:
@@ -594,7 +597,8 @@ def bongartz_complete(part_a, part_b):
     if is_rigid_set(union, ext):
         return tuple(union)
     target = wide_closure(union)
-    pool = [x for x in target.sorted_arcs() if is_exceptional(x) and x not in part_b]
+    pool = [x for x in sorted(target.arcs, key=Arc.sort_key)
+            if is_exceptional(x) and x not in part_b]
     for size in range(min(len(pool), n) + 1):
         for extra in itertools.combinations(pool, size):
             cand = sorted((*part_b, *extra), key=Arc.sort_key)
@@ -603,22 +607,20 @@ def bongartz_complete(part_a, part_b):
     raise AssertionError("no rigid completion found in the closure")
 
 
-def extract_exc_sequence(f: TubeWideFingerprint):
-    """Greedy exceptional sequence generating an exc fingerprint.
+def extract_exc_sequence(n: int, mask: int) -> int:
+    """Greedy exceptional sequence generating an exc lattice mask, as a
+    mask over tube_universe(n).
 
     Picks the least member, restricts to its right perpendicular among
     the members, and repeats; the class independence of the members
-    bounds the number of steps by the rank.  The result is returned in
-    the usual order (vanishing from later to earlier) and is checked to
-    regenerate the fingerprint.
+    bounds the number of steps by the rank.  The picks, last one first,
+    are checked to be an exceptional sequence (vanishing from later to
+    earlier) that regenerates the mask.
     """
-    n = f.rank
-    if not f.exc:
-        raise ValueError("fingerprint is not exceptional-side, no sequence exists")
+    if not is_exc(n, mask):
+        raise ValueError("mask is not exceptional-side, no sequence exists")
     uni = tube_universe(n)
-    target = uni.mask(f.arcs)
-    members = target
-    greedy = []
+    members, greedy = mask, []
     while members:
         i = next(bits(members))
         greedy.append(uni.objects[i])
@@ -627,10 +629,10 @@ def extract_exc_sequence(f: TubeWideFingerprint):
         members &= uni.right[i]
     if linalg.rank([list(a.factor_counts()) for a in greedy]) != len(greedy):
         raise AssertionError("extracted classes are dependent")
-    seq = tuple(reversed(greedy))
-    if not is_exc_sequence(seq):
+    if not is_exc_sequence(reversed(greedy)):
         raise AssertionError("greedy extraction produced a non-sequence")
-    if uni.double_perp(uni.mask(seq)) != target:
+    seq = uni.mask(greedy)
+    if uni.double_perp(seq) != mask:
         raise AssertionError("extracted sequence does not regenerate the subcategory")
     return seq
 
@@ -640,15 +642,13 @@ def exc_perp_decompose(e: Arc):
 
     With S the top simple of e and m its length, the perpendicular is
     the orthogonal of the simples S, tau S, ..., tau^{m-1} S joined with
-    the wide closure of tau S, ..., tau^{m-1} S.  Returns the arcs of
-    length at most the rank in the first block, and the fingerprint
-    arcs of the second.
+    the wide closure of tau S, ..., tau^{m-1} S.  Returns both blocks as
+    masks over tube_universe(rank): the arcs of length at most the rank
+    in the first, the lattice mask of the second.
     """
     if not is_exceptional(e):
         raise ValueError("arc is not exceptional")
     n = e.rank
     uni = tube_universe(n)
     ladder = [Arc(n, (e.top - k) % n, 1) for k in range(e.length)]
-    block1 = frozenset(uni.members(uni.right_perp(uni.mask(ladder))))
-    block2 = frozenset(uni.members(uni.double_perp(uni.mask(ladder[1:]))))
-    return block1, block2
+    return uni.right_perp(uni.mask(ladder)), uni.double_perp(uni.mask(ladder[1:]))

@@ -123,13 +123,13 @@ def criterion_3():
     bad = 0
     checked = 0
     for n in range(1, 5):
-        lattice = tube.enumerate_wide(n)
-        pm = {f: tube.perp_pair(f) for f in lattice}
+        lattice = tube.tube_lattice(n)
         image = set()
-        for f in lattice:
+        for m in lattice:
             checked += 1
-            image.add(pm[f])
-            if tube.perp_pair(pm[f]) != f or pm[f].exc == f.exc:
+            partner = tube.perp_pair(n, m)
+            image.add(partner)
+            if tube.perp_pair(n, partner) != m or tube.is_exc(n, partner) == tube.is_exc(n, m):
                 bad += 1
         if image != set(lattice):
             bad += 1
@@ -330,9 +330,10 @@ def _cinv_defining_sheaves(line, data):
     bundle-containing shift-invariant subcategory, as sheaves: the
     independent path to its members."""
     gens = []
-    for k, i in enumerate(line.weighted_indices()):
-        for arc in tube.extract_exc_sequence(data.defining_exc[k]):
-            gens.append(TorsionArc(line, i, arc))
+    for mask, i in zip(data.defining_exc, line.weighted_indices()):
+        n = line.weights[i]
+        seq = tube.extract_exc_sequence(n, mask)
+        gens.extend(TorsionArc(line, i, arc) for arc in tube.tube_universe(n).members(seq))
     return gens
 
 
@@ -351,9 +352,10 @@ def criterion_12():
     if len(with_bundle) != 3:
         problems.append(f"bundle-side count {len(with_bundle)} != 3")
     uni = window_universe(line, -2, 3, ids)
-    bit = widposet.torsion_bits(uni)
+    offset = widposet.torsion_offsets(uni)
     for d in with_bundle:
-        back = tuple(tube.perp_pair(fp) for fp in d.per_point)
+        back = tuple(tube.perp_pair(line.weights[i], m)
+                     for m, i in zip(d.per_point, line.weighted_indices()))
         if back != d.defining_exc:
             problems.append("tube-level round trip failed")
             continue
@@ -361,15 +363,13 @@ def criterion_12():
         if rebuilt != d:
             problems.append("reconstruction differs")
         gens = _cinv_defining_sheaves(line, d)
-        members = cinv_snapshot(line, d, uni, bit)
+        members = cinv_snapshot(line, d, uni, offset)
         direct = frozenset(x for x in uni.objects if perp_membership(x, gens))
         if direct != frozenset(uni.members(members)):
             problems.append("window membership differs between paths")
-        left = uni.members(uni.left_perp(members))
-        for k, i in enumerate(line.weighted_indices()):
-            arcs = frozenset(x.arc for x in left
-                             if isinstance(x, TorsionArc) and x.point == i)
-            if arcs != d.defining_exc[k].arcs:
+        left = uni.left_perp(members)
+        for mask, i in zip(d.defining_exc, line.weighted_indices()):
+            if (left >> offset[i]) & tube.tube_universe(line.weights[i]).full != mask:
                 problems.append(f"left perp at point {i} does not regenerate the data")
     return _report("shift-invariant round trip", not problems, t0,
                    "; ".join(problems) if problems else "27 subcategories, round trips exact")

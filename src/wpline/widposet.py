@@ -24,7 +24,9 @@ sort-key tuples would.  Rigid sets come in level order (by size, then
 by sorted indices), so the first one found for a node is its least
 generator.  A node holds its members and generators as masks only;
 sheaf objects are built for names and messages, and by readers that
-take a mask's members from the poset's universe.
+take a mask's members from the poset's universe.  Shift-invariant data
+are tube lattice masks: sorted by (socle, length) as in tube_universe,
+a point's arcs form one block of the universe, entered by one shift.
 
 Exactness (Geigle-Lenzing).  With p = delta(c): Hom(O(x), O(y)) = 0
 exactly when y - x is not effective, a non-effective element has degree
@@ -55,17 +57,17 @@ from ._record import Record
 from .grading import WeightData
 from .ktheory import k_rank
 from .nilpotent import Arc
-from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, format_sheaf,
-                      hom_dim_sheaf, is_exceptional_sheaf, sheaf_sort_key, tau_sheaf)
+from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, format_sheaf, hom_dim_sheaf,
+                      is_exceptional_sheaf, perp_membership, sheaf_sort_key, tau_sheaf)
 
 
 class CInvData(Record):
-    """Shift-invariant subcategory: per weighted point a tube
-    fingerprint, ordinary-point support, and whether bundles belong.
+    """Shift-invariant subcategory: per weighted point a tube lattice
+    mask, ordinary-point support, and whether bundles belong.
 
     Bundle-containing ones are right perpendiculars of per-point
-    exceptional torsion data (kept in defining_exc); their per-point
-    fingerprints are the perpendicular partners of that data.
+    exceptional tube masks (kept in defining_exc); their per-point
+    masks are the perpendicular partners of that data.
     """
 
     _fields = ("per_point", "ordinary_support", "contains_bundle", "defining_exc")
@@ -119,74 +121,75 @@ def window_universe(line: WeightData, lo: int, hi: int, universe_ids) -> tube.Un
 # ---------------------------------------------------------------------------
 # shift-invariant enumeration
 
-def c_inv_from_torsion_exc(line: WeightData, exc_fps, universe_ids) -> CInvData:
+def c_inv_from_torsion_exc(line: WeightData, exc_masks, universe_ids) -> CInvData:
     """Bundle-containing shift-invariant subcategory perpendicular to the
-    given per-weighted-point exceptional fingerprints."""
-    exc_fps = tuple(exc_fps)
-    widx = line.weighted_indices()
-    if len(exc_fps) != len(widx):
-        raise ValueError("one fingerprint per weighted point required")
-    for fp in exc_fps:
-        if not fp.exc:
-            raise ValueError("defining data must be exceptional-side")
-    per_point = tuple(tube.perp_pair(fp) for fp in exc_fps)
-    return CInvData(per_point, frozenset(universe_ids), True, exc_fps)
+    given per-weighted-point exceptional tube lattice masks."""
+    exc_masks = tuple(exc_masks)
+    ranks = [line.weights[i] for i in line.weighted_indices()]
+    if len(exc_masks) != len(ranks):
+        raise ValueError("one tube mask per weighted point required")
+    if not all(map(tube.is_exc, ranks, exc_masks)):
+        raise ValueError("defining data must be exceptional-side")
+    per_point = tuple(map(tube.perp_pair, ranks, exc_masks))
+    return CInvData(per_point, frozenset(universe_ids), True, exc_masks)
 
 
 def enumerate_wid_c(line: WeightData, universe_ids):
     """All shift-invariant wide subcategories over the declared universe.
 
-    Torsion-only members are products of per-point tube fingerprints and
+    Torsion-only members are products of per-point tube lattice masks and
     ordinary on/off support; the rest are perpendiculars of per-point
     exceptional data and always contain bundles.  The two halves are
     disjoint.
     """
-    widx = line.weighted_indices()
-    for i in widx:
-        if line.weights[i] > tube.MAX_RANK:
-            raise ValueError("point weight above the enumeration bound")
-    lattices = [sorted(tube.enumerate_wide(line.weights[i]),
-                       key=tube.TubeWideFingerprint.sort_key) for i in widx]
+    ranks = [line.weights[i] for i in line.weighted_indices()]
+    if any(n > tube.MAX_RANK for n in ranks):
+        raise ValueError("point weight above the enumeration bound")
+    lattices = [tube.tube_lattice(n) for n in ranks]
     ids = sorted(universe_ids)
     out = []
-    for fps in itertools.product(*lattices):
+    for masks in itertools.product(*lattices):
         for r in range(len(ids) + 1):
             for chosen in itertools.combinations(ids, r):
-                out.append(CInvData(tuple(fps), frozenset(chosen), False, None))
-    exc_sides = [[fp for fp in lat if fp.exc] for lat in lattices]
-    for fps in itertools.product(*exc_sides):
-        out.append(c_inv_from_torsion_exc(line, fps, universe_ids))
+                out.append(CInvData(masks, frozenset(chosen), False, None))
+    exc_sides = [[m for m in lat if tube.is_exc(n, m)] for n, lat in zip(ranks, lattices)]
+    for masks in itertools.product(*exc_sides):
+        out.append(c_inv_from_torsion_exc(line, masks, universe_ids))
     return out
 
 
-def torsion_bits(uni: tube.Universe) -> dict:
-    """The bit of each torsion object of a window universe, keyed by
-    (point, arc) at weighted points and by the id at ordinary ones."""
-    return {(u.point, u.arc) if isinstance(u, TorsionArc) else u.point_id: 1 << i
-            for i, u in enumerate(uni.objects) if not isinstance(u, LineBundle)}
+def torsion_offsets(uni: tube.Universe) -> dict:
+    """Per weighted point, the index of its first arc in a window universe
+    (its arcs there are tube_universe(weight).objects in order), and per
+    ordinary point id, the index of its simple."""
+    out = {}
+    for i, u in enumerate(uni.objects):
+        if not isinstance(u, LineBundle):
+            out.setdefault(u.point if isinstance(u, TorsionArc) else u.point_id, i)
+    return out
 
 
-def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe, bit: dict) -> int:
+def cinv_snapshot(line: WeightData, data: CInvData, uni: tube.Universe, offset: dict) -> int:
     """Members of a shift-invariant subcategory, as a mask over the
-    universe; `bit` is the universe's torsion_bits.  A bundle-containing
-    one is the right perpendicular of its defining torsion subcategory,
-    which is that of any exceptional sequence generating it (the paper's
-    first theorem; Geigle-Lenzing); a torsion-only one is its data."""
+    universe, whose torsion_offsets is `offset`.  A bundle-containing one
+    is the right perpendicular of its defining torsion subcategory, which
+    is that of any exceptional sequence generating it (the paper's first
+    theorem; Geigle-Lenzing); a torsion-only one is its data."""
     if data.contains_bundle:
-        return uni.right_perp(_arcs_mask(line, data.defining_exc, bit))
-    return _cinv_data_mask(line, data, uni, bit)
+        return uni.right_perp(_arcs_mask(line, data.defining_exc, offset))
+    return _cinv_data_mask(line, data, uni, offset)
 
 
-def _arcs_mask(line: WeightData, fps, bit: dict) -> int:
-    """The arcs of one tube fingerprint per weighted point, as a mask."""
-    return sum(bit[i, a] for fp, i in zip(fps, line.weighted_indices()) for a in fp.arcs)
+def _arcs_mask(line: WeightData, masks, offset: dict) -> int:
+    """One tube lattice mask per weighted point, shifted into the universe."""
+    return sum(m << offset[i] for m, i in zip(masks, line.weighted_indices()))
 
 
-def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe, bit: dict) -> int:
+def _cinv_data_mask(line: WeightData, data: CInvData, uni: tube.Universe, offset: dict) -> int:
     """Per-point arcs and ordinary support as a mask, plus one bit past the
     universe when bundles belong: inclusion of masks is inclusion."""
-    return (_arcs_mask(line, data.per_point, bit)
-            + sum(bit[q] for q in data.ordinary_support)
+    return (_arcs_mask(line, data.per_point, offset)
+            + sum(1 << offset[q] for q in data.ordinary_support)
             | data.contains_bundle << len(uni.objects))
 
 
@@ -258,16 +261,15 @@ def _suffix(k: int) -> str:
 
 def _torsion_only_name(line, data: CInvData) -> str:
     parts = []
-    for k, i in enumerate(line.weighted_indices()):
-        fp = data.per_point[k]
-        if not fp.arcs:
+    for mask, i in zip(data.per_point, line.weighted_indices()):
+        if not mask:
             continue
         label = line.points[i]
-        # the whole tube: all rank * rank arcs of length at most the rank
-        if not fp.exc and len(fp.arcs) == fp.rank * fp.rank:
+        uni = tube.tube_universe(line.weights[i])
+        if mask == uni.full:
             parts.append(f"tor({label})")
             continue
-        arcs = fp.sorted_arcs()
+        arcs = uni.members(mask)
         if len(arcs) == 1 and arcs[0].length == 1:
             parts.append(f"S({label},{arcs[0].socle})")
         elif len(arcs) == 1:
@@ -283,11 +285,11 @@ def _torsion_only_name(line, data: CInvData) -> str:
 def _cinv_name(line, data: CInvData) -> str:
     if not data.contains_bundle:
         return _torsion_only_name(line, data)
-    if all(not fp.arcs for fp in data.defining_exc):
+    if not any(data.defining_exc):
         return "coh"
     widx = line.weighted_indices()
     if len(widx) == 1 and line.weights[widx[0]] == 2:
-        arcs = data.defining_exc[0].sorted_arcs()
+        arcs = tube.tube_universe(2).members(data.defining_exc[0])
         if len(arcs) == 1 and arcs[0].length == 1:
             return "T2" if arcs[0].socle == 0 else "T2(+1)"
     inner = _torsion_only_name(line, CInvData(data.defining_exc, frozenset(), False, None))
@@ -328,13 +330,13 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     window = sum(1 << i for i, x in enumerate(uni.objects)
                  if not isinstance(x, LineBundle) or lo <= x.degree.degree() <= hi)
     exceptional = sum(1 << i for i in tube.bits(window) if is_exceptional_sheaf(uni.objects[i]))
-    bit = torsion_bits(uni)
-    bundles = uni.full & ~sum(bit.values())
+    offset = torsion_offsets(uni)
+    bundles = sum(1 << i for i, x in enumerate(uni.objects) if isinstance(x, LineBundle))
 
     # invariant data and members by window slice, the first one kept
     undecidable, invariant = [], {}
     for data in enumerate_wid_c(line, universe_ids):
-        members = cinv_snapshot(line, data, uni, bit)
+        members = cinv_snapshot(line, data, uni, offset)
         first = invariant.setdefault(members & window, (data, members))[0]
         if first is not data:
             undecidable.append(f"window cannot separate {_cinv_name(line, first)} "
@@ -367,8 +369,7 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
         least.setdefault(key, gens)
 
     nodes = []
-    masks = sorted(invariant.keys() | least.keys(),
-                   key=lambda mask: (mask.bit_count(), tuple(tube.bits(mask))))
+    masks = sorted(invariant.keys() | least.keys(), key=tube.level_key)
     used_names = set()
     for mask in masks:
         data, _ = invariant.get(mask, (None, None))
@@ -387,7 +388,8 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     everyone = (1 << len(nodes)) - 1
     exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
-    data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, bit) for n in nodes]
+    data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, offset)
+                  for n in nodes]
     held, held_data = tube.holders(masks), tube.holders(data_masks)
     exc, cinv = [], []
     for i, u in enumerate(nodes):
@@ -470,26 +472,26 @@ def poset_json(poset: WidPoset) -> dict:
 # ---------------------------------------------------------------------------
 # perpendicular splitting at an exceptional torsion sheaf
 
-def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, uni: tube.Universe):
-    """Split the right perpendicular of an exceptional torsion sheaf into
-    a reduced-weight sheaf part and a finite tube part, and verify the
-    two blocks have no Hom or Ext between them inside the universe."""
+def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, objects):
+    """Split the right perpendicular of an exceptional torsion sheaf among
+    the window objects (sheaf_universe) into a reduced-weight sheaf part
+    and a finite tube part, and verify the two blocks have no Hom or Ext
+    between them."""
     if not is_exceptional_sheaf(e):
         raise ValueError("torsion sheaf is not exceptional")
-    _, block_b = tube.exc_perp_decompose(e.arc)
     weight = line.weights[e.point]
     reduced = tuple(w - e.arc.length if i == e.point else w
                     for i, w in enumerate(line.weights))
-    block_tube = uni.mask(TorsionArc(line, e.point, a) for a in block_b)
-    ladder = uni.mask(TorsionArc(line, e.point, Arc(weight, (e.arc.top - k) % weight, 1))
-                      for k in range(e.arc.length))
-    perp = uni.right_perp(uni.mask([e]))
-    block_sheaf = perp & uni.right_perp(ladder)
-    orthogonal = uni.right_perp(block_tube) & uni.left_perp(block_tube)
+    _, block = tube.exc_perp_decompose(e.arc)
+    block_tube = [TorsionArc(line, e.point, a) for a in tube.tube_universe(weight).members(block)]
+    ladder = [TorsionArc(line, e.point, Arc(weight, s, 1)) for s in e.arc.factors()]
+    perp = [x for x in objects if perp_membership(x, (e,))]
+    block_sheaf = [x for x in perp if perp_membership(x, ladder)]
     return {
         "reduced_weights": reduced,
-        "block_tube": list(uni.members(block_tube)),
-        "block_sheaf_members": list(uni.members(block_sheaf)),
-        "cross_orthogonal": block_sheaf & ~orthogonal == 0,
-        "perp_covered": perp & ~(block_sheaf | block_tube) == 0,
+        "block_tube": block_tube,
+        "block_sheaf_members": block_sheaf,
+        "cross_orthogonal": all(perp_membership(x, (t,)) and perp_membership(t, (x,))
+                                for x in block_sheaf for t in block_tube),
+        "perp_covered": set(perp) <= {*block_sheaf, *block_tube},
     }

@@ -234,23 +234,36 @@ VERB_ARGVS = [
 ]
 
 
+# requests with no JSON output: DOT for poset and tube-enum, text for classify
+NO_JSON_ARGVS = [
+    ["poset", "--weights", "2,3", "--window", "-6..6"],
+    ["tube-enum", "--rank", "3", "--format", "dot"],
+    ["classify", "--weights", "2,3"],
+]
+
+
 def test_processes_load_no_dataclasses_or_inspect():
     """A fresh process that runs every verb but verify, and one that
     imports the tube layer alone as a closure request does, loads
-    neither dataclasses nor inspect (with its ast, dis and tokenize)."""
+    neither dataclasses nor inspect (with its ast, dis and tokenize).  A
+    fresh process whose requests print no JSON loads no json."""
+    def verbs(argvs, watched):
+        return ("import contextlib, io, sys\n"
+                "before = set(sys.modules)\n"
+                "from wpline import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [cli.run(argv) for argv in {argvs!r}]\n"
+                f"print(codes, sorted({watched} & set(sys.modules) - before))\n")
+
     watched = "{'dataclasses', 'inspect'}"
-    verbs = ("import contextlib, io, sys\n"
-             "before = set(sys.modules)\n"
-             "from wpline import cli\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    codes = [cli.run(argv) for argv in {VERB_ARGVS!r}]\n"
-             f"print(codes, sorted({watched} & set(sys.modules) - before))\n")
     tube = ("import sys\n"
             "before = set(sys.modules)\n"
             "import wpline.tube\n"
             f"print(sorted({watched} & set(sys.modules) - before))\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    for script, want in ((verbs, f"{[0] * len(VERB_ARGVS)} []\n"), (tube, "[]\n")):
+    for script, want in ((verbs(VERB_ARGVS, watched), f"{[0] * len(VERB_ARGVS)} []\n"),
+                         (tube, "[]\n"),
+                         (verbs(NO_JSON_ARGVS, "{'json'}"), f"{[0] * len(NO_JSON_ARGVS)} []\n")):
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == (0, want, "")

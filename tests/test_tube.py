@@ -11,12 +11,8 @@ from wpline.nilpotent import Arc, cokernel_rep, decompose, kernel_rep
 from wpline import tube
 from wpline.widposet import build_poset
 
-from test_widposet import BENCH_INPUTS
-
-
-def lattice_sorted(n):
-    return sorted(tube.enumerate_wide(n),
-                  key=lambda f: (len(f.arcs), sorted(a.sort_key() for a in f.arcs)))
+from test_widposet import (BENCH_INPUTS, reference_exc, reference_perp_pair,
+                           reference_sort_key)
 
 
 def test_hom_dim_matches_winding_oracle():
@@ -87,8 +83,9 @@ def test_lattice_matches_bruteforce():
 
 
 def test_rank_two_lattice_frozen():
-    fps = lattice_sorted(2)
-    seen = [(f.exc, sorted((a.socle, a.length) for a in f.arcs)) for f in fps]
+    uni = tube.tube_universe(2)
+    seen = [(tube.is_exc(2, m), sorted((a.socle, a.length) for a in uni.members(m)))
+            for m in tube.tube_lattice(2)]
     assert seen == [
         (True, []),
         (True, [(0, 1)]),
@@ -106,7 +103,7 @@ def whole_fingerprint(n):
 def test_wide_closure_of_two_simples_is_whole():
     f = tube.wide_closure([Arc(2, 0, 1), Arc(2, 1, 1)])
     assert f == whole_fingerprint(2)
-    assert not f.exc
+    assert not tube.is_exc(2, tube.tube_universe(2).mask(f.arcs))
 
 
 def test_wide_closure_idempotent():
@@ -130,29 +127,44 @@ def test_wide_closure_rejects_generators_longer_than_rank(gens):
 
 def test_perp_pair_swaps_halves_and_inverts():
     for n in (1, 2, 3, 4):
-        lattice = tube.enumerate_wide(n)
-        for f in lattice:
-            g = tube.perp_pair(f)
+        lattice = tube.tube_lattice(n)
+        for m in lattice:
+            g = tube.perp_pair(n, m)
             assert g in lattice
-            assert g.exc != f.exc
-            assert tube.perp_pair(g) == f
+            assert tube.is_exc(n, g) != tube.is_exc(n, m)
+            assert tube.perp_pair(n, g) == m
 
 
 def test_perp_pair_frozen_examples():
-    zero = tube.TubeWideFingerprint(3, frozenset())
-    assert tube.perp_pair(zero) == whole_fingerprint(3)
+    uni3, uni2 = tube.tube_universe(3), tube.tube_universe(2)
+    assert tube.perp_pair(3, 0) == uni3.mask(whole_fingerprint(3).arcs)
     # one simple in the rank 2 tube faces the opposite full arc
-    f = tube.wide_closure([Arc(2, 0, 1)])
-    assert sorted((a.socle, a.length) for a in tube.perp_pair(f).arcs) == [(1, 2)]
+    f = uni2.mask(tube.wide_closure([Arc(2, 0, 1)]).arcs)
+    assert sorted((a.socle, a.length) for a in uni2.members(tube.perp_pair(2, f))) == [(1, 2)]
 
 
 def test_perp_of_full_stack_is_simple_ladder():
     """The left perpendicular of the full-length arc is generated by
     the rank minus one simples away from its socle."""
     for n in (2, 3, 4):
-        full = tube.wide_closure([Arc(n, 0, n)])
-        ladder = tube.wide_closure([Arc(n, s, 1) for s in range(1, n)])
-        assert tube.perp_pair(full) == ladder
+        uni = tube.tube_universe(n)
+        full = uni.mask(tube.wide_closure([Arc(n, 0, n)]).arcs)
+        ladder = uni.mask(tube.wide_closure([Arc(n, s, 1) for s in range(1, n)]).arcs)
+        assert tube.perp_pair(n, full) == ladder
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lattice_masks_match_fingerprint_reference(n):
+    """The mask lattice, decoded, is the fingerprint lattice in the listing
+    order of the fingerprint path, and its exc test and perpendicular
+    pairing are that path's."""
+    uni = tube.tube_universe(n)
+    lattice = tube.tube_lattice(n)
+    decoded = [tube.TubeWideFingerprint(n, frozenset(uni.members(m))) for m in lattice]
+    assert decoded == sorted(tube.enumerate_wide(n), key=reference_sort_key)
+    for m, f in zip(lattice, decoded):
+        assert tube.is_exc(n, m) == reference_exc(f), f
+        assert frozenset(uni.members(tube.perp_pair(n, m))) == reference_perp_pair(f).arcs, f
 
 
 def test_rigidity():
@@ -184,12 +196,13 @@ def test_bongartz_complete_rejects_non_orthogonal():
 
 def test_order_exc_sequence_gives_exc_sequence():
     for n in (2, 3):
-        for f in tube.enumerate_wide(n):
-            if not f.exc or not f.arcs:
+        uni = tube.tube_universe(n)
+        for m in tube.tube_lattice(n):
+            if not tube.is_exc(n, m) or not m:
                 continue
-            seq = tube.extract_exc_sequence(f)
+            seq = tube.order_exc_sequence(uni.members(tube.extract_exc_sequence(n, m)))
             assert tube.is_exc_sequence(seq)
-            assert tube.wide_closure(seq) == f
+            assert uni.mask(tube.wide_closure(seq).arcs) == m
 
 
 def test_order_exc_sequence_frozen():
@@ -204,8 +217,8 @@ def test_exc_perp_decompose_simple():
     # the opposite simple extends S_0, so only the full opposite arc
     # survives in the perpendicular
     block1, block2 = tube.exc_perp_decompose(Arc(2, 0, 1))
-    assert block2 == frozenset()
-    members = [x for x in tube.all_arcs(2, 2) if x in block1]
+    assert block2 == 0
+    members = [x for x in tube.all_arcs(2, 2) if x in tube.tube_universe(2).members(block1)]
     assert sorted((a.socle, a.length) for a in members) == [(1, 2)]
 
 
@@ -213,7 +226,8 @@ def test_exc_perp_decompose_stack():
     """A length 2 arc in the rank 3 tube splits its perpendicular into
     an orthogonal pair of blocks covering it."""
     e = Arc(3, 1, 2)
-    block1, block2 = tube.exc_perp_decompose(e)
+    uni = tube.tube_universe(3)
+    block1, block2 = (frozenset(uni.members(b)) for b in tube.exc_perp_decompose(e))
     assert sorted((a.socle, a.length) for a in block2) == [(1, 1)]
     perp = [x for x in tube.all_arcs(3, 3)
             if tube.hom_dim(e, x) == 0 and tube.ext_dim(e, x) == 0]
@@ -532,9 +546,7 @@ def test_inclusion_order_matches_reference(case):
     benchmark posets (and of 1,1 with two ordinary points) and on the
     tube-enum lattices of ranks 1 to 5."""
     if isinstance(case, int):
-        uni = tube.tube_universe(case)
-        fps = sorted(tube.enumerate_wide(case), key=tube.TubeWideFingerprint.sort_key)
-        masks = [uni.mask(f.arcs) for f in fps]
+        masks = list(tube.tube_lattice(case))
     else:
         weights, lo, hi, ids = case
         masks = [n.mask for n in build_poset(make_line(weights), lo, hi, ids).nodes]

@@ -20,6 +20,9 @@ LINE11 = make_line((1, 1))
 GOLDEN = Path(__file__).parent / "golden"
 # weights, lo, hi of the five benchmark poset inputs at shift 0
 BENCH_INPUTS = [((2,), -2, 3), ((2, 2), -2, 3), ((2, 3), -6, 6), ((4,), -8, 8), ((3, 3), -2, 3)]
+# the benchmark inputs and two lines with declared ordinary points
+UNIVERSE_INPUTS = ([(*inp, ()) for inp in BENCH_INPUTS]
+                   + [((2, 2), -4, 4, ("q",)), ((1, 1), -2, 3, ("0", "1"))])
 
 
 def names_of(poset):
@@ -194,7 +197,7 @@ def test_cinv_round_trip_through_tube_perp():
     for d in wp.enumerate_wid_c(LINE2, ids):
         if not d.contains_bundle:
             continue
-        back = tuple(tube.perp_pair(fp) for fp in d.per_point)
+        back = tuple(tube.perp_pair(2, m) for m in d.per_point)
         assert back == d.defining_exc
         assert wp.c_inv_from_torsion_exc(LINE2, back, ids) == d
 
@@ -293,9 +296,9 @@ def test_narrow_window_cannot_separate_invariant_nodes(weights, lo, hi):
     line = make_line(weights)
     uni = margin_universe(weights, lo, hi)
     window = uni.mask(wp.sheaf_universe(line, lo, hi, ()))
-    bit = wp.torsion_bits(uni)
+    offset = wp.torsion_offsets(uni)
     datas = wp.enumerate_wid_c(line, ())
-    shared = len(datas) - len({wp.cinv_snapshot(line, d, uni, bit) & window for d in datas})
+    shared = len(datas) - len({wp.cinv_snapshot(line, d, uni, offset) & window for d in datas})
     poset = wp.build_poset(line, lo, hi)
     assert shared > 0
     assert [m.startswith("window cannot separate ") for m in poset.undecidable] == [True] * shared
@@ -320,7 +323,7 @@ def test_order_exc_sheaves_gives_sequence():
 def test_decompose_simple_perpendicular():
     S0 = sh.simple_at(LINE2, 0, 0)
     out = wp.exc_torsion_perp_decompose(
-        LINE2, S0, wp.window_universe(LINE2, -2 * LINE2.p, 2 * LINE2.p, ()))
+        LINE2, S0, wp.sheaf_universe(LINE2, -2 * LINE2.p, 2 * LINE2.p, ()))
     assert out["reduced_weights"] == (1, 1)
     assert out["cross_orthogonal"] is True
     assert out["perp_covered"] is True
@@ -334,7 +337,7 @@ def test_decompose_stack_perpendicular():
     line = make_line((3,))
     e = sh.stack_at(line, 0, 1, 2)
     out = wp.exc_torsion_perp_decompose(
-        line, e, wp.window_universe(line, -2 * line.p, 2 * line.p, ()))
+        line, e, wp.sheaf_universe(line, -2 * line.p, 2 * line.p, ()))
     assert out["reduced_weights"] == (1, 1)
     assert out["cross_orthogonal"] is True
     assert out["perp_covered"] is True
@@ -349,9 +352,16 @@ def test_poset_rejects_three_weighted_points():
 # ---------------------------------------------------------------------------
 # pairwise reference for the bitset order
 
-def ref_cinv_leq(a, b):
+def point_arcs(line, masks):
+    """The member arcs of one tube lattice mask per weighted point."""
+    return [frozenset(tube.tube_universe(line.weights[i]).members(m))
+            for m, i in zip(masks, line.weighted_indices())]
+
+
+def ref_cinv_leq(line, a, b):
     """Inclusion of shift-invariant subcategories, read off their data."""
-    return all(fa.arcs <= fb.arcs for fa, fb in zip(a.per_point, b.per_point)) \
+    return all(fa <= fb for fa, fb in zip(point_arcs(line, a.per_point),
+                                          point_arcs(line, b.per_point))) \
         and a.ordinary_support <= b.ordinary_support \
         and (not a.contains_bundle or b.contains_bundle)
 
@@ -363,7 +373,7 @@ def ref_mechanisms(poset, u, v):
     if u.exc_gens is not None:
         out["exc"] = snapshot(poset, u.exc_gens) <= snapshot(poset, v.mask)
     if u.cinv is not None and v.cinv is not None:
-        out["cinv"] = ref_cinv_leq(u.cinv, v.cinv)
+        out["cinv"] = ref_cinv_leq(poset.line, u.cinv, v.cinv)
     return out
 
 
@@ -465,7 +475,8 @@ def test_exceptional_below_invariant_matches_defining_data(weights, lo, hi):
         if v.cinv is None or not v.cinv.contains_bundle:
             continue
         arcs = [sh.TorsionArc(line, i, a)
-                for fp, i in zip(v.cinv.defining_exc, line.weighted_indices()) for a in fp.arcs]
+                for point, i in zip(point_arcs(line, v.cinv.defining_exc), line.weighted_indices())
+                for a in point]
         for u in poset.nodes:
             if u.exc_gens is not None and u is not v:
                 checked += 1
@@ -689,14 +700,17 @@ def test_nodes_and_least_generators_follow_reference_key(weights, lo, hi):
 def reference_cinv_snapshot(line, data, uni):
     """Per-point arcs and ordinary simples, and the bundles in the right
     perpendicular of an exceptional sequence generating the defining
-    data, extracted per point by the tube layer."""
+    data, extracted per point by the tube layer; arcs enter the universe
+    as sheaves, by its index, not by a shift."""
     widx = line.weighted_indices()
-    members = uni.mask([sh.TorsionArc(line, i, a) for fp, i in zip(data.per_point, widx)
-                        for a in fp.arcs]
+    members = uni.mask([sh.TorsionArc(line, i, a)
+                        for point, i in zip(point_arcs(line, data.per_point), widx) for a in point]
                        + [sh.OrdinaryTorsion(line, q, 1) for q in data.ordinary_support])
     if data.contains_bundle:
-        seq = uni.mask(sh.TorsionArc(line, i, a) for fp, i in zip(data.defining_exc, widx)
-                       for a in tube.extract_exc_sequence(fp))
+        seqs = [tube.extract_exc_sequence(line.weights[i], m)
+                for m, i in zip(data.defining_exc, widx)]
+        seq = uni.mask(sh.TorsionArc(line, i, a)
+                       for point, i in zip(point_arcs(line, seqs), widx) for a in point)
         bundles = uni.mask(x for x in uni.objects if isinstance(x, sh.LineBundle))
         members |= uni.right_perp(seq) & bundles
     return members
@@ -710,11 +724,83 @@ def test_cinv_snapshot_matches_defining_sequence(weights, lo, hi, ids):
     subcategory."""
     line = make_line(weights)
     uni = margin_universe(weights, lo, hi, ids)
-    bit = wp.torsion_bits(uni)
+    offset = wp.torsion_offsets(uni)
     datas = wp.enumerate_wid_c(line, ids)
     assert any(d.contains_bundle for d in datas)
     for data in datas:
-        assert wp.cinv_snapshot(line, data, uni, bit) == reference_cinv_snapshot(line, data, uni), data
+        assert wp.cinv_snapshot(line, data, uni, offset) == reference_cinv_snapshot(line, data, uni), data
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
+def test_point_arcs_are_one_tube_universe_block(weights, lo, hi, ids):
+    """The shift that moves a tube mask into the poset universe: at each
+    weighted point the universe's arcs are one contiguous block, from the
+    point's offset, equal to tube_universe(weight).objects in order, and
+    each ordinary point's offset is its simple."""
+    line = make_line(weights)
+    uni = margin_universe(weights, lo, hi, ids)
+    offset = wp.torsion_offsets(uni)
+    for i in line.weighted_indices():
+        at = [k for k, x in enumerate(uni.objects) if isinstance(x, sh.TorsionArc) and x.point == i]
+        arcs = tube.tube_universe(line.weights[i]).objects
+        assert at == list(range(offset[i], offset[i] + len(arcs))), i
+        assert tuple(uni.objects[k].arc for k in at) == arcs, i
+    assert [uni.objects[offset[q]] for q in ids] == [sh.OrdinaryTorsion(line, q, 1) for q in ids]
+    assert len(offset) == len(line.weighted_indices()) + len(ids)
+
+
+# ---------------------------------------------------------------------------
+# the fingerprint path that the tube masks replaced
+
+def reference_sort_key(f):
+    """Listing order of fingerprints: by size, then by the sorted member arcs."""
+    return len(f.arcs), tuple(sorted(a.sort_key() for a in f.arcs))
+
+
+def reference_exc(f) -> bool:
+    return all(a.length < f.rank for a in f.arcs)
+
+
+def reference_perp_pair(f):
+    """Right perpendicular of an exc fingerprint inside the tube, left
+    perpendicular of a non-exc one."""
+    uni = tube.tube_universe(f.rank)
+    mask = uni.mask(f.arcs)
+    partner = uni.right_perp(mask) if reference_exc(f) else uni.left_perp(mask)
+    return tube.TubeWideFingerprint(f.rank, frozenset(uni.members(partner)))
+
+
+def reference_enumerate_wid_c(line, universe_ids):
+    """Shift-invariant data as (per_point, support, bundles, defining) with
+    one fingerprint per weighted point, in the enumeration order."""
+    lattices = [sorted(tube.enumerate_wide(line.weights[i]), key=reference_sort_key)
+                for i in line.weighted_indices()]
+    ids = sorted(universe_ids)
+    out = []
+    for fps in itertools.product(*lattices):
+        for r in range(len(ids) + 1):
+            for chosen in itertools.combinations(ids, r):
+                out.append((fps, frozenset(chosen), False, None))
+    exc_sides = [[fp for fp in lat if reference_exc(fp)] for lat in lattices]
+    for fps in itertools.product(*exc_sides):
+        out.append((tuple(map(reference_perp_pair, fps)), frozenset(universe_ids), True, fps))
+    return out
+
+
+@pytest.mark.parametrize("weights, ids", sorted({(w, ids) for w, _, _, ids in UNIVERSE_INPUTS}))
+def test_enumerate_wid_c_matches_fingerprint_reference(weights, ids):
+    """The mask data, decoded to one fingerprint per weighted point, are
+    the fingerprint path's data, in its order."""
+    line = make_line(weights)
+
+    def decoded(masks):
+        return tuple(tube.TubeWideFingerprint(line.weights[i], arcs) for arcs, i
+                     in zip(point_arcs(line, masks), line.weighted_indices()))
+
+    got = [(decoded(d.per_point), d.ordinary_support, d.contains_bundle,
+            None if d.defining_exc is None else decoded(d.defining_exc))
+           for d in wp.enumerate_wid_c(line, ids)]
+    assert got == reference_enumerate_wid_c(line, ids)
 
 
 @pytest.mark.parametrize("weights, lo, hi, ids",
