@@ -200,7 +200,7 @@ def _cmd_perp(args) -> int:
         "members": [format_sheaf(x) for x in members],
     }
     if len(gens) == 1 and isinstance(gens[0], TorsionArc) and is_exceptional_sheaf(gens[0]):
-        rep = exc_torsion_perp_decompose(line, gens[0], objects)
+        rep = exc_torsion_perp_decompose(line, gens[0], members)
         doc["decomposition"] = {
             "reduced_weights": list(rep["reduced_weights"]),
             "tube_block": [format_sheaf(x) for x in rep["block_tube"]],

@@ -530,15 +530,18 @@ def tube_lattice(n: int) -> tuple:
 
     Exc members are the double perpendiculars of rigid arc sets (whose
     members are short, as a full arc extends itself), non-exc members
-    their right perpendiculars; the union is the whole lattice.
+    their right perpendiculars P, which the rigid-set walk carries; the
+    union is the whole lattice.  As right and left perpendiculars form a
+    Galois connection, P is the right perpendicular of its own closure,
+    so one left perpendicular per distinct P gives both halves.
     """
     if n < 1:
         raise ValueError("rank must be positive")
     if n > MAX_RANK:
         raise ValueError(f"rank {n} above the configured bound {MAX_RANK}")
     uni = tube_universe(n)
-    exc = {uni.left_perp(perp) for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
-    return tuple(sorted(exc | {uni.right_perp(m) for m in exc}, key=level_key))
+    perps = {perp for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    return tuple(sorted(perps | set(map(uni.left_perp, perps)), key=level_key))
 
 
 def enumerate_wide(n: int) -> frozenset:

@@ -10,6 +10,8 @@ containment, decided once per poset as ANDs of per-member holder bitsets
 over node indices, beside the verdicts of generators ("exc") and of
 invariant data ("cinv", from a data mask); the acceptance suite checks
 that their tagged union generates the whole order (pushout property).
+The Hasse diagram stays the cover pairs of node indices that
+tube.inclusion_order lists, named only when the poset is emitted.
 
 Snapshots come from the perpendicular calculus of tube.Universe, built
 once per poset over the window enlarged by universe_margin degrees on
@@ -143,8 +145,6 @@ def enumerate_wid_c(line: WeightData, universe_ids):
     disjoint.
     """
     ranks = [line.weights[i] for i in line.weighted_indices()]
-    if any(n > tube.MAX_RANK for n in ranks):
-        raise ValueError("point weight above the enumeration bound")
     lattices = [tube.tube_lattice(n) for n in ranks]
     ids = sorted(universe_ids)
     out = []
@@ -209,7 +209,10 @@ class PosetNode(Record):
 class WidPoset:
     """Nodes by snapshot size; bit j of above[i] when node j strictly contains
     node i, of exc[i] or cinv[i] when that mechanism certifies it.  Nodes
-    and clipped generator sets are masks over the build universe uni."""
+    and clipped generator sets are masks over the build universe uni.
+    index_covers are the cover pairs (i, j) of node indices, in ascending
+    order of i, as tube.inclusion_order lists them; i < j, as a strict
+    superset comes later."""
 
     def __init__(self, line, lo, hi, universe_ids, uni, nodes, clipped, undecidable,
                  covers, above, exc, cinv):
@@ -221,7 +224,7 @@ class WidPoset:
         self.nodes = nodes
         self.clipped = clipped
         self.undecidable = undecidable
-        self._covers = sorted(covers)
+        self.index_covers = covers
         self.above = above
         self.exc = exc
         self.cinv = cinv
@@ -242,7 +245,8 @@ class WidPoset:
 
     def covers(self):
         """Cover pairs (lower, upper) by name, sorted."""
-        return list(self._covers)
+        nodes = self.nodes
+        return sorted([(nodes[i].name, nodes[j].name) for i, j in self.index_covers])
 
     def certificate_ok(self) -> bool:
         """Every comparable pair is reachable through tagged steps; steps go
@@ -259,9 +263,9 @@ def _suffix(k: int) -> str:
     return "" if k == 0 else f"({k:+d})"
 
 
-def _torsion_only_name(line, data: CInvData) -> str:
+def _torsion_only_name(line, per_point, ordinary_support) -> str:
     parts = []
-    for mask, i in zip(data.per_point, line.weighted_indices()):
+    for mask, i in zip(per_point, line.weighted_indices()):
         if not mask:
             continue
         label = line.points[i]
@@ -277,14 +281,14 @@ def _torsion_only_name(line, data: CInvData) -> str:
         else:
             desc = "+".join(f"{a.socle}.{a.length}" for a in arcs)
             parts.append(f"tor({label}:{desc})")
-    if data.ordinary_support:
-        parts.append("tor(" + ",".join(sorted(data.ordinary_support)) + ")")
+    if ordinary_support:
+        parts.append("tor(" + ",".join(sorted(ordinary_support)) + ")")
     return "&".join(parts) if parts else "0"
 
 
 def _cinv_name(line, data: CInvData) -> str:
     if not data.contains_bundle:
-        return _torsion_only_name(line, data)
+        return _torsion_only_name(line, data.per_point, data.ordinary_support)
     if not any(data.defining_exc):
         return "coh"
     widx = line.weighted_indices()
@@ -292,8 +296,7 @@ def _cinv_name(line, data: CInvData) -> str:
         arcs = tube.tube_universe(2).members(data.defining_exc[0])
         if len(arcs) == 1 and arcs[0].length == 1:
             return "T2" if arcs[0].socle == 0 else "T2(+1)"
-    inner = _torsion_only_name(line, CInvData(data.defining_exc, frozenset(), False, None))
-    return f"perp({inner})"
+    return f"perp({_torsion_only_name(line, data.defining_exc, ())})"
 
 
 def _exc_name(line, members) -> str:
@@ -407,35 +410,27 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                                for what, flagged in flags if flagged >> j & 1)
 
     return WidPoset(line, lo, hi, universe_ids, uni, tuple(nodes), tuple(clipped),
-                    tuple(undecidable), [(nodes[i].name, nodes[j].name) for i, j in covers],
-                    above, exc, cinv)
+                    tuple(undecidable), covers, above, exc, cinv)
 
 
 # ---------------------------------------------------------------------------
 # emission
 
 def poset_dot(poset: WidPoset) -> str:
-    covers = poset.covers()
-    below = {n.name: [] for n in poset.nodes}
-    for a, b in covers:
-        below[b].append(a)
-    heights = {}
-
-    def height(name):
-        if name not in heights:
-            heights[name] = 1 + max((height(a) for a in below[name]), default=-1)
-        return heights[name]
-
-    for n in poset.nodes:
-        height(n.name)
+    # A cover (i, j) has i < j and comes after every cover below i, so one
+    # forward pass leaves each node one above its highest lower cover; a
+    # node of height h has a lower cover of height h - 1, so no group is empty.
+    height = [0] * len(poset.nodes)
+    for i, j in poset.index_covers:
+        if height[j] <= height[i]:
+            height[j] = height[i] + 1
+    groups = [[] for _ in range(max(height) + 1)]
     lines = ["digraph wid {", "  rankdir=BT;"]
-    for name in sorted(heights):
+    for name, h in sorted(zip((n.name for n in poset.nodes), height)):
         lines.append(f'  "{name}";')
-    for h in sorted(set(heights.values())):
-        group = sorted(n for n, hh in heights.items() if hh == h)
-        lines.append("  { rank=same; " + " ".join(f'"{n}";' for n in group) + " }")
-    for a, b in covers:
-        lines.append(f'  "{a}" -> "{b}";')
+        groups[h].append(f'"{name}";')
+    lines.extend("  { rank=same; " + " ".join(group) + " }" for group in groups)
+    lines.extend(f'  "{a}" -> "{b}";' for a, b in poset.covers())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -472,11 +467,11 @@ def poset_json(poset: WidPoset) -> dict:
 # ---------------------------------------------------------------------------
 # perpendicular splitting at an exceptional torsion sheaf
 
-def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, objects):
-    """Split the right perpendicular of an exceptional torsion sheaf among
-    the window objects (sheaf_universe) into a reduced-weight sheaf part
-    and a finite tube part, and verify the two blocks have no Hom or Ext
-    between them."""
+def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, perp):
+    """Split the right perpendicular of an exceptional torsion sheaf, given
+    by its members among the window objects (sheaf_universe), into a
+    reduced-weight sheaf part and a finite tube part, and verify the two
+    blocks have no Hom or Ext between them."""
     if not is_exceptional_sheaf(e):
         raise ValueError("torsion sheaf is not exceptional")
     weight = line.weights[e.point]
@@ -485,7 +480,6 @@ def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, objects):
     _, block = tube.exc_perp_decompose(e.arc)
     block_tube = [TorsionArc(line, e.point, a) for a in tube.tube_universe(weight).members(block)]
     ladder = [TorsionArc(line, e.point, Arc(weight, s, 1)) for s in e.arc.factors()]
-    perp = [x for x in objects if perp_membership(x, (e,))]
     block_sheaf = [x for x in perp if perp_membership(x, ladder)]
     return {
         "reduced_weights": reduced,

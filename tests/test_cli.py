@@ -320,6 +320,10 @@ def test_usage_errors_exit_2():
     assert run_cli(["tube-enum", "--rank", "0"])[0] == 2
     assert run_cli(["tube-enum", "--rank", "7"]) == \
         (2, "", "error: rank 7 above the configured bound 6\n")
+    # the tube lattice checks the bound for the poset too
+    for weights in ("7", "2,7"):
+        assert run_cli(["poset", "--weights", weights]) == \
+            (2, "", "error: rank 7 above the configured bound 6\n"), weights
     assert run_cli(["poset", "--weights", "2", "--window", "3..-2"])[0] == 2
     assert run_cli(["classify", "--weights", "2,x"])[0] == 2
     # dot is offered only by the verbs that emit it

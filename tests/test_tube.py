@@ -167,6 +167,41 @@ def test_lattice_masks_match_fingerprint_reference(n):
         assert frozenset(uni.members(tube.perp_pair(n, m))) == reference_perp_pair(f).arcs, f
 
 
+def reference_tube_lattice(n):
+    """Two passes: the double perpendicular of every rigid arc set, then
+    the right perpendicular of each of those."""
+    uni = tube.tube_universe(n)
+    exc = {uni.left_perp(perp) for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    return tuple(sorted(exc | {uni.right_perp(m) for m in exc}, key=tube.level_key))
+
+
+@pytest.mark.parametrize("n", range(1, tube.MAX_RANK + 1))
+def test_lattice_matches_two_pass_reference(n):
+    assert tube.tube_lattice(n) == reference_tube_lattice(n)
+
+
+@pytest.mark.parametrize("n", range(1, tube.MAX_RANK + 1))
+def test_tube_lattice_closes_each_perpendicular_once(n, monkeypatch):
+    """The lattice takes no right perpendicular, since the rigid-set walk
+    carries them, and one left perpendicular per distinct carried one."""
+    uni = tube.tube_universe(n)
+    perps = {perp for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    expected = tube.tube_lattice(n)
+    closed = []
+
+    def left_perp(mask):
+        closed.append(mask)
+        return tube.Universe.left_perp(uni, mask)
+
+    def right_perp(mask):
+        raise AssertionError("right perpendicular taken again")
+
+    monkeypatch.setattr(uni, "left_perp", left_perp)
+    monkeypatch.setattr(uni, "right_perp", right_perp)
+    assert tube.tube_lattice.__wrapped__(n) == expected
+    assert sorted(closed) == sorted(perps)
+
+
 def test_rigidity():
     assert tube.is_rigid_set([Arc(3, 0, 1), Arc(3, 0, 2)])
     assert not tube.is_rigid_set([Arc(3, 0, 1), Arc(3, 1, 1)])

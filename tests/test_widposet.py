@@ -320,10 +320,16 @@ def test_order_exc_sheaves_gives_sequence():
         assert tube.is_exc_sequence(seq, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
 
 
+def window_perp(line, e):
+    """The members of e^perp among the objects of the window -2p..2p, as
+    the perp verb lists them."""
+    return [x for x in wp.sheaf_universe(line, -2 * line.p, 2 * line.p, ())
+            if sh.perp_membership(x, (e,))]
+
+
 def test_decompose_simple_perpendicular():
     S0 = sh.simple_at(LINE2, 0, 0)
-    out = wp.exc_torsion_perp_decompose(
-        LINE2, S0, wp.sheaf_universe(LINE2, -2 * LINE2.p, 2 * LINE2.p, ()))
+    out = wp.exc_torsion_perp_decompose(LINE2, S0, window_perp(LINE2, S0))
     assert out["reduced_weights"] == (1, 1)
     assert out["cross_orthogonal"] is True
     assert out["perp_covered"] is True
@@ -336,8 +342,7 @@ def test_decompose_simple_perpendicular():
 def test_decompose_stack_perpendicular():
     line = make_line((3,))
     e = sh.stack_at(line, 0, 1, 2)
-    out = wp.exc_torsion_perp_decompose(
-        line, e, wp.sheaf_universe(line, -2 * line.p, 2 * line.p, ()))
+    out = wp.exc_torsion_perp_decompose(line, e, window_perp(line, e))
     assert out["reduced_weights"] == (1, 1)
     assert out["cross_orthogonal"] is True
     assert out["perp_covered"] is True
@@ -811,3 +816,82 @@ def test_node_masks_closed_under_meet(weights, lo, hi, ids):
     two node masks of the universe is again a node mask."""
     masks = {n.mask for n in wp.build_poset(make_line(weights), lo, hi, ids).nodes}
     assert {a & b for a, b in itertools.combinations(masks, 2)} <= masks
+
+
+# ---------------------------------------------------------------------------
+# the order on node indices
+
+def reference_poset_dot(poset):
+    """The DOT output with heights by a memoized recursion over the named
+    cover pairs, each name one above its highest lower cover."""
+    covers = poset.covers()
+    below = {n.name: [] for n in poset.nodes}
+    for a, b in covers:
+        below[b].append(a)
+    heights = {}
+
+    def height(name):
+        if name not in heights:
+            heights[name] = 1 + max((height(a) for a in below[name]), default=-1)
+        return heights[name]
+
+    for n in poset.nodes:
+        height(n.name)
+    lines = ["digraph wid {", "  rankdir=BT;"]
+    for name in sorted(heights):
+        lines.append(f'  "{name}";')
+    for h in sorted(set(heights.values())):
+        group = sorted(n for n, hh in heights.items() if hh == h)
+        lines.append("  { rank=same; " + " ".join(f'"{n}";' for n in group) + " }")
+    for a, b in covers:
+        lines.append(f'  "{a}" -> "{b}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
+def test_dot_heights_match_named_recursion(weights, lo, hi, ids):
+    """One forward pass over the index covers gives the rank groups of
+    the recursion over named covers: each cover goes to a larger index,
+    and the covers come in ascending order of their lower index."""
+    poset = wp.build_poset(make_line(weights), lo, hi, ids)
+    lower = [i for i, _ in poset.index_covers]
+    assert lower == sorted(lower) and all(i < j for i, j in poset.index_covers)
+    assert poset.covers() == sorted((poset.nodes[i].name, poset.nodes[j].name)
+                                    for i, j in poset.index_covers)
+    assert wp.poset_dot(poset) == reference_poset_dot(poset)
+
+
+def degree_one_shift(line):
+    """The least element of degree 1, by normal form."""
+    return min(wp.window_degrees(line, 1, 1), key=lambda l: (l.coeffs, l.c_part))
+
+
+def carried(mask, perm):
+    return sum(1 << perm[k] for k in tube.bits(mask))
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
+def test_degree_one_shift_carries_the_poset(weights, lo, hi, ids):
+    """Shifting by an element l of degree 1 maps the universe of lo..hi
+    onto that of lo+1..hi+1, and with it the nodes of the one poset
+    bijectively onto those of the other, carrying the node kinds, the
+    above, exc and cinv rows and the clipped count."""
+    line = make_line(weights)
+    l = degree_one_shift(line)
+    a, b = wp.build_poset(line, lo, hi, ids), wp.build_poset(line, lo + 1, hi + 1, ids)
+    perm = [b.uni.index[sh.shift(x, l)] for x in a.uni.objects]
+    assert sorted(perm) == list(range(len(b.uni.objects)))
+    at = {n.mask: j for j, n in enumerate(b.nodes)}
+    nodes = [at[carried(n.mask, perm)] for n in a.nodes]
+    assert sorted(nodes) == list(range(len(b.nodes)))
+
+    def kind(n):
+        return n.exc_gens is not None, n.cinv is not None
+
+    for i, j in enumerate(nodes):
+        assert kind(a.nodes[i]) == kind(b.nodes[j]), a.nodes[i].name
+        for rows in ("above", "exc", "cinv"):
+            assert carried(getattr(a, rows)[i], nodes) == getattr(b, rows)[j], (rows, a.nodes[i].name)
+    assert len(a.clipped) == len(b.clipped)
+    assert a.undecidable == b.undecidable == ()
