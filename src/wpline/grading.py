@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from functools import cached_property, reduce
-from operator import add, floordiv, mod, sub
+from operator import add, floordiv, mod
 
 from ._record import Record
 
@@ -110,8 +110,6 @@ def make_line(weights) -> WeightData:
     inf, 0 and 1, later ones get symbolic names.
     """
     ws = [int(w) for w in weights]
-    if any(w < 1 for w in ws):
-        raise ValueError("weights must be positive")
     while len(ws) < 2:
         ws.append(1)
     names = []
@@ -155,27 +153,10 @@ class GradeElement(Record):
         return normalize(self.line, map(add, self.coeffs, other.coeffs),
                          self.c_part + other.c_part)
 
-    def __neg__(self) -> "GradeElement":
-        return normalize(self.line, tuple(-a for a in self.coeffs), -self.c_part)
-
-    def __sub__(self, other: "GradeElement") -> "GradeElement":
-        if self.line is not other.line and self.line != other.line:
-            raise ValueError("elements of different grading groups")
-        return normalize(self.line, map(sub, self.coeffs, other.coeffs),
-                         self.c_part - other.c_part)
-
     def degree(self) -> int:
         p = self.line.p
         return sum(a * (p // pi) for a, pi in zip(self.coeffs, self.line.weights)) \
             + self.c_part * p
-
-    def is_effective(self) -> bool:
-        """Whether the element is a sum of generators with nonnegative
-        coefficients, equivalently has nonnegative c part in normal form."""
-        return self.c_part >= 0
-
-    def __le__(self, other: "GradeElement") -> bool:
-        return (other - self).is_effective()
 
     def __str__(self) -> str:
         body = ",".join(str(a) for a in self.coeffs)

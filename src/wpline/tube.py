@@ -20,14 +20,16 @@ The linear-algebra oracle (nilpotent, linalg) serves only as an
 independent check: wide_closure, extension_middles, bongartz_complete,
 enumerate_wide_bruteforce and ext_dim_via_presentation run on it and
 read neither the closed form nor a universe table.  Only this module
-and nilpotent use linalg.  Extension middles are enumerated exactly,
-one per orbit of Ext classes.  The closure indexes the arcs of rank n
-by integer ids, (length - 1) * n + socle, and reads one cached row per
-ordered pair of ids (`_pair_row`): the id mask of the oracle's kernels,
-cokernels and extension middles of that pair.  It closes at the rank:
-no member longer than n is needed to reach one of length at most n
-(the proof is at closure_members).  The oracle's memo tables are
-functools.cache on the functions that fill them.
+and nilpotent use linalg; here it and the nilpotent names but Arc stay
+inside _rep, arc_hom_basis, _inclusion_matrices, _compose, ext_classes,
+_middle_summands and _pair_row.  Extension middles are enumerated
+exactly, one per orbit of Ext classes.  The closure indexes the arcs of
+rank n by integer ids, (length - 1) * n + socle, and reads one cached
+row per ordered pair of ids (`_pair_row`): the id mask of the oracle's
+kernels, cokernels and extension middles of that pair.  It closes at
+the rank: no member longer than n is needed to reach one of length at
+most n (the proof is at closure_members).  The oracle's memo tables
+are functools.cache on the functions that fill them.
 """
 
 from __future__ import annotations
@@ -570,7 +572,7 @@ def enumerate_wide_bruteforce(n: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# rigid completion and sequence extraction
+# rigid completion and the perpendicular of an exceptional arc
 
 def bongartz_complete(part_a, part_b):
     """Complete two compatible rigid sets to one rigid generator.
@@ -608,36 +610,6 @@ def bongartz_complete(part_a, part_b):
             if is_rigid_set(cand, ext) and wide_closure(cand) == target:
                 return tuple(cand)
     raise AssertionError("no rigid completion found in the closure")
-
-
-def extract_exc_sequence(n: int, mask: int) -> int:
-    """Greedy exceptional sequence generating an exc lattice mask, as a
-    mask over tube_universe(n).
-
-    Picks the least member, restricts to its right perpendicular among
-    the members, and repeats; the class independence of the members
-    bounds the number of steps by the rank.  The picks, last one first,
-    are checked to be an exceptional sequence (vanishing from later to
-    earlier) that regenerates the mask.
-    """
-    if not is_exc(n, mask):
-        raise ValueError("mask is not exceptional-side, no sequence exists")
-    uni = tube_universe(n)
-    members, greedy = mask, []
-    while members:
-        i = next(bits(members))
-        greedy.append(uni.objects[i])
-        if len(greedy) > n:
-            raise AssertionError("extraction exceeded the rank bound")
-        members &= uni.right[i]
-    if linalg.rank([list(a.factor_counts()) for a in greedy]) != len(greedy):
-        raise AssertionError("extracted classes are dependent")
-    if not is_exc_sequence(reversed(greedy)):
-        raise AssertionError("greedy extraction produced a non-sequence")
-    seq = uni.mask(greedy)
-    if uni.double_perp(seq) != mask:
-        raise AssertionError("extracted sequence does not regenerate the subcategory")
-    return seq
 
 
 def exc_perp_decompose(e: Arc):

@@ -325,21 +325,27 @@ def criterion_11():
                    "; ".join(problems) if problems else "all pairs tagged, both posets")
 
 
+def _exc_sequence(n: int, mask: int) -> tuple:
+    """The least rigid generator, in walk order, of an exc mask of
+    tube_lattice(n), ordered into an exceptional sequence."""
+    uni = tube.tube_universe(n)
+    gens = next(g for g, perp in uni.rigid_subsets(mask, n - 1) if uni.left_perp(perp) == mask)
+    return tube.order_exc_sequence(uni.members(gens))
+
+
 def _cinv_defining_sheaves(line, data):
     """An exceptional sequence generating the defining torsion data of a
     bundle-containing shift-invariant subcategory, as sheaves: the
     independent path to its members."""
-    gens = []
-    for mask, i in zip(data.defining_exc, line.weighted_indices()):
-        n = line.weights[i]
-        seq = tube.extract_exc_sequence(n, mask)
-        gens.extend(TorsionArc(line, i, arc) for arc in tube.tube_universe(n).members(seq))
-    return gens
+    return [TorsionArc(line, i, arc)
+            for mask, i in zip(data.defining_exc, line.weighted_indices())
+            for arc in _exc_sequence(line.weights[i], mask)]
 
 
 def criterion_12():
     """Shift-invariant round trip on the rank-2 line with two declared
-    ordinary points."""
+    ordinary points; one containing a bundle is T^perp, T an exceptional
+    sequence from the tube's rigid-set walk (the paper's first theorem)."""
     t0 = time.monotonic()
     line = make_line((2,))
     ids = ("0", "1")
@@ -382,12 +388,8 @@ def criterion_13():
     checked = 0
     problems = []
     for n in range(1, 5):
-        exc = tube.all_arcs(n, n - 1)
-        rigid_sets = [()]
-        for r in range(1, n):
-            for combo in combinations(exc, r):
-                if tube.is_rigid_set(combo):
-                    rigid_sets.append(combo)
+        uni = tube.tube_universe(n)
+        rigid_sets = [uni.members(g) for g, _ in uni.rigid_subsets(uni.full, n - 1)]
         for part_a in rigid_sets:
             for part_b in rigid_sets:
                 if any(tube.ext_dim(a, b) != 0 for a in part_a for b in part_b):

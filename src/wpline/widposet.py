@@ -327,6 +327,9 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     if len(line.weighted_indices()) > 2:
         raise ValueError("poset construction needs bundle support "
                          "(at most two weighted points)")
+    # listed first: tube_lattice rejects a rank above tube.MAX_RANK before
+    # the universe is built
+    cinv = enumerate_wid_c(line, universe_ids)
     m = universe_margin(line)
     # sheaf_universe is sorted by sheaf_sort_key, so the build orders masks by index
     uni = window_universe(line, lo - m, hi + m, universe_ids)
@@ -338,7 +341,7 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
 
     # invariant data and members by window slice, the first one kept
     undecidable, invariant = [], {}
-    for data in enumerate_wid_c(line, universe_ids):
+    for data in cinv:
         members = cinv_snapshot(line, data, uni, offset)
         first = invariant.setdefault(members & window, (data, members))[0]
         if first is not data:

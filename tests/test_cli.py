@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from wpline import cli, tube, verify
+from wpline import cli, tube, verify, widposet
 from wpline.grading import make_line
 from wpline.widposet import build_poset
 
@@ -276,18 +276,20 @@ def test_verify_passes():
 
 
 def test_verify_reports_a_raising_criterion_as_failed(monkeypatch):
-    """A criterion that raises fails alone: criterion 8 reports under its
-    function name with the exception, criterion 13 counts the error as a
-    problem, and the verb prints all thirteen lines and exits 1."""
+    """A criterion that raises fails alone: criteria 8 and 12 report under
+    their function names with the exception, criterion 13 counts the
+    error as a problem, and the verb prints all thirteen lines and exits
+    1."""
     def refuse(*args):
         raise ValueError("set admits no exceptional ordering")
 
     monkeypatch.setattr(tube, "order_exc_sequence", refuse)
     code, out, err = run_cli(["verify"])
     lines = out.splitlines()
-    assert (code, err, len(lines), lines[-1]) == (1, "", 14, "11/13 criteria passed")
-    assert lines[7].startswith("[ 8] FAIL criterion_8 (")
-    assert lines[7].endswith(") ValueError: set admits no exceptional ordering")
+    assert (code, err, len(lines), lines[-1]) == (1, "", 14, "10/13 criteria passed")
+    for i in (7, 11):
+        assert lines[i].startswith(f"[{i + 1:2d}] FAIL criterion_{i + 1} (")
+        assert lines[i].endswith(") ValueError: set admits no exceptional ordering")
     assert lines[12].startswith("[13] FAIL completion and ordering ranks 1..4 (")
     assert lines[12].endswith(": set admits no exceptional ordering")
 
@@ -345,6 +347,18 @@ def test_duplicate_universe_ids_exit_2(argv):
     both verbs that take one, with nothing on stdout."""
     assert run_cli([*argv, "--weights", "2", "--universe", "q,q"]) == \
         (2, "", "error: ordinary point ids must be distinct\n")
+
+
+def test_rank_bound_precedes_the_window_universe(monkeypatch):
+    """A point weight above the bound is rejected before build_poset
+    builds the universe of its margin window."""
+    def no_universe(*args):
+        raise AssertionError("window universe built before the rank bound")
+
+    monkeypatch.setattr(widposet, "window_universe", no_universe)
+    for weights in ("7", "2,7"):
+        assert run_cli(["poset", "--weights", weights]) == \
+            (2, "", "error: rank 7 above the configured bound 6\n"), weights
 
 
 def test_parse_sheaf_rejects_unknown_point():

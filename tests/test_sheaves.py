@@ -11,7 +11,7 @@ from wpline import ktheory as kt
 from wpline import sheaves as sh
 from wpline import tube
 from wpline.nilpotent import Arc
-from test_grading import generator, scale
+from test_grading import generator, scale, sub
 
 
 LINE2 = make_line((2,))
@@ -198,7 +198,7 @@ def test_closed_bundle_hom_matches_section_dimension():
                 for coeffs in itertools.product(*(range(p) for p in line.weights))
                 for c in range(-6, 7)]
         for a, b in itertools.product(objs, repeat=2):
-            assert sh.hom_dim_sheaf(a, b) == dim_S(b.degree - a.degree), (a, b)
+            assert sh.hom_dim_sheaf(a, b) == dim_S(sub(b.degree, a.degree)), (a, b)
 
 
 def test_line_guards_compare_equal_lines_by_value():
@@ -209,13 +209,11 @@ def test_line_guards_compare_equal_lines_by_value():
     a, b = sh.line_bundle(LINE2, (0, 0)), sh.line_bundle(twin, (1, 0))
     assert sh.hom_dim_sheaf(a, b) == 1
     assert sh.LineBundle(LINE2, twin.canonical()) == sh.line_bundle(LINE2, (0, 0), 1)
-    assert LINE2.zero() + generator(twin, 0) == generator(twin, 0) - LINE2.zero()
+    assert LINE2.zero() + generator(twin, 0) == generator(twin, 0) + LINE2.zero()
     with pytest.raises(ValueError):
         sh.LineBundle(LINE2, LINE23.zero())
     with pytest.raises(ValueError):
         LINE2.zero() + LINE23.zero()
-    with pytest.raises(ValueError):
-        LINE2.zero() - LINE23.zero()
 
 
 @pytest.mark.parametrize("obj, field", [
@@ -242,7 +240,7 @@ def reference_ext(a, b):
 def reference_alt_bundle_ext(a, b):
     """The alternate bundle Ext on two GradeElement operations, as it was
     before the single normal form of a + omega - b."""
-    return dim_S(a.degree + a.line.dualizing() - b.degree)
+    return dim_S(sub(a.degree + a.line.dualizing(), b.degree))
 
 
 def kind_grid(line, c_span, turns):

@@ -8,11 +8,11 @@ import pytest
 
 from wpline.grading import make_line
 from wpline.nilpotent import Arc, cokernel_rep, decompose, kernel_rep
-from wpline import tube
+from wpline import tube, verify
 from wpline.widposet import build_poset
 
-from test_widposet import (BENCH_INPUTS, reference_exc, reference_perp_pair,
-                           reference_sort_key)
+from test_widposet import (BENCH_INPUTS, reference_exc, reference_extract_exc_sequence,
+                           reference_perp_pair, reference_sort_key)
 
 
 def test_hom_dim_matches_winding_oracle():
@@ -235,9 +235,27 @@ def test_order_exc_sequence_gives_exc_sequence():
         for m in tube.tube_lattice(n):
             if not tube.is_exc(n, m) or not m:
                 continue
-            seq = tube.order_exc_sequence(uni.members(tube.extract_exc_sequence(n, m)))
+            seq = verify._exc_sequence(n, m)
             assert tube.is_exc_sequence(seq)
             assert uni.mask(tube.wide_closure(seq).arcs) == m
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 10), (4, 35), (5, 126), (6, 462)])
+def test_walk_and_greedy_reference_generate_every_exc_mask(n, count):
+    """On every exc mask of the lattice, the least rigid generator that
+    the rigid-set walk finds orders into an exceptional sequence whose
+    double perpendicular is the mask, and so does the greedy reference
+    extractor's sequence."""
+    uni = tube.tube_universe(n)
+    exc = [m for m in tube.tube_lattice(n) if tube.is_exc(n, m)]
+    assert len(exc) == count
+    for m in exc:
+        walk = verify._exc_sequence(n, m)
+        greedy = tube.order_exc_sequence(uni.members(reference_extract_exc_sequence(n, m)))
+        for seq in (walk, greedy):
+            assert len(seq) < n
+            assert tube.is_exc_sequence(seq), (n, m, seq)
+            assert uni.double_perp(uni.mask(seq)) == m, (n, m, seq)
 
 
 def test_order_exc_sequence_frozen():

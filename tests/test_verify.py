@@ -121,6 +121,53 @@ def test_only_the_oracle_imports_linalg():
     assert users == {"nilpotent", "tube"}
 
 
+# the functions of tube.py that run the linear-algebra oracle
+TUBE_ORACLE_FUNCTIONS = {"_rep", "arc_hom_basis", "_inclusion_matrices", "_compose",
+                         "ext_classes", "_middle_summands", "_pair_row"}
+
+
+def oracle_uses_outside(tree, oracle) -> set:
+    """(top-level definition, name) of each use of linalg, or of a name
+    imported from nilpotent other than Arc, outside the top-level
+    functions named in oracle; module-level code counts as "<module>"."""
+    guarded = {"linalg"} | {alias.asname or alias.name for node in tree.body
+                            if isinstance(node, ast.ImportFrom) and node.module == "nilpotent"
+                            for alias in node.names} - {"Arc"}
+    found = set()
+    for node in tree.body:
+        owner = getattr(node, "name", "<module>")
+        if owner in oracle and isinstance(node, ast.FunctionDef):
+            continue
+        found |= {(owner, n.id) for n in ast.walk(node)
+                  if isinstance(n, ast.Name) and n.id in guarded}
+    return found
+
+
+def test_oracle_boundary_verdict_on_synthetic_module():
+    """A guarded name in a non-oracle function or at module level is
+    reported; Arc and the oracle functions are free."""
+    tree = ast.parse("from . import linalg\n"
+                     "from .nilpotent import Arc, decompose\n"
+                     "def _rep(a: Arc):\n"
+                     "    return decompose(linalg.rank(a))\n"
+                     "def runtime(a: Arc):\n"
+                     "    return linalg.rank(a)\n"
+                     "TABLE = decompose\n")
+    assert oracle_uses_outside(tree, {"_rep"}) == {("runtime", "linalg"),
+                                                  ("<module>", "decompose")}
+
+
+def test_tube_keeps_linear_algebra_in_the_oracle_functions():
+    """Inside tube.py, linalg and the nilpotent names other than Arc
+    appear only in the oracle functions; the closed forms, the Universe
+    and the lattice never reach them."""
+    path = pathlib.Path(wpline.__file__).parent / "tube.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert TUBE_ORACLE_FUNCTIONS <= defined
+    assert oracle_uses_outside(tree, TUBE_ORACLE_FUNCTIONS) == set()
+
+
 def empty_dict_bindings(tree):
     """Names a module binds at its top level to an empty dict display or
     to dict() with no arguments."""
@@ -152,13 +199,13 @@ DEAD_FUNCTION_ALLOWLIST = {
 }
 
 
-def public_functions(tree):
-    """Public module-level functions and public methods of top-level
-    classes."""
+def named_functions(tree):
+    """Module-level functions and methods of top-level classes, public
+    or private, but no dunder: Python calls those by protocol."""
     for node in tree.body:
         body = node.body if isinstance(node, ast.ClassDef) else [node]
-        yield from (f for f in body
-                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"))
+        yield from (f for f in body if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__") and f.name.endswith("__")))
 
 
 def name_counts(tree) -> collections.Counter:
@@ -169,32 +216,42 @@ def name_counts(tree) -> collections.Counter:
 
 
 def dead_functions(trees) -> set:
-    """(module, name) of the public functions whose every use lies inside
-    their own definition; trees maps module names to parsed modules.
-    Names are counted once per module and once per function body."""
+    """(module, name) of the non-dunder functions whose every use lies
+    inside their own definition; trees maps module names to parsed
+    modules.  Names are counted once per module and once per function
+    body."""
     total = sum(map(name_counts, trees.values()), collections.Counter())
-    return {(module, f.name) for module, tree in trees.items() for f in public_functions(tree)
+    return {(module, f.name) for module, tree in trees.items() for f in named_functions(tree)
             if total[f.name] == name_counts(f)[f.name]}
 
 
 def test_dead_function_verdict_on_synthetic_modules():
     """A function named only inside its own body or by its own recursion
-    is dead; an attribute use from another module keeps one alive."""
+    is dead, private or not; an attribute use from another module keeps
+    one alive, and a dunder is never reported."""
     trees = {"a.py": ast.parse("def lonely():\n"
                                "    return lonely\n"
                                "def recurse(n):\n"
                                "    return recurse(n - 1) if n else 0\n"
                                "def used():\n"
-                               "    return 1\n"),
+                               "    return 1\n"
+                               "def _helper():\n"
+                               "    return 2\n"
+                               "class C:\n"
+                               "    def __neg__(self):\n"
+                               "        return self\n"
+                               "    def _hidden(self):\n"
+                               "        return self\n"),
              "b.py": ast.parse("import a\n"
                                "value = a.used()\n")}
-    assert dead_functions(trees) == {("a.py", "lonely"), ("a.py", "recurse")}
+    assert dead_functions(trees) == {("a.py", "lonely"), ("a.py", "recurse"),
+                                     ("a.py", "_helper"), ("a.py", "_hidden")}
 
 
-def test_every_public_function_has_a_library_caller():
-    """A public function or method of src/wpline that nothing in
-    src/wpline names outside its own definition is dead code: it moves to
-    the tests that use it, or goes."""
+def test_every_function_has_a_library_caller():
+    """A function or method of src/wpline, public or private but not a
+    dunder, that nothing in src/wpline names outside its own definition
+    is dead code: it moves to the tests that use it, or goes."""
     root = pathlib.Path(wpline.__file__).parent
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(root.glob("*.py"))}

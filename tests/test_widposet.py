@@ -702,17 +702,48 @@ def test_nodes_and_least_generators_follow_reference_key(weights, lo, hi):
         assert n.exc_gens == min(by_perp[perp_of[n.exc_gens]], key=reference_mask_key), n.name
 
 
+def reference_extract_exc_sequence(n: int, mask: int) -> int:
+    """Greedy exceptional sequence generating an exc lattice mask, as a
+    mask over tube_universe(n): the extractor that the tube layer kept
+    beside its rigid-set walk.
+
+    Picks the least member, restricts to its right perpendicular among
+    the members, and repeats; the class independence of the members
+    bounds the number of steps by the rank.  The picks, last one first,
+    are checked to be an exceptional sequence (vanishing from later to
+    earlier) that regenerates the mask.
+    """
+    if not tube.is_exc(n, mask):
+        raise ValueError("mask is not exceptional-side, no sequence exists")
+    uni = tube.tube_universe(n)
+    members, greedy = mask, []
+    while members:
+        i = next(tube.bits(members))
+        greedy.append(uni.objects[i])
+        if len(greedy) > n:
+            raise AssertionError("extraction exceeded the rank bound")
+        members &= uni.right[i]
+    if linalg.rank([list(a.factor_counts()) for a in greedy]) != len(greedy):
+        raise AssertionError("extracted classes are dependent")
+    if not tube.is_exc_sequence(reversed(greedy)):
+        raise AssertionError("greedy extraction produced a non-sequence")
+    seq = uni.mask(greedy)
+    if uni.double_perp(seq) != mask:
+        raise AssertionError("extracted sequence does not regenerate the subcategory")
+    return seq
+
+
 def reference_cinv_snapshot(line, data, uni):
     """Per-point arcs and ordinary simples, and the bundles in the right
     perpendicular of an exceptional sequence generating the defining
-    data, extracted per point by the tube layer; arcs enter the universe
-    as sheaves, by its index, not by a shift."""
+    data, extracted per point by the greedy reference; arcs enter the
+    universe as sheaves, by its index, not by a shift."""
     widx = line.weighted_indices()
     members = uni.mask([sh.TorsionArc(line, i, a)
                         for point, i in zip(point_arcs(line, data.per_point), widx) for a in point]
                        + [sh.OrdinaryTorsion(line, q, 1) for q in data.ordinary_support])
     if data.contains_bundle:
-        seqs = [tube.extract_exc_sequence(line.weights[i], m)
+        seqs = [reference_extract_exc_sequence(line.weights[i], m)
                 for m, i in zip(data.defining_exc, widx)]
         seq = uni.mask(sh.TorsionArc(line, i, a)
                        for point, i in zip(point_arcs(line, seqs), widx) for a in point)
