@@ -145,7 +145,7 @@ def _cmd_tube_enum(args) -> int:
         lines = ["digraph tube {", "  rankdir=BT;"]
         names = ["{" + ",".join(f"{a.socle}.{a.length}" for a in arcs) + "}" for arcs in members]
         lines.extend(f'  "{name}";' for name in names)
-        _, covers = tube.inclusion_order(lattice)
+        _, covers = tube.inclusion_order(lattice, tube.holders(lattice))
         lines.extend(f'  "{names[i]}" -> "{names[j]}";' for i, j in covers)
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")

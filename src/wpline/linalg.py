@@ -53,12 +53,6 @@ def rref(rows):
     return m, pivots
 
 
-def rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    return len(rref(rows)[1])
-
-
 def nullspace(rows, ncols):
     """Basis of {x : rows @ x = 0} as a list of length-ncols vectors."""
     if not rows:

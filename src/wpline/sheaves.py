@@ -225,7 +225,7 @@ def is_exceptional_sheaf(s: IndecSheaf) -> bool:
     if isinstance(s, LineBundle):
         return True
     if isinstance(s, TorsionArc):
-        return s.arc.length < s.arc.rank
+        return tube.is_exceptional(s.arc)
     return False
 
 

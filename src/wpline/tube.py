@@ -14,7 +14,9 @@ The perpendicular calculus is shared with the sheaf layer: a Universe
 indexes a finite set of objects and keeps, per object, the bitsets of
 objects with vanishing Hom and Ext (Ext as Hom into the translate),
 from which perpendiculars, closures of exceptional sequences (double
-perpendiculars, Geigle-Lenzing) and rigid subsets are read off.
+perpendiculars, Geigle-Lenzing) and rigid subsets are read off.  The
+inclusion order of a list of masks is read off their holders table,
+which the caller builds once and may share.
 
 The linear-algebra oracle (nilpotent, linalg) serves only as an
 independent check: wide_closure, extension_middles, bongartz_complete,
@@ -429,8 +431,9 @@ class Universe:
             level = grown
 
 
-def inclusion_order(masks):
-    """Strict inclusion among distinct sets given as bitmasks.
+def inclusion_order(masks, held):
+    """Strict inclusion among distinct sets given as bitmasks, with held
+    their holders table (holders(masks)).
 
     Returns, per set, the bitmask over set indices of the sets strictly
     containing it, and the cover pairs (i, j) of the order, in index
@@ -438,7 +441,6 @@ def inclusion_order(masks):
     it strictly contains (sort by size first): then the lowest index left
     above i is a cover of i, and its own row is cleared.
     """
-    held = holders(masks)
     everyone = (1 << len(masks)) - 1
     above = [meet(held, m, everyone) & ~(1 << i) for i, m in enumerate(masks)]
     covers = []
@@ -572,7 +574,7 @@ def enumerate_wide_bruteforce(n: int) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# rigid completion and the perpendicular of an exceptional arc
+# rigid completion
 
 def bongartz_complete(part_a, part_b):
     """Complete two compatible rigid sets to one rigid generator.
@@ -610,20 +612,3 @@ def bongartz_complete(part_a, part_b):
             if is_rigid_set(cand, ext) and wide_closure(cand) == target:
                 return tuple(cand)
     raise AssertionError("no rigid completion found in the closure")
-
-
-def exc_perp_decompose(e: Arc):
-    """Split the right perpendicular of an exceptional arc.
-
-    With S the top simple of e and m its length, the perpendicular is
-    the orthogonal of the simples S, tau S, ..., tau^{m-1} S joined with
-    the wide closure of tau S, ..., tau^{m-1} S.  Returns both blocks as
-    masks over tube_universe(rank): the arcs of length at most the rank
-    in the first, the lattice mask of the second.
-    """
-    if not is_exceptional(e):
-        raise ValueError("arc is not exceptional")
-    n = e.rank
-    uni = tube_universe(n)
-    ladder = [Arc(n, (e.top - k) % n, 1) for k in range(e.length)]
-    return uni.right_perp(uni.mask(ladder)), uni.double_perp(uni.mask(ladder[1:]))

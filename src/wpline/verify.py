@@ -293,12 +293,11 @@ def criterion_10():
         for v in bundles[i + 1:]:
             if u.mask & ~v.mask == 0 or v.mask & ~u.mask == 0:
                 problems.append(f"{u.name} comparable with {v.name}")
-    zero = poset.node("0").mask
-    whole = poset.node("coh").mask
+    by_name = {n.name: n.mask for n in poset.nodes}
     for n in poset.nodes:
-        if not (zero & ~n.mask == 0 and n.mask & ~whole == 0):
+        if not (by_name["0"] & ~n.mask == 0 and n.mask & ~by_name["coh"] == 0):
             problems.append(f"{n.name} outside bounds")
-    a, b, ab = (poset.node(name).mask for name in ("tor(0)", "tor(1)", "tor(0,1)"))
+    a, b, ab = by_name["tor(0)"], by_name["tor(1)"], by_name["tor(0,1)"]
     if not (a & ~ab == 0 and a != ab and b & ~ab == 0 and b != ab and a & ~b != 0):
         problems.append("support lattice shape off")
     if poset.undecidable:
@@ -315,8 +314,9 @@ def criterion_11():
     for weights, window, ids in (((2,), (-2, 3), ()), ((1, 1), (-2, 3), ("0", "1"))):
         line = make_line(weights)
         poset = build_poset(line, window[0], window[1], ids)
-        untagged = [(u.name, v.name) for u, v in poset.comparable_pairs()
-                    if not poset.tags(u, v)]
+        nodes = poset.nodes
+        untagged = [(u.name, nodes[j].name) for i, u in enumerate(nodes)
+                    for j in tube.bits(poset.above[i] & ~(poset.exc[i] | poset.cinv[i]))]
         if untagged:
             problems.append(f"{weights}: untagged {untagged[:3]}")
         if not poset.certificate_ok():

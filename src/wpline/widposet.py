@@ -11,7 +11,8 @@ over node indices, beside the verdicts of generators ("exc") and of
 invariant data ("cinv", from a data mask); the acceptance suite checks
 that their tagged union generates the whole order (pushout property).
 The Hasse diagram stays the cover pairs of node indices that
-tube.inclusion_order lists, named only when the poset is emitted.
+tube.inclusion_order lists off the holders table that the generator
+verdicts share, named only when the poset is emitted.
 
 Snapshots come from the perpendicular calculus of tube.Universe, built
 once per poset over the window enlarged by universe_margin degrees on
@@ -82,7 +83,7 @@ class CInvData(Record):
 def default_window(line: WeightData):
     """Degree window covering the worked configurations: -2..3 in units
     of the finest generator degree."""
-    g = line.p // max(line.weights) if max(line.weights) > 1 else 1
+    g = line.p // max(line.weights)
     return (-2 * g, 3 * g)
 
 
@@ -228,20 +229,6 @@ class WidPoset:
         self.above = above
         self.exc = exc
         self.cinv = cinv
-        self._index = {n.name: i for i, n in enumerate(nodes)}
-
-    def node(self, name: str) -> PosetNode:
-        return self.nodes[self._index[name]]
-
-    def tags(self, u: PosetNode, v: PosetNode):
-        """Certifying mechanisms for u <= v."""
-        i, j = self._index[u.name], self._index[v.name]
-        return tuple(m for m, row in (("exc", self.exc), ("cinv", self.cinv)) if row[i] >> j & 1)
-
-    def comparable_pairs(self):
-        for i, u in enumerate(self.nodes):
-            for j in tube.bits(self.above[i]):
-                yield u, self.nodes[j]
 
     def covers(self):
         """Cover pairs (lower, upper) by name, sorted."""
@@ -390,13 +377,14 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     # Snapshot order must agree with the generators of an exceptional node
     # against every node, and with the data of two invariant nodes; the exc
     # tag is left off pairs of invariant nodes that the data certify.
-    above, covers = tube.inclusion_order(masks)
+    held = tube.holders(masks)
+    above, covers = tube.inclusion_order(masks, held)
     everyone = (1 << len(nodes)) - 1
     exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
     data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, offset)
                   for n in nodes]
-    held, held_data = tube.holders(masks), tube.holders(data_masks)
+    held_data = tube.holders(data_masks)
     exc, cinv = [], []
     for i, u in enumerate(nodes):
         by_gens = 0 if u.exc_gens is None else tube.meet(held, u.exc_gens, everyone)
@@ -473,17 +461,20 @@ def poset_json(poset: WidPoset) -> dict:
 def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, perp):
     """Split the right perpendicular of an exceptional torsion sheaf, given
     by its members among the window objects (sheaf_universe), into a
-    reduced-weight sheaf part and a finite tube part, and verify the two
-    blocks have no Hom or Ext between them."""
+    reduced-weight sheaf part, the members perpendicular to every simple
+    of e, and a tube part, the closure of those simples but the top one;
+    verify the two blocks have no Hom or Ext between them."""
     if not is_exceptional_sheaf(e):
         raise ValueError("torsion sheaf is not exceptional")
     weight = line.weights[e.point]
     reduced = tuple(w - e.arc.length if i == e.point else w
                     for i, w in enumerate(line.weights))
-    _, block = tube.exc_perp_decompose(e.arc)
-    block_tube = [TorsionArc(line, e.point, a) for a in tube.tube_universe(weight).members(block)]
-    ladder = [TorsionArc(line, e.point, Arc(weight, s, 1)) for s in e.arc.factors()]
-    block_sheaf = [x for x in perp if perp_membership(x, ladder)]
+    uni = tube.tube_universe(weight)
+    ladder = [Arc(weight, s, 1) for s in e.arc.factors()]
+    closure = uni.double_perp(uni.mask(ladder[:-1]))
+    block_tube = [TorsionArc(line, e.point, a) for a in uni.members(closure)]
+    simples = [TorsionArc(line, e.point, a) for a in ladder]
+    block_sheaf = [x for x in perp if perp_membership(x, simples)]
     return {
         "reduced_weights": reduced,
         "block_tube": block_tube,

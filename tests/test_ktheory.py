@@ -15,6 +15,7 @@ from wpline import tube
 from wpline.linalg import mat_mul
 from wpline.nilpotent import Arc
 from wpline.widposet import build_poset
+from test_linalg import rank
 from test_sheaves import kind_grid
 
 
@@ -282,8 +283,8 @@ def reference_abs_length(w):
     """The moved-space rank and the span test, both as Fraction ranks."""
     m = len(w.matrix)
     cols = [[w.matrix[u][v] - int(u == v) for u in range(m)] for v in range(m)]
-    r = linalg.rank(cols)
-    return r + int(linalg.rank(cols + [list(delta_class(w.line))]) == r)
+    r = rank(cols)
+    return r + int(rank(cols + [list(delta_class(w.line))]) == r)
 
 
 def invert(a):
@@ -372,7 +373,7 @@ def _rank(rows) -> int:
 @settings(max_examples=300)
 @given(dependent_rows())
 def test_integer_rank_matches_fraction_rank(rows):
-    assert _rank(rows) == linalg.rank(rows)
+    assert _rank(rows) == rank(rows)
 
 
 def test_weyl_element_rejects_form_breaking_matrix():

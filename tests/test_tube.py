@@ -266,10 +266,19 @@ def test_order_exc_sequence_frozen():
     assert not tube.is_exc_sequence([Arc(3, 0, 1), Arc(3, 0, 1)])
 
 
+def perp_blocks(e: Arc):
+    """The two blocks of the right perpendicular of an exceptional arc, as
+    masks over tube_universe(rank): the arcs orthogonal to every simple
+    of e, and the wide closure of its simples but the top one."""
+    uni = tube.tube_universe(e.rank)
+    ladder = [Arc(e.rank, s, 1) for s in e.factors()]
+    return uni.right_perp(uni.mask(ladder)), uni.double_perp(uni.mask(ladder[:-1]))
+
+
 def test_exc_perp_decompose_simple():
     # the opposite simple extends S_0, so only the full opposite arc
     # survives in the perpendicular
-    block1, block2 = tube.exc_perp_decompose(Arc(2, 0, 1))
+    block1, block2 = perp_blocks(Arc(2, 0, 1))
     assert block2 == 0
     members = [x for x in tube.all_arcs(2, 2) if x in tube.tube_universe(2).members(block1)]
     assert sorted((a.socle, a.length) for a in members) == [(1, 2)]
@@ -280,7 +289,7 @@ def test_exc_perp_decompose_stack():
     an orthogonal pair of blocks covering it."""
     e = Arc(3, 1, 2)
     uni = tube.tube_universe(3)
-    block1, block2 = (frozenset(uni.members(b)) for b in tube.exc_perp_decompose(e))
+    block1, block2 = (frozenset(uni.members(b)) for b in perp_blocks(e))
     assert sorted((a.socle, a.length) for a in block2) == [(1, 1)]
     perp = [x for x in tube.all_arcs(3, 3)
             if tube.hom_dim(e, x) == 0 and tube.ext_dim(e, x) == 0]
@@ -291,11 +300,6 @@ def test_exc_perp_decompose_stack():
         for y in block2:
             assert tube.hom_dim(x, y) == 0 and tube.ext_dim(x, y) == 0
             assert tube.hom_dim(y, x) == 0 and tube.ext_dim(y, x) == 0
-
-
-def test_exc_perp_decompose_rejects_full_arc():
-    with pytest.raises(ValueError):
-        tube.exc_perp_decompose(Arc(2, 0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -603,4 +607,4 @@ def test_inclusion_order_matches_reference(case):
     else:
         weights, lo, hi, ids = case
         masks = [n.mask for n in build_poset(make_line(weights), lo, hi, ids).nodes]
-    assert tube.inclusion_order(masks) == reference_inclusion_order(masks)
+    assert tube.inclusion_order(masks, tube.holders(masks)) == reference_inclusion_order(masks)

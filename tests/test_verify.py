@@ -3,6 +3,7 @@ the boundary of the linear-algebra oracle."""
 
 import ast
 import collections
+import itertools
 import pathlib
 
 import pytest
@@ -200,11 +201,13 @@ DEAD_FUNCTION_ALLOWLIST = {
 
 
 def named_functions(tree):
-    """Module-level functions and methods of top-level classes, public
-    or private, but no dunder: Python calls those by protocol."""
+    """(is a method, function) for the module-level functions and the
+    methods of top-level classes, public or private, but no dunder:
+    Python calls those by protocol."""
     for node in tree.body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        yield from (f for f in body if isinstance(f, ast.FunctionDef)
+        method = isinstance(node, ast.ClassDef)
+        yield from ((method, f) for f in (node.body if method else [node])
+                    if isinstance(f, ast.FunctionDef)
                     and not (f.name.startswith("__") and f.name.endswith("__")))
 
 
@@ -215,37 +218,68 @@ def name_counts(tree) -> collections.Counter:
                                if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def module_uses(module, tree) -> collections.Counter:
+    """The uses of module-level names in tree, a part of module, keyed by
+    (module of the name, name): bare names count for module itself,
+    `from .mod import name` and `mod.name` for mod."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[module, node.id] += 1
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.update((f"{node.module}.py", alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            out[f"{node.value.id}.py", node.attr] += 1
+    return out
+
+
 def dead_functions(trees) -> set:
     """(module, name) of the non-dunder functions whose every use lies
-    inside their own definition; trees maps module names to parsed
-    modules.  Names are counted once per module and once per function
-    body."""
-    total = sum(map(name_counts, trees.values()), collections.Counter())
-    return {(module, f.name) for module, tree in trees.items() for f in named_functions(tree)
-            if total[f.name] == name_counts(f)[f.name]}
+    inside their own definition; trees maps module file names to parsed
+    modules.  A module-level function is used by its bare name in its
+    own module, by `from .mod import name` or by `mod.name`; a method
+    by its name or any attribute of that name.  Uses are counted once
+    per module and once per function body."""
+    names = sum(map(name_counts, trees.values()), collections.Counter())
+    uses = sum(itertools.starmap(module_uses, trees.items()), collections.Counter())
+    return {(module, f.name) for module, tree in trees.items()
+            for method, f in named_functions(tree)
+            if (names[f.name] == name_counts(f)[f.name] if method
+                else uses[module, f.name] == module_uses(module, f)[module, f.name])}
 
 
 def test_dead_function_verdict_on_synthetic_modules():
     """A function named only inside its own body or by its own recursion
-    is dead, private or not; an attribute use from another module keeps
-    one alive, and a dunder is never reported."""
+    is dead, private or not, and so is a module-level function named only
+    as an attribute of some other object; a module attribute or an import
+    from another module keeps one alive, any attribute keeps a method
+    alive, and a dunder is never reported."""
     trees = {"a.py": ast.parse("def lonely():\n"
                                "    return lonely\n"
                                "def recurse(n):\n"
                                "    return recurse(n - 1) if n else 0\n"
                                "def used():\n"
                                "    return 1\n"
+                               "def imported():\n"
+                               "    return 3\n"
+                               "def size():\n"
+                               "    return 4\n"
                                "def _helper():\n"
                                "    return 2\n"
                                "class C:\n"
                                "    def __neg__(self):\n"
                                "        return self\n"
                                "    def _hidden(self):\n"
+                               "        return self\n"
+                               "    def width(self):\n"
                                "        return self\n"),
              "b.py": ast.parse("import a\n"
-                               "value = a.used()\n")}
+                               "from .a import imported\n"
+                               "value = a.used()\n"
+                               "other = value.size + value.width\n")}
     assert dead_functions(trees) == {("a.py", "lonely"), ("a.py", "recurse"),
-                                     ("a.py", "_helper"), ("a.py", "_hidden")}
+                                     ("a.py", "_helper"), ("a.py", "_hidden"),
+                                     ("a.py", "size")}
 
 
 def test_every_function_has_a_library_caller():

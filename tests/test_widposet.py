@@ -9,10 +9,12 @@ import pytest
 
 from wpline.grading import make_line
 from wpline.ktheory import k_rank
+from wpline.nilpotent import Arc
 from wpline import linalg
 from wpline import sheaves as sh
 from wpline import tube
 from wpline import widposet as wp
+from test_linalg import rank
 
 
 LINE2 = make_line((2,))
@@ -78,7 +80,7 @@ def test_poset_rank_two_snapshots_frozen():
     poset = wp.build_poset(LINE2, -2, 3)
 
     def members(name):
-        return fmt_set(snapshot(poset, poset.node(name).mask))
+        return fmt_set(snapshot(poset, node(poset, name).mask))
 
     assert members("T1") == ["O(0,0;0)", "O(1,0;0)", "S(inf,1)"]
     assert members("T0") == ["O(0,0;0)"]
@@ -86,8 +88,8 @@ def test_poset_rank_two_snapshots_frozen():
     assert members("T1(-2)") == ["O(0,0;-1)", "O(1,0;-1)", "S(inf,1)"]
     assert members("T2") == ["O(0,0;-1)", "O(0,0;0)", "O(0,0;1)", "S[2](inf,0)"]
     assert members("tor(inf)") == ["S(inf,0)", "S(inf,1)", "S[2](inf,0)", "S[2](inf,1)"]
-    assert snapshot(poset, poset.node("0").mask) == frozenset()
-    assert len(snapshot(poset, poset.node("coh").mask)) == 10
+    assert snapshot(poset, node(poset, "0").mask) == frozenset()
+    assert len(snapshot(poset, node(poset, "coh").mask)) == 10
 
 
 def test_poset_rank_two_single_clip():
@@ -107,17 +109,40 @@ def test_poset_mixed_representation_nodes():
     assert cinv_only == {"S[2](inf,0)", "S[2](inf,1)", "tor(inf)"}
 
 
+@functools.cache
+def node_index(poset):
+    """Node indices by name; the poset itself keeps no name lookup."""
+    return {n.name: i for i, n in enumerate(poset.nodes)}
+
+
+def node(poset, name):
+    return poset.nodes[node_index(poset)[name]]
+
+
 def leq(poset, u, v):
     """u <= v in the built order: the same node, or v strictly above u."""
-    i, j = poset._index[u.name], poset._index[v.name]
+    i, j = node_index(poset)[u.name], node_index(poset)[v.name]
     return u is v or bool(poset.above[i] >> j & 1)
+
+
+def tags(poset, u, v):
+    """Certifying mechanisms for u <= v, read off the exc and cinv rows."""
+    i, j = node_index(poset)[u.name], node_index(poset)[v.name]
+    return tuple(m for m, row in (("exc", poset.exc), ("cinv", poset.cinv)) if row[i] >> j & 1)
+
+
+def comparable_pairs(poset):
+    """(u, v) with v strictly above u, by rows in node order."""
+    for i, u in enumerate(poset.nodes):
+        for j in tube.bits(poset.above[i]):
+            yield u, poset.nodes[j]
 
 
 def test_poset_order_is_snapshot_inclusion():
     poset = wp.build_poset(LINE2, -2, 3)
-    t0 = poset.node("T0")
-    t1 = poset.node("T1")
-    t2 = poset.node("T2")
+    t0 = node(poset, "T0")
+    t1 = node(poset, "T1")
+    t2 = node(poset, "T2")
     assert leq(poset, t0, t1)
     assert leq(poset, t0, t2)
     assert not leq(poset, t1, t2)
@@ -128,9 +153,9 @@ def test_poset_every_comparable_pair_tagged_or_bridged():
     for poset in (wp.build_poset(LINE2, -2, 3),
                   wp.build_poset(LINE11, -2, 3, universe_ids=("0", "1"))):
         assert poset.certificate_ok()
-        for u, v in poset.comparable_pairs():
+        for u, v in comparable_pairs(poset):
             if u.exc_gens is not None and v.exc_gens is not None:
-                assert poset.tags(u, v), (u.name, v.name)
+                assert tags(poset, u, v), (u.name, v.name)
 
 
 def test_poset_unweighted_line():
@@ -349,6 +374,35 @@ def test_decompose_stack_perpendicular():
     assert [sh.format_sheaf(x) for x in out["block_tube"]] == ["S(inf,0)"]
 
 
+def reference_tube_block(e):
+    """The tube block of an exceptional arc's perpendicular from the
+    top-down ladder S, tau S, ..., tau^{m-1} S of its simples, S the top
+    one: the closure of all but S."""
+    n = e.rank
+    uni = tube.tube_universe(n)
+    ladder = [Arc(n, (e.top - k) % n, 1) for k in range(e.length)]
+    return uni.double_perp(uni.mask(ladder[1:]))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tube_block_matches_top_down_ladder(n):
+    """At weight n, the tube block of every exceptional torsion sheaf is
+    the closure that the top-down ladder gives."""
+    line = make_line((n,))
+    uni = tube.tube_universe(n)
+    exceptional = [a for a in uni.objects if tube.is_exceptional(a)]
+    assert len(exceptional) == n * (n - 1)
+    for arc in exceptional:
+        out = wp.exc_torsion_perp_decompose(line, sh.TorsionArc(line, 0, arc), [])
+        assert [x.arc for x in out["block_tube"]] == list(uni.members(reference_tube_block(arc)))
+
+
+def test_decompose_rejects_full_arc():
+    e = sh.TorsionArc(LINE2, 0, Arc(2, 0, 2))
+    with pytest.raises(ValueError, match="not exceptional"):
+        wp.exc_torsion_perp_decompose(LINE2, e, [])
+
+
 def test_poset_rejects_three_weighted_points():
     with pytest.raises(ValueError):
         wp.build_poset(make_line((2, 3, 5)), -2, 3)
@@ -445,20 +499,20 @@ def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
         for v in nodes:
             small = snapshot(poset, u.mask) <= snapshot(poset, v.mask)
             assert leq(poset, u, v) == small, (u.name, v.name)
-            assert poset.tags(u, v) == ref_tags(poset, u, v), (u.name, v.name)
-    assert [(u.name, v.name) for u, v in poset.comparable_pairs()] == \
+            assert tags(poset, u, v) == ref_tags(poset, u, v), (u.name, v.name)
+    assert [(u.name, v.name) for u, v in comparable_pairs(poset)] == \
         [(u.name, v.name) for u in nodes for v in nodes
          if u is not v and snapshot(poset, u.mask) <= snapshot(poset, v.mask)]
     assert wp.poset_json(poset)["ord_tags"] == \
-        {f"{u.name}<{v.name}": list(poset.tags(u, v))
-         for u, v in poset.comparable_pairs() if poset.tags(u, v)}
+        {f"{u.name}<{v.name}": list(tags(poset, u, v))
+         for u, v in comparable_pairs(poset) if tags(poset, u, v)}
     order = ref_order_messages(poset)
     rest = [m for m in poset.undecidable if not m.startswith("order of ")]
     assert list(poset.undecidable) == rest + order
     assert poset.certificate_ok() == ref_certificate_ok(poset)
     assert order == []
     assert poset.undecidable == ()
-    mixed = [(u, v) for u, v in poset.comparable_pairs() if u.cinv is None and v.exc_gens is None]
+    mixed = [(u, v) for u, v in comparable_pairs(poset) if u.cinv is None and v.exc_gens is None]
     assert bool(mixed) == ((weights, lo, hi) == ((4,), -4, 2))
 
 
@@ -497,8 +551,8 @@ def thin_inclusion_order(monkeypatch):
     real = tube.inclusion_order
     dropped = set()
 
-    def thinned(masks):
-        above, covers = real(masks)
+    def thinned(masks, held):
+        above, covers = real(masks, held)
         dropped.update((i, (up & -up).bit_length() - 1) for i, up in enumerate(above) if up)
         return [up & (up - 1) for up in above], covers
 
@@ -516,6 +570,22 @@ def test_order_disagreements_follow_pairwise_reference(monkeypatch):
     assert list(poset.undecidable) == expected
     for source in ("generators", "invariant data"):
         assert any(m.endswith(f"disagrees with {source}") for m in expected), source
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
+def test_node_holders_built_once(weights, lo, hi, ids, monkeypatch):
+    """The order and the generator certificate share one holders table
+    of the node masks."""
+    real, seen = tube.holders, []
+
+    def counted(masks):
+        masks = list(masks)
+        seen.append(masks)
+        return real(masks)
+
+    monkeypatch.setattr(tube, "holders", counted)
+    poset = wp.build_poset(make_line(weights), lo, hi, ids)
+    assert seen.count([n.mask for n in poset.nodes]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +694,7 @@ def test_build_poset_makes_no_linear_algebra(weights, lo, hi, monkeypatch):
     def forbidden(*args):
         raise AssertionError("linear algebra in the poset build")
 
-    for name in ("rank", "rref", "nullspace", "solve", "mat_vec", "mat_mul"):
+    for name in ("rref", "nullspace", "solve", "mat_vec", "mat_mul"):
         monkeypatch.setattr(linalg, name, forbidden)
     assert wp.build_poset(make_line(weights), lo, hi).nodes
 
@@ -723,7 +793,7 @@ def reference_extract_exc_sequence(n: int, mask: int) -> int:
         if len(greedy) > n:
             raise AssertionError("extraction exceeded the rank bound")
         members &= uni.right[i]
-    if linalg.rank([list(a.factor_counts()) for a in greedy]) != len(greedy):
+    if rank([list(a.factor_counts()) for a in greedy]) != len(greedy):
         raise AssertionError("extracted classes are dependent")
     if not tube.is_exc_sequence(reversed(greedy)):
         raise AssertionError("greedy extraction produced a non-sequence")
