@@ -4,10 +4,11 @@ This is the linear-algebra oracle behind the tube combinatorics.  A
 representation places a vector space at each of n cyclically ordered
 vertices with a map from vertex i down to vertex i-1; the composite
 around the cycle must be nilpotent.  Indecomposables are "arcs": a socle
-vertex and a length.  Morphism spaces, kernels, cokernels, pushouts and
-direct-summand decompositions are all computed exactly: matrix entries
-are `int` while they stay integral and `Fraction` once a division makes
-them rational (see linalg), never `float`.
+vertex and a length.  Morphism spaces (one nullspace of the commuting
+equations), kernels, cokernels, pushouts and direct-summand
+decompositions are all computed exactly, for maps of any shape: matrix
+entries are `int` while they stay integral and `Fraction` once a
+division makes them rational (see linalg), never `float`.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class Arc(Record):
             counts[v] += 1
         return tuple(counts)
 
-    def tau(self) -> "Arc":
-        return Arc(self.rank, (self.socle - 1) % self.rank, self.length)
-
     def sort_key(self):
         return (self.socle, self.length)
 
@@ -71,12 +69,8 @@ class NilpRep(Record):
         return sum(self.dims)
 
 
-def _freeze(matrix):
-    return tuple(tuple(row) for row in matrix)
-
-
 def _freeze_maps(maps):
-    return tuple(_freeze(m) for m in maps)
+    return tuple(tuple(map(tuple, m)) for m in maps)
 
 
 def rep_of_arc(arc: Arc) -> NilpRep:
@@ -115,81 +109,37 @@ def direct_sum(reps):
     return NilpRep(n, dims, _freeze_maps(maps))
 
 
-def _is_subpermutation(rep) -> bool:
-    for m in rep.maps:
-        for row in m:
-            if sum(1 for x in row if x != 0) > 1 or any(x not in (0, 1) for x in row):
-                return False
-        for c in range(len(m[0]) if m else 0):
-            if sum(1 for row in m if row[c] != 0) > 1:
-                return False
-    return True
-
-
 def hom_basis(a: NilpRep, b: NilpRep):
-    """Basis of the morphism space, each morphism a tuple of 0/1 matrices.
-
-    Both representations must have subpermutation maps (at most one
-    entry, a 1, per row and per column), as direct sums of arcs do.
-    Each commuting constraint then identifies two entries of the
-    morphism or forces one to zero, so the components of a union-find
-    graph give the basis directly.
-    """
+    """Basis of the morphism space, each morphism a tuple of matrices
+    f_i from vertex i of a to vertex i of b: the nullspace of the
+    commuting equations f_{i-1} a_i = b_i f_i, one unknown per entry of
+    the f_i, for maps of any shape."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
-    if not (_is_subpermutation(a) and _is_subpermutation(b)):
-        raise ValueError("hom_basis needs subpermutation maps")
     n = a.rank
-    var = {}
+    offsets = [0]
     for i in range(n):
-        for r in range(b.dims[i]):
-            for c in range(a.dims[i]):
-                var[(i, r, c)] = len(var)
-    zero = len(var)
-    parent = list(range(len(var) + 1))
+        offsets.append(offsets[-1] + b.dims[i] * a.dims[i])
+    total = offsets[-1]
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def var(i, r, c):
+        return offsets[i] + r * a.dims[i] + c
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
+    rows = []
     for i in range(n):
         t = (i - 1) % n
-        acol = [None] * a.dims[i]
-        for rr in range(a.dims[t]):
-            for cc in range(a.dims[i]):
-                if a.maps[i][rr][cc] != 0:
-                    acol[cc] = rr
-        bpre = [None] * b.dims[t]
-        for rr in range(b.dims[t]):
-            for cc in range(b.dims[i]):
-                if b.maps[i][rr][cc] != 0:
-                    bpre[rr] = cc
         for rp in range(b.dims[t]):
             for c in range(a.dims[i]):
-                left = var[(t, rp, acol[c])] if acol[c] is not None else zero
-                right = var[(i, bpre[rp], c)] if bpre[rp] is not None else zero
-                union(left, right)
-
-    comps = {}
-    zroot = find(zero)
-    for key, idx in var.items():
-        root = find(idx)
-        if root != zroot:
-            comps.setdefault(root, []).append(key)
-    basis = []
-    for root in sorted(comps, key=lambda r: sorted(comps[r])):
-        mats = [[[0] * a.dims[i] for _ in range(b.dims[i])] for i in range(n)]
-        for (i, r, c) in comps[root]:
-            mats[i][r][c] = 1
-        basis.append(tuple(_freeze(m) for m in mats))
-    return basis
+                row = [0] * total
+                for k in range(a.dims[t]):
+                    row[var(t, rp, k)] += a.maps[i][k][c]
+                for r in range(b.dims[i]):
+                    row[var(i, r, c)] -= b.maps[i][rp][r]
+                if any(row):
+                    rows.append(row)
+    return [tuple(tuple(tuple(v[var(i, r, c)] for c in range(a.dims[i]))
+                        for r in range(b.dims[i])) for i in range(n))
+            for v in linalg.nullspace(rows, total)]
 
 
 def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
@@ -292,12 +242,6 @@ def _image_ranks(rep: NilpRep, start: int, limit: int) -> list:
         ranks.append(len(basis))
         v = t
     return ranks
-
-
-def composite_rank(rep: NilpRep, start: int, steps: int) -> int:
-    """Rank of the composite map going `steps` vertices down from `start`."""
-    ranks = _image_ranks(rep, start, steps)
-    return ranks[steps] if steps < len(ranks) else 0
 
 
 def decompose(rep: NilpRep):

@@ -14,8 +14,9 @@ the element b - a; Hom from O(a) to an arc counts the windings of the
 arc over the index a_i of its point.  Ext^1(a, b) = D Hom(b, tau a) by
 Serre duality (Geigle-Lenzing), where tau is the shift by the dualizing
 element omega, of normal form (p_i - 1; -2).  ext_dim_sheaf folds that
-shift into the same counts (the derivation is in its docstring);
-tau_sheaf still builds the translate for the universe fill.
+shift into the same counts (the derivation is in its docstring), so no
+translate is built; the perpendicular calculus (tube.Universe) reads
+its rows from these two closed forms.
 
 The alternate Ext path reads dim_S off the normal form of a + omega - b
 for bundles, reduced by one normalize call from the raw coefficient sum,
@@ -118,11 +119,6 @@ def shift(s: IndecSheaf, l: GradeElement) -> IndecSheaf:
         arc = Arc(s.arc.rank, (s.arc.socle + step) % s.arc.rank, s.arc.length)
         return TorsionArc(s.line, s.point, arc)
     return s
-
-
-def tau_sheaf(s: IndecSheaf) -> IndecSheaf:
-    """Auslander-Reiten translate: the shift by the dualizing element."""
-    return shift(s, s.line.dualizing())
 
 
 def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:

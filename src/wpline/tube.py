@@ -12,7 +12,7 @@ wide_closure, enumerate_wide_bruteforce).
 
 The perpendicular calculus is shared with the sheaf layer: a Universe
 indexes a finite set of objects and keeps, per object, the bitsets of
-objects with vanishing Hom and Ext (Ext as Hom into the translate),
+objects with vanishing Hom and Ext, read from the layer's closed forms,
 from which perpendiculars, closures of exceptional sequences (double
 perpendiculars, Geigle-Lenzing) and rigid subsets are read off.  The
 inclusion order of a list of masks is read off their holders table,
@@ -198,8 +198,14 @@ def extension_middles(a: Arc, b: Arc):
 
 
 def _image_length(f) -> int:
-    """Image length of a basis map between arcs: its matrices have one
-    entry 1 per basis vector of the image (nilpotent.hom_basis)."""
+    """Image length of a basis map between arcs: its count of nonzero
+    entries.  Between arcs each commuting equation of nilpotent.hom_basis
+    equates two entries or forces one to zero, so the nullspace is
+    spanned by the indicators of the classes of entries not forced to
+    zero, and the reduced echelon form leaves one entry per class free:
+    each basis map is one 0/1 class indicator.  A class sends a top
+    segment of a's basis vectors one to one onto the image's, so it has
+    one entry per basis vector of the image."""
     return sum(x != 0 for m in f for row in m for x in row)
 
 
@@ -364,22 +370,17 @@ class Universe:
     Bit j of right[i] is set when Hom and Ext^1 from object i to object j
     both vanish, so the right perpendicular of a set is the AND of its
     rows; left is the bit transpose of right, and compatible[i] marks the
-    objects with no Ext^1 to or from object i.  Ext is filled by Serre
-    duality, Ext^1(x, y) = Hom(y, tau x), from the layer's Hom and its
-    translate tau, taken once per object: the Ext row of x is the Hom
-    column of tau x, or one Hom row into tau x when it is not a member.
+    objects with no Ext^1 to or from object i.  The rows are filled pair
+    by pair from the layer's own closed-form Hom and Ext dimensions.
     """
 
-    def __init__(self, objects, hom, tau):
+    def __init__(self, objects, hom, ext):
         self.objects = tuple(objects)
         self.index = {x: i for i, x in enumerate(self.objects)}
         self.full = (1 << len(self.objects)) - 1
         objs = self.objects
         no_hom = [sum(1 << j for j, y in enumerate(objs) if hom(x, y) == 0) for x in objs]
-        no_hom_into = holders(no_hom)
-        no_ext = [no_hom_into[k] if (k := self.index.get(tx)) is not None
-                  else sum(1 << j for j, y in enumerate(objs) if hom(y, tx) == 0)
-                  for tx in map(tau, objs)]
+        no_ext = [sum(1 << j for j, y in enumerate(objs) if ext(x, y) == 0) for x in objs]
         self.right = [h & e for h, e in zip(no_hom, no_ext)]
         # the holders of a row set are its bit transpose
         held, ext_held = holders(self.right), holders(no_ext)
@@ -504,7 +505,7 @@ def order_exc_sequence(objs, hom=hom_dim, ext=ext_dim, key=Arc.sort_key):
 @functools.cache
 def tube_universe(n: int) -> Universe:
     """The arcs of length at most n with the closed-form Hom and Ext."""
-    return Universe(all_arcs(n, n), hom_dim, Arc.tau)
+    return Universe(all_arcs(n, n), hom_dim, ext_dim)
 
 
 def is_exc(n: int, mask: int) -> bool:

@@ -16,8 +16,8 @@ verdicts share, named only when the poset is emitted.
 
 Snapshots come from the perpendicular calculus of tube.Universe, built
 once per poset over the window enlarged by universe_margin degrees on
-each side; Ext is filled by Serre duality, Ext(x, y) = Hom(y, tau x),
-with tau x the shift by the dualizing element.  The closure of a rigid
+each side, its rows filled pair by pair from the closed forms
+hom_dim_sheaf and ext_dim_sheaf, with no sheaf shifted.  The closure of a rigid
 set is the left perpendicular of the right one the rigid-set search
 carries, taken once per distinct perpendicular; a shift-invariant
 subcategory with bundles is the right perpendicular of its defining
@@ -60,8 +60,8 @@ from ._record import Record
 from .grading import WeightData
 from .ktheory import k_rank
 from .nilpotent import Arc
-from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, format_sheaf, hom_dim_sheaf,
-                      is_exceptional_sheaf, perp_membership, sheaf_sort_key, tau_sheaf)
+from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
+                      hom_dim_sheaf, is_exceptional_sheaf, perp_membership, sheaf_sort_key)
 
 
 class CInvData(Record):
@@ -118,7 +118,7 @@ def sheaf_universe(line: WeightData, lo: int, hi: int, universe_ids):
 
 def window_universe(line: WeightData, lo: int, hi: int, universe_ids) -> tube.Universe:
     """The perpendicular calculus over the window universe."""
-    return tube.Universe(sheaf_universe(line, lo, hi, universe_ids), hom_dim_sheaf, tau_sheaf)
+    return tube.Universe(sheaf_universe(line, lo, hi, universe_ids), hom_dim_sheaf, ext_dim_sheaf)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +261,8 @@ def _torsion_only_name(line, per_point, ordinary_support) -> str:
             parts.append(f"tor({label})")
             continue
         arcs = uni.members(mask)
-        if len(arcs) == 1 and arcs[0].length == 1:
-            parts.append(f"S({label},{arcs[0].socle})")
-        elif len(arcs) == 1:
-            parts.append(f"S[{arcs[0].length}]({label},{arcs[0].top})")
+        if len(arcs) == 1:
+            parts.append(format_sheaf(TorsionArc(line, i, arcs[0])))
         else:
             desc = "+".join(f"{a.socle}.{a.length}" for a in arcs)
             parts.append(f"tor({label}:{desc})")

@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpline import linalg
-from wpline.nilpotent import (Arc, NilpRep, cokernel_rep, composite_rank,
-                              decompose, direct_sum, hom_basis, kernel_rep,
-                              rep_of_arc)
+from wpline import linalg, tube
+from wpline.nilpotent import (Arc, NilpRep, _image_ranks, cokernel_rep, decompose,
+                              direct_sum, hom_basis, kernel_rep, rep_of_arc)
 from test_linalg import rank
 
 
@@ -22,13 +21,24 @@ def hom_dim_rep(a: NilpRep, b: NilpRep) -> int:
     return len(hom_basis(a, b))
 
 
+def tau(a: Arc) -> Arc:
+    """Auslander-Reiten translate of an arc: its socle one step back."""
+    return Arc(a.rank, (a.socle - 1) % a.rank, a.length)
+
+
+def composite_rank(rep: NilpRep, start: int, steps: int) -> int:
+    """Rank of the composite map going `steps` vertices down from `start`."""
+    ranks = _image_ranks(rep, start, steps)
+    return ranks[steps] if steps < len(ranks) else 0
+
+
 def test_arc_basic_structure():
     a = Arc(3, 1, 4)
     assert a.top == 1
     assert a.factors() == [1, 2, 0, 1]
     assert a.factor_counts() == (1, 2, 1)
-    assert a.tau() == Arc(3, 0, 4)
-    assert Arc(3, 2, 4).tau() == a
+    assert tau(a) == Arc(3, 0, 4)
+    assert tau(Arc(3, 2, 4)) == a
     with pytest.raises(ValueError):
         Arc(3, 3, 1)
     with pytest.raises(ValueError):
@@ -76,56 +86,99 @@ def test_rep_of_arc_matches_slot_walk():
         assert rep_of_arc(a) == reference_rep_of_arc(a), a
 
 
-def hom_basis_dense(a: NilpRep, b: NilpRep):
-    """Basis of the morphism space as the nullspace of the commuting
-    equations, for maps of any shape: the reference for hom_basis."""
+def is_subpermutation(rep) -> bool:
+    for m in rep.maps:
+        for row in m:
+            if sum(1 for x in row if x != 0) > 1 or any(x not in (0, 1) for x in row):
+                return False
+        for c in range(len(m[0]) if m else 0):
+            if sum(1 for row in m if row[c] != 0) > 1:
+                return False
+    return True
+
+
+def reference_hom_basis(a: NilpRep, b: NilpRep):
+    """The union-find basis, for subpermutation maps (at most one entry,
+    a 1, per row and per column), as direct sums of arcs have: each
+    commuting constraint identifies two entries of the morphism or forces
+    one to zero, so the components of a union-find graph give the basis
+    directly."""
+    assert a.rank == b.rank and is_subpermutation(a) and is_subpermutation(b)
     n = a.rank
-    offsets = []
-    total = 0
+    var = {}
     for i in range(n):
-        offsets.append(total)
-        total += b.dims[i] * a.dims[i]
+        for r in range(b.dims[i]):
+            for c in range(a.dims[i]):
+                var[(i, r, c)] = len(var)
+    zero = len(var)
+    parent = list(range(len(var) + 1))
 
-    def vindex(i, r, c):
-        return offsets[i] + r * a.dims[i] + c
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    rows = []
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
     for i in range(n):
         t = (i - 1) % n
+        acol = [None] * a.dims[i]
+        for rr in range(a.dims[t]):
+            for cc in range(a.dims[i]):
+                if a.maps[i][rr][cc] != 0:
+                    acol[cc] = rr
+        bpre = [None] * b.dims[t]
+        for rr in range(b.dims[t]):
+            for cc in range(b.dims[i]):
+                if b.maps[i][rr][cc] != 0:
+                    bpre[rr] = cc
         for rp in range(b.dims[t]):
             for c in range(a.dims[i]):
-                row = [0] * total
-                for k in range(a.dims[t]):
-                    if a.maps[i][k][c] != 0:
-                        row[vindex(t, rp, k)] += a.maps[i][k][c]
-                for r in range(b.dims[i]):
-                    if b.maps[i][rp][r] != 0:
-                        row[vindex(i, r, c)] -= b.maps[i][rp][r]
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    return [tuple(tuple(tuple(v[vindex(i, r, c)] for c in range(a.dims[i]))
-                        for r in range(b.dims[i])) for i in range(n))
-            for v in linalg.nullspace(rows, total)]
+                left = var[(t, rp, acol[c])] if acol[c] is not None else zero
+                right = var[(i, bpre[rp], c)] if bpre[rp] is not None else zero
+                union(left, right)
+
+    comps = {}
+    zroot = find(zero)
+    for key, idx in var.items():
+        root = find(idx)
+        if root != zroot:
+            comps.setdefault(root, []).append(key)
+    basis = []
+    for root in sorted(comps, key=lambda r: sorted(comps[r])):
+        mats = [[[0] * a.dims[i] for _ in range(b.dims[i])] for i in range(n)]
+        for (i, r, c) in comps[root]:
+            mats[i][r][c] = 1
+        basis.append(tuple(tuple(map(tuple, m)) for m in mats))
+    return basis
 
 
 def test_hom_basis_paths_agree():
-    """The union-find basis and the dense nullspace basis have the same
-    dimension for every small pair."""
-    for n in (1, 2, 3):
-        arcs = all_arcs_raw(n, n + 1)
+    """The nullspace basis is the union-find basis, as a set of maps, on
+    every pair of arcs of ranks 1-4 up to length 3n + 1 (3816 pairs)."""
+    pairs = 0
+    for n in (1, 2, 3, 4):
+        arcs = all_arcs_raw(n, 3 * n + 1)
         for a, b in itertools.product(arcs, repeat=2):
             ra, rb = rep_of_arc(a), rep_of_arc(b)
-            assert len(hom_basis(ra, rb)) == len(hom_basis_dense(ra, rb)), (a, b)
+            got, want = hom_basis(ra, rb), reference_hom_basis(ra, rb)
+            assert len(got) == len(set(got)) and set(got) == set(want), (a, b)
+            pairs += 1
+    assert pairs == 3816
 
 
-def test_hom_basis_rejects_dense_maps():
-    """A map with an entry other than 0 and 1 is no subpermutation;
-    the dense reference still handles it."""
+def test_hom_basis_handles_dense_maps():
+    """A map with an entry other than 0 and 1 is no subpermutation, and
+    the nullspace still gives the commuting maps: into the simple at 0,
+    the one map that is 1 at vertex 0."""
     dense = NilpRep(2, (1, 1), (((2,),), ((0,),)))
     simple = rep_of_arc(Arc(2, 0, 1))
-    with pytest.raises(ValueError):
-        hom_basis(dense, simple)
-    assert len(hom_basis_dense(dense, simple)) == 1
+    assert not is_subpermutation(dense)
+    assert hom_basis(dense, simple) == [(((1,),), ())]
 
 
 def test_hom_dim_additive_on_sums():
@@ -263,6 +316,21 @@ def conjugated_sums(draw):
     rep = direct_sum([rep_of_arc(a) for a in arcs] + extra)
     bases = [draw(unimodular(d)) for d in rep.dims]
     return arcs, bool(extra), conjugate(rep, bases)
+
+
+@settings(max_examples=30)
+@given(conjugated_sums(), st.data())
+def test_hom_basis_counts_summands(case, data):
+    """Dense rational maps: the Hom basis from the sum into an arc, and
+    from the arc into the sum, has one map per winding of each summand.
+    A non-nilpotent summand adds none: the image of a map between it and
+    the arc would be nilpotent and carry an invertible cycle."""
+    arcs, _, rep = case
+    n = rep.rank
+    b = data.draw(st.builds(Arc, st.just(n), st.integers(0, n - 1), st.integers(1, n + 2)))
+    rb = rep_of_arc(b)
+    assert len(hom_basis(rep, rb)) == sum(tube.hom_dim(a, b) for a in arcs)
+    assert len(hom_basis(rb, rep)) == sum(tube.hom_dim(b, a) for a in arcs)
 
 
 @settings(max_examples=60)

@@ -233,8 +233,9 @@ def test_slotted_value_classes_are_frozen(obj, field):
 
 
 def reference_ext(a, b):
-    """Ext^1(a, b) as Hom into the built translate, by Serre duality."""
-    return sh.hom_dim_sheaf(b, sh.tau_sheaf(a))
+    """Ext^1(a, b) as Hom into the built translate, the shift by the
+    dualizing element, by Serre duality."""
+    return sh.hom_dim_sheaf(b, sh.shift(a, a.line.dualizing()))
 
 
 def reference_alt_bundle_ext(a, b):
@@ -312,8 +313,8 @@ def test_alt_bundle_ext_normalizes_once(monkeypatch):
 
 
 def test_closed_dimensions_build_no_objects(monkeypatch):
-    """Hom and Ext on a seeded sample of query pairs neither shift,
-    translate nor normalize."""
+    """Hom and Ext on a seeded sample of query pairs neither shift (the
+    translate is a shift) nor normalize."""
     rng = random.Random(20231)
     pairs = []
     for line in QUERY_LINES:
@@ -325,9 +326,7 @@ def test_closed_dimensions_build_no_objects(monkeypatch):
         raise AssertionError("object built on the closed Hom/Ext path")
 
     monkeypatch.setattr(sh, "shift", forbidden)
-    monkeypatch.setattr(sh, "tau_sheaf", forbidden)
     monkeypatch.setattr(grading, "normalize", forbidden)
-    monkeypatch.setattr(Arc, "tau", forbidden)
     assert [(sh.hom_dim_sheaf(a, b), sh.ext_dim_sheaf(a, b)) for a, b in pairs] == expected
 
 

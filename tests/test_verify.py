@@ -194,9 +194,9 @@ def test_memo_tables_are_functools_cache():
     assert found == []
 
 
-# kept without a library caller, with the reason
+# kept without a library caller, with the reason; each one is called in bench/*.py
 DEAD_FUNCTION_ALLOWLIST = {
-    ("nilpotent.py", "composite_rank"): "the benchmark traces it by name (ROADMAP item 1)",
+    ("sheaves.py", "shift"): "bench/child.py builds its cox queries with it",
 }
 
 
@@ -280,6 +280,49 @@ def test_dead_function_verdict_on_synthetic_modules():
     assert dead_functions(trees) == {("a.py", "lonely"), ("a.py", "recurse"),
                                      ("a.py", "_helper"), ("a.py", "_hidden"),
                                      ("a.py", "size")}
+
+
+def module_calls(tree) -> set:
+    """(module file, name) of the calls in tree of a name imported by
+    `from ..mod import name` (or `as` another), and of `mod.name`."""
+    origin = {alias.asname or alias.name: (f"{node.module.rpartition('.')[2]}.py", alias.name)
+              for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+              for alias in node.names}
+    out = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id in origin:
+            out.add(origin[f.id])
+        elif isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+            out.add((f"{f.value.id}.py", f.attr))
+    return out
+
+
+def test_module_calls_verdict_on_synthetic_module():
+    """A call of an imported name or of a module attribute counts; a
+    name in a string, a reference without a call or a method of some
+    other object does not."""
+    tree = ast.parse("from wpline import sheaves\n"
+                     "from wpline.nilpotent import decompose, hom_basis as hb\n"
+                     "names = ['composite_rank']\n"
+                     "f = decompose\n"
+                     "sheaves.shift(1, 2)\n"
+                     "hb(1, 2)\n"
+                     "x.y.tau()\n")
+    assert module_calls(tree) == {("sheaves.py", "shift"), ("nilpotent.py", "hom_basis")}
+
+
+def test_allowlist_entries_are_called_by_the_benchmark():
+    """Each allowlisted function is called in bench/*.py, the reason it
+    stays without a library caller; a name the benchmark only lists as a
+    string does not keep a function."""
+    bench = pathlib.Path(__file__).parent.parent / "bench"
+    calls = set().union(*(module_calls(ast.parse(path.read_text(), str(path)))
+                          for path in sorted(bench.glob("*.py"))))
+    assert set(DEAD_FUNCTION_ALLOWLIST) <= calls
+    assert ("nilpotent.py", "composite_rank") not in calls
 
 
 def test_every_function_has_a_library_caller():

@@ -15,6 +15,7 @@ from wpline import sheaves as sh
 from wpline import tube
 from wpline import widposet as wp
 from test_linalg import rank
+from test_nilpotent import tau
 
 
 LINE2 = make_line((2,))
@@ -608,23 +609,60 @@ def pairwise_tables(objects, hom, ext):
 
 
 
+def reference_tau_fill(objects, hom, tau):
+    """The universe tables filled by Serre duality, Ext^1(x, y) =
+    Hom(y, tau x), from the layer's Hom and its built translate, taken
+    once per object: the Ext row of x is the Hom column of tau x, or one
+    Hom row into tau x when it is not a member.  Right, left and
+    compatible rows."""
+    objs = tuple(objects)
+    index = {x: i for i, x in enumerate(objs)}
+    no_hom = [sum(1 << j for j, y in enumerate(objs) if hom(x, y) == 0) for x in objs]
+    no_hom_into = tube.holders(no_hom)
+    no_ext = [no_hom_into[k] if (k := index.get(tx)) is not None
+              else sum(1 << j for j, y in enumerate(objs) if hom(y, tx) == 0)
+              for tx in map(tau, objs)]
+    right = [h & e for h, e in zip(no_hom, no_ext)]
+    held, ext_held = tube.holders(right), tube.holders(no_ext)
+    return (right, [held[i] for i in range(len(objs))],
+            [e & ext_held[i] for i, e in enumerate(no_ext)])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_tau_fill_matches_pairwise_tube(n):
     uni = tube.tube_universe(n)
-    assert (uni.right, uni.left, uni.compatible) == \
-        pairwise_tables(uni.objects, tube.hom_dim, tube.ext_dim)
+    tables = (uni.right, uni.left, uni.compatible)
+    assert tables == pairwise_tables(uni.objects, tube.hom_dim, tube.ext_dim)
+    assert tables == reference_tau_fill(uni.objects, tube.hom_dim, tau)
 
 
 @pytest.mark.parametrize("weights, lo, hi, ids",
                          [(*inp, ()) for inp in BENCH_INPUTS] + [((1, 1), -2, 3, ("0", "1"))])
 def test_tau_fill_matches_pairwise_sheaves(weights, lo, hi, ids):
-    """Both ways of filling an Ext row run: the Hom column of a tau x
-    inside the universe, and one Hom row into a tau x outside it."""
+    """The closed-form fill gives the tables of the pairwise loop and of
+    the old Serre-duality fill through the built translate."""
     uni = margin_universe(weights, lo, hi, ids)
-    inside = {sh.tau_sheaf(x) in uni.index for x in uni.objects}
-    assert inside == {True, False}
-    assert (uni.right, uni.left, uni.compatible) == \
-        pairwise_tables(uni.objects, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
+    tables = (uni.right, uni.left, uni.compatible)
+    assert tables == pairwise_tables(uni.objects, sh.hom_dim_sheaf, sh.ext_dim_sheaf)
+    assert tables == reference_tau_fill(uni.objects, sh.hom_dim_sheaf,
+                                        lambda x: sh.shift(x, x.line.dualizing()))
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
+def test_build_poset_shifts_no_sheaf(weights, lo, hi, ids, monkeypatch):
+    """The universe reads Ext from the closed form, so the build never
+    shifts a sheaf, and gives the same nodes and rows without it."""
+    line = make_line(weights)
+    want = wp.build_poset(line, lo, hi, ids)
+
+    def forbidden(*args):
+        raise AssertionError("sheaf shifted in the poset build")
+
+    monkeypatch.setattr(sh, "shift", forbidden)
+    got = wp.build_poset(line, lo, hi, ids)
+    assert got.nodes == want.nodes
+    assert (got.above, got.exc, got.cinv, got.index_covers) == \
+        (want.above, want.exc, want.cinv, want.index_covers)
 
 
 @pytest.mark.parametrize("layer", ["tube-1", "tube-2", "tube-3", "tube-4", "sheaf-2", "sheaf-2,2"])
