@@ -41,7 +41,8 @@ def _resolve_point(line, token: str) -> int:
 
 def parse_sheaf(line, text: str):
     """Sheaf notation: O, O(k), O(l1,..,ln;c), S(point,j), S[m](point,j),
-    arc(point,socle,length), ord(id,length)."""
+    arc(point,socle,length), ord(id,length).  O(k) is O(k x), x the generator
+    of the first weighted point, or O(k c) when no point is weighted."""
     t = text.strip()
     if t == "O":
         return line_bundle(line)

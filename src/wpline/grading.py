@@ -48,9 +48,6 @@ class WeightData(Record):
 
     _fields = ("weights", "points")
 
-    def __init__(self, weights: tuple[int, ...], points: tuple[str, ...]):
-        self._init(weights, points)
-
     def __post_init__(self):
         if any(p < 1 for p in self.weights):
             raise ValueError("weights must be positive")
@@ -140,12 +137,6 @@ class GradeElement(Record):
     """Normal form l_1*x_1 + ... + l_n*x_n + l*c with 0 <= l_i < p_i."""
 
     __slots__ = _fields = ("line", "coeffs", "c_part")
-
-    def __init__(self, line: WeightData, coeffs: tuple[int, ...], c_part: int):
-        # set without the loop of `_init`: every `normalize` builds one
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "c_part", c_part)
 
     def __add__(self, other: "GradeElement") -> "GradeElement":
         if self.line is not other.line and self.line != other.line:

@@ -233,9 +233,6 @@ class WeylElement(Record):
 
     _fields = ("line", "matrix")
 
-    def __init__(self, line: WeightData, matrix: tuple):
-        self._init(line, matrix)
-
     def __post_init__(self):
         t = _table(self.line)
         if len(self.matrix) != t.rank or any(len(row) != t.rank for row in self.matrix):

@@ -26,9 +26,6 @@ class Arc(Record):
 
     __slots__ = _fields = ("rank", "socle", "length")
 
-    def __init__(self, rank: int, socle: int, length: int):
-        self._init(rank, socle, length)
-
     def __post_init__(self):
         if self.rank < 1 or self.length < 1:
             raise ValueError("rank and length must be positive")
@@ -59,10 +56,6 @@ class NilpRep(Record):
     are exact rationals, `int` or `Fraction`."""
 
     _fields = ("rank", "dims", "maps")
-
-    def __init__(self, rank: int, dims: tuple[int, ...],
-                 maps: tuple[tuple[tuple[int | Fraction, ...], ...], ...]):
-        self._init(rank, dims, maps)
 
     @property
     def total_dim(self) -> int:

@@ -39,9 +39,6 @@ from .nilpotent import Arc
 class LineBundle(Record):
     __slots__ = _fields = ("line", "degree")
 
-    def __init__(self, line: WeightData, degree: GradeElement):
-        self._init(line, degree)
-
     def __post_init__(self):
         if len(self.line.weighted_indices()) > 2:
             raise ValueError("indecomposable bundles of rank >= 2 are not modeled; "
@@ -55,9 +52,6 @@ class TorsionArc(Record):
 
     __slots__ = _fields = ("line", "point", "arc")
 
-    def __init__(self, line: WeightData, point: int, arc: Arc):
-        self._init(line, point, arc)
-
     def __post_init__(self):
         if self.point not in self.line.weighted_indices():
             raise ValueError("torsion arcs live at weighted points")
@@ -69,9 +63,6 @@ class OrdinaryTorsion(Record):
     """Torsion stalk of uniserial length `length` at an ordinary point."""
 
     __slots__ = _fields = ("line", "point_id", "length")
-
-    def __init__(self, line: WeightData, point_id: str, length: int):
-        self._init(line, point_id, length)
 
     def __post_init__(self):
         weighted_labels = {self.line.points[i] for i in self.line.weighted_indices()}

@@ -250,9 +250,6 @@ class TubeWideFingerprint(Record):
 
     _fields = ("rank", "arcs")
 
-    def __init__(self, rank: int, arcs: frozenset):
-        self._init(rank, arcs)
-
 
 def closure_members(gens) -> frozenset:
     """Arcs of length at most the rank n in the wide closure of the

@@ -75,10 +75,6 @@ class CInvData(Record):
 
     _fields = ("per_point", "ordinary_support", "contains_bundle", "defining_exc")
 
-    def __init__(self, per_point: tuple, ordinary_support: frozenset, contains_bundle: bool,
-                 defining_exc: tuple | None):
-        self._init(per_point, ordinary_support, contains_bundle, defining_exc)
-
 
 def default_window(line: WeightData):
     """Degree window covering the worked configurations: -2..3 in units
@@ -202,9 +198,6 @@ class PosetNode(Record):
     over the universe of the poset that holds the node."""
 
     __slots__ = _fields = ("name", "mask", "exc_gens", "cinv")
-
-    def __init__(self, name: str, mask: int, exc_gens: int | None, cinv: CInvData | None):
-        self._init(name, mask, exc_gens, cinv)
 
 
 class WidPoset:

@@ -70,6 +70,17 @@ def test_hom_parses_degree_forms():
     assert out2.endswith("= 3\n")
 
 
+@pytest.mark.parametrize("weights, to", [("2,3", "O(1,0;0)"), ("1,1", "O(0,0;1)")])
+def test_line_bundle_shorthand_counts_first_weighted_generator(weights, to):
+    """O(k) is k times the generator of the first weighted point, or k*c
+    when no point is weighted: on 2,3, O(1) has degree 3, though the
+    finest generator degree is 2."""
+    code, out, _ = run_cli(["hom", "--weights", weights, "--from", "O", "--to", "O(1)",
+                            "--format", "json"])
+    assert code == 0
+    assert f'"to": "{to}"' in out
+
+
 def test_tube_enum_json():
     code, out, _ = run_cli(["tube-enum", "--rank", "2", "--format", "json"])
     assert code == 0

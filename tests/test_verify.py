@@ -333,3 +333,51 @@ def test_every_function_has_a_library_caller():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(root.glob("*.py"))}
     assert dead_functions(trees) == set(DEAD_FUNCTION_ALLOWLIST)
+
+
+def code_calls(tree) -> list:
+    """The bare-name calls of exec, eval or compile in tree."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in {"exec", "eval", "compile"}]
+
+
+def generated_code_calls(tree) -> list:
+    """(line, name) of the code_calls of a module outside the method
+    `Record.__init_subclass__`, the one place that compiles code."""
+    allowed = {id(node) for cls in tree.body
+               if isinstance(cls, ast.ClassDef) and cls.name == "Record"
+               for f in cls.body
+               if isinstance(f, ast.FunctionDef) and f.name == "__init_subclass__"
+               for node in code_calls(f)}
+    return sorted((node.lineno, node.func.id) for node in code_calls(tree)
+                  if id(node) not in allowed)
+
+
+def test_generated_code_verdict_on_synthetic_module():
+    """A call at module level, in another method of Record or in another
+    class's __init_subclass__ is reported; a method of that name is not."""
+    tree = ast.parse("eval('1')\n"
+                     "class Record:\n"
+                     "    def __init_subclass__(cls):\n"
+                     "        exec('x = 1', {})\n"
+                     "    def __repr__(self):\n"
+                     "        return compile('1', '', 'eval')\n"
+                     "class Other:\n"
+                     "    def __init_subclass__(cls):\n"
+                     "        exec('y = 2')\n"
+                     "re.compile('a')\n")
+    assert generated_code_calls(tree) == [(1, "eval"), (6, "compile"), (9, "exec")]
+
+
+def test_only_record_base_generates_code():
+    """No module of src/wpline calls exec, eval or compile by its bare name
+    but Record.__init_subclass__, which compiles each record's __init__."""
+    root = pathlib.Path(wpline.__file__).parent
+    found, generated = [], 0
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [(path.name, line, name) for line, name in generated_code_calls(tree)]
+        generated += len(code_calls(tree))
+    assert found == []
+    assert generated == 1
