@@ -38,8 +38,9 @@ roots are finitely many modulo delta and the column memo stays bounded.
 A matrix adds its columns to the memo only once it has passed.  One
 elimination of a difference b - a serves abs_length (b = w, a = 1) and
 nc_leq, which reads the length of u^-1 v off v - u, so it inverts
-nothing and builds no element.  linalg's exact rational routines are
-the tests' reference.
+nothing and builds no element.  abs_length is kept on each element, so
+comparing n elements pairwise takes n^2 + n eliminations.  linalg's
+exact rational routines are the tests' reference.
 """
 
 from __future__ import annotations
@@ -354,10 +355,15 @@ def abs_length(w: WeylElement) -> int:
     """Dimension of the moved space, plus one when the null class is moved
     into reach: `_moved` of the identity and w.  Computable surrogate for
     reflection length: 0 on the identity, 1 on reflections, 2 on
-    translations, rank(K0) on the coxeter element."""
-    m = len(w.matrix)
-    return _moved(w.line, tuple(tuple(int(u == v) for v in range(m)) for u in range(m)),
-                  w.matrix)
+    translations, rank(K0) on the coxeter element.  Computed once per
+    element and kept in its instance `__dict__`, as a line keeps its K0
+    record, so the memo lives as long as the element."""
+    k = w.__dict__.get("_abs_length")
+    if k is None:
+        m = len(w.matrix)
+        k = w.__dict__["_abs_length"] = _moved(
+            w.line, tuple(tuple(int(u == v) for v in range(m)) for u in range(m)), w.matrix)
+    return k
 
 
 def nc_leq(u: WeylElement, v: WeylElement) -> bool:

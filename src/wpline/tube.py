@@ -30,8 +30,24 @@ rank n by integer ids, (length - 1) * n + socle, and reads one cached
 row per ordered pair of ids (`_pair_row`): the id mask of the oracle's
 kernels, cokernels and extension middles of that pair.  It closes at
 the rank: no member longer than n is needed to reach one of length at
-most n (the proof is at closure_members).  The oracle's memo tables
-are functools.cache on the functions that fill them.
+most n (the proof is at closure_members).
+
+The oracle is filled once per rotation class of arc pairs.  Rotating
+the cyclic quiver by d vertices is an automorphism of the tube, so the
+Hom and Ext dimensions of a pair, and the arcs among the kernels,
+cokernels and extension middles of its Hom basis maps and Ext classes,
+are those of the pair rotated so that the first socle is vertex 0,
+rotated back by d.  rep_of_arc numbers basis vectors from the socle
+up, so a rotated pair has the same matrices on rotated vertices, and
+nothing cached depends on the order in which the oracle meets the
+vertices: an Ext count, the summands over the Hom basis (between arcs
+the class indicators of _image_length, whatever the order of unknowns)
+and the middles of every nonzero Ext orbit.  The Ext count
+(`_ext_count`) is cached on the integers (rank, socle difference,
+lengths), and the closures read pair rows through `_rotated_row`, which
+fills `_pair_row` only at first socle 0.  Each memo is functools.cache
+on the function that fills it, and the oracle functions themselves stay
+per pair.
 """
 
 from __future__ import annotations
@@ -139,8 +155,19 @@ def ext_classes(a: Arc, b: Arc):
 
 
 def ext_dim_via_presentation(a: Arc, b: Arc) -> int:
-    """Ext dimension recomputed from the projective presentation alone."""
-    return len(ext_classes(a, b))
+    """Ext dimension recomputed from the projective presentation alone:
+    the count of `ext_classes` of the pair rotated so that a's socle is
+    vertex 0, which the rotation of the quiver carries to this pair
+    (see the module docstring)."""
+    n = a.rank
+    if n != b.rank:
+        raise ValueError("arcs from tubes of different rank")
+    return _ext_count(n, (b.socle - a.socle) % n, a.length, b.length)
+
+
+@functools.cache
+def _ext_count(n: int, d: int, la: int, lb: int) -> int:
+    return len(ext_classes(Arc(n, 0, la), Arc(n, d, lb)))
 
 
 def _middle_summands(b: Arc, cls) -> tuple:
@@ -245,6 +272,17 @@ def _pair_row(n: int, ia: int, ib: int) -> int:
     return row
 
 
+def _rotated_row(n: int, ia: int, ib: int) -> int:
+    """`_pair_row` of a pair of ids, read at the pair rotated so that the
+    first socle is vertex 0 and rotated back: the arc of id i rotated by
+    d vertices has id i - i % n + (i + d) % n."""
+    d = ia % n
+    out = 0
+    for i in bits(_pair_row(n, ia - d, ib - ib % n + (ib - d) % n)):
+        out |= 1 << (i - i % n + (i + d) % n)
+    return out
+
+
 class TubeWideFingerprint(Record):
     """Member arcs of length <= rank of a wide subcategory of the tube."""
 
@@ -257,7 +295,7 @@ def closure_members(gens) -> frozenset:
 
     Members are a mask over integer arc ids (`arc_id`), kept below n * n.
     The closure is semi-naive: rows never change, so a pass ORs the
-    pair-table rows (`_pair_row`: kernels, cokernels and extension
+    pair-table rows (`_rotated_row`: kernels, cokernels and extension
     middles) of only the ordered pairs with a member that the previous
     pass added, each pair once; the loop stops when a pass adds nothing.
     The table is filled from the linear-algebra oracle alone, so the
@@ -297,9 +335,9 @@ def closure_members(gens) -> frozenset:
         found = 0
         for ia in bits(new):
             for ib in ids:
-                found |= _pair_row(n, ia, ib)
+                found |= _rotated_row(n, ia, ib)
             for ib in old:
-                found |= _pair_row(n, ib, ia)
+                found |= _rotated_row(n, ib, ia)
         new = found & capped & ~members
         members |= new
     return frozenset(arc_of_id(n, i) for i in bits(members))
@@ -557,16 +595,18 @@ def enumerate_wide_bruteforce(n: int) -> frozenset:
     for closure fixpoints.
 
     A set is a fixpoint of closure_members exactly when no pair-table
-    row (`_pair_row`) of an ordered pair of its members leaves the set
+    row (`_rotated_row`) of an ordered pair of its members leaves the set
     below the rank, so each id mask below 1 << n*n is tested against the
-    rows of its pairs.  Exponential in n*n; meant for small ranks as an
-    independent check of the classification-driven enumeration.
+    rows of its pairs, read once.  Exponential in n*n; meant for small
+    ranks as an independent check of the classification-driven
+    enumeration.
     """
     capped = (1 << n * n) - 1
+    rows = [[_rotated_row(n, ia, ib) & capped for ib in range(n * n)] for ia in range(n * n)]
     found = set()
     for mask in range(capped + 1):
         ids = list(bits(mask))
-        if not any(_pair_row(n, ia, ib) & capped & ~mask for ia in ids for ib in ids):
+        if not any(rows[ia][ib] & ~mask for ia in ids for ib in ids):
             found.add(TubeWideFingerprint(n, frozenset(arc_of_id(n, i) for i in ids)))
     return frozenset(found)
 

@@ -485,11 +485,13 @@ def test_nc_leq_matches_inverse_then_compose(case, more):
 
 @pytest.mark.parametrize("weights, count", [((2,), 17), ((2, 2), 64)],
                          ids=["2", "2,2"])
-def test_nc_leq_matches_reference_on_exceptional_nodes(weights, count):
+def test_nc_leq_matches_reference_on_exceptional_nodes(weights, count, monkeypatch):
     """Every ordered pair of exceptional nodes at -2..3, their elements
     from cox_of of the ordered generators as criterion 8 builds them.
     Lengths are nonnegative, so the reference needs the length of u^-1 v
-    only where the length of u is at most that of v."""
+    only where the length of u is at most that of v.  Each element's
+    length is eliminated once, so the pairs take count^2 + count
+    eliminations, not 3 count^2."""
     line = make_line(weights)
     poset = build_poset(line, -2, 3)
     nodes = [n for n in poset.nodes if n.exc_gens is not None]
@@ -500,10 +502,18 @@ def test_nc_leq_matches_reference_on_exceptional_nodes(weights, count):
     assert len(elements) == count
     lengths = [reference_abs_length(w) for w in elements]
     inverses = [inverse(w) for w in elements]
+    moved, calls = kt._moved, []
+
+    def counting(*args):
+        calls.append(args)
+        return moved(*args)
+
+    monkeypatch.setattr(kt, "_moved", counting)
     for u, lu, ui in zip(elements, lengths, inverses):
         for v, lv in zip(elements, lengths):
             want = lu <= lv and lu + reference_abs_length(compose(ui, v)) == lv
             assert kt.nc_leq(u, v) == want
+    assert len(calls) == count * count + count
 
 
 def shifted_canonical(line, rng):

@@ -378,6 +378,58 @@ def test_pair_table_matches_reference(n, monkeypatch):
         assert {tube.arc_of_id(n, i) for i in tube.bits(row)} == want, (a, b)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rotated_ext_count_matches_unrotated_oracle(n):
+    """Every ordered pair of arcs up to three times the rank: the Ext
+    count read at the pair rotated to socle 0 is the count of the
+    per-pair oracle at the pair itself."""
+    arcs = tube.all_arcs(n, 3 * n)
+    for a, b in itertools.product(arcs, repeat=2):
+        assert tube.ext_dim_via_presentation(a, b) == len(tube.ext_classes(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rotated_row_matches_direct_pair_row(n):
+    """Every ordered pair of ids below n * n: the row read at the rotated
+    pair and rotated back is the row the oracle fills for the pair."""
+    for ia, ib in itertools.product(range(n * n), repeat=2):
+        assert tube._rotated_row(n, ia, ib) == tube._pair_row(n, ia, ib), (ia, ib)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ext_count_fills_once_per_rotation_class(n):
+    """Over the arcs of length at most L = 3n, the presentation path fills
+    one Ext count per socle difference and pair of lengths, n * L^2,
+    where one per ordered pair would be n^2 * L^2."""
+    length = 3 * n
+    tube._ext_count.cache_clear()
+    for a, b in itertools.product(tube.all_arcs(n, length), repeat=2):
+        tube.ext_dim_via_presentation(a, b)
+    assert tube._ext_count.cache_info().currsize == n * length * length
+
+
+def test_presentation_ext_rejects_arcs_of_different_rank():
+    """The count is keyed by the first arc's rank, so a second arc of
+    another rank is refused, not read at the first one's rank."""
+    with pytest.raises(ValueError, match="different rank"):
+        tube.ext_dim_via_presentation(Arc(2, 0, 1), Arc(3, 1, 2))
+
+
+def test_bruteforce_fills_pair_rows_once_per_rotation_class(monkeypatch):
+    """The rank-3 scan asks the oracle for the rows of the 27 pairs whose
+    first socle is 0, not all 81."""
+    pair_row, asked = tube._pair_row, set()
+
+    def recording(n, ia, ib):
+        asked.add((n, ia, ib))
+        return pair_row(n, ia, ib)
+
+    monkeypatch.setattr(tube, "_pair_row", recording)
+    tube.enumerate_wide_bruteforce(3)
+    assert len(asked) == 27
+    assert all(ia % 3 == 0 for _, ia, _ in asked)
+
+
 def generator_subsets(n):
     arcs = tube.all_arcs(n, n)
     return [combo for r in range(len(arcs) + 1) for combo in itertools.combinations(arcs, r)]

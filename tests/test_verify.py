@@ -1,9 +1,14 @@
-"""The independent counter of criterion 1, the exact-arithmetic rule and
-the boundary of the linear-algebra oracle."""
+"""The independent counter of criterion 1, the exact-arithmetic rule,
+the boundary of the linear-algebra oracle and the benchmark's traced
+names."""
 
 import ast
 import collections
+import functools
+import importlib
+import inspect
 import itertools
+import json
 import pathlib
 
 import pytest
@@ -381,3 +386,45 @@ def test_only_record_base_generates_code():
         generated += len(code_calls(tree))
     assert found == []
     assert generated == 1
+
+
+# traced names of BENCHMARK.json that name nothing in src/wpline today
+ABSENT_TRACED_NAMES = {"linalg.rank", "nilpotent.composite_rank", "widposet.exc_snapshot"}
+
+
+def traced_names(doc) -> set:
+    """layer.fn of each per-layer `.calls` or `.s` metric of a benchmark
+    document."""
+    return {name.rsplit(".", 1)[0] for name in (m["name"] for m in doc["per_layer"])
+            if name.count(".") == 2 and name.rsplit(".", 1)[1] in {"calls", "s"}}
+
+
+def traced_targets(name) -> list:
+    """What layer.fn names in wpline.<layer>: a module-level binding and
+    the methods of that name of the classes defined there."""
+    layer, fn = name.split(".")
+    mod = importlib.import_module(f"wpline.{layer}")
+    found = [vars(mod).get(fn)] + [vars(cls).get(fn) for cls in vars(mod).values()
+                                   if isinstance(cls, type) and cls.__module__ == mod.__name__]
+    return [obj for obj in found if obj is not None]
+
+
+def is_plain_function(obj, layer: str) -> bool:
+    """A Python function defined in wpline.<layer>, the only kind the
+    benchmark's tracer wraps there; a functools.cache wrapper is not one."""
+    return inspect.isfunction(obj) and obj.__module__ == f"wpline.{layer}"
+
+
+def test_traced_names_are_plain_functions():
+    """Every function a per-layer `.calls` or `.s` metric of BENCHMARK.json
+    names is a plain function, so no cache wrapper silently zeroes a
+    traced metric; the names that resolve to nothing are exactly the
+    listed ones, so that set cannot grow unnoticed."""
+    path = pathlib.Path(__file__).parent.parent / "BENCHMARK.json"
+    names = traced_names(json.loads(path.read_text()))
+    targets = {name: traced_targets(name) for name in names}
+    assert {name for name, found in targets.items() if not found} == ABSENT_TRACED_NAMES
+    assert [(name, obj) for name, found in targets.items() for obj in found
+            if not is_plain_function(obj, name.split(".")[0])] == []
+    assert targets["widposet.covers"] == [importlib.import_module("wpline.widposet").WidPoset.covers]
+    assert not is_plain_function(functools.cache(verify.criterion_8), "verify")
