@@ -177,12 +177,15 @@ def line_invariants(line: WeightData):
     return line.canonical(), omega, kind
 
 
-def dim_S(a: GradeElement) -> int:
-    """Dimension of the degree-a component of the coordinate ring.
+def dim_S(line: WeightData, coeffs, c_part: int) -> int:
+    """Dimension of the component of the coordinate ring in the degree
+    with raw coefficients `coeffs` and c part `c_part`.
 
     Monomials X_1^a X_2^b prod_{i>=3} X_i^{c_i} with a, b >= 0 and
     0 <= c_i < p_i form a basis; in a fixed torsion pattern the pairs
-    (a, b) hitting the target are counted by the normal-form c part.
+    (a, b) hitting the target are counted by the normal-form c part,
+    c_part plus the carries sum(a_i // p_i) of normalize.  Only that
+    part is reduced, so no GradeElement is built.
     """
-    t = a.c_part
+    t = c_part + sum(map(floordiv, coeffs, line.weights))
     return t + 1 if t >= 0 else 0

@@ -21,12 +21,15 @@ hash), so no query hashes the line: the rank, the basis index, the
 simple classes, the class of every bundle's coefficient part and of
 every partial turn of an arc (so a class is one table read plus a
 multiple of the null class delta), the Euler matrix and its
-symmetrization.  class_of and euler_form read the record's memos
-directly.  The record also memoizes the Euler row x^T E and the column
-S r per class modulo delta: the row of x is the row of its
-representative plus x1 <delta, ->, and S delta = 0, so S r depends on r
-modulo delta only.  A line's sheaf classes fall into finitely many
-classes modulo delta, which bounds the rows.
+symmetrization, and the identity matrix of the rank.  class_of and
+euler_form read the record's memos directly.  The record also memoizes
+the Euler row x^T E and the column S r per class modulo delta: the row
+of x is the row of its representative plus x1 <delta, ->, and S delta
+= 0, so S r depends on r modulo delta only.  A line's sheaf classes
+fall into finitely many classes modulo delta, which bounds the rows.
+delta is the class of an ordinary simple, and <S, F> = -rk F, so
+<delta, y> = -(y0 + y1) needs no second dot product; the Euler matrix
+is checked for that row when it is built.
 
 Group elements are integer matrices throughout, with fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) where a division is needed.
@@ -69,11 +72,12 @@ class _LineTable:
     Euler rows x^T E and columns S r are memoized per class modulo
     delta, keyed by (x0 + x1, x2, ...): x is the representative
     (x0 + x1, 0, x2, ...) plus x1 delta, so the row of x is the memoized
-    row plus x1 delta^T E.  S delta = 0 (the null class is in the radical
-    of the symmetrized form, checked when S is built), so S r is the
-    memoized column itself.  Sheaf classes take finitely many values
-    modulo delta on a line, and the columns are real roots, which bounds
-    both memos.
+    row plus x1 delta^T E.  delta^T E is (-1, -1, 0, ...), minus the
+    rank (checked when E is built), and S delta = 0 (the null class is
+    in the radical of the symmetrized form, checked when S is built), so
+    S r is the memoized column itself.  Sheaf classes take finitely many
+    values modulo delta on a line, and the columns are real roots, which
+    bounds both memos.
     """
 
     def __init__(self, line: WeightData):
@@ -84,6 +88,8 @@ class _LineTable:
                 self.index[i, j] = len(self.index) + 2
         self.rank = len(self.index) + 2
         self.delta = (-1, 1) + (0,) * (self.rank - 2)   # [O(c)] - [O]
+        self.identity = tuple(tuple(int(u == v) for v in range(self.rank))
+                              for u in range(self.rank))
         self.simples = {i: tuple(self._simple(i, j) for j in range(line.weights[i]))
                         for i in line.weighted_indices()}
         self._bundle_parts = {}     # coefficient tuple -> class of O(coeffs; 0)
@@ -126,8 +132,12 @@ class _LineTable:
     @cached_property
     def euler(self) -> tuple:
         basis = basis_sheaves(self.line)
-        return tuple(tuple(hom_dim_sheaf(a, b) - ext_dim_sheaf(a, b) for b in basis)
-                     for a in basis)
+        e = tuple(tuple(hom_dim_sheaf(a, b) - ext_dim_sheaf(a, b) for b in basis)
+                  for a in basis)
+        # delta is the class of an ordinary simple S, and <S, F> = -rk F
+        if tuple(b - a for a, b in zip(*e[:2])) != (-1, -1) + (0,) * (self.rank - 2):
+            raise ArithmeticError("the row of the null class is not minus the rank")
+        return e
 
     @cached_property
     def sym(self) -> tuple:
@@ -136,11 +146,6 @@ class _LineTable:
         if any(sum(map(mul, row, self.delta)) for row in s):
             raise ArithmeticError("the null class is not in the radical of the symmetrized form")
         return s
-
-    @cached_property
-    def delta_row(self) -> tuple:
-        """delta^T E, the row of <delta, ->."""
-        return tuple(b - a for a, b in zip(*self.euler[:2]))
 
     def euler_row(self, x) -> tuple:
         """x^T E for the representative of x modulo delta."""
@@ -223,10 +228,10 @@ def euler_form(line: WeightData, x, y) -> int:
     t = line.__dict__.get("_k0") or _table(line)
     if len(x) != t.rank or len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
-    # x = (x0 + x1, 0, x2, ...) + x1 delta: a memoized row plus x1 <delta, y>
+    # x = (x0 + x1, 0, x2, ...) + x1 delta: a memoized row plus x1 <delta, y>,
+    # where <delta, y> = -(y0 + y1)
     row = t.rows.get((x[0] + x[1], *x[2:])) or t.euler_row(x)
-    value = sum(map(mul, row, y))
-    return value + x[1] * sum(map(mul, t.delta_row, y)) if x[1] else value
+    return sum(map(mul, row, y)) - x[1] * (y[0] + y[1])
 
 
 class WeylElement(Record):
@@ -286,8 +291,7 @@ def cox_of(line: WeightData, seq) -> WeylElement:
     seq = list(seq)
     if not tube.is_exc_sequence(seq, hom_dim_sheaf, ext_dim_sheaf):
         raise ValueError("not an exceptional sequence")
-    m = k_rank(line)
-    w = [[int(u == v) for v in range(m)] for u in range(m)]
+    w = list(map(list, _table(line).identity))
     for s in seq:
         r, c = _root(line, s)
         for row in w:
@@ -360,9 +364,7 @@ def abs_length(w: WeylElement) -> int:
     record, so the memo lives as long as the element."""
     k = w.__dict__.get("_abs_length")
     if k is None:
-        m = len(w.matrix)
-        k = w.__dict__["_abs_length"] = _moved(
-            w.line, tuple(tuple(int(u == v) for v in range(m)) for u in range(m)), w.matrix)
+        k = w.__dict__["_abs_length"] = _moved(w.line, _table(w.line).identity, w.matrix)
     return k
 
 

@@ -40,11 +40,15 @@ class Arc(Record):
         """Multiset of composition-factor vertices, socle first."""
         return [(self.socle + j) % self.rank for j in range(self.length)]
 
+    def multiplicity(self, v: int) -> int:
+        """How often the simple at vertex v (taken mod rank) is a
+        composition factor: once per full turn, plus once when v lies
+        among the first length mod rank vertices from the socle up."""
+        n = self.rank
+        return self.length // n + ((v - self.socle) % n < self.length % n)
+
     def factor_counts(self) -> tuple[int, ...]:
-        counts = [0] * self.rank
-        for v in self.factors():
-            counts[v] += 1
-        return tuple(counts)
+        return tuple(map(self.multiplicity, range(self.rank)))
 
     def sort_key(self):
         return (self.socle, self.length)

@@ -18,12 +18,16 @@ shift into the same counts (the derivation is in its docstring), so no
 translate is built; the perpendicular calculus (tube.Universe) reads
 its rows from these two closed forms.
 
-The alternate Ext path reads dim_S off the normal form of a + omega - b
-for bundles, reduced by one normalize call from the raw coefficient sum,
-and uses projective presentations for torsion pairs.  It shares no
-helper with ext_dim_sheaf, so the two Ext paths remain independent.  The
-value classes are slotted and the line guards test identity before
-equality, because every object of a query shares one WeightData.
+The alternate Ext path reads dim_S off the raw degree a + omega - b
+for bundles (dim_S reduces only its c part, by the carries of the
+normal form), one composition-factor multiplicity of an arc
+(Arc.multiplicity) against a bundle, and projective presentations for
+torsion pairs.  Like ext_dim_sheaf it builds no grading element per
+call.  It shares no helper with ext_dim_sheaf but the line guard, so
+the two Ext paths remain independent (tests/test_verify.py checks
+this).  The value classes are slotted and the line guards test identity
+inline, calling _same_line only on a miss, because every object of a
+query shares one WeightData.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from operator import add, lt, sub
 
 from . import tube
 from ._record import Record
-from .grading import GradeElement, WeightData, dim_S, normalize
+from .grading import GradeElement, WeightData, dim_S
 from .nilpotent import Arc
 
 
@@ -113,7 +117,8 @@ def shift(s: IndecSheaf, l: GradeElement) -> IndecSheaf:
 
 
 def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
-    _same_line(a, b)
+    if a.line is not b.line:
+        _same_line(a, b)
     if isinstance(a, LineBundle):
         if isinstance(b, LineBundle):
             # dim_S(b - a) is one more than the c part of the normal form
@@ -161,7 +166,8 @@ def ext_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
     - two arcs at one point: tube.ext_dim; two ordinary stalks at one
       point: the shorter length; every other pair: 0.
     """
-    _same_line(a, b)
+    if a.line is not b.line:
+        _same_line(a, b)
     if isinstance(a, LineBundle):
         if isinstance(b, LineBundle):
             x, y = a.degree, b.degree
@@ -184,18 +190,19 @@ def ext_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
 def ext_dim_sheaf_alt(a: IndecSheaf, b: IndecSheaf) -> int:
     """Independent Ext path: direct dual-degree formula for bundles,
     presentation-based computation for torsion pairs."""
-    _same_line(a, b)
+    if a.line is not b.line:
+        _same_line(a, b)
     if isinstance(a, LineBundle):
         if isinstance(b, LineBundle):
-            # one normal form of a + omega - b, reduced from the raw sum
+            # dim_S of the raw degree a + omega - b
             x, y, omega = a.degree, b.degree, a.line.dualizing()
-            return dim_S(normalize(a.line, map(sub, map(add, x.coeffs, omega.coeffs), y.coeffs),
-                                   x.c_part + omega.c_part - y.c_part))
+            return dim_S(a.line, map(sub, map(add, x.coeffs, omega.coeffs), y.coeffs),
+                         x.c_part + omega.c_part - y.c_part)
         return 0
     if isinstance(b, LineBundle):
         if isinstance(a, TorsionArc):
-            m_i = b.degree.coeffs[a.point]
-            return a.arc.factor_counts()[(m_i + 1) % a.arc.rank]
+            # the factors of a with the index of b's degree at the point, plus one
+            return a.arc.multiplicity(b.degree.coeffs[a.point] + 1)
         return a.length
     if isinstance(a, TorsionArc) and isinstance(b, TorsionArc):
         if a.point != b.point:

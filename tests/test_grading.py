@@ -163,24 +163,36 @@ def test_dualizing_degree_signs():
     assert make_line((2, 3, 7)).dualizing().degree() == 1
 
 
+def section_dim(a: GradeElement) -> int:
+    """dim_S of a normal form, read as a raw degree."""
+    return dim_S(a.line, a.coeffs, a.c_part)
+
+
 def test_section_dimension_formula():
     line = make_line((2,))
     zero = line.zero()
-    assert dim_S(zero) == 1
-    assert dim_S(generator(line, 0)) == 1
-    assert dim_S(line.canonical()) == 2
-    assert dim_S(neg(generator(line, 0))) == 0
-    assert dim_S(line.dualizing()) == 0
+    assert section_dim(zero) == 1
+    assert section_dim(generator(line, 0)) == 1
+    assert section_dim(line.canonical()) == 2
+    assert section_dim(neg(generator(line, 0))) == 0
+    assert section_dim(line.dualizing()) == 0
+    # raw degrees: 2 x_0 = c, -x_0 = x_0 - c, and omega = -x_0 - x_1
+    assert dim_S(line, (2, 0), 0) == 2
+    assert dim_S(line, (-1, 0), 0) == 0
+    assert dim_S(line, (-1, -1), 0) == 0
 
 
 def test_section_dimension_against_monomial_count():
+    """dim_S of raw coefficients, below zero and past the weights, against
+    the monomial count of their normal form."""
     for weights in ((2,), (1, 1), (2, 3)):
         line = make_line(weights)
-        for i in range(line.weights[0]):
-            for j in range(line.weights[1]):
+        for i in range(-line.weights[0], 2 * line.weights[0]):
+            for j in range(-line.weights[1], 2 * line.weights[1]):
                 for c in range(-2, 4):
                     a = normalize(line, (i, j), c)
-                    assert dim_S(a) == section_count_oracle(line, a), (weights, i, j, c)
+                    assert dim_S(line, (i, j), c) == section_count_oracle(line, a), \
+                        (weights, i, j, c)
 
 
 def test_effectivity_matches_positive_dimension():
@@ -189,7 +201,7 @@ def test_effectivity_matches_positive_dimension():
         for j in range(3):
             for c in (-2, -1, 0, 1, 2):
                 a = normalize(line, (i, j), c)
-                assert is_effective(a) == (dim_S(a) > 0)
+                assert is_effective(a) == (section_dim(a) > 0)
 
 
 def test_partial_order():

@@ -79,6 +79,21 @@ def test_euler_matrix_from_dimensions():
                 assert m[i][j] == sh.hom_dim_sheaf(a, b) - sh.ext_dim_sheaf(a, b)
 
 
+@pytest.mark.parametrize("i, j", [(0, 0), (1, 0), (0, 2), (1, 4)])
+def test_wrong_delta_row_of_the_euler_matrix_raises(monkeypatch, i, j):
+    """<delta, -> is minus the rank, so the rows of O and O(c) differ by
+    (-1, -1, 0, ...); the Euler matrix is checked for it when it is
+    built, and one wrong entry in either row raises."""
+    line = make_line((2, 3))
+    assert kt._LineTable(line).euler == kt.euler_matrix(LINE23)
+    basis = kt.basis_sheaves(line)
+    real = sh.hom_dim_sheaf
+    monkeypatch.setattr(kt, "hom_dim_sheaf",
+                        lambda a, b: real(a, b) + (a == basis[i] and b == basis[j]))
+    with pytest.raises(ArithmeticError, match="row of the null class"):
+        kt._LineTable(line).euler
+
+
 def test_class_of_frozen():
     assert kt.class_of(sh.line_bundle(LINE2, (0, 0))) == (1, 0, 0)
     assert kt.class_of(sh.line_bundle(LINE2, (0, 0), 1)) == (0, 1, 0)

@@ -45,6 +45,18 @@ def test_arc_basic_structure():
         Arc(3, 0, 0)
 
 
+def test_multiplicity_counts_factors():
+    """The closed multiplicity equals the count in the factor list at
+    every vertex v from -n to 2n - 1 (taken mod n) of every arc of ranks
+    1-6 up to length 3n; factor_counts reads it."""
+    for n in range(1, 7):
+        for a in tube.all_arcs(n, 3 * n):
+            factors = a.factors()
+            assert a.factor_counts() == tuple(factors.count(v) for v in range(n)), a
+            for v in range(-n, 2 * n):
+                assert a.multiplicity(v) == factors.count(v % n), (a, v)
+
+
 def test_rep_of_arc_dimensions():
     a = Arc(3, 0, 4)
     rep = rep_of_arc(a)

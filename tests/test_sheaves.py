@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from wpline.grading import dim_S, make_line
+from wpline.grading import make_line
 from wpline import grading
 from wpline import ktheory as kt
 from wpline import sheaves as sh
 from wpline import tube
 from wpline.nilpotent import Arc
-from test_grading import generator, scale, sub
+from test_grading import generator, scale, section_dim, sub
 
 
 LINE2 = make_line((2,))
@@ -40,7 +40,7 @@ def test_bundle_hom_is_section_dimension():
         a = sh.line_bundle(LINE2, (k, 0))
         b = sh.line_bundle(LINE2, (l, 0))
         d = scale(generator(LINE2, 0), l - k)
-        assert sh.hom_dim_sheaf(a, b) == dim_S(d)
+        assert sh.hom_dim_sheaf(a, b) == section_dim(d)
 
 
 def test_bundle_ext_by_duality():
@@ -49,7 +49,7 @@ def test_bundle_ext_by_duality():
         a = sh.line_bundle(LINE2, (k, 0))
         b = sh.line_bundle(LINE2, (l, 0))
         d = scale(generator(LINE2, 0), k - l) + omega
-        assert sh.ext_dim_sheaf(a, b) == dim_S(d)
+        assert sh.ext_dim_sheaf(a, b) == section_dim(d)
 
 
 def test_bundle_to_simple_congruence():
@@ -182,9 +182,18 @@ def test_format_round_trip_spot():
     assert sh.format_sheaf(sh.OrdinaryTorsion(LINE2, "q", 1)) == "ord(q,1)"
 
 
+PAIR_QUERIES = [sh.hom_dim_sheaf, sh.ext_dim_sheaf, sh.ext_dim_sheaf_alt]
+
+
 def test_mixed_lines_rejected():
-    with pytest.raises(ValueError):
-        sh.hom_dim_sheaf(sh.line_bundle(LINE2, (0, 0)), sh.line_bundle(LINE11, (0, 0)))
+    """Each pair query tests line identity inline and falls back to
+    _same_line, which refuses two unequal lines whatever the kinds."""
+    pairs = [(sh.line_bundle(LINE2, (0, 0)), sh.line_bundle(LINE11, (0, 0))),
+             (sh.simple_at(LINE2, 0, 1), sh.simple_at(LINE23, 0, 1)),
+             (sh.OrdinaryTorsion(LINE23, "q", 1), sh.line_bundle(LINE2, (0, 0)))]
+    for query, (a, b) in itertools.product(PAIR_QUERIES, pairs):
+        with pytest.raises(ValueError, match="sheaves from different lines"):
+            query(a, b)
 
 
 QUERY_LINES = [make_line(w) for w in ((2,), (2, 3), (3, 3), (4,), (2, 2), (1, 1))]
@@ -198,7 +207,7 @@ def test_closed_bundle_hom_matches_section_dimension():
                 for coeffs in itertools.product(*(range(p) for p in line.weights))
                 for c in range(-6, 7)]
         for a, b in itertools.product(objs, repeat=2):
-            assert sh.hom_dim_sheaf(a, b) == dim_S(sub(b.degree, a.degree)), (a, b)
+            assert sh.hom_dim_sheaf(a, b) == section_dim(sub(b.degree, a.degree)), (a, b)
 
 
 def test_line_guards_compare_equal_lines_by_value():
@@ -208,6 +217,11 @@ def test_line_guards_compare_equal_lines_by_value():
     assert twin is not LINE2
     a, b = sh.line_bundle(LINE2, (0, 0)), sh.line_bundle(twin, (1, 0))
     assert sh.hom_dim_sheaf(a, b) == 1
+    # every pair query answers across the two lines as on one line
+    objs, twins = kind_grid(LINE2, 1, 1), kind_grid(twin, 1, 1)
+    for query, (x, _), (y, y_twin) in itertools.product(PAIR_QUERIES, zip(objs, twins),
+                                                        zip(objs, twins)):
+        assert query(x, y_twin) == query(x, y), (query, x, y)
     assert sh.LineBundle(LINE2, twin.canonical()) == sh.line_bundle(LINE2, (0, 0), 1)
     assert LINE2.zero() + generator(twin, 0) == generator(twin, 0) + LINE2.zero()
     with pytest.raises(ValueError):
@@ -239,9 +253,9 @@ def reference_ext(a, b):
 
 
 def reference_alt_bundle_ext(a, b):
-    """The alternate bundle Ext on two GradeElement operations, as it was
-    before the single normal form of a + omega - b."""
-    return dim_S(sub(a.degree + a.line.dualizing(), b.degree))
+    """The alternate bundle Ext on two GradeElement operations: dim_S of
+    the normal form of a + omega - b."""
+    return section_dim(sub(a.degree + a.line.dualizing(), b.degree))
 
 
 def kind_grid(line, c_span, turns):
@@ -284,10 +298,12 @@ def test_closed_bundle_to_arc_hom_counts_factors(line):
                 t.arc.factor_counts()[o.degree.coeffs[t.point]], (o, t)
 
 
-def test_alt_bundle_ext_normalizes_once(monkeypatch):
-    """A bundle pair's alternate Ext reduces one normal form, and agrees
-    with the two-GradeElement reference on every bundle pair within +-6
-    canonical steps of the query lines and of 3,4."""
+def test_alt_bundle_ext_builds_no_grade_element(monkeypatch):
+    """A bundle pair's alternate Ext reads dim_S off the raw degree
+    a + omega - b, with normalize and the GradeElement constructor
+    patched to raise, and agrees with the two-GradeElement reference on
+    every bundle pair within +-6 canonical steps of the query lines and
+    of 3,4."""
     pairs = []
     for line in QUERY_LINES + [make_line((3, 4))]:
         line.dualizing()
@@ -295,21 +311,13 @@ def test_alt_bundle_ext_normalizes_once(monkeypatch):
         pairs += itertools.product(objs, repeat=2)
     expected = [reference_alt_bundle_ext(a, b) for a, b in pairs]
 
-    calls = []
-    real = grading.normalize
+    def forbidden(*args):
+        raise AssertionError("grading element built on the alternate bundle Ext")
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(grading, "normalize", counting)
-    monkeypatch.setattr(sh, "normalize", counting)
-    got = []
-    for a, b in pairs:
-        del calls[:]
-        got.append(sh.ext_dim_sheaf_alt(a, b))
-        assert len(calls) == 1, (a, b)
-    assert got == expected
+    monkeypatch.setattr(grading, "normalize", forbidden)
+    monkeypatch.setattr(sh, "normalize", forbidden, raising=False)
+    monkeypatch.setattr(grading.GradeElement, "__init__", forbidden)
+    assert [sh.ext_dim_sheaf_alt(a, b) for a, b in pairs] == expected
 
 
 def test_closed_dimensions_build_no_objects(monkeypatch):

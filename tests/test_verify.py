@@ -340,6 +340,107 @@ def test_every_function_has_a_library_caller():
     assert dead_functions(trees) == set(DEAD_FUNCTION_ALLOWLIST)
 
 
+def reached_functions(trees, module, name) -> set:
+    """(module, name) of the functions module.name reaches, through its
+    body and theirs; trees maps module file names to parsed modules, and
+    a method is named Class.method.  Uses resolve as in dead_functions: a
+    module-level function by its bare name in its own module, by
+    `from .mod import name` or by `mod.name`; a method by an attribute
+    of its name, but only one that is called or names a property, since
+    a field may share a method's name (LineBundle.degree and
+    GradeElement.degree)."""
+    defs, methods = {}, collections.defaultdict(list)
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[mod, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("__"):
+                        defs[mod, f"{node.name}.{f.name}"] = f
+                        methods[f.name].append((mod, f"{node.name}.{f.name}"))
+    imports = {mod: {alias.asname or alias.name: (f"{node.module}.py", alias.name)
+                     for node in tree.body if isinstance(node, ast.ImportFrom) and node.module
+                     for alias in node.names}
+               for mod, tree in trees.items()}
+
+    def is_property(key):
+        return any(ast.unparse(d) in {"property", "cached_property"}
+                   for d in defs[key].decorator_list)
+
+    def callees(key):
+        f, mod = defs[key], key[0]
+        called = {id(node.func) for node in ast.walk(f) if isinstance(node, ast.Call)}
+        for node in ast.walk(f):
+            if isinstance(node, ast.Name):
+                yield imports[mod].get(node.id, (mod, node.id))
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.value, ast.Name):
+                    yield f"{node.value.id}.py", node.attr
+                yield from (m for m in methods.get(node.attr, ())
+                            if id(node) in called or is_property(m))
+
+    found, todo = set(), [(module, name)]
+    while todo:
+        for key in callees(todo.pop()):
+            if key in defs and key not in found:
+                found.add(key)
+                todo.append(key)
+    return found
+
+
+def test_reached_functions_verdict_on_synthetic_modules():
+    """Reach follows bare names, imported names, module attributes, called
+    methods and properties, transitively; a plain method named by an
+    attribute that is not called, and a function nobody names, are not
+    reached."""
+    trees = {"a.py": ast.parse("from . import b\n"
+                               "from .b import helper as h\n"
+                               "def start(x):\n"
+                               "    return h(x) + b.other(x) + x.size() + x.top + x.degree + local\n"
+                               "def local():\n"
+                               "    return 'never'\n"
+                               "def unused():\n"
+                               "    return 0\n"
+                               "class C:\n"
+                               "    def size(self):\n"
+                               "        return deep()\n"
+                               "    @property\n"
+                               "    def top(self):\n"
+                               "        return 1\n"
+                               "    def degree(self):\n"
+                               "        return unused()\n"
+                               "def deep():\n"
+                               "    return 3\n"),
+             "b.py": ast.parse("def helper(x):\n"
+                               "    return leaf(x)\n"
+                               "def leaf(x):\n"
+                               "    return x\n"
+                               "def other(x):\n"
+                               "    return x\n"
+                               "def never():\n"
+                               "    return 0\n")}
+    assert reached_functions(trees, "a.py", "start") == {
+        ("b.py", "helper"), ("b.py", "leaf"), ("b.py", "other"), ("a.py", "local"),
+        ("a.py", "C.size"), ("a.py", "deep"), ("a.py", "C.top")}
+
+
+def test_ext_paths_share_no_helper():
+    """The alternate Ext path (dual degree, closed multiplicity,
+    presentations) and the closed Ext (borrow and winding counts) reach
+    no common function of src/wpline but the line guard, so each one
+    checks the other."""
+    root = pathlib.Path(wpline.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(root.glob("*.py"))}
+    closed = reached_functions(trees, "sheaves.py", "ext_dim_sheaf")
+    alt = reached_functions(trees, "sheaves.py", "ext_dim_sheaf_alt")
+    assert ("tube.py", "ext_dim") in closed
+    assert {("grading.py", "dim_S"), ("nilpotent.py", "Arc.multiplicity"),
+            ("tube.py", "ext_classes")} <= alt
+    assert closed & alt == {("sheaves.py", "_same_line")}
+
+
 def code_calls(tree) -> list:
     """The bare-name calls of exec, eval or compile in tree."""
     return [node for node in ast.walk(tree)
