@@ -4,19 +4,17 @@ Three kinds of indecomposables are modeled: line bundles O(l) on lines
 with at most two weighted points (there every indecomposable bundle has
 rank one), torsion arcs supported at a weighted point, and finite
 torsion stalks at ordinary points.  Hom and Ext dimensions come from
-closed case tables read off normal forms and arc data; neither builds a
-sheaf, a grading element or an arc per call.  A second, independent Ext
-path exists for cross-checking.
+one closed case table read off normal forms and arc data.  A second,
+independent Ext path exists for cross-checking.
 
-Hom between bundles O(a) -> O(b) is a borrow count read off the two
-normal forms, max(0, b.c - a.c - #{i : b_i < a_i} + 1), without building
-the element b - a; Hom from O(a) to an arc counts the windings of the
-arc over the index a_i of its point.  Ext^1(a, b) = D Hom(b, tau a) by
-Serre duality (Geigle-Lenzing), where tau is the shift by the dualizing
-element omega, of normal form (p_i - 1; -2).  ext_dim_sheaf folds that
-shift into the same counts (the derivation is in its docstring), so no
-translate is built; the perpendicular calculus (tube.Universe) reads
-its rows from these two closed forms.
+Ext^1(a, b) = D Hom(b, tau a) by Serre duality (Geigle-Lenzing), where
+tau is the shift by the dualizing element omega.  So one case table,
+_hom(a, b, k) = dim Hom(a, tau^k b) for k in {0, 1}, serves both
+hom_dim_sheaf (k = 0) and ext_dim_sheaf (k = 1, read as Hom(b, tau a)),
+with the shift folded into its counts (the derivation is in its
+docstring).  No sheaf, grading element or arc is built per call, and
+the perpendicular calculus (tube.Universe) reads its rows from these
+two closed forms.
 
 The alternate Ext path reads dim_S off the raw degree a + omega - b
 for bundles (dim_S reduces only its c part, by the carries of the
@@ -32,7 +30,7 @@ query shares one WeightData.
 
 from __future__ import annotations
 
-from operator import add, lt, sub
+from operator import add, le, lt, sub
 
 from . import tube
 from ._record import Record
@@ -116,75 +114,63 @@ def shift(s: IndecSheaf, l: GradeElement) -> IndecSheaf:
     return s
 
 
-def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
-    if a.line is not b.line:
-        _same_line(a, b)
-    if isinstance(a, LineBundle):
-        if isinstance(b, LineBundle):
-            # dim_S(b - a) is one more than the c part of the normal form
-            # of b - a, which borrows one c for each coefficient of b below a's
-            x, y = a.degree, b.degree
-            t = y.c_part - x.c_part - sum(map(lt, y.coeffs, x.coeffs))
-            return t + 1 if t >= 0 else 0
-        if isinstance(b, TorsionArc):
-            # a map lands on each factor whose index matches the degree
-            # coefficient at the supporting point: the first one is r
-            # steps above the socle, then one every winding
-            p, length = b.arc.rank, b.arc.length
-            r = (a.degree.coeffs[b.point] - b.arc.socle) % p
-            return 0 if r >= length else (length - 1 - r) // p + 1
-        return b.length
-    if isinstance(b, LineBundle):
-        return 0
-    if isinstance(a, TorsionArc) and isinstance(b, TorsionArc):
-        if a.point != b.point:
-            return 0
-        return tube.hom_dim(a.arc, b.arc)
-    if isinstance(a, OrdinaryTorsion) and isinstance(b, OrdinaryTorsion):
-        if a.point_id != b.point_id:
-            return 0
-        return min(a.length, b.length)
-    return 0
+def _hom(a: IndecSheaf, b: IndecSheaf, k: int) -> int:
+    """dim Hom(a, tau^k b) for k in {0, 1}, without building tau b.
 
+    tau is the shift by omega = (n - 2)c - sum x_i, of raw coefficients
+    (-1, ..., -1; n - 2) over the n points, and it enters in three places:
 
-def ext_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
-    """Ext^1(a, b) = D Hom(b, tau a) by Serre duality, in closed form.
+    - O(x) -> O(y): Hom is dim S of y + k omega - x, whose coefficients
+      y_i - x_i - k lie in [-p_i, p_i - 1] and whose c part is
+      y.c - x.c + k(n - 2).  Normalizing borrows one c exactly where a
+      coefficient is negative, so the normal form has c part
+      t = y.c - x.c + k(n - 2) - #{i : y_i < x_i + k}, and with at most
+      two weighted points dim S of it is t + 1 when t >= 0, else 0.
+    - O(x) -> an arc at point i: a map lands on each composition factor
+      whose index is x_i, the first one r steps above the socle, then
+      one per turn (tube.windings).  tau moves the socle back one step,
+      so r = (x_i - socle + k) mod p_i.
+    - two arcs at one point: tube.hom_dim for k = 0; for k = 1,
+      Hom(a, tau b) = Ext^1(b, a), which is tube.ext_dim(b, a).
 
-    tau is the shift by omega = (p_i - 1; -2), so every case is a Hom
-    count of hom_dim_sheaf with the shift folded in:
-
-    - O(x) -> O(y): tau O(x) = O(z) with z_i = x_i - 1 and one c carried
-      where x_i >= 1, z_i = p_i - 1 where x_i = 0, and z.c = x.c - 2 plus
-      the carries.  In the borrow count of Hom(O(y), O(z)) a carry
-      survives its borrow [y_i > z_i] exactly when y_i < x_i, and no y_i
-      exceeds p_i - 1, so t = x.c - y.c - 2 + #{i : y_i < x_i}.
-    - bundle -> torsion: Hom(torsion, bundle) = 0.
-    - arc a at point i -> O(y): tau a is a with its socle moved back one
-      step, so the windings of Hom(O(y), tau a) start at
-      r = (y_i - a.socle + 1) mod p.
-    - ordinary torsion of length l -> bundle: tau fixes it, so l.
-    - two arcs at one point: tube.ext_dim; two ordinary stalks at one
-      point: the shorter length; every other pair: 0.
+    tau fixes ordinary torsion, so O(x) -> a stalk of length l gives l
+    and two stalks at one point the shorter length, for either k.  No
+    map goes from torsion to a bundle (tau b is a bundle when b is one)
+    or between different points.
     """
     if a.line is not b.line:
         _same_line(a, b)
-    if isinstance(a, LineBundle):
-        if isinstance(b, LineBundle):
+    # the three kinds have no subclasses, so exact type tests dispatch,
+    # cheaper than isinstance on the query path
+    ta, tb = type(a), type(b)
+    if ta is LineBundle:
+        if tb is LineBundle:
+            # y_i < x_i + k is y_i <= x_i when k = 1
             x, y = a.degree, b.degree
-            t = x.c_part - y.c_part - 2 + sum(map(lt, y.coeffs, x.coeffs))
+            t = y.c_part - x.c_part + k * (len(y.coeffs) - 2) \
+                - sum(map(le if k else lt, y.coeffs, x.coeffs))
             return t + 1 if t >= 0 else 0
+        if tb is TorsionArc:
+            p = b.arc.rank
+            r = (a.degree.coeffs[b.point] - b.arc.socle + k) % p
+            return tube.windings(r, b.arc.length, p)
+        return b.length
+    if tb is LineBundle or ta is not tb:
         return 0
-    if isinstance(b, LineBundle):
-        if isinstance(a, TorsionArc):
-            p, length = a.arc.rank, a.arc.length
-            r = (b.degree.coeffs[a.point] - a.arc.socle + 1) % p
-            return 0 if r >= length else (length - 1 - r) // p + 1
-        return a.length
-    if isinstance(a, TorsionArc) and isinstance(b, TorsionArc):
-        return tube.ext_dim(a.arc, b.arc) if a.point == b.point else 0
-    if isinstance(a, OrdinaryTorsion) and isinstance(b, OrdinaryTorsion):
-        return min(a.length, b.length) if a.point_id == b.point_id else 0
-    return 0
+    if ta is TorsionArc:
+        if a.point != b.point:
+            return 0
+        return tube.ext_dim(b.arc, a.arc) if k else tube.hom_dim(a.arc, b.arc)
+    return min(a.length, b.length) if a.point_id == b.point_id else 0
+
+
+def hom_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
+    return _hom(a, b, 0)
+
+
+def ext_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
+    """Ext^1(a, b) = D Hom(b, tau a) by Serre duality."""
+    return _hom(b, a, 1)
 
 
 def ext_dim_sheaf_alt(a: IndecSheaf, b: IndecSheaf) -> int:

@@ -1,14 +1,15 @@
 """Wide subcategories of a rank-n tube, and the perpendicular calculus.
 
 Objects of the tube are arcs (see nilpotent.Arc).  Hom and Ext between
-arcs are closed-form winding counts, Ext counted as Hom into the
-translate (Serre duality) without building it.  The lattice of wide
-subcategories (tube_lattice) holds each one as the mask of its member
-arcs of length at most n over tube_universe(n), where the arc of socle s
-and length l has index s * n + l - 1.  A mask is exceptional-side ("exc")
-exactly when it has no full-length member, equivalently when its factors
-miss a simple.  Frozenset fingerprints are output only (enumerate_wide,
-wide_closure, enumerate_wide_bruteforce).
+arcs are closed-form winding counts (`windings`, which the sheaf layer
+shares), Ext counted as Hom into the translate (Serre duality) without
+building it.  The lattice of wide subcategories (tube_lattice) holds
+each one as the mask of its member arcs of length at most n over
+tube_universe(n), where the arc of socle s and length l has index
+s * n + l - 1.  A mask is exceptional-side ("exc") exactly when it has
+no full-length member, equivalently when its factors miss a simple.
+Frozenset fingerprints are output only (enumerate_wide, wide_closure,
+enumerate_wide_bruteforce).
 
 The perpendicular calculus is shared with the sheaf layer: a Universe
 indexes a finite set of objects and keeps, per object, the bitsets of
@@ -73,35 +74,38 @@ def arc_hom_basis(a: Arc, b: Arc):
     return tuple(hom_basis(_rep(a), _rep(b)))
 
 
+def windings(r: int, length: int, n: int) -> int:
+    """How many of the steps 0, 1, ..., length - 1 up an arc of rank n
+    are congruent to r, for 0 <= r < n: once per full turn from r on.
+    When r >= length, length - 1 - r lies in [-n, 0), so the count is 0."""
+    return (length - 1 - r) // n + 1
+
+
 def hom_dim(a: Arc, b: Arc) -> int:
     """Dimension of Hom(a, b), by counting windings.
 
     The image of a map a -> b is a quotient of a, so its top is the top
     of a, and a submodule of b, so its socle is the socle of b.  Its
-    length s is then fixed modulo the rank, and each admissible
-    s <= min(len a, len b) gives one basis map.
+    length s is then (a.top - b.socle) + 1 modulo the rank, and each
+    admissible s <= min(len a, len b) gives one basis map: the windings
+    of the shorter arc over r = (a.top - b.socle) mod n.
     """
     n = a.rank
     if n != b.rank:
         raise ValueError("arcs from tubes of different rank")
-    first = (a.top - b.socle) % n + 1
-    shortest = min(a.length, b.length)
-    return 0 if first > shortest else (shortest - first) // n + 1
+    return windings((a.top - b.socle) % n, min(a.length, b.length), n)
 
 
 def ext_dim(a: Arc, b: Arc) -> int:
     """Dimension of Ext^1(a, b) = Hom(b, tau a) by Serre duality.
 
     This is the winding count of hom_dim(b, tau a): tau a is a with its
-    socle moved back one step, so the shortest image runs from the top
-    of b down to a.socle - 1.
+    socle moved back one step, so r = (b.top - a.socle + 1) mod n.
     """
     n = a.rank
     if n != b.rank:
         raise ValueError("arcs from tubes of different rank")
-    first = (b.top - a.socle + 1) % n + 1
-    shortest = min(a.length, b.length)
-    return 0 if first > shortest else (shortest - first) // n + 1
+    return windings((b.top - a.socle + 1) % n, min(a.length, b.length), n)
 
 
 def is_exceptional(a: Arc) -> bool:

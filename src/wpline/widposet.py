@@ -77,10 +77,12 @@ class CInvData(Record):
 
 
 def default_window(line: WeightData):
-    """Degree window covering the worked configurations: -2..3 in units
-    of the finest generator degree."""
+    """-2..3 in units of the finest generator degree g, widened upward to
+    at least p = delta(c) degrees: c moves a bundle's degree by p, so a
+    narrower window misses whole c-orbits of line bundles and cannot
+    separate the shift-invariant subcategories that differ only there."""
     g = line.p // max(line.weights)
-    return (-2 * g, 3 * g)
+    return (-2 * g, max(3 * g, line.p - 2 * g - 1))
 
 
 def window_degrees(line: WeightData, lo: int, hi: int):

@@ -47,6 +47,31 @@ def test_default_windows():
     assert wp.default_window(LINE2) == (-2, 3)
     assert wp.default_window(LINE11) == (-2, 3)
     assert wp.default_window(make_line((2, 3))) == (-4, 6)
+    # -4..6 would be 11 degrees wide, one short of delta(c) = 12
+    assert wp.default_window(make_line((4, 6))) == (-4, 7)
+
+
+def old_default_window(line):
+    """The rule before the window was widened to delta(c): -2..3 in
+    units of the finest generator degree."""
+    g = line.p // max(line.weights)
+    return (-2 * g, 3 * g)
+
+
+def test_default_window_spans_a_period():
+    """On every single weight 1-8 and every pair p <= q <= 8, the default
+    window is at least delta(c) = p degrees wide, and it is the old rule
+    wherever that rule was already wide enough; elsewhere it keeps the
+    old lo and is exactly p wide."""
+    lines = [make_line((p,)) for p in range(1, 9)] \
+        + [make_line((p, q)) for q in range(1, 9) for p in range(1, q + 1)]
+    for line in lines:
+        lo, hi = wp.default_window(line)
+        old_lo, old_hi = old_default_window(line)
+        if old_hi - old_lo + 1 >= line.p:
+            assert (lo, hi) == (old_lo, old_hi), line.weights
+        else:
+            assert (lo, hi - lo + 1) == (old_lo, line.p), line.weights
 
 
 def test_sheaf_universe_contents():
@@ -314,7 +339,18 @@ def test_closures_exact_on_poset_universe(weights, lo, hi):
     assert len(seen) > 1
 
 
-@pytest.mark.parametrize("weights, lo, hi", [((2,), 0, 0), ((4,), -4, -2), ((2, 3), 0, 1)])
+SMALL_TYPES = [(2,), (3,), (4,), (2, 2), (2, 3), (3, 3), (2, 4)]
+
+
+def period_window(weights, width):
+    """The window of `width` degrees from the default window's lo."""
+    line = make_line(weights)
+    lo = wp.default_window(line)[0]
+    return lo, lo + width - 1
+
+
+@pytest.mark.parametrize("weights, lo, hi", [((2,), 0, 0), ((4,), -4, -2), ((2, 3), 0, 1)]
+                         + [(w, *period_window(w, make_line(w).p - 1)) for w in SMALL_TYPES])
 def test_narrow_window_cannot_separate_invariant_nodes(weights, lo, hi):
     """A window narrower than delta(c) can miss every bundle of an invariant
     subcategory, whose window slice is then that of another one: each such
@@ -328,6 +364,14 @@ def test_narrow_window_cannot_separate_invariant_nodes(weights, lo, hi):
     poset = wp.build_poset(line, lo, hi)
     assert shared > 0
     assert [m.startswith("window cannot separate ") for m in poset.undecidable] == [True] * shared
+
+
+@pytest.mark.parametrize("weights", SMALL_TYPES, ids=lambda w: ",".join(map(str, w)))
+def test_period_window_decides(weights):
+    """delta(c) = p consecutive degrees meet every c-orbit of line bundles,
+    and on the small types that decides every pair: nothing undecidable."""
+    lo, hi = period_window(weights, make_line(weights).p)
+    assert wp.build_poset(make_line(weights), lo, hi).undecidable == ()
 
 
 def test_universe_margin_values():
