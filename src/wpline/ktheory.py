@@ -28,8 +28,16 @@ of x is the row of its representative plus x1 <delta, ->, and S delta
 = 0, so S r depends on r modulo delta only.  A line's sheaf classes
 fall into finitely many classes modulo delta, which bounds the rows.
 delta is the class of an ordinary simple, and <S, F> = -rk F, so
-<delta, y> = -(y0 + y1) needs no second dot product; the Euler matrix
-is checked for that row when it is built.
+<delta, y> = -(y0 + y1); the Euler matrix is checked for that row when
+it is built.
+
+Two caches on the record keep values that repeat across queries, and
+only once checked: `class_rows`, a class x of the rank to its exact row
+x^T E, so euler_form is one lookup and one dot product; and `elements`,
+a product matrix to the WeylElement that cox_of returned after the form
+check, so equal products share one check and one kept abs_length.
+Their keys are unbounded, so each is emptied at CACHE_LIMIT entries,
+which bounds a line's memory however many degrees a caller asks about.
 
 Group elements are integer matrices throughout, with fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) where a division is needed.
@@ -41,9 +49,12 @@ roots are finitely many modulo delta and the column memo stays bounded.
 A matrix adds its columns to the memo only once it has passed.  One
 elimination of a difference b - a serves abs_length (b = w, a = 1) and
 nc_leq, which reads the length of u^-1 v off v - u, so it inverts
-nothing and builds no element.  abs_length is kept on each element, so
-comparing n elements pairwise takes n^2 + n eliminations.  linalg's
-exact rational routines are the tests' reference.
+nothing and builds no element.  abs_length is kept on each element,
+and lengths are nonnegative, so nc_leq(u, v) is False without an
+elimination when u is longer than v: comparing n elements pairwise takes
+n eliminations for the lengths plus one per ordered pair whose first
+element is no longer than the second.  linalg's exact rational routines
+are the tests' reference.
 """
 
 from __future__ import annotations
@@ -56,6 +67,18 @@ from ._record import Record
 from .grading import WeightData
 from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
                       ext_dim_sheaf, hom_dim_sheaf, line_bundle, simple_at)
+
+# entries at which a line's class_rows or elements cache is emptied
+CACHE_LIMIT = 4096
+
+
+def _keep(memo: dict, key, value):
+    """memo[key] = value, emptying memo first once it holds CACHE_LIMIT
+    entries; returns value."""
+    if len(memo) >= CACHE_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 class _LineTable:
@@ -78,6 +101,11 @@ class _LineTable:
     S r is the memoized column itself.  Sheaf classes take finitely many
     values modulo delta on a line, and the columns are real roots, which
     bounds both memos.
+
+    `class_rows` (class tuple of the rank -> exact row, built from
+    `rows`) and `elements` (product matrix -> checked WeylElement) keep
+    checked values with unbounded keys, each emptied at CACHE_LIMIT
+    entries.
     """
 
     def __init__(self, line: WeightData):
@@ -96,6 +124,8 @@ class _LineTable:
         self._arc_parts = {}        # (point, socle, r) -> class of the first r factors
         self.rows = {}              # class modulo delta -> its Euler row
         self.sym_cols = {}          # class modulo delta -> S times the class
+        self.class_rows = {}        # class -> its exact Euler row, capped
+        self.elements = {}          # product matrix -> checked WeylElement, capped
 
     def _simple(self, point: int, j: int) -> tuple[int, ...]:
         if j != 0:
@@ -155,6 +185,13 @@ class _LineTable:
             rep = (key[0], 0) + key[1:]
             row = self.rows[key] = tuple(sum(map(mul, rep, col)) for col in zip(*self.euler))
         return row
+
+    def class_row(self, x: tuple) -> tuple:
+        """x^T E exactly, kept in `class_rows`: the row of the
+        representative minus x1 in the first two places, as delta^T E is
+        (-1, -1, 0, ...).  x must have the rank."""
+        row = self.euler_row(x)
+        return _keep(self.class_rows, x, (row[0] - x[1], row[1] - x[1]) + row[2:])
 
     def sym_col(self, r) -> tuple:
         """S r, which depends only on r modulo delta."""
@@ -225,13 +262,16 @@ def euler_matrix(line: WeightData) -> tuple:
 
 
 def euler_form(line: WeightData, x, y) -> int:
+    """<x, y> = x^T E y for classes x and y, tuples or lists of the rank.
+
+    One lookup of x in the line's `class_rows` and one dot product; on a
+    miss the row is built from the memoized row of x modulo delta and
+    kept, the cache being emptied at CACHE_LIMIT entries."""
     t = line.__dict__.get("_k0") or _table(line)
+    x = tuple(x)
     if len(x) != t.rank or len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
-    # x = (x0 + x1, 0, x2, ...) + x1 delta: a memoized row plus x1 <delta, y>,
-    # where <delta, y> = -(y0 + y1)
-    row = t.rows.get((x[0] + x[1], *x[2:])) or t.euler_row(x)
-    return sum(map(mul, row, y)) - x[1] * (y[0] + y[1])
+    return sum(map(mul, t.class_rows.get(x) or t.class_row(x), y))
 
 
 class WeylElement(Record):
@@ -287,18 +327,25 @@ def cox_of(line: WeightData, seq) -> WeylElement:
     is the rank-one update w <- w - (w r) c^T.  Only the result is
     constructed as a WeylElement, so the form is checked once, on it; the
     intermediate products preserve the form because each factor does.
+
+    The line's `elements` cache maps each product matrix to the element
+    returned for it, so equal products return one object, checked once
+    and with one kept abs_length.  Only an element that passed its form
+    check is stored, and the cache is emptied at CACHE_LIMIT entries.
     """
     seq = list(seq)
     if not tube.is_exc_sequence(seq, hom_dim_sheaf, ext_dim_sheaf):
         raise ValueError("not an exceptional sequence")
-    w = list(map(list, _table(line).identity))
+    t = _table(line)
+    w = list(map(list, t.identity))
     for s in seq:
         r, c = _root(line, s)
         for row in w:
             k = sum(map(mul, row, r))
             if k:
                 row[:] = [x - k * y for x, y in zip(row, c)]
-    return WeylElement(line, tuple(map(tuple, w)))
+    w = tuple(map(tuple, w))
+    return t.elements.get(w) or _keep(t.elements, w, WeylElement(line, w))
 
 
 def canonical_interval_sequence(line: WeightData):
@@ -335,7 +382,8 @@ def _moved(line: WeightData, a, b) -> int:
     same pivots.  After k pivots every entry below them is a (k+1)-minor,
     delta's row included, so each division by the previous pivot is
     exact; delta lies in the span of the columns exactly when its row
-    ends at zero."""
+    ends at zero.  A row with a zero in the pivot column is left as it
+    is when the pivot equals the previous one: (p x - 0 y) / p = x."""
     m = len(a)
     rows = [[y - x for x, y in zip(ca, cb)] for ca, cb in zip(zip(*a), zip(*b))]
     rows.append(list(_table(line).delta))
@@ -349,7 +397,8 @@ def _moved(line: WeightData, a, b) -> int:
         p = top[c]
         for i in range(rank + 1, m + 1):
             f = rows[i][c]
-            rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+            if f or p != prev:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = p
         rank += 1
     return rank + int(not any(rows[m]))
@@ -361,7 +410,9 @@ def abs_length(w: WeylElement) -> int:
     reflection length: 0 on the identity, 1 on reflections, 2 on
     translations, rank(K0) on the coxeter element.  Computed once per
     element and kept in its instance `__dict__`, as a line keeps its K0
-    record, so the memo lives as long as the element."""
+    record, so the memo lives as long as the element; cox_of returns one
+    element per product matrix from the line's `elements` cache, so
+    equal products share the one length."""
     k = w.__dict__.get("_abs_length")
     if k is None:
         k = w.__dict__["_abs_length"] = _moved(w.line, _table(w.line).identity, w.matrix)
@@ -375,7 +426,10 @@ def nc_leq(u: WeylElement, v: WeylElement) -> bool:
     u^-1 v - 1 = u^-1 (v - u), the moved space of u^-1 v has the rank of
     v - u, and its span holds delta exactly when the span of v - u holds
     u delta.  Every reflection fixes delta, because S delta = 0, so
-    every product of reflections does too, and u delta = delta."""
+    every product of reflections does too, and u delta = delta.  Lengths
+    are nonnegative, so u longer than v answers False with no
+    elimination of v - u; both lengths are kept on their elements."""
     if u.line is not v.line and u.line != v.line:
         raise ValueError("elements over different lines")
-    return abs_length(u) + _moved(u.line, u.matrix, v.matrix) == abs_length(v)
+    lu, lv = abs_length(u), abs_length(v)
+    return lu <= lv and lu + _moved(u.line, u.matrix, v.matrix) == lv

@@ -504,9 +504,9 @@ def test_nc_leq_matches_reference_on_exceptional_nodes(weights, count, monkeypat
     """Every ordered pair of exceptional nodes at -2..3, their elements
     from cox_of of the ordered generators as criterion 8 builds them.
     Lengths are nonnegative, so the reference needs the length of u^-1 v
-    only where the length of u is at most that of v.  Each element's
-    length is eliminated once, so the pairs take count^2 + count
-    eliminations, not 3 count^2."""
+    only where the length of u is at most that of v, and so does
+    nc_leq.  Each element's length is eliminated once, so the pairs take
+    count + #{(u, v) : l(u) <= l(v)} eliminations, not 3 count^2."""
     line = make_line(weights)
     poset = build_poset(line, -2, 3)
     nodes = [n for n in poset.nodes if n.exc_gens is not None]
@@ -528,7 +528,7 @@ def test_nc_leq_matches_reference_on_exceptional_nodes(weights, count, monkeypat
         for v, lv in zip(elements, lengths):
             want = lu <= lv and lu + reference_abs_length(compose(ui, v)) == lv
             assert kt.nc_leq(u, v) == want
-    assert len(calls) == count * count + count
+    assert len(calls) == count + sum(lu <= lv for lu in lengths for lv in lengths)
 
 
 def shifted_canonical(line, rng):
@@ -587,6 +587,56 @@ def test_cox_of_reads_each_self_ext_once(monkeypatch):
         assert selves == seq
 
 
+@pytest.mark.parametrize("weights", [(2,), (2, 3), (3, 3), (2, 2)],
+                         ids=lambda w: ",".join(map(str, w)))
+def test_cox_of_keeps_one_checked_element_per_product(weights, monkeypatch):
+    """Every complete shifted canonical sequence multiplies to the coxeter
+    element, so cox_of returns one object for all of them, whose length
+    is eliminated once.  Rejected sequences and products that break the
+    form leave the line's elements unchanged, and the cache stays within
+    its cap."""
+    line = make_line(weights)
+    rng = random.Random(sum(weights))
+    canonical = kt.canonical_interval_sequence(line)
+    c = kt.cox_of(line, canonical)
+    shifted = shifted_canonical(line, rng)
+    assert kt.cox_of(line, shifted) is c
+    assert c == reference_cox_of(line, shifted)
+
+    moved, calls = kt._moved, []
+
+    def counting(*args):
+        calls.append(args)
+        return moved(*args)
+
+    monkeypatch.setattr(kt, "_moved", counting)
+    assert kt.abs_length(c) == kt.abs_length(kt.cox_of(line, shifted)) == kt.k_rank(line)
+    assert len(calls) == 1
+
+    elements = kt._table(line).elements
+    before = dict(elements)
+    with pytest.raises(ValueError, match="not an exceptional sequence"):
+        kt.cox_of(line, canonical[::-1])
+    root = kt._root
+
+    def doubled(ln, s):
+        r, col = root(ln, s)
+        return r, tuple(2 * a for a in col)
+
+    monkeypatch.setattr(kt, "_root", doubled)
+    with pytest.raises(ValueError, match="does not preserve the symmetrized form"):
+        kt.cox_of(line, canonical[1:])
+    assert elements == before
+    monkeypatch.setattr(kt, "_root", root)
+
+    monkeypatch.setattr(kt, "CACHE_LIMIT", 3)
+    for k in range(len(shifted) + 1):
+        w = kt.cox_of(line, shifted[:k])
+        assert len(elements) <= 3
+        assert elements[w.matrix] is w
+        assert w == reference_cox_of(line, shifted[:k])
+
+
 def test_reflection_rejects_non_exceptional_sheaves():
     for s in (sh.stack_at(LINE2, 0, 0, 2), sh.OrdinaryTorsion(LINE2, "q", 1)):
         with pytest.raises(ValueError, match="not an exceptional sequence"):
@@ -621,8 +671,9 @@ def test_cox_of_matches_compose_chain(line):
 @pytest.mark.parametrize("weights", [(2,), (2, 3), (3, 3), (4,), (2, 2), (1, 1), (3, 4)],
                          ids=lambda w: ",".join(map(str, w)))
 def test_euler_rows_match_bilinear_form(weights):
-    """The memoized rows and reflection columns against the bilinear form
-    written out, on a fresh line so that the memo sizes can be read."""
+    """The memoized rows, exact class rows and reflection columns against
+    the bilinear form written out, on a fresh line so that the memo sizes
+    can be read."""
     line = make_line(weights)
     e = kt.euler_matrix(line)
     m = len(e)
@@ -641,13 +692,22 @@ def test_euler_rows_match_bilinear_form(weights):
         k = rng.randint(-1000, 1000)
         return [a + k * d for a, d in zip(rng.choice(bases), delta)]
 
-    asked = set()
-    for _ in range(300):
+    def written_row(x):
+        return tuple(sum(x[i] * e[i][j] for i in range(m)) for j in range(m))
+
+    table = kt._table(line)
+    asked, seen = set(), set()
+    for n in range(300):
         x, y = draw(), draw()
         want = form(x, y)
-        assert kt.euler_form(line, tuple(x), tuple(y)) == want
-        assert kt.euler_form(line, x, y) == want
+        # lists first on odd draws, so that both input types miss and hit
+        for arg in ((tuple(x), list(x)) if n % 2 else (list(x), tuple(x))):
+            seen.add((type(arg), tuple(x) in table.class_rows))
+            assert kt.euler_form(line, arg, tuple(y)) == want
+            assert kt.euler_form(line, arg, y) == want
+            assert table.class_rows[tuple(x)] == written_row(x)
         asked.add(modulo_delta(x))
+    assert seen == {(tuple, False), (tuple, True), (list, False), (list, True)}
 
     exceptional = [s for s in kind_grid(line, 6, 1) if sh.is_exceptional_sheaf(s)]
     for s in exceptional:
@@ -656,10 +716,22 @@ def test_euler_rows_match_bilinear_form(weights):
         assert c == tuple(sum((e[u][j] + e[j][u]) * r[j] for j in range(m))
                           for u in range(m)), s
         asked.add(modulo_delta(r))
-    table = kt._table(line)
     assert len(table.rows) <= len(asked)
     assert len(table.sym_cols) <= len({modulo_delta(kt.class_of(s)) for s in exceptional})
 
-    for x, y in (((0,) * (m - 1), (0,) * m), ((0,) * m, [0] * (m + 1))):
+    hit = next(iter(table.class_rows))
+    for x, y in (((0,) * (m - 1), (0,) * m), ((0,) * m, [0] * (m + 1)),
+                 (hit, (0,) * (m + 1)), (list(hit), [0] * (m - 1))):
         with pytest.raises(ValueError, match="class vector of wrong rank"):
             kt.euler_form(line, x, y)
+
+    # distinct classes past the cap, all in asked classes modulo delta
+    y = draw()
+    for n in range(kt.CACHE_LIMIT + 50):
+        x = tuple(a + (2000 + n) * d for a, d in zip(bases[n % len(bases)], delta))
+        got = kt.euler_form(line, x, y)
+        assert len(table.class_rows) <= kt.CACHE_LIMIT
+        if n % 500 == 0:
+            assert got == form(x, y)
+            assert table.class_rows[x] == written_row(x)
+    assert len(table.rows) <= len(asked)
