@@ -4,8 +4,9 @@ This is the linear-algebra oracle behind the tube combinatorics.  A
 representation places a vector space at each of n cyclically ordered
 vertices with a map from vertex i down to vertex i-1; the composite
 around the cycle must be nilpotent.  Indecomposables are "arcs": a socle
-vertex and a length.  Morphism spaces (one nullspace of the commuting
-equations), kernels, cokernels, pushouts and direct-summand
+vertex and a length.  Morphism and extension spaces (the kernel and
+the cokernel of one commuting map, from Ringel's standard resolution),
+kernels, cokernels, extension middles and direct-summand
 decompositions are all computed exactly, for maps of any shape: matrix
 entries are `int` while they stay integral and `Fraction` once a
 division makes them rational (see linalg), never `float`.
@@ -106,37 +107,60 @@ def direct_sum(reps):
     return NilpRep(n, dims, _freeze_maps(maps))
 
 
-def hom_basis(a: NilpRep, b: NilpRep):
-    """Basis of the morphism space, each morphism a tuple of matrices
-    f_i from vertex i of a to vertex i of b: the nullspace of the
-    commuting equations f_{i-1} a_i = b_i f_i, one unknown per entry of
-    the f_i, for maps of any shape."""
+def _commuting_map(a: NilpRep, b: NilpRep):
+    """Matrix of d(f)_i = f_{i-1} a_i - b_i f_i, from the tuples f of
+    matrices f_i : a_i -> b_i to the tuples of matrices a_i -> b_{i-1}:
+    one column per entry of the f_i and one row per entry of the targets,
+    each in vertex, row, column order (see _unflatten)."""
     if a.rank != b.rank:
         raise ValueError("rank mismatch")
     n = a.rank
     offsets = [0]
     for i in range(n):
         offsets.append(offsets[-1] + b.dims[i] * a.dims[i])
-    total = offsets[-1]
-
-    def var(i, r, c):
-        return offsets[i] + r * a.dims[i] + c
-
     rows = []
     for i in range(n):
         t = (i - 1) % n
         for rp in range(b.dims[t]):
             for c in range(a.dims[i]):
-                row = [0] * total
+                row = [0] * offsets[-1]
                 for k in range(a.dims[t]):
-                    row[var(t, rp, k)] += a.maps[i][k][c]
+                    row[offsets[t] + rp * a.dims[t] + k] += a.maps[i][k][c]
                 for r in range(b.dims[i]):
-                    row[var(i, r, c)] -= b.maps[i][rp][r]
-                if any(row):
-                    rows.append(row)
-    return [tuple(tuple(tuple(v[var(i, r, c)] for c in range(a.dims[i]))
-                        for r in range(b.dims[i])) for i in range(n))
-            for v in linalg.nullspace(rows, total)]
+                    row[offsets[i] + r * a.dims[i] + c] -= b.maps[i][rp][r]
+                rows.append(row)
+    return rows
+
+
+def _unflatten(v, shapes) -> tuple:
+    """A flat vector read back, row by row, as one matrix per (rows, columns) shape."""
+    it = iter(v)
+    return tuple(tuple(tuple(next(it) for _ in range(cols)) for _ in range(rows))
+                 for rows, cols in shapes)
+
+
+def hom_basis(a: NilpRep, b: NilpRep):
+    """Basis of the morphism space, each morphism a tuple of matrices
+    f_i from vertex i of a to vertex i of b: the nullspace of the
+    commuting map d of _commuting_map, for maps of any shape."""
+    rows = [row for row in _commuting_map(a, b) if any(row)]
+    shapes = list(zip(b.dims, a.dims))
+    return [_unflatten(v, shapes) for v in linalg.nullspace(rows, sum(r * c for r, c in shapes))]
+
+
+def ext_basis(a: NilpRep, b: NilpRep):
+    """Basis of Ext^1(a, b), each class a tuple of matrices h_i from
+    vertex i of a to vertex i - 1 of b: the cokernel of the commuting map
+    d, whose kernel is hom_basis.  Ringel's standard resolution makes
+    0 -> Hom(a, b) -> (+) Hom(a_i, b_i) -> (+) Hom(a_i, b_{i-1}) -> Ext^1(a, b)
+    -> 0 exact, d the middle map, for finite-dimensional representations
+    of any quiver, and nilpotent ones are closed under extensions.  The
+    unit targets off the pivots of d's image span the cokernel."""
+    rows = _commuting_map(a, b)
+    _, pivots = linalg.rref(list(zip(*rows)))
+    shapes = [(b.dims[i - 1], a.dims[i]) for i in range(a.rank)]
+    return [_unflatten([int(j == k) for j in range(len(rows))], shapes)
+            for k in range(len(rows)) if k not in pivots]
 
 
 def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
@@ -197,19 +221,17 @@ def cokernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
     return NilpRep(n, dims, _freeze_maps(maps))
 
 
-def pushout_middle(k: NilpRep, p: NilpRep, incl, b: NilpRep, g) -> NilpRep:
-    """Middle term of the extension induced by pushing 0 -> k -> p out
-    along g: k -> b, computed as the cokernel of k -> p + b."""
-    pb = direct_sum([p, b])
-    f = []
-    for i in range(k.rank):
-        rows = []
-        for r in range(p.dims[i]):
-            rows.append([incl[i][r][c] for c in range(k.dims[i])])
-        for r in range(b.dims[i]):
-            rows.append([-g[i][r][c] for c in range(k.dims[i])])
-        f.append(rows)
-    return cokernel_rep(k, pb, f)
+def pushout_middle(a: NilpRep, b: NilpRep, h) -> NilpRep:
+    """Middle term of the extension of a by b of class h (see ext_basis):
+    b + a with the maps [[b_i, h_i], [0, a_i]], the pushout of the
+    standard resolution of a along h.  b is its subrepresentation and a
+    its quotient."""
+    mid = direct_sum([b, a])
+    maps = [[list(row) for row in m] for m in mid.maps]
+    for i, hi in enumerate(h):
+        for r, row in enumerate(hi):
+            maps[i][r][b.dims[i]:] = row
+    return NilpRep(mid.rank, mid.dims, _freeze_maps(maps))
 
 
 def _image_ranks(rep: NilpRep, start: int, limit: int) -> list:

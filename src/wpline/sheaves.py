@@ -19,7 +19,7 @@ two closed forms.
 The alternate Ext path reads dim_S off the raw degree a + omega - b
 for bundles (dim_S reduces only its c part, by the carries of the
 normal form), one composition-factor multiplicity of an arc
-(Arc.multiplicity) against a bundle, and projective presentations for
+(Arc.multiplicity) against a bundle, and the standard resolution for
 torsion pairs.  Like ext_dim_sheaf it builds no grading element per
 call.  It shares no helper with ext_dim_sheaf but the line guard, so
 the two Ext paths remain independent (tests/test_verify.py checks
@@ -175,7 +175,7 @@ def ext_dim_sheaf(a: IndecSheaf, b: IndecSheaf) -> int:
 
 def ext_dim_sheaf_alt(a: IndecSheaf, b: IndecSheaf) -> int:
     """Independent Ext path: direct dual-degree formula for bundles,
-    presentation-based computation for torsion pairs."""
+    the standard resolution for torsion pairs."""
     if a.line is not b.line:
         _same_line(a, b)
     if isinstance(a, LineBundle):

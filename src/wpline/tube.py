@@ -24,8 +24,10 @@ independent check: wide_closure, extension_middles, bongartz_complete,
 enumerate_wide_bruteforce and ext_dim_via_presentation run on it and
 read neither the closed form nor a universe table.  Only this module
 and nilpotent use linalg; here it and the nilpotent names but Arc stay
-inside _rep, arc_hom_basis, _inclusion_matrices, _compose, ext_classes,
-_middle_summands and _pair_row.  Extension middles are enumerated
+inside _rep, arc_hom_basis, _compose, ext_classes, _middle_summands and
+_pair_row.  Hom and Ext of a pair are the kernel and the cokernel of
+one linear map, from the standard resolution (nilpotent.ext_basis), so
+no arc longer than the pair is built.  Extension middles are enumerated
 exactly, one per orbit of Ext classes.  The closure indexes the arcs of
 rank n by integer ids, (length - 1) * n + socle, and reads one cached
 row per ordered pair of ids (`_pair_row`): the id mask of the oracle's
@@ -59,7 +61,7 @@ import itertools
 
 from . import linalg
 from ._record import Record
-from .nilpotent import (Arc, NilpRep, cokernel_rep, decompose, hom_basis,
+from .nilpotent import (Arc, NilpRep, cokernel_rep, decompose, ext_basis, hom_basis,
                         kernel_rep, pushout_middle, rep_of_arc)
 
 
@@ -118,49 +120,25 @@ def all_arcs(n: int, max_len: int):
 
 
 # ---------------------------------------------------------------------------
-# extensions via projective presentations at a truncation
+# extensions via the standard resolution
 
-def _inclusion_matrices(k: NilpRep, p: NilpRep):
-    """The inclusion of K into P, where K and P are arcs with one socle:
-    rep_of_arc numbers basis vectors from the socle up, so at every
-    vertex K's basis vectors are P's first ones."""
-    return tuple(tuple(tuple(int(r == c) for c in range(kd)) for r in range(pd))
-                 for kd, pd in zip(k.dims, p.dims))
-
-
-def _compose(f, g):
-    # (f after g) vertex by vertex, as tuples so that a composite stays hashable
-    return tuple(tuple(map(tuple, linalg.mat_mul(x, y))) for x, y in zip(f, g))
+def _compose(t, h):
+    # the class h pushed out along t in End(b), (t h)_i = t_{i-1} h_i, as
+    # tuples so that a pushed class stays hashable
+    return tuple(tuple(map(tuple, linalg.mat_mul(t[i - 1], x))) for i, x in enumerate(h))
 
 
 @functools.cache
 def ext_classes(a: Arc, b: Arc):
-    """Basis of Ext^1(a, b) as morphisms from the presentation kernel to b.
-
-    The presentation 0 -> K -> P -> a -> 0 uses the length-N arc P with
-    the same top as a, N large enough that every extension of a by b
-    lives below the truncation.  Classes are coset representatives of
-    Hom(K, b) modulo restrictions of Hom(P, b).
-    """
-    n = a.rank
-    N = a.length + b.length + n
-    p_arc = Arc(n, (a.socle + a.length - N) % n, N)
-    k_arc = Arc(n, p_arc.socle, N - a.length)
-    p_rep = _rep(p_arc)
-    incl = _inclusion_matrices(_rep(k_arc), p_rep)
-    k_hom = arc_hom_basis(k_arc, b)
-    restricted = [_compose(f, incl) for f in arc_hom_basis(p_arc, b)]
-    # as columns after the restrictions, a basis map is a pivot exactly
-    # when it is independent of the maps before it
-    cols = [[x for m in f for row in m for x in row] for f in (*restricted, *k_hom)]
-    _, pivots = linalg.rref(list(zip(*cols)))
-    return [(k_arc, p_arc, incl, k_hom[c - len(restricted)])
-            for c in pivots if c >= len(restricted)]
+    """Basis of Ext^1(a, b) from the linear-algebra oracle: the cokernel
+    classes of nilpotent.ext_basis, each a tuple of matrices from vertex
+    i of a to vertex i - 1 of b."""
+    return tuple(ext_basis(_rep(a), _rep(b)))
 
 
 def ext_dim_via_presentation(a: Arc, b: Arc) -> int:
-    """Ext dimension recomputed from the projective presentation alone:
-    the count of `ext_classes` of the pair rotated so that a's socle is
+    """Ext dimension recomputed from the standard resolution alone: the
+    count of `ext_classes` of the pair rotated so that a's socle is
     vertex 0, which the rotation of the quiver carries to this pair
     (see the module docstring)."""
     n = a.rank
@@ -174,14 +152,9 @@ def _ext_count(n: int, d: int, la: int, lb: int) -> int:
     return len(ext_classes(Arc(n, 0, la), Arc(n, d, lb)))
 
 
-def _middle_summands(b: Arc, cls) -> tuple:
-    k_arc, p_arc, incl, g = cls
-    mid = pushout_middle(_rep(k_arc), _rep(p_arc), incl, _rep(b), g)
-    parts = decompose(mid)
-    out = []
-    for arc in sorted(parts, key=lambda x: x.sort_key()):
-        out.extend([arc] * parts[arc])
-    return tuple(out)
+def _middle_summands(a: Arc, b: Arc, h) -> tuple:
+    parts = decompose(pushout_middle(_rep(a), _rep(b), h))
+    return tuple(arc for arc in sorted(parts, key=Arc.sort_key) for _ in range(parts[arc]))
 
 
 def extension_middles(a: Arc, b: Arc):
@@ -217,14 +190,13 @@ def extension_middles(a: Arc, b: Arc):
     *longer, shortest = sorted(arc_hom_basis(b, b), key=_image_length, reverse=True)[:len(classes)]
     split = tuple(sorted((a, b), key=Arc.sort_key))
 
-    def pushout(cls, t):
-        k_arc, p_arc, incl, g = cls
-        return _middle_summands(b, (k_arc, p_arc, incl, _compose(t, g)))
+    def pushout(h, t):
+        return _middle_summands(a, b, _compose(t, h))
 
-    for cls in classes:
-        last = pushout(cls, shortest)
+    for h in classes:
+        last = pushout(h, shortest)
         if last != split:
-            return {last} | {pushout(cls, t) for t in longer}
+            return {last} | {pushout(h, t) for t in longer}
     raise AssertionError("no generator among the basis classes of Ext^1")
 
 
@@ -626,8 +598,8 @@ def bongartz_complete(part_a, part_b):
     it is the second set plus the fewest arcs of one pool, the
     exceptional arcs of that closure outside the second set, found by an
     exhaustive search over the pool by size.  The first set lies in the
-    closure, so it is in the pool.  Ext is taken from projective
-    presentations, so the search runs on the linear-algebra oracle alone.
+    closure, so it is in the pool.  Ext is taken from the standard
+    resolution, so the search runs on the linear-algebra oracle alone.
     """
     ext = ext_dim_via_presentation
     part_a = sorted(set(part_a), key=lambda a: a.sort_key())

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from wpline import linalg, tube
 from wpline.nilpotent import (Arc, NilpRep, _image_ranks, cokernel_rep, decompose,
-                              direct_sum, hom_basis, kernel_rep, rep_of_arc)
+                              direct_sum, ext_basis, hom_basis, kernel_rep, rep_of_arc)
 from test_linalg import rank
 
 
@@ -191,6 +191,29 @@ def test_hom_basis_handles_dense_maps():
     simple = rep_of_arc(Arc(2, 0, 1))
     assert not is_subpermutation(dense)
     assert hom_basis(dense, simple) == [(((1,),), ())]
+
+
+def euler_form(a: NilpRep, b: NilpRep) -> int:
+    """sum a_i b_i - sum a_i b_{i-1} over the dimension vectors."""
+    return sum(a.dims[i] * (b.dims[i] - b.dims[i - 1]) for i in range(a.rank))
+
+
+def test_hom_and_ext_come_from_one_map():
+    """Hom and Ext are the kernel and the cokernel of one map, so their
+    dimensions differ by the Euler form: on every pair of arcs of ranks
+    1-4 up to length 3n, and on every pair of direct sums of two arcs up
+    to length n at ranks 1-3, where Ext also adds up over the summands."""
+    for n in (1, 2, 3, 4):
+        for a, b in itertools.product(all_arcs_raw(n, 3 * n), repeat=2):
+            ra, rb = rep_of_arc(a), rep_of_arc(b)
+            assert len(hom_basis(ra, rb)) - len(ext_basis(ra, rb)) == euler_form(ra, rb), (a, b)
+    for n in (1, 2, 3):
+        sums = list(itertools.combinations_with_replacement(all_arcs_raw(n, n), 2))
+        for a, b in itertools.product(sums, repeat=2):
+            ra, rb = (direct_sum(map(rep_of_arc, x)) for x in (a, b))
+            ext = len(ext_basis(ra, rb))
+            assert len(hom_basis(ra, rb)) - ext == euler_form(ra, rb), (a, b)
+            assert ext == sum(tube.ext_dim(x, y) for x in a for y in b), (a, b)
 
 
 def test_hom_dim_additive_on_sums():

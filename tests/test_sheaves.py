@@ -300,7 +300,7 @@ def kind_grid(line, c_span, turns):
                          ids=lambda line: ",".join(map(str, line.weights)))
 def test_closed_ext_matches_tau_path_and_alt(line):
     """The closed Ext equals Hom into the built translate, the replaced
-    Ext case table and the independent dim_S/presentation path, on all
+    Ext case table and the independent dim_S/standard-resolution path, on all
     nine kind pairs."""
     objs = kind_grid(line, 1, 2)
     kinds = set()

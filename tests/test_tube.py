@@ -7,8 +7,8 @@ import random
 import pytest
 
 from wpline.grading import make_line
-from wpline.nilpotent import Arc, cokernel_rep, decompose, kernel_rep
-from wpline import tube, verify
+from wpline.nilpotent import Arc, cokernel_rep, decompose, direct_sum, kernel_rep, rep_of_arc
+from wpline import linalg, tube, verify
 from wpline.widposet import build_poset
 
 from test_nilpotent import tau
@@ -34,7 +34,7 @@ def test_ext_is_hom_into_translate():
 
 def test_closed_ext_matches_translate_and_presentation():
     """The closed Ext winding count equals Hom into the built translate
-    and, on arcs up to full length, the presentation count."""
+    and, on arcs up to full length, the standard resolution's count."""
     for n in range(1, 6):
         arcs = list(tube.all_arcs(n, 2 * n + 1))
         for a, b in itertools.product(arcs, repeat=2):
@@ -44,7 +44,7 @@ def test_closed_ext_matches_translate_and_presentation():
 
 
 def test_ext_presentation_path_agrees():
-    """Projective-free presentation count equals the duality count."""
+    """The standard resolution's count equals the duality count."""
     for n in range(1, 4):
         arcs = list(tube.all_arcs(n, n))
         for a, b in itertools.product(arcs, repeat=2):
@@ -398,7 +398,7 @@ def test_rotated_row_matches_direct_pair_row(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_ext_count_fills_once_per_rotation_class(n):
-    """Over the arcs of length at most L = 3n, the presentation path fills
+    """Over the arcs of length at most L = 3n, the oracle's Ext path fills
     one Ext count per socle difference and pair of lengths, n * L^2,
     where one per ordered pair would be n^2 * L^2."""
     length = 3 * n
@@ -519,67 +519,27 @@ def test_bruteforce_matches_closure_fixpoint_scan(n, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# presentation inclusions against the slot walk they replaced
-
-def reference_inclusion(k_arc: Arc, p_arc: Arc):
-    """The inclusion K -> P placed by walking the basis slots of both arcs."""
-    n = k_arc.rank
-    kslots = [[] for _ in range(n)]
-    for j in range(k_arc.length):
-        kslots[(k_arc.socle + j) % n].append(j)
-    pslots = [[] for _ in range(n)]
-    for j in range(p_arc.length):
-        pslots[(p_arc.socle + j) % n].append(j)
-    incl = []
-    for i in range(n):
-        m = [[0] * len(kslots[i]) for _ in range(len(pslots[i]))]
-        for kc, j in enumerate(kslots[i]):
-            m[pslots[i].index(j)][kc] = 1
-        incl.append(tuple(tuple(row) for row in m))
-    return tuple(incl)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_inclusion_matches_slot_walk(n):
-    """Every presentation ext_classes builds for arcs up to three times
-    the rank: the identity blocks are the slot-walk inclusion, and the
-    classes carry that presentation."""
-    for a, b in itertools.product(tube.all_arcs(n, 3 * n), repeat=2):
-        big = a.length + b.length + n
-        p_arc = Arc(n, (a.socle + a.length - big) % n, big)
-        k_arc = Arc(n, p_arc.socle, big - a.length)
-        got = tube._inclusion_matrices(tube._rep(k_arc), tube._rep(p_arc))
-        assert got == reference_inclusion(k_arc, p_arc), (a, b)
-        assert all(cls[:3] == (k_arc, p_arc, got) for cls in tube.ext_classes(a, b)), (a, b)
-
-
-# ---------------------------------------------------------------------------
 # exact extension middles against the sampler they replaced
 
-def scaled_sum_class(c1, c2, coef: int):
-    k_arc, p_arc, incl, g1 = c1
-    _, _, _, g2 = c2
-    g = tuple(tuple(tuple(g1[i][r][c] + coef * g2[i][r][c]
-                          for c in range(len(g1[i][r])))
-                    for r in range(len(g1[i])))
-              for i in range(len(g1)))
-    return (k_arc, p_arc, incl, g)
+def scaled_sum_class(h1, h2, coef: int):
+    """h1 + coef * h2, for classes given as tuples of per-vertex matrices."""
+    return tuple(tuple(tuple(x + coef * y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2))
+                 for m1, m2 in zip(h1, h2))
 
 
-def reference_extension_middles(a: Arc, b: Arc):
+def reference_extension_middles(classes, middle):
     """Middles over every basis class and, for Ext of dimension two or
     more, over pairwise sums with coefficients 1 and 2; coefficient 3
     must add nothing, or the sample is reported as not stable."""
-    classes = tube.ext_classes(a, b)
-    middles = {middle_summands(b, cls) for cls in classes}
+    middles = {middle(h) for h in classes}
     if len(classes) >= 2:
         seen_small = set(middles)
         for i, j in itertools.combinations(range(len(classes)), 2):
             for coef in (1, 2):
-                seen_small.add(middle_summands(b, scaled_sum_class(classes[i], classes[j], coef)))
+                seen_small.add(middle(scaled_sum_class(classes[i], classes[j], coef)))
         seen_full = set(seen_small)
         for i, j in itertools.combinations(range(len(classes)), 2):
-            seen_full.add(middle_summands(b, scaled_sum_class(classes[i], classes[j], 3)))
+            seen_full.add(middle(scaled_sum_class(classes[i], classes[j], 3)))
         assert seen_full == seen_small, "extension middle sampling did not stabilize"
         middles = seen_full
     return middles
@@ -595,9 +555,10 @@ def test_extension_middles_match_sampler(n, monkeypatch):
     arcs = tube.all_arcs(n, 3 * n)
     for a, b in itertools.product(arcs, repeat=2):
         mids = extension_middles(a, b)
-        assert mids == reference_extension_middles(a, b), (a, b)
+        classes, middle = tube.ext_classes(a, b), functools.partial(middle_summands, a, b)
+        assert mids == reference_extension_middles(classes, middle), (a, b)
         split = tuple(sorted((a, b), key=Arc.sort_key))
-        assert all(middle_summands(b, cls) != split for cls in tube.ext_classes(a, b)), (a, b)
+        assert all(middle(h) != split for h in classes), (a, b)
         assert all(sum(x.length for x in m) == a.length + b.length for m in mids), (a, b)
 
 
@@ -611,17 +572,105 @@ def test_extension_middles_any_basis(n, monkeypatch):
              if len(tube.ext_classes(a, b)) >= 2]
     assert pairs
     monkeypatch.setattr(tube, "_middle_summands", middle_summands)
-    want = [reference_extension_middles(a, b) for a, b in pairs]
+    want = [reference_extension_middles(tube.ext_classes(a, b),
+                                        functools.partial(middle_summands, a, b))
+            for a, b in pairs]
     ext_classes = tube.ext_classes
 
     def rotated(a, b):
         classes = ext_classes(a, b)
-        total = functools.reduce(lambda c1, c2: scaled_sum_class(c1, c2, 1), classes)
-        return [scaled_sum_class(c, total, 1) for c in classes]
+        total = functools.reduce(lambda h1, h2: scaled_sum_class(h1, h2, 1), classes)
+        return [scaled_sum_class(h, total, 1) for h in classes]
 
     monkeypatch.setattr(tube, "ext_classes", rotated)
     for (a, b), mids in zip(pairs, want):
         assert tube.extension_middles(a, b) == mids, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# the standard resolution against the truncated presentation it replaced
+
+def reference_presentation(a: Arc, b: Arc):
+    """The presentation 0 -> K -> P -> a -> 0 truncated at the arc P of
+    length N = len a + len b + rank with the top of a, K its sub-arc of
+    length N - len a, and the inclusion of K into P: rep_of_arc numbers
+    basis vectors from the socle up, so at every vertex K's basis vectors
+    are P's first ones."""
+    n = a.rank
+    big = a.length + b.length + n
+    p_arc = Arc(n, (a.socle + a.length - big) % n, big)
+    k_arc = Arc(n, p_arc.socle, big - a.length)
+    incl = tuple(tuple(tuple(int(r == c) for c in range(kd)) for r in range(pd))
+                 for kd, pd in zip(k_arc.factor_counts(), p_arc.factor_counts()))
+    return k_arc, p_arc, incl
+
+
+@functools.cache
+def reference_presentation_ext_classes(a: Arc, b: Arc) -> tuple:
+    """Basis of Ext^1(a, b) as maps g : K -> b of the truncated
+    presentation: coset representatives of Hom(K, b) modulo the
+    restrictions of Hom(P, b)."""
+    k_arc, p_arc, incl = reference_presentation(a, b)
+    k_hom = tube.arc_hom_basis(k_arc, b)
+    restricted = [tuple(map(linalg.mat_mul, f, incl)) for f in tube.arc_hom_basis(p_arc, b)]
+    # as columns after the restrictions, a basis map is a pivot exactly
+    # when it is independent of the maps before it
+    cols = [[x for m in f for row in m for x in row] for f in (*restricted, *k_hom)]
+    _, pivots = linalg.rref(list(zip(*cols)))
+    return tuple(k_hom[c - len(restricted)] for c in pivots if c >= len(restricted))
+
+
+@functools.cache
+def reference_presentation_middle(a: Arc, b: Arc, g) -> tuple:
+    """Summands of the middle of the extension of class g : K -> b, the
+    pushout of the presentation along g: the cokernel of (incl, -g) from
+    K to P + b."""
+    k_arc, p_arc, incl = reference_presentation(a, b)
+    f = [[*map(list, incl[i]), *([-x for x in row] for row in g[i])] for i in range(a.rank)]
+    pb = direct_sum([tube._rep(p_arc), tube._rep(b)])
+    parts = decompose(cokernel_rep(tube._rep(k_arc), pb, f))
+    return tuple(arc for arc in sorted(parts, key=Arc.sort_key) for _ in range(parts[arc]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ext_matches_truncated_presentation(n, monkeypatch):
+    """Every ordered pair of arcs up to three times the rank: the standard
+    resolution counts as many Ext classes as the truncated presentation
+    and, up to rank 3, its orbit middles are the ones the sampler finds
+    over the presentation's classes."""
+    monkeypatch.setattr(tube, "_middle_summands", middle_summands)
+    for a, b in itertools.product(tube.all_arcs(n, 3 * n), repeat=2):
+        classes = reference_presentation_ext_classes(a, b)
+        assert tube.ext_dim_via_presentation(a, b) == len(classes), (a, b)
+        if n <= 3:
+            middle = functools.partial(reference_presentation_middle, a, b)
+            assert extension_middles(a, b) == reference_extension_middles(classes, middle), (a, b)
+
+
+def test_oracle_builds_no_arc_longer_than_its_inputs(monkeypatch):
+    """With the oracle caches cleared before each pair, every ordered pair
+    of arcs up to three times the rank at ranks 1-3: the Ext count and
+    the extension middles build the representation of no arc longer than
+    the longer of the two, where the truncated presentation, which trips
+    the same guard, built one of length len a + len b + rank."""
+    caches = (tube._rep, tube.arc_hom_basis, tube.ext_classes, tube._ext_count)
+    limit = 0
+
+    def guarded(arc):
+        if arc.length > limit:
+            raise AssertionError(f"representation of {arc} built")
+        return rep_of_arc(arc)
+
+    monkeypatch.setattr(tube, "rep_of_arc", guarded)
+    for n in (1, 2, 3):
+        for a, b in itertools.product(tube.all_arcs(n, 3 * n), repeat=2):
+            for cache in caches:
+                cache.cache_clear()
+            limit = max(a.length, b.length)
+            tube.ext_dim_via_presentation(a, b)
+            tube.extension_middles(a, b)
+    with pytest.raises(AssertionError, match="representation of"):
+        reference_presentation_ext_classes.__wrapped__(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,8 @@ def test_only_the_oracle_imports_linalg():
 
 
 # the functions of tube.py that run the linear-algebra oracle
-TUBE_ORACLE_FUNCTIONS = {"_rep", "arc_hom_basis", "_inclusion_matrices", "_compose",
-                         "ext_classes", "_middle_summands", "_pair_row"}
+TUBE_ORACLE_FUNCTIONS = {"_rep", "arc_hom_basis", "_compose", "ext_classes",
+                         "_middle_summands", "_pair_row"}
 
 
 def oracle_uses_outside(tree, oracle) -> set:
@@ -426,8 +426,8 @@ def test_reached_functions_verdict_on_synthetic_modules():
 
 
 def test_ext_paths_share_no_helper():
-    """The alternate Ext path (dual degree, closed multiplicity,
-    presentations) and the closed Ext (borrow and winding counts) reach
+    """The alternate Ext path (dual degree, closed multiplicity, the
+    standard resolution) and the closed Ext (borrow and winding counts) reach
     no common function of src/wpline but the line guard, so each one
     checks the other."""
     root = pathlib.Path(wpline.__file__).parent
