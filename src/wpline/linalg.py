@@ -19,10 +19,6 @@ def mat_mul(a, b):
             for i in range(len(a))]
 
 
-def mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
 def rref(rows):
     """Reduced row echelon form. Returns (rref rows, pivot column list)."""
     m = [list(row) for row in rows]
@@ -68,19 +64,3 @@ def nullspace(rows, ncols):
         basis.append(v)
     return basis
 
-
-def solve(a_cols, target):
-    """Solve a_cols @ x = target where a_cols is a list of column vectors.
-
-    Returns the coefficient list, or None if inconsistent.
-    """
-    ncols = len(a_cols)
-    nrows = len(target)
-    aug = [[a_cols[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][ncols]
-    return x

@@ -6,10 +6,12 @@ vertices with a map from vertex i down to vertex i-1; the composite
 around the cycle must be nilpotent.  Indecomposables are "arcs": a socle
 vertex and a length.  Morphism and extension spaces (the kernel and
 the cokernel of one commuting map, from Ringel's standard resolution),
-kernels, cokernels, extension middles and direct-summand
-decompositions are all computed exactly, for maps of any shape: matrix
-entries are `int` while they stay integral and `Fraction` once a
-division makes them rational (see linalg), never `float`.
+extension middles and direct-summand decompositions are all computed
+exactly, for representations of any shape: matrix entries are `int`
+while they stay integral and `Fraction` once a division makes them
+rational (see linalg), never `float`.  The kernel and the cokernel of a
+map between arcs need no representation: they are a sub-arc and a
+quotient arc (tube._pair_row).
 """
 
 from __future__ import annotations
@@ -161,64 +163,6 @@ def ext_basis(a: NilpRep, b: NilpRep):
     shapes = [(b.dims[i - 1], a.dims[i]) for i in range(a.rank)]
     return [_unflatten([int(j == k) for j in range(len(rows))], shapes)
             for k in range(len(rows)) if k not in pivots]
-
-
-def kernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
-    """Kernel of a morphism f: a -> b with its induced maps."""
-    n = a.rank
-    bases = []
-    for i in range(n):
-        rows = [list(r) for r in f[i]]
-        bases.append(linalg.nullspace(rows, a.dims[i]))
-    dims = tuple(len(bs) for bs in bases)
-    maps = []
-    for i in range(n):
-        t = (i - 1) % n
-        m = [[0] * dims[i] for _ in range(dims[t])]
-        for j, v in enumerate(bases[i]):
-            coords = linalg.solve(bases[t], linalg.mat_vec(a.maps[i], v))
-            if coords is None:
-                raise AssertionError("kernel is not a subrepresentation")
-            for k in range(dims[t]):
-                m[k][j] = coords[k]
-        maps.append(m)
-    return NilpRep(n, dims, _freeze_maps(maps))
-
-
-def cokernel_rep(a: NilpRep, b: NilpRep, f) -> NilpRep:
-    """Cokernel of f: a -> b; the quotient keeps the non-pivot coordinates."""
-    n = a.rank
-    projs = []
-    keeps = []
-    for i in range(n):
-        image_rows = []
-        for c in range(a.dims[i]):
-            image_rows.append([f[i][r][c] for r in range(b.dims[i])])
-        red, pivots = linalg.rref(image_rows)
-        red = red[:len(pivots)]
-        keep = [c for c in range(b.dims[i]) if c not in pivots]
-        keeps.append(keep)
-
-        def project(vec, red=red, pivots=pivots, keep=keep):
-            v = list(vec)
-            for r, p in enumerate(pivots):
-                if v[p] != 0:
-                    coef = v[p]
-                    v = [x - coef * y for x, y in zip(v, red[r])]
-            return [v[c] for c in keep]
-
-        projs.append(project)
-    dims = tuple(len(k) for k in keeps)
-    maps = []
-    for i in range(n):
-        t = (i - 1) % n
-        m = [[0] * dims[i] for _ in range(dims[t])]
-        for j, src in enumerate(keeps[i]):
-            img = [row[src] for row in b.maps[i]]
-            for k, x in enumerate(projs[t](img)):
-                m[k][j] = x
-        maps.append(m)
-    return NilpRep(n, dims, _freeze_maps(maps))
 
 
 def pushout_middle(a: NilpRep, b: NilpRep, h) -> NilpRep:

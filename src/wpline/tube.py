@@ -20,20 +20,22 @@ inclusion order of a list of masks is read off their holders table,
 which the caller builds once and may share.
 
 The linear-algebra oracle (nilpotent, linalg) serves only as an
-independent check: wide_closure, extension_middles, bongartz_complete,
-enumerate_wide_bruteforce and ext_dim_via_presentation run on it and
-read neither the closed form nor a universe table.  Only this module
-and nilpotent use linalg; here it and the nilpotent names but Arc stay
-inside _rep, arc_hom_basis, _compose, ext_classes, _middle_summands and
-_pair_row.  Hom and Ext of a pair are the kernel and the cokernel of
-one linear map, from the standard resolution (nilpotent.ext_basis), so
-no arc longer than the pair is built.  Extension middles are enumerated
-exactly, one per orbit of Ext classes.  The closure indexes the arcs of
-rank n by integer ids, (length - 1) * n + socle, and reads one cached
-row per ordered pair of ids (`_pair_row`): the id mask of the oracle's
-kernels, cokernels and extension middles of that pair.  It closes at
-the rank: no member longer than n is needed to reach one of length at
-most n (the proof is at closure_members).
+independent check: _pair_row, closure_members, wide_closure,
+extension_middles, enumerate_wide_bruteforce, ext_dim_via_presentation
+and bongartz_complete run on it and read neither the closed form nor a
+universe table.  Only this module and nilpotent use linalg; here it and
+the nilpotent names but Arc stay inside _rep, arc_hom_basis, _compose,
+ext_classes and _middle_summands.  Hom and Ext of a pair are the kernel
+and the cokernel of one linear map, from the standard resolution
+(nilpotent.ext_basis), so no arc longer than the pair is built.  The
+kernel and the cokernel of a Hom basis map are a sub-arc and a quotient
+arc, read off its rank.  Extension middles are enumerated exactly, one
+per orbit of Ext classes.  The closure indexes the arcs of rank n by
+integer ids, (length - 1) * n + socle, and reads one cached row per
+ordered pair of ids (`_pair_row`): the id mask of the oracle's kernels,
+cokernels and extension middles of that pair.  It closes at the rank:
+no member longer than n is needed to reach one of length at most n (the
+proof is at closure_members).
 
 The oracle is filled once per rotation class of arc pairs.  Rotating
 the cyclic quiver by d vertices is an automorphism of the tube, so the
@@ -43,9 +45,9 @@ are those of the pair rotated so that the first socle is vertex 0,
 rotated back by d.  rep_of_arc numbers basis vectors from the socle
 up, so a rotated pair has the same matrices on rotated vertices, and
 nothing cached depends on the order in which the oracle meets the
-vertices: an Ext count, the summands over the Hom basis (between arcs
-the class indicators of _image_length, whatever the order of unknowns)
-and the middles of every nonzero Ext orbit.  The Ext count
+vertices: an Ext count, the kernels and cokernels over the Hom basis
+(one rank per class indicator of _image_length, whatever the order of
+unknowns) and the middles of every nonzero Ext orbit.  The Ext count
 (`_ext_count`) is cached on the integers (rank, socle difference,
 lengths), and the closures read pair rows through `_rotated_row`, which
 fills `_pair_row` only at first socle 0.  Each memo is functools.cache
@@ -61,8 +63,7 @@ import itertools
 
 from . import linalg
 from ._record import Record
-from .nilpotent import (Arc, NilpRep, cokernel_rep, decompose, ext_basis, hom_basis,
-                        kernel_rep, pushout_middle, rep_of_arc)
+from .nilpotent import Arc, NilpRep, decompose, ext_basis, hom_basis, pushout_middle, rep_of_arc
 
 
 @functools.cache
@@ -201,14 +202,16 @@ def extension_middles(a: Arc, b: Arc):
 
 
 def _image_length(f) -> int:
-    """Image length of a basis map between arcs: its count of nonzero
-    entries.  Between arcs each commuting equation of nilpotent.hom_basis
-    equates two entries or forces one to zero, so the nullspace is
-    spanned by the indicators of the classes of entries not forced to
-    zero, and the reduced echelon form leaves one entry per class free:
-    each basis map is one 0/1 class indicator.  A class sends a top
-    segment of a's basis vectors one to one onto the image's, so it has
-    one entry per basis vector of the image."""
+    """Image length, the rank, of a basis map between arcs: its count of
+    nonzero entries.  Between arcs each commuting equation of
+    nilpotent.hom_basis equates two entries or forces one to zero, so the
+    nullspace is spanned by the indicators of the classes of entries not
+    forced to zero, and the reduced echelon form leaves one entry per
+    class free: each basis map is one 0/1 class indicator.  A class sends
+    a top segment of a's basis vectors one to one onto the image's, so it
+    has one entry per basis vector of the image.  It orders End(b) in
+    extension_middles and gives the kernel and the cokernel of each basis
+    map in _pair_row."""
     return sum(x != 0 for m in f for row in m for x in row)
 
 
@@ -232,17 +235,36 @@ def _id_mask(arcs) -> int:
     return mask
 
 
+def _kernel_and_cokernel(a: Arc, b: Arc, f) -> list:
+    """The nonzero ones of the kernel and the cokernel of a basis map
+    f : a -> b, as arcs read off its rank (see _pair_row)."""
+    n, r = a.rank, _image_length(f)
+    return ([Arc(n, a.socle, a.length - r)] if r < a.length else []) + \
+        ([Arc(n, (b.socle + r) % n, b.length - r)] if r < b.length else [])
+
+
 @functools.cache
 def _pair_row(n: int, ia: int, ib: int) -> int:
-    """Id mask of every summand of the kernels and cokernels of the Hom
-    basis maps a -> b and of the extension middles of a by b, read from
-    the linear-algebra oracle once per ordered pair."""
+    """Id mask of the kernels and cokernels of the Hom basis maps a -> b
+    and of every summand of the extension middles of a by b, read from
+    the linear-algebra oracle once per ordered pair.
+
+    A basis map f of rank r = _image_length(f) has kernel the sub-arc of
+    a of length len a - r and cokernel the arc of socle b.socle + r and
+    length len b - r (`_kernel_and_cokernel`), since arcs are uniserial.
+    In rep_of_arc every structure map sends basis vector j to j - 1, so
+    a vector at one vertex whose highest nonzero coordinate is j
+    generates the span of vectors 0, ..., j, and a subrepresentation is
+    the span of vectors 0, ..., m - 1 for its dimension m: the sub-arc of
+    length m.  The kernel is such a subrepresentation of a, of dimension
+    len a - r; the image is the sub-arc of b of length r, and b over it
+    keeps vectors r, ..., len b - 1, each sent to the one below, from
+    vertex b.socle + r up.  Extension middles are not uniserial, so they
+    are decomposed."""
     a, b = arc_of_id(n, ia), arc_of_id(n, ib)
-    ra, rb = _rep(a), _rep(b)
     row = 0
     for f in arc_hom_basis(a, b):
-        row |= _id_mask(decompose(kernel_rep(ra, rb, f)))
-        row |= _id_mask(decompose(cokernel_rep(ra, rb, f)))
+        row |= _id_mask(_kernel_and_cokernel(a, b, f))
     for summands in extension_middles(a, b):
         row |= _id_mask(summands)
     return row

@@ -52,6 +52,9 @@ def reference_nullspace(rows, ncols):
 
 
 def reference_solve(a_cols, target):
+    """Coefficients x with a_cols @ x = target, a_cols a list of column
+    vectors, or None when there are none: the solver of the kernel
+    reference in test_nilpotent."""
     ncols = len(a_cols)
     aug = [[col[i] for col in a_cols] + [t] for i, t in enumerate(target)]
     red, pivots = reference_rref(aug)
@@ -78,7 +81,7 @@ ENTRY = st.one_of(st.integers(-5, 5), st.just(0),
 @st.composite
 def matrices(draw):
     """Integer or rational matrices, some with rows that are combinations
-    of earlier rows, plus a target vector and a coefficient vector."""
+    of earlier rows."""
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     integral = draw(st.booleans())
     entry = st.integers(-5, 5) if integral else ENTRY
@@ -87,20 +90,17 @@ def matrices(draw):
         if draw(st.booleans()):
             a, b = draw(entry), draw(entry)
             rows[k] = [a * x + b * y for x, y in zip(rows[k - 1], rows[0])]
-    target = draw(st.lists(entry, min_size=nrows, max_size=nrows))
-    coeffs = draw(st.lists(entry, min_size=ncols, max_size=ncols))
-    return rows, target, coeffs
+    return rows
 
 
 @settings(max_examples=100)
 @given(matrices())
-@example(([[2, 4, 1], [3, -1, 0]], [1, 1], [1, 0, 2]))
-@example(([[-3, 1], [Fraction(2, 3), 5]], [0, 7], [Fraction(1, 2), -1]))
-@example(([[-1, 2, 3], [0, 1, -1]], [4, 5], [0, 0, 1]))
-def test_elimination_matches_fraction_reference(case):
-    """rref, rank, nullspace and solve equal the all-Fraction reference
-    and produce only int or Fraction entries, never float."""
-    rows, target, coeffs = case
+@example([[2, 4, 1], [3, -1, 0]])
+@example([[-3, 1], [Fraction(2, 3), 5]])
+@example([[-1, 2, 3], [0, 1, -1]])
+def test_elimination_matches_fraction_reference(rows):
+    """rref, rank and nullspace equal the all-Fraction reference and
+    produce only int or Fraction entries, never float."""
     ncols = len(rows[0])
     snapshot = [list(r) for r in rows]
     red, pivots = linalg.rref(rows)
@@ -111,14 +111,6 @@ def test_elimination_matches_fraction_reference(case):
     null = linalg.nullspace(rows, ncols)
     assert null == reference_nullspace(rows, ncols)
     assert exact(flat(null))
-    cols = [list(col) for col in zip(*rows)]
-    for want in (target, linalg.mat_vec(rows, coeffs)):
-        x = linalg.solve(cols, want)
-        assert x == reference_solve(cols, want)
-        if x is not None:
-            assert exact(x)
-            assert linalg.mat_vec(rows, x) == want
-    assert x is not None, "the second target is in the column span"
 
 
 def test_unit_pivots_keep_integers():

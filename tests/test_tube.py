@@ -7,11 +7,12 @@ import random
 import pytest
 
 from wpline.grading import make_line
-from wpline.nilpotent import Arc, cokernel_rep, decompose, direct_sum, kernel_rep, rep_of_arc
+from wpline.nilpotent import Arc, decompose, direct_sum, rep_of_arc
 from wpline import linalg, tube, verify
 from wpline.widposet import build_poset
 
-from test_nilpotent import tau
+from test_linalg import rank
+from test_nilpotent import reference_cokernel_rep, reference_kernel_rep, tau
 from test_widposet import (BENCH_INPUTS, reference_exc, reference_extract_exc_sequence,
                            reference_perp_pair, reference_sort_key)
 
@@ -320,7 +321,7 @@ def reference_pair_kernel_cokernel(a: Arc, b: Arc) -> frozenset:
         found = set()
         ra, rb = tube._rep(a), tube._rep(b)
         for f in tube.arc_hom_basis(a, b):
-            for rep_kind in (kernel_rep(ra, rb, f), cokernel_rep(ra, rb, f)):
+            for rep_kind in (reference_kernel_rep(ra, rb, f), reference_cokernel_rep(ra, rb, f)):
                 found.update(decompose(rep_kind))
         REF_PAIR_KC[key] = frozenset(found)
     return REF_PAIR_KC[key]
@@ -376,6 +377,26 @@ def test_pair_table_matches_reference(n, monkeypatch):
         want = reference_pair_kernel_cokernel(a, b) | reference_pair_middles(a, b)
         row = tube._pair_row(n, tube.arc_id(a), tube.arc_id(b))
         assert {tube.arc_of_id(n, i) for i in tube.bits(row)} == want, (a, b)
+
+
+def test_kernels_and_cokernels_are_sub_and_quotient_arcs():
+    """Every Hom basis map between arcs up to three times the rank at
+    ranks 1-3 and twice the rank at rank 4: its image length is its rank,
+    the sum of the ranks of its vertex matrices, and the sub-arc and the
+    quotient arc read off that rank are the summands of its kernel and
+    cokernel as the general references decompose them."""
+    maps = 0
+    for n, cap in ((1, 3), (2, 6), (3, 9), (4, 8)):
+        for a, b in itertools.product(tube.all_arcs(n, cap), repeat=2):
+            ra, rb = tube._rep(a), tube._rep(b)
+            for f in tube.arc_hom_basis(a, b):
+                maps += 1
+                assert tube._image_length(f) == sum(map(rank, f)), (a, b, f)
+                want = [arc for rep in (reference_kernel_rep(ra, rb, f),
+                                        reference_cokernel_rep(ra, rb, f))
+                        for arc, mult in decompose(rep).items() for _ in range(mult)]
+                assert tube._kernel_and_cokernel(a, b, f) == want, (a, b, f)
+    assert maps == 1867
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -628,7 +649,7 @@ def reference_presentation_middle(a: Arc, b: Arc, g) -> tuple:
     k_arc, p_arc, incl = reference_presentation(a, b)
     f = [[*map(list, incl[i]), *([-x for x in row] for row in g[i])] for i in range(a.rank)]
     pb = direct_sum([tube._rep(p_arc), tube._rep(b)])
-    parts = decompose(cokernel_rep(tube._rep(k_arc), pb, f))
+    parts = decompose(reference_cokernel_rep(tube._rep(k_arc), pb, f))
     return tuple(arc for arc in sorted(parts, key=Arc.sort_key) for _ in range(parts[arc]))
 
 

@@ -129,7 +129,7 @@ def test_only_the_oracle_imports_linalg():
 
 # the functions of tube.py that run the linear-algebra oracle
 TUBE_ORACLE_FUNCTIONS = {"_rep", "arc_hom_basis", "_compose", "ext_classes",
-                         "_middle_summands", "_pair_row"}
+                         "_middle_summands"}
 
 
 def oracle_uses_outside(tree, oracle) -> set:
@@ -441,6 +441,30 @@ def test_ext_paths_share_no_helper():
     assert closed & alt == {("sheaves.py", "_same_line")}
 
 
+# the tube functions that run the linear-algebra oracle, and what they must not reach
+ORACLE_ENTRY_POINTS = ("_pair_row", "closure_members", "wide_closure",
+                       "enumerate_wide_bruteforce", "extension_middles",
+                       "ext_dim_via_presentation")
+CLOSED_FORMS = {("tube.py", name) for name in ("hom_dim", "ext_dim", "windings", "tube_universe")}
+
+
+def test_oracle_reaches_no_closed_form():
+    """The oracle entry points of tube.py reach neither the closed-form
+    Hom and Ext, nor their winding count, nor the tube universe, nor any
+    Universe method, so the oracle stays independent of what it checks.
+    bongartz_complete is left out: every call it makes passes the
+    oracle's Ext, but is_rigid_set, which it calls, names the closed
+    ext_dim as its default argument."""
+    root = pathlib.Path(wpline.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(root.glob("*.py"))}
+    for name in ORACLE_ENTRY_POINTS:
+        reached = reached_functions(trees, "tube.py", name)
+        assert {("tube.py", "arc_hom_basis"), ("tube.py", "ext_classes")} & reached, name
+        assert reached & CLOSED_FORMS == set(), name
+        assert [key for key in reached if key[1].startswith("Universe.")] == [], name
+
+
 def code_calls(tree) -> list:
     """The bare-name calls of exec, eval or compile in tree."""
     return [node for node in ast.walk(tree)
@@ -490,7 +514,8 @@ def test_only_record_base_generates_code():
 
 
 # traced names of BENCHMARK.json that name nothing in src/wpline today
-ABSENT_TRACED_NAMES = {"linalg.rank", "nilpotent.composite_rank", "widposet.exc_snapshot"}
+ABSENT_TRACED_NAMES = {"linalg.rank", "linalg.solve", "nilpotent.composite_rank",
+                       "nilpotent.kernel_rep", "nilpotent.cokernel_rep", "widposet.exc_snapshot"}
 
 
 def traced_names(doc) -> set:
