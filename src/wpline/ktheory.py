@@ -18,38 +18,32 @@ distinguished element produced by the canonical bundle sequence.
 Each line's constants live in one record, built on first use and kept
 on the line itself (in its instance `__dict__`, like its cached `p` and
 hash), so no query hashes the line: the rank, the basis index, the
-simple classes, the class of every bundle's coefficient part and of
-every partial turn of an arc (so a class is one table read plus a
-multiple of the null class delta), the Euler matrix and its
-symmetrization, and the identity matrix of the rank.  class_of and
-euler_form read the record's memos directly.  The record also memoizes
-the Euler row x^T E and the column S r per class modulo delta: the row
-of x is the row of its representative plus x1 <delta, ->, and S delta
-= 0, so S r depends on r modulo delta only.  A line's sheaf classes
-fall into finitely many classes modulo delta, which bounds the rows.
-delta is the class of an ordinary simple, and <S, F> = -rk F, so
-<delta, y> = -(y0 + y1); the Euler matrix is checked for that row when
-it is built.
-
-Two caches on the record keep values that repeat across queries, and
-only once checked: `class_rows`, a class x of the rank to its exact row
-x^T E, so euler_form is one lookup and one dot product; and `elements`,
-a product matrix to the WeylElement that cox_of returned after the form
-check, so equal products share one check and one kept abs_length.
-Their keys are unbounded, so each is emptied at CACHE_LIMIT entries,
+simple classes, the Euler matrix and its symmetrization, and the
+identity matrix of the rank.  Values that repeat across queries live in
+the record's memos, all of one type, `_Memo`: a dict that fills a
+missing key from one function and is emptied at CACHE_LIMIT entries,
 which bounds a line's memory however many degrees a caller asks about.
+Each is read by one subscript.  They hold the class of every bundle's
+coefficient part and of every partial turn of an arc, so a class is one
+read plus a multiple of the null class delta; the exact Euler row x^T E
+of a class, so euler_form is one read and one dot product; the column
+S r of a root r modulo delta, as S delta = 0; and the WeylElement that
+cox_of returned for a product matrix, so equal products share one form
+check and one kept abs_length.  A fill that raises stores nothing, so
+only checked elements are kept.
 
 Group elements are integer matrices throughout, with fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) where a division is needed.
 The form check compares the upper triangle of the symmetric w^T S w,
-entry (i, j) being w_i . S w_j with S w_j read from the column memo.
-Each column w_j is a real root, w_j^T S w_j = S_jj = 2, as every basis
-class is exceptional; S is positive definite on K0 / Z delta, so real
-roots are finitely many modulo delta and the column memo stays bounded.
-A matrix adds its columns to the memo only once it has passed.  One
-elimination of a difference b - a serves abs_length (b = w, a = 1) and
-nc_leq, which reads the length of u^-1 v off v - u, so it inverts
-nothing and builds no element.  abs_length is kept on each element,
+entry (i, j) being w_i . S w_j with S w_j read from the column memo, or
+computed and not stored when it is missing, so a matrix leaves the memo
+as it was whether it passes or not.  The memo's one writer is the
+reflection root of cox_of, after its check <r, r> = 1, so every key is
+a real root modulo delta: S is positive definite on K0 / Z delta, so
+real roots are finitely many modulo delta.  One elimination of a
+difference b - a serves abs_length (b = w, a = 1) and nc_leq, which
+reads the length of u^-1 v off v - u, so it inverts nothing and builds
+no element.  abs_length is kept on each element,
 and lengths are nonnegative, so nc_leq(u, v) is False without an
 elimination when u is longer than v: comparing n elements pairwise takes
 n eliminations for the lengths plus one per ordered pair whose first
@@ -68,17 +62,27 @@ from .grading import WeightData
 from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
                       ext_dim_sheaf, hom_dim_sheaf, line_bundle, simple_at)
 
-# entries at which a line's class_rows or elements cache is emptied
+# entries at which a memo of a line's record is emptied
 CACHE_LIMIT = 4096
 
 
-def _keep(memo: dict, key, value):
-    """memo[key] = value, emptying memo first once it holds CACHE_LIMIT
-    entries; returns value."""
-    if len(memo) >= CACHE_LIMIT:
-        memo.clear()
-    memo[key] = value
-    return value
+class _Memo(dict):
+    """A dict that fills a missing key with fill(key): the value is
+    computed, the dict emptied once it holds CACHE_LIMIT entries, and the
+    value stored and returned, so a fill that raises stores nothing."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self.fill(key)
+        if len(self) >= CACHE_LIMIT:
+            self.clear()
+        self[key] = value
+        return value
 
 
 class _LineTable:
@@ -89,43 +93,31 @@ class _LineTable:
     construction.  The Euler matrix and its symmetrization are filled on
     first use from Hom and Ext of the basis, because they need line
     bundles, which lines with three weighted points do not model.
-    Classes of a bundle's coefficient part and of an arc's partial turn
-    are memoized per distinct part.
 
-    Euler rows x^T E and columns S r are memoized per class modulo
-    delta, keyed by (x0 + x1, x2, ...): x is the representative
-    (x0 + x1, 0, x2, ...) plus x1 delta, so the row of x is the memoized
-    row plus x1 delta^T E.  delta^T E is (-1, -1, 0, ...), minus the
-    rank (checked when E is built), and S delta = 0 (the null class is
-    in the radical of the symmetrized form, checked when S is built), so
-    S r is the memoized column itself.  Sheaf classes take finitely many
-    values modulo delta on a line, and the columns are real roots, which
-    bounds both memos.
-
-    `class_rows` (class tuple of the rank -> exact row, built from
-    `rows`) and `elements` (product matrix -> checked WeylElement) keep
-    checked values with unbounded keys, each emptied at CACHE_LIMIT
-    entries.
+    The memos are `_Memo`s, each filled from its key on a miss:
+    `bundle_parts`, a coefficient tuple to the class of O(coeffs; 0);
+    `arc_parts`, (point, socle, r) to the class of the first r factors
+    of an arc; `class_rows`, a class x of the rank to x^T E;
+    `sym_cols`, a class modulo delta, keyed by (x0 + x1, x2, ...), to S
+    times it; and `elements`, a product matrix to its checked
+    WeylElement.
     """
 
     def __init__(self, line: WeightData):
         self.line = line
-        self.index = {}             # (point, j) -> basis position, 1 <= j < p_point
-        for i in line.weighted_indices():
-            for j in range(1, line.weights[i]):
-                self.index[i, j] = len(self.index) + 2
-        self.rank = len(self.index) + 2
+        pairs = [(i, j) for i in line.weighted_indices() for j in range(1, line.weights[i])]
+        self.index = {ij: u for u, ij in enumerate(pairs, 2)}   # (point, j) -> basis position
+        self.rank = len(pairs) + 2
         self.delta = (-1, 1) + (0,) * (self.rank - 2)   # [O(c)] - [O]
         self.identity = tuple(tuple(int(u == v) for v in range(self.rank))
                               for u in range(self.rank))
         self.simples = {i: tuple(self._simple(i, j) for j in range(line.weights[i]))
                         for i in line.weighted_indices()}
-        self._bundle_parts = {}     # coefficient tuple -> class of O(coeffs; 0)
-        self._arc_parts = {}        # (point, socle, r) -> class of the first r factors
-        self.rows = {}              # class modulo delta -> its Euler row
-        self.sym_cols = {}          # class modulo delta -> S times the class
-        self.class_rows = {}        # class -> its exact Euler row, capped
-        self.elements = {}          # product matrix -> checked WeylElement, capped
+        self.bundle_parts = _Memo(self._coeff_class)
+        self.arc_parts = _Memo(self._turn_class)
+        self.class_rows = _Memo(lambda x: tuple(sum(map(mul, x, col)) for col in zip(*self.euler)))
+        self.sym_cols = _Memo(self.sym_of)
+        self.elements = _Memo(lambda w: WeylElement(line, w))
 
     def _simple(self, point: int, j: int) -> tuple[int, ...]:
         if j != 0:
@@ -136,27 +128,22 @@ class _LineTable:
             vec[self.index[point, jj]] -= 1
         return tuple(vec)
 
-    def bundle_part(self, coeffs) -> tuple[int, ...]:
+    def _coeff_class(self, coeffs) -> tuple[int, ...]:
         """[O] plus the simples S_{i,1..l_i} of every weighted point i."""
-        vec = self._bundle_parts.get(coeffs)
-        if vec is None:
-            vec = [int(u == 0) for u in range(self.rank)]
-            for i in self.line.weighted_indices():
-                for j in range(1, coeffs[i] + 1):
-                    vec[self.index[i, j]] += 1
-            vec = self._bundle_parts[coeffs] = tuple(vec)
-        return vec
+        vec = [int(u == 0) for u in range(self.rank)]
+        for i in self.line.weighted_indices():
+            for j in range(1, coeffs[i] + 1):
+                vec[self.index[i, j]] += 1
+        return tuple(vec)
 
-    def arc_part(self, point: int, socle: int, r: int) -> tuple[int, ...]:
-        """Sum of the simples at socle, socle+1, ..., socle+r-1."""
-        key = (point, socle, r)
-        vec = self._arc_parts.get(key)
-        if vec is None:
-            simples = self.simples[point]
-            vec = (0,) * self.rank
-            for v in range(socle, socle + r):
-                vec = tuple(a + b for a, b in zip(vec, simples[v % len(simples)]))
-            self._arc_parts[key] = vec
+    def _turn_class(self, key) -> tuple[int, ...]:
+        """Sum of the simples at socle, socle+1, ..., socle+r-1 of a
+        point, for key (point, socle, r)."""
+        point, socle, r = key
+        simples = self.simples[point]
+        vec = (0,) * self.rank
+        for v in range(socle, socle + r):
+            vec = tuple(a + b for a, b in zip(vec, simples[v % len(simples)]))
         return vec
 
     @cached_property
@@ -164,7 +151,8 @@ class _LineTable:
         basis = basis_sheaves(self.line)
         e = tuple(tuple(hom_dim_sheaf(a, b) - ext_dim_sheaf(a, b) for b in basis)
                   for a in basis)
-        # delta is the class of an ordinary simple S, and <S, F> = -rk F
+        # a check of the basis Hom and Ext: delta is the class of an
+        # ordinary simple S, and <S, F> = -rk F
         if tuple(b - a for a, b in zip(*e[:2])) != (-1, -1) + (0,) * (self.rank - 2):
             raise ArithmeticError("the row of the null class is not minus the rank")
         return e
@@ -177,33 +165,9 @@ class _LineTable:
             raise ArithmeticError("the null class is not in the radical of the symmetrized form")
         return s
 
-    def euler_row(self, x) -> tuple:
-        """x^T E for the representative of x modulo delta."""
-        key = (x[0] + x[1], *x[2:])
-        row = self.rows.get(key)
-        if row is None:
-            rep = (key[0], 0) + key[1:]
-            row = self.rows[key] = tuple(sum(map(mul, rep, col)) for col in zip(*self.euler))
-        return row
-
-    def class_row(self, x: tuple) -> tuple:
-        """x^T E exactly, kept in `class_rows`: the row of the
-        representative minus x1 in the first two places, as delta^T E is
-        (-1, -1, 0, ...).  x must have the rank."""
-        row = self.euler_row(x)
-        return _keep(self.class_rows, x, (row[0] - x[1], row[1] - x[1]) + row[2:])
-
-    def sym_col(self, r) -> tuple:
-        """S r, which depends only on r modulo delta."""
-        key = (r[0] + r[1], *r[2:])
-        col = self.sym_cols.get(key)
-        if col is None:
-            col = self.sym_cols[key] = self.sym_of(key)
-        return col
-
     def sym_of(self, key) -> tuple:
         """S times the representative (key[0], 0, key[1], ...) of a class
-        modulo delta, not memoized."""
+        modulo delta."""
         rep = (key[0], 0) + key[1:]
         return tuple(sum(map(mul, row, rep)) for row in self.sym)
 
@@ -241,15 +205,13 @@ def class_of(s: IndecSheaf) -> tuple[int, ...]:
     """A memoized part plus k*delta, with delta = [O(c)] - [O]: the part of
     a bundle's coefficients and k its c part, or the partial turn of an
     arc and k its full turns, or zero and k the length of a stalk."""
-    t = s.line.__dict__.get("_k0") or _table(s.line)
+    t = _table(s.line)
     if isinstance(s, LineBundle):
         d = s.degree
-        vec = t._bundle_parts.get(d.coeffs) or t.bundle_part(d.coeffs)
-        k = d.c_part
+        vec, k = t.bundle_parts[d.coeffs], d.c_part
     elif isinstance(s, TorsionArc):
         k, r = divmod(s.arc.length, s.arc.rank)
-        key = (s.point, s.arc.socle, r)
-        vec = t._arc_parts.get(key) or t.arc_part(*key)
+        vec = t.arc_parts[s.point, s.arc.socle, r]
     elif isinstance(s, OrdinaryTorsion):
         vec, k = (0,) * t.rank, s.length
     else:
@@ -262,16 +224,13 @@ def euler_matrix(line: WeightData) -> tuple:
 
 
 def euler_form(line: WeightData, x, y) -> int:
-    """<x, y> = x^T E y for classes x and y, tuples or lists of the rank.
-
-    One lookup of x in the line's `class_rows` and one dot product; on a
-    miss the row is built from the memoized row of x modulo delta and
-    kept, the cache being emptied at CACHE_LIMIT entries."""
-    t = line.__dict__.get("_k0") or _table(line)
+    """<x, y> = x^T E y for classes x and y, tuples or lists of the rank:
+    one read of x in the line's `class_rows` and one dot product."""
+    t = _table(line)
     x = tuple(x)
     if len(x) != t.rank or len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
-    return sum(map(mul, t.class_rows.get(x) or t.class_row(x), y))
+    return sum(map(mul, t.class_rows[x], y))
 
 
 class WeylElement(Record):
@@ -284,34 +243,32 @@ class WeylElement(Record):
         if len(self.matrix) != t.rank or any(len(row) != t.rank for row in self.matrix):
             raise ValueError("matrix of wrong size")
         # w^T S w is symmetric, so its upper triangle decides: entry (i, j)
-        # is w_i . S w_j for columns w_i, w_j.  New columns S w_j enter
-        # the memo only when the whole check passes.
+        # is w_i . S w_j for columns w_i, w_j.  The column memo is only
+        # read here; a missing S w_j is computed and not stored.
         cols = tuple(zip(*self.matrix))
-        memo, fresh = t.sym_cols, []
+        memo = t.sym_cols
         for j, w in enumerate(cols):
             key = (w[0] + w[1], *w[2:])
-            sw = memo.get(key)
-            if sw is None:
-                sw = t.sym_of(key)
-                fresh.append((key, sw))
+            sw = memo.get(key) or t.sym_of(key)
             row = t.sym[j]
             for i in range(j + 1):
                 if sum(map(mul, cols[i], sw)) != row[i]:
                     raise ValueError("matrix does not preserve the symmetrized form")
-        memo.update(fresh)
 
 
 def _root(line: WeightData, s: IndecSheaf):
-    """(r, c) for the reflection of an exceptional sheaf s: its class r,
-    which must have unit self-pairing, and c = sym r, so that the
-    reflection is the matrix 1 - r c^T.  Callers check End and self-Ext
-    of s through `tube.is_exc_sequence`."""
+    """(r, c) for the reflection of an exceptional sheaf s on line: its
+    class r, which must have unit self-pairing, and c = sym r, so that
+    the reflection is the matrix 1 - r c^T.  Callers check End and
+    self-Ext of s through `tube.is_exc_sequence`."""
+    if s.line is not line and s.line != line:
+        raise ValueError("sheaf over a different line")
     if not sheaves.is_exceptional_sheaf(s):
         raise ValueError("reflections come from exceptional sheaves")
     r = class_of(s)
     if euler_form(line, r, r) != 1:
         raise ValueError("class does not have unit self-pairing")
-    return r, _table(line).sym_col(r)
+    return r, _table(line).sym_cols[(r[0] + r[1], *r[2:])]
 
 
 def cox_of(line: WeightData, seq) -> WeylElement:
@@ -322,16 +279,17 @@ def cox_of(line: WeightData, seq) -> WeylElement:
 
     The sequence [s] gives the reflection x - (<x,r> + <r,x>) r of the
     class r of s.  The sequence is checked once, so each member's
-    self-Ext is read once, and then each member's root.  The product is
-    accumulated on one integer matrix: right multiplication by 1 - r c^T
-    is the rank-one update w <- w - (w r) c^T.  Only the result is
-    constructed as a WeylElement, so the form is checked once, on it; the
-    intermediate products preserve the form because each factor does.
+    self-Ext is read once, and then each member's root; a member over
+    another line raises ValueError.  The product is accumulated on one
+    integer matrix: right multiplication by 1 - r c^T is the rank-one
+    update w <- w - (w r) c^T.  Only the result is constructed as a
+    WeylElement, so the form is checked once, on it; the intermediate
+    products preserve the form because each factor does.
 
-    The line's `elements` cache maps each product matrix to the element
-    returned for it, so equal products return one object, checked once
-    and with one kept abs_length.  Only an element that passed its form
-    check is stored, and the cache is emptied at CACHE_LIMIT entries.
+    The line's `elements` memo builds the element on a product matrix's
+    first use, so equal products return one object, checked once and
+    with one kept abs_length, and a product that fails its form check
+    is not stored.
     """
     seq = list(seq)
     if not tube.is_exc_sequence(seq, hom_dim_sheaf, ext_dim_sheaf):
@@ -344,8 +302,7 @@ def cox_of(line: WeightData, seq) -> WeylElement:
             k = sum(map(mul, row, r))
             if k:
                 row[:] = [x - k * y for x, y in zip(row, c)]
-    w = tuple(map(tuple, w))
-    return t.elements.get(w) or _keep(t.elements, w, WeylElement(line, w))
+    return t.elements[tuple(map(tuple, w))]
 
 
 def canonical_interval_sequence(line: WeightData):
@@ -411,7 +368,7 @@ def abs_length(w: WeylElement) -> int:
     translations, rank(K0) on the coxeter element.  Computed once per
     element and kept in its instance `__dict__`, as a line keeps its K0
     record, so the memo lives as long as the element; cox_of returns one
-    element per product matrix from the line's `elements` cache, so
+    element per product matrix from the line's `elements` memo, so
     equal products share the one length."""
     k = w.__dict__.get("_abs_length")
     if k is None:

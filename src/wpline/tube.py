@@ -486,7 +486,7 @@ def inclusion_order(masks, held):
     return above, covers
 
 
-def is_rigid_set(objs, ext=ext_dim) -> bool:
+def is_rigid_set(objs, ext) -> bool:
     objs = list(objs)
     return all(ext(a, b) == 0 for a in objs for b in objs)
 

@@ -399,7 +399,7 @@ def criterion_13():
                     continue
                 try:
                     comp = tube.bongartz_complete(part_a, part_b)
-                    if not tube.is_rigid_set(comp):
+                    if not tube.is_rigid_set(comp, tube.ext_dim):
                         problems.append(f"rank {n}: completion not rigid")
                     elif tube.wide_closure(comp) != tube.wide_closure(set(part_a) | set(part_b)):
                         problems.append(f"rank {n}: closure mismatch for {part_a}+{part_b}")

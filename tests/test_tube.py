@@ -205,9 +205,9 @@ def test_tube_lattice_closes_each_perpendicular_once(n, monkeypatch):
 
 
 def test_rigidity():
-    assert tube.is_rigid_set([Arc(3, 0, 1), Arc(3, 0, 2)])
-    assert not tube.is_rigid_set([Arc(3, 0, 1), Arc(3, 1, 1)])
-    assert not tube.is_rigid_set([Arc(2, 0, 2)])
+    assert tube.is_rigid_set([Arc(3, 0, 1), Arc(3, 0, 2)], tube.ext_dim)
+    assert not tube.is_rigid_set([Arc(3, 0, 1), Arc(3, 1, 1)], tube.ext_dim)
+    assert not tube.is_rigid_set([Arc(2, 0, 2)], tube.ext_dim)
 
 
 def test_extension_middles_frozen():
@@ -221,7 +221,7 @@ def test_bongartz_complete_frozen():
     n = 3
     a = (Arc(3, 0, 1),)
     done = tube.bongartz_complete(a, ())
-    assert tube.is_rigid_set(done)
+    assert tube.is_rigid_set(done, tube.ext_dim)
     assert set(a) <= set(done)
     assert tube.wide_closure(done).arcs >= tube.wide_closure(a).arcs
 

@@ -174,20 +174,38 @@ def test_tube_keeps_linear_algebra_in_the_oracle_functions():
     assert oracle_uses_outside(tree, TUBE_ORACLE_FUNCTIONS) == set()
 
 
+def is_empty_dict(node) -> bool:
+    """Whether node is an empty dict display or dict() with no arguments."""
+    return (isinstance(node, ast.Dict) and not node.keys) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "dict" and not node.args and not node.keywords)
+
+
+def assignments(nodes):
+    """(targets, value) of each assignment with a value among nodes."""
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            yield node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            yield [node.target], node.value
+
+
 def empty_dict_bindings(tree):
     """Names a module binds at its top level to an empty dict display or
     to dict() with no arguments."""
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        if (isinstance(value, ast.Dict) and not value.keys) or (
-                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id == "dict" and not value.args and not value.keywords):
+    for targets, value in assignments(tree.body):
+        if is_empty_dict(value):
             yield from (ast.unparse(t) for t in targets)
+
+
+def empty_instance_dicts(tree):
+    """Attributes of self that any code of a module binds to an empty
+    dict display or to dict() with no arguments."""
+    for targets, value in assignments(ast.walk(tree)):
+        if is_empty_dict(value):
+            yield from (ast.unparse(t) for t in targets
+                        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                        and t.value.id == "self")
 
 
 def test_memo_tables_are_functools_cache():
@@ -196,6 +214,33 @@ def test_memo_tables_are_functools_cache():
     root = pathlib.Path(wpline.__file__).parent
     found = [(path.name, name) for path in sorted(root.glob("*.py"))
              for name in empty_dict_bindings(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_empty_instance_dict_verdict_on_synthetic_module():
+    """Plain, chained and annotated bindings of self's attributes are
+    reported, in methods and nested functions alike; other names, and
+    dicts with entries or arguments, are not."""
+    tree = ast.parse("class A:\n"
+                     "    def __init__(self):\n"
+                     "        self.a = {}\n"
+                     "        self.b = other.c = dict()\n"
+                     "        self.d: dict = {}\n"
+                     "        self.e = {1: 2}\n"
+                     "        self.f = dict(x=1)\n"
+                     "        g = {}\n"
+                     "        def inner():\n"
+                     "            self.h = {}\n")
+    assert list(empty_instance_dicts(tree)) == ["self.a", "self.b", "self.d", "self.h"]
+
+
+def test_instance_memos_fill_themselves():
+    """No object keeps a hand-filled table on self: a per-instance memo
+    is a ktheory._Memo, which fills a missing key from one function,
+    and a module-level one is functools.cache."""
+    root = pathlib.Path(wpline.__file__).parent
+    found = [(path.name, name) for path in sorted(root.glob("*.py"))
+             for name in empty_instance_dicts(ast.parse(path.read_text(), str(path)))]
     assert found == []
 
 
@@ -444,17 +489,14 @@ def test_ext_paths_share_no_helper():
 # the tube functions that run the linear-algebra oracle, and what they must not reach
 ORACLE_ENTRY_POINTS = ("_pair_row", "closure_members", "wide_closure",
                        "enumerate_wide_bruteforce", "extension_middles",
-                       "ext_dim_via_presentation")
+                       "ext_dim_via_presentation", "bongartz_complete")
 CLOSED_FORMS = {("tube.py", name) for name in ("hom_dim", "ext_dim", "windings", "tube_universe")}
 
 
 def test_oracle_reaches_no_closed_form():
     """The oracle entry points of tube.py reach neither the closed-form
     Hom and Ext, nor their winding count, nor the tube universe, nor any
-    Universe method, so the oracle stays independent of what it checks.
-    bongartz_complete is left out: every call it makes passes the
-    oracle's Ext, but is_rigid_set, which it calls, names the closed
-    ext_dim as its default argument."""
+    Universe method, so the oracle stays independent of what it checks."""
     root = pathlib.Path(wpline.__file__).parent
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(root.glob("*.py"))}
