@@ -4,14 +4,17 @@ Verbs: classify, hom, ext, tube-enum, cox, perp, poset, verify.  All
 emission is deterministic: JSON documents carry "schema": 1 and sorted
 keys, DOT output is the fixed Hasse layout, identical inputs give
 byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
-2 usage errors, 3 window-scale undecidability.
+2 usage errors, 3 window-scale undecidability.  Each verb's options are
+declared once, in _VERBS: a well-formed argv is read straight off that
+table, and the argparse parser built from it is loaded only for help and
+usage errors, whose bytes and exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
+import types
 
 from . import tube
 from .grading import line_invariants, make_line, normalize, parse_weights
@@ -228,8 +231,7 @@ def _cmd_poset(args) -> int:
         sys.stdout.write(_emit_json(poset_json(poset)))
     elif args.format == "text":
         for n in sorted(poset.nodes, key=lambda x: x.name):
-            members = ", ".join(format_sheaf(x) for x in poset.uni.members(n.mask))
-            sys.stdout.write(f"{n.name}: {members}\n")
+            sys.stdout.write(f"{n.name}: {', '.join(poset.member_labels(n))}\n")
         for a, b in poset.covers():
             sys.stdout.write(f"{a} < {b}\n")
     else:
@@ -253,79 +255,102 @@ def _cmd_verify(args) -> int:
     return 0 if passed == len(reports) else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_TEXT_JSON = ("text", "json")
+_WEIGHTS = ("--weights", "weights", True)
+_SHEAF_PAIR = (_WEIGHTS, ("--from", "src", True), ("--to", "dst", True))
+
+# Per verb: handler, help line, options as (flag, dest, required), then the
+# default and the choices of --format.  --rank alone reads an int.
+_VERBS = {
+    "classify": (_cmd_classify, "weight type and degree invariants", (_WEIGHTS,),
+                 "text", _TEXT_JSON),
+    "hom": (_cmd_hom, "hom dimension between sheaves", _SHEAF_PAIR, "text", _TEXT_JSON),
+    "ext": (_cmd_hom, "ext dimension between sheaves", _SHEAF_PAIR, "text", _TEXT_JSON),
+    "tube-enum": (_cmd_tube_enum, "wide subcategories of one tube", (("--rank", "rank", True),),
+                  "text", (*_TEXT_JSON, "dot")),
+    "cox": (_cmd_cox, "reflection product of a sequence",
+            (_WEIGHTS, ("--sheaves", "sheaves", False)), "json", _TEXT_JSON),
+    "perp": (_cmd_perp, "right perpendicular members in a window",
+             (_WEIGHTS, ("--sheaves", "sheaves", True), ("--window", "window", False),
+              ("--universe", "universe", False)), "json", _TEXT_JSON),
+    "poset": (_cmd_poset, "inclusion poset over a shift window",
+              (_WEIGHTS, ("--window", "window", False), ("--universe", "universe", False)),
+              "dot", (*_TEXT_JSON, "dot")),
+    "verify": (_cmd_verify, "run the acceptance criteria", (), "text", _TEXT_JSON),
+}
+
+
+def _read_argv(argv):
+    """The namespace of a well-formed argv, read straight off _VERBS: a
+    verb, then exact long options, each given once with a value that does
+    not start with "-" or is joined by "=", every required one, a listed
+    format and an int rank.  None for anything else (help, abbreviations,
+    repeats, unknown tokens, bad values), which argparse answers."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    handler, _, options, fmt, formats = _VERBS[argv[0]]
+    dests = {flag: dest for flag, dest, _ in options}
+    dests["--format"] = "format"
+    args = dict.fromkeys(dests.values())
+    args.update(verb=argv[0], run=handler, format=fmt)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, joined, value = token.partition("=")
+        if not joined:
+            value = next(tokens, "-")
+        if flag not in dests or flag in given or not joined and value.startswith("-"):
+            return None
+        given.add(flag)
+        args[dests[flag]] = value
+    if args["format"] not in formats or any(required and flag not in given
+                                            for flag, _, required in options):
+        return None
+    if "rank" in args:
+        try:
+            args["rank"] = int(args["rank"])
+        except ValueError:
+            return None
+    return types.SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser of _VERBS, built only for help and usage errors."""
+    import argparse
     ap = argparse.ArgumentParser(prog="wpline",
                                  description="wide subcategory calculator for "
                                              "domestic weighted projective lines")
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def add_common(p, fmt_default="text", formats=("text", "json")):
-        p.add_argument("--format", choices=formats, default=fmt_default)
-
-    p = sub.add_parser("classify", help="weight type and degree invariants")
-    p.set_defaults(run=_cmd_classify)
-    p.add_argument("--weights", required=True)
-    add_common(p)
-
-    for verb in ("hom", "ext"):
-        p = sub.add_parser(verb, help=f"{verb} dimension between sheaves")
-        p.set_defaults(run=_cmd_hom)
-        p.add_argument("--weights", required=True)
-        p.add_argument("--from", dest="src", required=True)
-        p.add_argument("--to", dest="dst", required=True)
-        add_common(p)
-
-    p = sub.add_parser("tube-enum", help="wide subcategories of one tube")
-    p.set_defaults(run=_cmd_tube_enum)
-    p.add_argument("--rank", type=int, required=True)
-    add_common(p, formats=("text", "json", "dot"))
-
-    p = sub.add_parser("cox", help="reflection product of a sequence")
-    p.set_defaults(run=_cmd_cox)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--sheaves")
-    add_common(p, "json")
-
-    p = sub.add_parser("perp", help="right perpendicular members in a window")
-    p.set_defaults(run=_cmd_perp)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--sheaves", required=True)
-    p.add_argument("--window")
-    p.add_argument("--universe")
-    add_common(p, "json")
-
-    p = sub.add_parser("poset", help="inclusion poset over a shift window")
-    p.set_defaults(run=_cmd_poset)
-    p.add_argument("--weights", required=True)
-    p.add_argument("--window")
-    p.add_argument("--universe")
-    add_common(p, "dot", ("text", "json", "dot"))
-
-    p = sub.add_parser("verify", help="run the acceptance criteria")
-    p.set_defaults(run=_cmd_verify)
-    add_common(p)
+    for verb, (handler, text, options, fmt, formats) in _VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        p.set_defaults(run=handler)
+        for flag, dest, required in options:
+            p.add_argument(flag, dest=dest, required=required,
+                           type=int if flag == "--rank" else None)
+        p.add_argument("--format", choices=formats, default=fmt)
     return ap
 
 
-def run(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # a window like -2..3 starts with a dash, which the parser would
-    # otherwise read as an option
-    merged = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--window" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            merged.append(argv[i] + "=" + argv[i + 1])
-            i += 2
+def _join_windows(argv) -> list:
+    """argv with "--window" joined to a value that starts with a dash, as
+    -2..3 does, which would otherwise read as an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] == "--window" and token.startswith("-"):
+            out[-1] += "=" + token
         else:
-            merged.append(argv[i])
-            i += 1
-    ap = _build_parser()
-    try:
-        args = ap.parse_args(merged)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+            out.append(token)
+    return out
+
+
+def run(argv=None) -> int:
+    argv = _join_windows(sys.argv[1:] if argv is None else argv)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
     try:
         return args.run(args)
     except ValueError as e:

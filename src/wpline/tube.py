@@ -473,16 +473,19 @@ def inclusion_order(masks, held):
     containing it, and the cover pairs (i, j) of the order, in index
     order: the transitive reduction.  Every set must come after the sets
     it strictly contains (sort by size first): then the lowest index left
-    above i is a cover of i, and its own row is cleared.
+    above i is a cover of i, and its own row is cleared.  Rows span one
+    bit per set, so a bit is cleared by XOR with the bits it holds, never
+    by AND with a complement, which would build a negative row-wide int.
     """
     everyone = (1 << len(masks)) - 1
-    above = [meet(held, m, everyone) & ~(1 << i) for i, m in enumerate(masks)]
+    above = [meet(held, m, everyone) ^ 1 << i for i, m in enumerate(masks)]
     covers = []
     for i, rest in enumerate(above):
         while rest:
-            j = (rest & -rest).bit_length() - 1
+            low = rest & -rest
+            j = low.bit_length() - 1
             covers.append((i, j))
-            rest &= ~above[j] & ~(1 << j)
+            rest ^= low | rest & above[j]
     return above, covers
 
 

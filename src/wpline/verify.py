@@ -314,9 +314,9 @@ def criterion_11():
     for weights, window, ids in (((2,), (-2, 3), ()), ((1, 1), (-2, 3), ("0", "1"))):
         line = make_line(weights)
         poset = build_poset(line, window[0], window[1], ids)
-        nodes = poset.nodes
+        nodes, above = poset.nodes, poset.above
         untagged = [(u.name, nodes[j].name) for i, u in enumerate(nodes)
-                    for j in tube.bits(poset.above[i] & ~(poset.exc[i] | poset.cinv[i]))]
+                    for j in tube.bits(above[i] ^ (above[i] & (poset.exc[i] | poset.cinv[i])))]
         if untagged:
             problems.append(f"{weights}: untagged {untagged[:3]}")
         if not poset.certificate_ok():

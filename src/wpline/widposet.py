@@ -26,10 +26,12 @@ sheaf_sort_key, so ascending index tuples order generators and nodes as
 sort-key tuples would.  Rigid sets come in level order (by size, then
 by sorted indices), so the first one found for a node is its least
 generator.  A node holds its members and generators as masks only;
-sheaf objects are built for names and messages, and by readers that
-take a mask's members from the poset's universe.  Shift-invariant data
-are tube lattice masks: sorted by (socle, length) as in tube_universe,
-a point's arcs form one block of the universe, entered by one shift.
+names, messages and emitted members join labels formatted once per
+universe object and once per tube lattice mask, and readers that want
+sheaf objects take a mask's members from the poset's universe.
+Shift-invariant data are tube lattice masks: sorted by (socle, length)
+as in tube_universe, a point's arcs form one block of the universe,
+entered by one shift.
 
 Exactness (Geigle-Lenzing).  With p = delta(c): Hom(O(x), O(y)) = 0
 exactly when y - x is not effective, a non-effective element has degree
@@ -205,18 +207,20 @@ class PosetNode(Record):
 class WidPoset:
     """Nodes by snapshot size; bit j of above[i] when node j strictly contains
     node i, of exc[i] or cinv[i] when that mechanism certifies it.  Nodes
-    and clipped generator sets are masks over the build universe uni.
-    index_covers are the cover pairs (i, j) of node indices, in ascending
-    order of i, as tube.inclusion_order lists them; i < j, as a strict
-    superset comes later."""
+    and clipped generator sets are masks over the build universe uni,
+    whose objects are named by labels.  index_covers are the cover pairs
+    (i, j) of node indices, in ascending order of i, as
+    tube.inclusion_order lists them; i < j, as a strict superset comes
+    later."""
 
-    def __init__(self, line, lo, hi, universe_ids, uni, nodes, clipped, undecidable,
+    def __init__(self, line, lo, hi, universe_ids, uni, labels, nodes, clipped, undecidable,
                  covers, above, exc, cinv):
         self.line = line
         self.lo = lo
         self.hi = hi
         self.universe_ids = tuple(sorted(universe_ids))
         self.uni = uni
+        self.labels = labels
         self.nodes = nodes
         self.clipped = clipped
         self.undecidable = undecidable
@@ -226,9 +230,18 @@ class WidPoset:
         self.cinv = cinv
 
     def covers(self):
-        """Cover pairs (lower, upper) by name, sorted."""
-        nodes = self.nodes
-        return sorted([(nodes[i].name, nodes[j].name) for i, j in self.index_covers])
+        """Cover pairs (lower, upper) by name, sorted.  Names are distinct,
+        so with r(i) the rank of node i's name among the N names, the
+        ints r(i) * N + r(j) sort as the name pairs do, and faster."""
+        names = sorted(u.name for u in self.nodes)
+        rank, n = {name: r for r, name in enumerate(names)}, len(names)
+        r = [rank[u.name] for u in self.nodes]
+        return [(names[k // n], names[k % n])
+                for k in sorted([r[i] * n + r[j] for i, j in self.index_covers])]
+
+    def member_labels(self, node) -> list:
+        """The labels of a node's members, in universe order."""
+        return [self.labels[i] for i in tube.bits(node.mask)]
 
     def certificate_ok(self) -> bool:
         """Every comparable pair is reachable through tagged steps; steps go
@@ -238,37 +251,42 @@ class WidPoset:
             reach[i] = (self.exc[i] | self.cinv[i]) & self.above[i]
             for k in tube.bits(reach[i]):
                 reach[i] |= reach[k]
-        return all(up & ~r == 0 for up, r in zip(self.above, reach))
+        return all(up & r == up for up, r in zip(self.above, reach))
 
 
 def _suffix(k: int) -> str:
     return "" if k == 0 else f"({k:+d})"
 
 
-def _torsion_only_name(line, per_point, ordinary_support) -> str:
-    parts = []
-    for mask, i in zip(per_point, line.weighted_indices()):
-        if not mask:
-            continue
-        label = line.points[i]
-        uni = tube.tube_universe(line.weights[i])
-        if mask == uni.full:
-            parts.append(f"tor({label})")
-            continue
-        arcs = uni.members(mask)
-        if len(arcs) == 1:
-            parts.append(format_sheaf(TorsionArc(line, i, arcs[0])))
-        else:
-            desc = "+".join(f"{a.socle}.{a.length}" for a in arcs)
-            parts.append(f"tor({label}:{desc})")
+def _tube_parts(line) -> list:
+    """Per weighted point, the name part of each nonzero tube lattice
+    mask: every part a node name can hold, formatted once per poset."""
+    out = []
+    for i in line.weighted_indices():
+        label, uni = line.points[i], tube.tube_universe(line.weights[i])
+        parts = {}
+        for mask in filter(None, tube.tube_lattice(line.weights[i])):
+            arcs = uni.members(mask)
+            if mask == uni.full:
+                parts[mask] = f"tor({label})"
+            elif len(arcs) == 1:
+                parts[mask] = format_sheaf(TorsionArc(line, i, arcs[0]))
+            else:
+                parts[mask] = f"tor({label}:{'+'.join(f'{a.socle}.{a.length}' for a in arcs)})"
+        out.append(parts)
+    return out
+
+
+def _torsion_only_name(per_point, ordinary_support, parts) -> str:
+    named = [part[mask] for part, mask in zip(parts, per_point) if mask]
     if ordinary_support:
-        parts.append("tor(" + ",".join(sorted(ordinary_support)) + ")")
-    return "&".join(parts) if parts else "0"
+        named.append("tor(" + ",".join(sorted(ordinary_support)) + ")")
+    return "&".join(named) if named else "0"
 
 
-def _cinv_name(line, data: CInvData) -> str:
+def _cinv_name(line, data: CInvData, parts) -> str:
     if not data.contains_bundle:
-        return _torsion_only_name(line, data.per_point, data.ordinary_support)
+        return _torsion_only_name(data.per_point, data.ordinary_support, parts)
     if not any(data.defining_exc):
         return "coh"
     widx = line.weighted_indices()
@@ -276,26 +294,28 @@ def _cinv_name(line, data: CInvData) -> str:
         arcs = tube.tube_universe(2).members(data.defining_exc[0])
         if len(arcs) == 1 and arcs[0].length == 1:
             return "T2" if arcs[0].socle == 0 else "T2(+1)"
-    return f"perp({_torsion_only_name(line, data.defining_exc, ())})"
+    return f"perp({_torsion_only_name(data.defining_exc, (), parts)})"
 
 
-def _exc_name(line, members) -> str:
-    """Name of a closure from its members in sheaf_sort_key order."""
-    bundles = [x for x in members if isinstance(x, LineBundle)]
-    torsion = [x for x in members if not isinstance(x, LineBundle)]
+def _exc_name(line, objects, labels, bundles, mask) -> str:
+    """Name of a closure from its mask over a universe sorted by
+    sheaf_sort_key, whose objects carry labels and whose bundles are the
+    set bits of bundles."""
+    held = mask & bundles
+    torsion = mask ^ held
     widx = line.weighted_indices()
-    if not members:
+    if not mask:
         return "0"
-    if not widx and len(bundles) == 1 and not torsion:
-        k = bundles[0].degree.degree()
+    if not widx and held.bit_count() == 1 and not torsion:
+        k = objects[held.bit_length() - 1].degree.degree()
         return f"<O({k:+d})>" if k else "<O(0)>"
-    if len(widx) == 1 and bundles:
-        degs = [b.degree.degree() for b in bundles]
-        if len(bundles) == 1 and not torsion:
+    if len(widx) == 1 and held:
+        degs = [objects[i].degree.degree() for i in tube.bits(held)]
+        if len(degs) == 1 and not torsion:
             return "T0" + _suffix(degs[0])
-        if len(bundles) == 2 and degs[1] == degs[0] + 1 and len(torsion) == 1:
+        if len(degs) == 2 and degs[1] == degs[0] + 1 and torsion.bit_count() == 1:
             return "T1" + _suffix(degs[0])
-    return "W{" + ";".join(format_sheaf(x) for x in members) + "}"
+    return "W{" + ";".join(labels[i] for i in tube.bits(mask)) + "}"
 
 
 def universe_margin(line: WeightData) -> int:
@@ -315,9 +335,14 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     uni = window_universe(line, lo - m, hi + m, universe_ids)
     window = sum(1 << i for i, x in enumerate(uni.objects)
                  if not isinstance(x, LineBundle) or lo <= x.degree.degree() <= hi)
+    outside = uni.full ^ window
     exceptional = sum(1 << i for i in tube.bits(window) if is_exceptional_sheaf(uni.objects[i]))
     offset = torsion_offsets(uni)
     bundles = sum(1 << i for i, x in enumerate(uni.objects) if isinstance(x, LineBundle))
+    # names are read off tables: one label per universe object, one part
+    # per nonzero tube lattice mask of each weighted point
+    labels = [format_sheaf(x) for x in uni.objects]
+    parts = _tube_parts(line)
 
     # invariant data and members by window slice, the first one kept
     undecidable, invariant = [], {}
@@ -325,8 +350,8 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
         members = cinv_snapshot(line, data, uni, offset)
         first = invariant.setdefault(members & window, (data, members))[0]
         if first is not data:
-            undecidable.append(f"window cannot separate {_cinv_name(line, first)} "
-                               f"and {_cinv_name(line, data)}")
+            undecidable.append(f"window cannot separate {_cinv_name(line, first, parts)} "
+                               f"and {_cinv_name(line, data, parts)}")
 
     # Closures are exact on the universe, so each case of the module
     # docstring is a test; a failed one is reported, never guessed.  Rigid
@@ -342,14 +367,14 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
             key = snap & window
             problem = None if invariant.get(key, (None, None))[1] == snap \
                 else "closure of a bundle-free perpendicular is not shift-invariant"
-        elif snap & ~window:
+        elif snap & outside:
             clipped.append(gens)
             continue
         else:
             problem = "window slice of a closure with bundles is an invariant one" \
                 if snap in invariant else None
         if problem:
-            shown = ";".join(format_sheaf(g) for g in uni.members(gens))
+            shown = ";".join(labels[i] for i in tube.bits(gens))
             undecidable.append(f"{problem}: {shown}")
             continue
         least.setdefault(key, gens)
@@ -359,7 +384,8 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     used_names = set()
     for mask in masks:
         data, _ = invariant.get(mask, (None, None))
-        name = _cinv_name(line, data) if data is not None else _exc_name(line, uni.members(mask))
+        name = _cinv_name(line, data, parts) if data is not None \
+            else _exc_name(line, uni.objects, labels, bundles, mask)
         if name in used_names:
             undecidable.append(f"name collision at {name}")
             name = next(f"{name}#{i}" for i in itertools.count(2)
@@ -375,25 +401,29 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     everyone = (1 << len(nodes)) - 1
     exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
+    cinv_only = cinv_nodes ^ (cinv_nodes & exc_nodes)
     data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, offset)
                   for n in nodes]
     held_data = tube.holders(data_masks)
+    # As in tube.inclusion_order, bits leave a row by XOR, never by AND
+    # with a complement; by_data lies in cinv_nodes.
     exc, cinv = [], []
     for i, u in enumerate(nodes):
         by_gens = 0 if u.exc_gens is None else tube.meet(held, u.exc_gens, everyone)
         by_data = 0 if u.cinv is None else tube.meet(held_data, data_masks[i], cinv_nodes)
-        exc.append(by_gens & (exc_nodes | ~by_data))
+        exc.append(by_gens ^ (by_gens & by_data & cinv_only))
         cinv.append(by_data)
-        by_exc = everyone & ~(1 << i) if u.exc_gens is not None else 0
-        by_cinv = cinv_nodes & ~(1 << i) if u.cinv is not None else 0
-        flags = (("disagrees with generators", (by_gens ^ above[i]) & by_exc),
-                 ("disagrees with invariant data", (by_data ^ above[i]) & by_cinv),
-                 ("undecidable at window scale", above[i] & ~(by_exc | by_cinv)))
+        by_exc = everyone ^ 1 << i if u.exc_gens is not None else 0
+        by_cinv = cinv_nodes ^ 1 << i if u.cinv is not None else 0
+        up = above[i]
+        flags = (("disagrees with generators", (by_gens ^ up) & by_exc),
+                 ("disagrees with invariant data", (by_data ^ up) & by_cinv),
+                 ("undecidable at window scale", up ^ (up & (by_exc | by_cinv))))
         for j in tube.bits(flags[0][1] | flags[1][1] | flags[2][1]):
             undecidable.extend(f"order of {u.name} and {nodes[j].name} {what}"
                                for what, flagged in flags if flagged >> j & 1)
 
-    return WidPoset(line, lo, hi, universe_ids, uni, tuple(nodes), tuple(clipped),
+    return WidPoset(line, lo, hi, universe_ids, uni, labels, tuple(nodes), tuple(clipped),
                     tuple(undecidable), covers, above, exc, cinv)
 
 
@@ -426,14 +456,15 @@ def poset_json(poset: WidPoset) -> dict:
             "name": n.name,
             "exc": n.exc_gens is not None,
             "c_invariant": n.cinv is not None,
-            "members": [format_sheaf(x) for x in poset.uni.members(n.mask)],
+            "members": poset.member_labels(n),
         })
     tags = {}
     for i, u in enumerate(poset.nodes):
         # the nodes above u split by their set of tags, read off u's rows
-        up, exc, cinv = poset.above[i], poset.exc[i], poset.cinv[i]
-        for mask, found in ((up & exc & ~cinv, ("exc",)), (up & cinv & ~exc, ("cinv",)),
-                            (up & exc & cinv, ("exc", "cinv"))):
+        exc, cinv = poset.above[i] & poset.exc[i], poset.above[i] & poset.cinv[i]
+        both = exc & cinv
+        for mask, found in ((exc ^ both, ("exc",)), (cinv ^ both, ("cinv",)),
+                            (both, ("exc", "cinv"))):
             for j in tube.bits(mask):
                 tags[f"{u.name}<{poset.nodes[j].name}"] = list(found)
     return {

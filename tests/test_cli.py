@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpline import cli, tube, verify, widposet
 from wpline.grading import make_line
@@ -19,6 +20,7 @@ from test_widposet import ref_order_messages, thin_inclusion_order
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "poset_w2.dot"
+HELP_GOLDEN = GOLDEN.parent / "cli_help_usage.json"
 
 
 def run_cli(argv):
@@ -254,10 +256,12 @@ NO_JSON_ARGVS = [
 
 
 def test_processes_load_no_dataclasses_or_inspect():
-    """A fresh process that runs every verb but verify, and one that
-    imports the tube layer alone as a closure request does, loads
-    neither dataclasses nor inspect (with its ast, dis and tokenize).  A
-    fresh process whose requests print no JSON loads no json."""
+    """A fresh process that runs a well-formed request of every verb, and
+    one that imports the tube layer alone as a closure request does,
+    loads neither dataclasses nor inspect (with its ast, dis and
+    tokenize); the first reads its argvs off the verb table, so it loads
+    neither argparse nor the gettext that argparse pulls in.  A fresh
+    process whose requests print no JSON loads no json."""
     def verbs(argvs, watched):
         return ("import contextlib, io, sys\n"
                 "before = set(sys.modules)\n"
@@ -267,12 +271,14 @@ def test_processes_load_no_dataclasses_or_inspect():
                 f"print(codes, sorted({watched} & set(sys.modules) - before))\n")
 
     watched = "{'dataclasses', 'inspect'}"
+    every_verb = [*VERB_ARGVS, ["verify"]]
     tube = ("import sys\n"
             "before = set(sys.modules)\n"
             "import wpline.tube\n"
             f"print(sorted({watched} & set(sys.modules) - before))\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
-    for script, want in ((verbs(VERB_ARGVS, watched), f"{[0] * len(VERB_ARGVS)} []\n"),
+    for script, want in ((verbs(every_verb, "{'dataclasses', 'inspect', 'argparse', 'gettext'}"),
+                          f"{[0] * len(every_verb)} []\n"),
                          (tube, "[]\n"),
                          (verbs(NO_JSON_ARGVS, "{'json'}"), f"{[0] * len(NO_JSON_ARGVS)} []\n")):
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -326,6 +332,15 @@ def test_verify_text_and_json_formats(monkeypatch, reports, code, text):
     assert doc == {"schema": 1, "criteria": reports, "passed": 1, "total": len(reports)}
 
 
+# a well-formed request of each verb that offers no DOT output
+NO_DOT_ARGVS = [["classify", "--weights", "2"],
+                ["hom", "--weights", "2", "--from", "O", "--to", "O"],
+                ["ext", "--weights", "2", "--from", "O", "--to", "O"],
+                ["cox", "--weights", "2"],
+                ["perp", "--weights", "2", "--sheaves", "S(inf,0)"],
+                ["verify"]]
+
+
 def test_usage_errors_exit_2():
     assert run_cli(["no-such-verb"])[0] == 2
     assert run_cli(["hom", "--weights", "2", "--from", "O"])[0] == 2
@@ -340,12 +355,7 @@ def test_usage_errors_exit_2():
     assert run_cli(["poset", "--weights", "2", "--window", "3..-2"])[0] == 2
     assert run_cli(["classify", "--weights", "2,x"])[0] == 2
     # dot is offered only by the verbs that emit it
-    for argv in (["classify", "--weights", "2"],
-                 ["hom", "--weights", "2", "--from", "O", "--to", "O"],
-                 ["ext", "--weights", "2", "--from", "O", "--to", "O"],
-                 ["cox", "--weights", "2"],
-                 ["perp", "--weights", "2", "--sheaves", "S(inf,0)"],
-                 ["verify"]):
+    for argv in NO_DOT_ARGVS:
         rc, out, err = run_cli(argv + ["--format", "dot"])
         assert (rc, out) == (2, ""), argv
         assert "invalid choice: 'dot'" in err, argv
@@ -370,6 +380,83 @@ def test_rank_bound_precedes_the_window_universe(monkeypatch):
     for weights in ("7", "2,7"):
         assert run_cli(["poset", "--weights", weights]) == \
             (2, "", "error: rank 7 above the configured bound 6\n"), weights
+
+
+def test_help_and_usage_errors_match_golden(monkeypatch):
+    """`wpline --help`, each verb's --help and three usage errors (a
+    missing required option, a format the verb does not offer, a rank
+    that is no int) give the bytes and exit codes the argparse-only
+    front end gave at 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = json.loads(HELP_GOLDEN.read_text())
+    assert len(cases) == 1 + len(cli._VERBS) + 3
+    for case in cases:
+        assert run_cli(case["argv"]) == (case["code"], case["stdout"], case["stderr"]), case["argv"]
+
+
+FLAGS = sorted({flag for _, _, options, _, _ in cli._VERBS.values() for flag, _, _ in options})
+VALUES = {"--format": ["text", "json", "dot", "pdf"], "--rank": ["3", "0", " 4", "1_0", "x", "-3"]}
+WORDS = ["2", "2,3", "x", "", "-", "-2..3", "--weights", "S(inf,0)", "O;O(1)", "q", "a=b"]
+
+
+@st.composite
+def argvs(draw):
+    """A verb (or a stray word), then its options in any order, each kept
+    with odds 3 in 4, and now and then a noise token: another verb's
+    option, an abbreviation, a repeat, -h, "--" or a positional.  Values
+    come from small vocabularies, apart or joined by "="."""
+    verb = draw(st.sampled_from([*cli._VERBS, "nope"]))
+    own = [flag for flag, _, _ in cli._VERBS.get(verb, (None, None, ()))[2]] + ["--format"]
+    flags = [flag for flag in draw(st.permutations(own)) if draw(st.integers(0, 3))]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        noise = [*FLAGS, *own, "--weigh", "-h", "--help", "--", "stray"]
+        flags.insert(draw(st.integers(0, len(flags))), draw(st.sampled_from(noise)))
+    argv = [verb]
+    for flag in flags:
+        value = draw(st.sampled_from(VALUES.get(flag, WORDS)))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return argv
+
+
+def table_agrees_with_argparse(argv) -> bool:
+    """Whether the verb table accepts argv, asserting that argparse then
+    gives the same namespace, handler included."""
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(cli._build_parser().parse_args(argv)), argv
+    return args is not None
+
+
+@settings(max_examples=300)
+@given(argvs())
+def test_verb_table_reads_argv_as_argparse_does(argv):
+    table_agrees_with_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [*VERB_ARGVS, ["verify"], ["verify", "--format=json"],
+                                  ["tube-enum", "--format=json", "--rank=4"],
+                                  ["perp", "--weights=2", "--sheaves", "S(inf,0)", "--universe",
+                                   "q", "--window", "-2..3", "--format", "text"]])
+def test_verb_table_accepts_well_formed_requests(argv):
+    """Well-formed requests of every verb, options apart or joined by
+    "=", are read off the table, with argparse's namespace."""
+    assert table_agrees_with_argparse(cli._join_windows(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset", "-h"], ["poset", "--weights", "2", "--help"], ["--help"], [],
+    ["poset", "--weigh", "2"], ["poset", "--weights", "2", "--weights", "3"],
+    ["poset", "--weights", "2", "--format", "json", "--format", "dot"],
+    *([*argv, "--format=dot"] for argv in NO_DOT_ARGVS),
+    ["tube-enum", "--rank", "x"], ["tube-enum", "--rank", "-3"],
+    ["poset", "--weights", "2", "stray"], ["poset", "stray", "--weights", "2"],
+    ["poset", "--window", "-2..3"], ["hom", "--weights", "2", "--from", "O"],
+    ["poset", "--weights", "2", "--window"], ["poset", "--weights", "2", "--", "--window=1..2"]])
+def test_verb_table_declines_what_argparse_must_answer(argv):
+    """Help, abbreviations, repeats, a format or rank the verb does not
+    take, stray positionals, missing options and values: the table
+    declines them all, so argparse answers with its own bytes."""
+    assert cli._read_argv(cli._join_windows(argv)) is None
 
 
 def test_parse_sheaf_rejects_unknown_point():

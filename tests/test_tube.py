@@ -714,7 +714,8 @@ def reference_inclusion_order(masks):
 
 
 def order_inputs():
-    posets = [(w, lo, hi, ()) for w, lo, hi in BENCH_INPUTS] + [((1, 1), -2, 3, ("0", "1"))]
+    posets = [(w, lo, hi, ()) for w, lo, hi in BENCH_INPUTS] + [((1, 1), -2, 3, ("0", "1")),
+                                                                 ((2, 6), -2, 3, ())]
     return ([pytest.param(p, id=f"poset-{','.join(map(str, p[0]))}-{len(p[3])}") for p in posets]
             + [pytest.param(n, id=f"tube-enum-{n}") for n in range(1, 6)])
 
@@ -723,8 +724,9 @@ def order_inputs():
 def test_inclusion_order_matches_reference(case):
     """The lowest-bit walk gives the rows and the cover list, in order, of
     the reduction that ORs every row above, on the node masks of the
-    benchmark posets (and of 1,1 with two ordinary points) and on the
-    tube-enum lattices of ranks 1 to 5."""
+    benchmark posets (and of 1,1 with two ordinary points, and of 2,6 at
+    its default window, whose rows span 8,783 bits) and on the tube-enum
+    lattices of ranks 1 to 5."""
     if isinstance(case, int):
         masks = list(tube.tube_lattice(case))
     else:

@@ -596,3 +596,38 @@ def test_traced_names_are_plain_functions():
             if not is_plain_function(obj, name.split(".")[0])] == []
     assert targets["widposet.covers"] == [importlib.import_module("wpline.widposet").WidPoset.covers]
     assert not is_plain_function(functools.cache(verify.criterion_8), "verify")
+
+
+# functions whose ints are node-index bitsets, one bit per poset node
+# (10,323 on 4,4): module file -> function or Class.method names
+NODE_BITSET_FUNCTIONS = {"tube.py": {"inclusion_order"},
+                         "widposet.py": {"WidPoset.certificate_ok", "build_poset", "poset_json"},
+                         "verify.py": {"criterion_11"}}
+
+
+def complements(tree) -> dict:
+    """Per module-level function and Class.method of tree, the lines of
+    its unary ~ operators."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update((f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef))
+    return {name: [n.lineno for n in ast.walk(f)
+                   if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.Invert)]
+            for name, f in defs.items()}
+
+
+def test_node_bitsets_take_no_complement():
+    """~x on an N-bit node bitset builds a negative N-bit int, several
+    times the cost of x ^ (x & y): the order rows, certificates and tags
+    clear bits by XOR with the bits they hold, never by AND with a
+    complement."""
+    assert complements(ast.parse("class C:\n    def f(x, y):\n        return x & ~y\n")) \
+        == {"C.f": [3]}
+    root = pathlib.Path(wpline.__file__).parent
+    for module, names in NODE_BITSET_FUNCTIONS.items():
+        found = complements(ast.parse((root / module).read_text(), module))
+        assert {name: found[name] for name in names} == dict.fromkeys(names, []), module

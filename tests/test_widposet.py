@@ -807,9 +807,10 @@ def test_build_poset_closes_each_perpendicular_once(weights, lo, hi, monkeypatch
 
 @pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
 def test_build_poset_makes_sheaf_objects_for_names_only(weights, lo, hi, monkeypatch):
-    """build_poset lists the sheaf window once, for its universe, and reads
-    the members of a mask only to name a node from its snapshot: clipped
-    generator sets stay masks."""
+    """build_poset lists the sheaf window once, for its universe, and names
+    nodes off per-universe tables: no node mask is expanded into sheaf
+    objects, neither in the build nor in DOT and JSON emission, and
+    clipped generator sets stay masks."""
     listed, read = [], []
     sheaf_universe = wp.sheaf_universe
 
@@ -819,15 +820,17 @@ def test_build_poset_makes_sheaf_objects_for_names_only(weights, lo, hi, monkeyp
 
     class Counted(tube.Universe):
         def members(self, mask):
-            read.append(mask)
+            read.append(self)
             return super().members(mask)
 
     monkeypatch.setattr(wp, "sheaf_universe", counted_universe)
     monkeypatch.setattr(tube, "Universe", Counted)
     poset = wp.build_poset(make_line(weights), lo, hi)
+    wp.poset_dot(poset)
+    wp.poset_json(poset)
     assert poset.clipped and poset.undecidable == ()
-    assert len(listed) == 1
-    assert read == [n.mask for n in poset.nodes if n.cinv is None]
+    assert len(listed) == 1 and type(poset.uni) is Counted
+    assert [uni for uni in read if uni is poset.uni] == []
     assert all(isinstance(gens, int) for gens in poset.clipped)
 
 
