@@ -7,18 +7,26 @@ byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
 2 usage errors, 3 window-scale undecidability.  Each verb's options are
 declared once, in _VERBS: a well-formed argv is read straight off that
 table, and the argparse parser built from it is loaded only for help and
-usage errors, whose bytes and exit codes are argparse's own.
+usage errors, whose bytes and exit codes are argparse's own.  Only `cox`
+loads the Grothendieck group, `ktheory`.
+
+`main` ends the process: once `run` has written the answer it freezes
+the heap (gc.freeze), so the interpreter's exit skips the full
+collections it would run over every object while clearing modules;
+atexit handlers and the flush of stdout and stderr still run.  `run`
+never freezes, since tests and library callers call it in process and a
+freeze there would keep their garbage until that process ends.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 import types
 
 from . import tube
 from .grading import line_invariants, make_line, normalize, parse_weights
-from .ktheory import abs_length, canonical_interval_sequence, cox_of, coxeter_element, euler_matrix
 from .nilpotent import Arc
 from .sheaves import (OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
                       hom_dim_sheaf, is_exceptional_sheaf, line_bundle, perp_membership,
@@ -163,6 +171,9 @@ def _cmd_tube_enum(args) -> int:
 
 
 def _cmd_cox(args) -> int:
+    # only this verb loads the Grothendieck group
+    from .ktheory import (abs_length, canonical_interval_sequence, cox_of, coxeter_element,
+                          euler_matrix)
     line = _line_from_args(args)
     if args.sheaves is not None:
         seq = tuple(parse_sheaf(line, s) for s in _SHEAF_LIST.split(args.sheaves))
@@ -359,7 +370,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # the answer is written: spare the exit the collections over every
+    # object it would otherwise run while clearing modules
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -39,11 +39,11 @@ class WeightData(Record):
     them never changes the group, the degree map or dim_S, which is what
     makes the padding harmless.
 
-    `p`, `dualizing()`, `weighted_indices()` and the field hash are
-    computed once per instance and kept outside the fields, so equality,
-    hashing and repr see only the weights and the labels.  The class
-    keeps its `__dict__` for these per-instance constants; `ktheory`
-    keeps the line's Grothendieck-group record there too.
+    `p`, `k0_rank`, `dualizing()`, `weighted_indices()` and the field
+    hash are computed once per instance and kept outside the fields, so
+    equality, hashing and repr see only the weights and the labels.  The
+    class keeps its `__dict__` for these per-instance constants;
+    `ktheory` keeps the line's Grothendieck-group record there too.
     """
 
     _fields = ("weights", "points")
@@ -72,6 +72,13 @@ class WeightData(Record):
     @cached_property
     def p(self) -> int:
         return _lcm(self.weights)
+
+    @cached_property
+    def k0_rank(self) -> int:
+        """The rank 2 + sum(p_i - 1) of the Grothendieck group, the length
+        of a full exceptional sequence; the poset walk reads it without
+        loading `ktheory`."""
+        return 2 + sum(self.weights) - self.n
 
     def element(self, coeffs, c_part=0) -> "GradeElement":
         return normalize(self, tuple(coeffs), c_part)

@@ -107,7 +107,7 @@ class _LineTable:
         self.line = line
         pairs = [(i, j) for i in line.weighted_indices() for j in range(1, line.weights[i])]
         self.index = {ij: u for u, ij in enumerate(pairs, 2)}   # (point, j) -> basis position
-        self.rank = len(pairs) + 2
+        self.rank = line.k0_rank
         self.delta = (-1, 1) + (0,) * (self.rank - 2)   # [O(c)] - [O]
         self.identity = tuple(tuple(int(u == v) for v in range(self.rank))
                               for u in range(self.rank))
@@ -185,10 +185,6 @@ def _mul(a, b) -> tuple:
     """Integer matrix product on tuples of rows."""
     cols = tuple(zip(*b))
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
-def k_rank(line: WeightData) -> int:
-    return _table(line).rank
 
 
 def basis_sheaves(line: WeightData):

@@ -448,20 +448,25 @@ class Universe:
         time, each size in ascending order of sorted indices.  Extending
         each set of a level, in order, by its larger candidates in order
         gives exactly that order, so the first set yielded with some
-        property is the least one by size, then sorted indices.  The
-        perpendicular is carried along, one AND per step."""
-        cands = [i for i in bits(candidates) if self.compatible[i] >> i & 1]
+        property is the least one by size, then sorted indices.  Each set
+        carries its perpendicular, one AND per step, and the mask of the
+        candidates that may still join it: those above its largest member
+        compatible with every member.  The walk takes that mask's set bits
+        lowest first, so it visits only the children it yields."""
+        right, compatible = self.right, self.compatible
+        rigid = sum(1 << i for i in bits(candidates) if compatible[i] >> i & 1)
         yield 0, self.full
-        level = [(0, 0, self.full, self.full)]
+        level = [(0, rigid, self.full)]
         for _ in range(max_size):
             grown = []
-            for chosen, start, allowed, perp in level:
-                for pos in range(start, len(cands)):
-                    i = cands[pos]
-                    if allowed >> i & 1:
-                        nxt, nxt_perp = chosen | 1 << i, perp & self.right[i]
-                        yield nxt, nxt_perp
-                        grown.append((nxt, pos + 1, allowed & self.compatible[i], nxt_perp))
+            for chosen, allowed, perp in level:
+                while allowed:
+                    low = allowed & -allowed
+                    allowed ^= low
+                    i = low.bit_length() - 1
+                    nxt, nxt_perp = chosen | low, perp & right[i]
+                    yield nxt, nxt_perp
+                    grown.append((nxt, allowed & compatible[i], nxt_perp))
             level = grown
 
 

@@ -17,7 +17,7 @@ from itertools import combinations, product
 from . import tube, widposet
 from .grading import make_line
 from .ktheory import (abs_length, class_of, cox_of, coxeter_element,
-                      euler_form, k_rank, nc_leq)
+                      euler_form, nc_leq)
 from .nilpotent import Arc
 from .sheaves import (TorsionArc, ext_dim_sheaf, ext_dim_sheaf_alt,
                       hom_dim_sheaf, perp_membership, sheaf_sort_key)
@@ -198,7 +198,7 @@ def criterion_7():
             ok = False
             details.append(f"{weights}: {exc}")
             continue
-        m = k_rank(line)
+        m = line.k0_rank
         length = abs_length(c)
         if length != m:
             ok = False

@@ -60,7 +60,6 @@ import itertools
 from . import tube
 from ._record import Record
 from .grading import WeightData
-from .ktheory import k_rank
 from .nilpotent import Arc
 from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
                       hom_dim_sheaf, is_exceptional_sheaf, perp_membership, sheaf_sort_key)
@@ -357,7 +356,7 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     # docstring is a test; a failed one is reported, never guessed.  Rigid
     # sets come in level order, so the first one of a node is its least.
     clipped, closures, least = [], {}, {}
-    for gens, perp in uni.rigid_subsets(exceptional, max_size=k_rank(line)):
+    for gens, perp in uni.rigid_subsets(exceptional, max_size=line.k0_rank):
         if perp not in closures:
             closures[perp] = uni.left_perp(perp)
         key = snap = closures[perp]

@@ -222,18 +222,47 @@ def test_poset_decides_default_windows(argv):
 
 def test_poset_process_loads_no_fractions_or_verify():
     """A fresh process that runs `poset` never imports fractions (nor
-    decimal, which it pulls in) or the acceptance criteria."""
+    decimal, which it pulls in), the acceptance criteria or the
+    Grothendieck group, which only `cox` reads."""
     script = ("import contextlib, io, sys\n"
               "before = set(sys.modules)\n"
               "from wpline import cli\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = cli.run(['poset', '--weights', '3,3', '--window', '-2..3'])\n"
-              "print(code, sorted({'fractions', 'decimal', 'wpline.verify'}\n"
+              "print(code, sorted({'fractions', 'decimal', 'wpline.verify', 'wpline.ktheory'}\n"
               "                   & set(sys.modules) - before))\n")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")
+
+
+def run_entry_point(argv):
+    """Exit code, stdout and stderr of a fresh `python -m wpline.cli`
+    process, which ends through main()."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]), COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "wpline.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_entry_point_keeps_bytes_streams_and_exit_codes():
+    """main() frees nothing at exit, yet the process writes what run()
+    writes: the golden DOT with exit 0, argparse's usage error with
+    exit 2, and the undecidable pairs of a window one degree narrower
+    than delta(c) as JSON on stderr with exit 3."""
+    assert run_entry_point(["poset", "--weights", "2", "--window", "-2..3"]) == \
+        (0, GOLDEN.read_text(), "")
+    usage = next(case for case in json.loads(HELP_GOLDEN.read_text()) if case["code"] == 2)
+    assert run_entry_point(usage["argv"]) == (usage["code"], usage["stdout"], usage["stderr"])
+    narrow = ["poset", "--weights", "2", "--window", "-2..-2"]
+    code, out, err = run_entry_point(narrow)
+    assert (code, out, err) == run_cli(narrow)
+    assert (code, out) == (3, "")
+    report = json.loads(err)
+    assert report["schema"] == 1
+    assert report["undecidable"] and all(m.startswith("window cannot separate ")
+                                         for m in report["undecidable"])
 
 
 VERB_ARGVS = [

@@ -163,6 +163,50 @@ def test_oracle_boundary_verdict_on_synthetic_module():
                                                   ("<module>", "decompose")}
 
 
+def freeze_calls(tree) -> list:
+    """The top-level definition around each call of gc.freeze, however gc
+    or freeze is imported; module-level code counts as "<module>"."""
+    gc_names = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names if alias.name == "gc"}
+    freeze_names = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "gc"
+                    for alias in node.names if alias.name == "freeze"}
+
+    def is_freeze(f) -> bool:
+        return (isinstance(f, ast.Name) and f.id in freeze_names
+                or isinstance(f, ast.Attribute) and f.attr == "freeze"
+                and isinstance(f.value, ast.Name) and f.value.id in gc_names)
+
+    return [getattr(node, "name", "<module>") for node in tree.body
+            for n in ast.walk(node) if isinstance(n, ast.Call) and is_freeze(n.func)]
+
+
+def test_only_main_freezes_the_heap():
+    """gc.freeze is called once, in cli.main, after the request: run()
+    is called in process by the tests and by library callers, whose
+    garbage a freeze there would keep until their process ends."""
+    root = pathlib.Path(wpline.__file__).parent
+    found = [(path.name, owner) for path in sorted(root.glob("*.py"))
+             for owner in freeze_calls(ast.parse(path.read_text(), str(path)))]
+    assert found == [("cli.py", "main")]
+
+
+def test_freeze_lint_verdict_on_synthetic_module():
+    """Calls through an aliased module or an imported name are found,
+    at module level too; another module's freeze is not one."""
+    tree = ast.parse("import gc as g\n"
+                     "from gc import freeze as fz\n"
+                     "import pickle\n"
+                     "def run():\n"
+                     "    g.freeze()\n"
+                     "def main():\n"
+                     "    def inner():\n"
+                     "        fz()\n"
+                     "    pickle.freeze()\n"
+                     "fz()\n")
+    assert freeze_calls(tree) == ["run", "main", "<module>"]
+
+
 def test_tube_keeps_linear_algebra_in_the_oracle_functions():
     """Inside tube.py, linalg and the nilpotent names other than Arc
     appear only in the oracle functions; the closed forms, the Universe

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from wpline.grading import make_line
-from wpline.ktheory import k_rank
 from wpline.nilpotent import Arc
 from wpline import linalg
 from wpline import sheaves as sh
@@ -261,14 +260,21 @@ def margin_universe(weights, lo, hi, ids=()):
     return wp.window_universe(line, lo - m, hi + m, ids)
 
 
+def rigid_window_walk(weights, lo, hi, ids=()):
+    """The poset universe, the mask of its exceptional window objects and
+    the rank of K0: what build_poset walks rigid sets over."""
+    line = make_line(weights)
+    uni = margin_universe(weights, lo, hi, ids)
+    window = uni.mask(wp.sheaf_universe(line, lo, hi, ids))
+    exceptional = sum(1 << i for i in tube.bits(window) if sh.is_exceptional_sheaf(uni.objects[i]))
+    return uni, exceptional, line.k0_rank
+
+
 def rigid_window_sets(weights, lo, hi):
     """The poset universe, and the rigid sets of exceptional window
     objects with their right perpendiculars, as build_poset walks them."""
-    line = make_line(weights)
-    uni = margin_universe(weights, lo, hi)
-    window = uni.mask(wp.sheaf_universe(line, lo, hi, ()))
-    exceptional = sum(1 << i for i in tube.bits(window) if sh.is_exceptional_sheaf(uni.objects[i]))
-    return uni, uni.rigid_subsets(exceptional, k_rank(line))
+    uni, exceptional, max_size = rigid_window_walk(weights, lo, hi)
+    return uni, uni.rigid_subsets(exceptional, max_size)
 
 
 def exc_snapshot(gens, uni, within=None):
@@ -721,7 +727,7 @@ def test_rigid_subsets_carry_right_perpendicular(layer):
         uni, max_size, ext = tube.tube_universe(n), n - 1, tube.ext_dim
     else:
         line = make_line(tuple(int(w) for w in arg.split(",")))
-        uni, max_size = wp.window_universe(line, -2, 3, ()), k_rank(line)
+        uni, max_size = wp.window_universe(line, -2, 3, ()), line.k0_rank
         ext = functools.cache(sh.ext_dim_sheaf)
     found = list(uni.rigid_subsets(uni.full, max_size))
     assert [uni.members(m) for m, _ in found] == \
@@ -729,6 +735,45 @@ def test_rigid_subsets_carry_right_perpendicular(layer):
          if tube.is_rigid_set(c, ext)]
     for mask, perp in found:
         assert perp == uni.right_perp(mask), uni.members(mask)
+
+
+def reference_rigid_subsets(uni, candidates, max_size):
+    """The positional scan that Universe.rigid_subsets replaced: each set
+    of a level scans every later position of the candidate list and
+    keeps the candidates its allowed mask holds."""
+    cands = [i for i in tube.bits(candidates) if uni.compatible[i] >> i & 1]
+    yield 0, uni.full
+    level = [(0, 0, uni.full, uni.full)]
+    for _ in range(max_size):
+        grown = []
+        for chosen, start, allowed, perp in level:
+            for pos in range(start, len(cands)):
+                i = cands[pos]
+                if allowed >> i & 1:
+                    nxt, nxt_perp = chosen | 1 << i, perp & uni.right[i]
+                    yield nxt, nxt_perp
+                    grown.append((nxt, pos + 1, allowed & uni.compatible[i], nxt_perp))
+        level = grown
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
+def test_rigid_subsets_walk_matches_positional_scan(weights, lo, hi, ids):
+    """On the universes and candidates build_poset walks, the set-bit walk
+    yields the (mask, perpendicular) sequence of the positional scan, in
+    order, so every node keeps its least generator."""
+    uni, exceptional, max_size = rigid_window_walk(weights, lo, hi, ids)
+    got = list(uni.rigid_subsets(exceptional, max_size))
+    assert got == list(reference_rigid_subsets(uni, exceptional, max_size))
+    assert len(got) > 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tube_rigid_subsets_walk_matches_positional_scan(n):
+    """The same on every tube universe of the configured ranks, with the
+    rank bound of the lattice."""
+    uni = tube.tube_universe(n)
+    assert list(uni.rigid_subsets(uni.full, n - 1)) == \
+        list(reference_rigid_subsets(uni, uni.full, n - 1))
 
 
 @pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
