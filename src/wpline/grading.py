@@ -76,8 +76,7 @@ class WeightData(Record):
     @cached_property
     def k0_rank(self) -> int:
         """The rank 2 + sum(p_i - 1) of the Grothendieck group, the length
-        of a full exceptional sequence; the poset walk reads it without
-        loading `ktheory`."""
+        of a full exceptional sequence."""
         return 2 + sum(self.weights) - self.n
 
     def element(self, coeffs, c_part=0) -> "GradeElement":

@@ -441,23 +441,26 @@ class Universe:
         (Geigle-Lenzing)."""
         return self.left_perp(self.right_perp(mask))
 
-    def rigid_subsets(self, candidates: int, max_size: int):
-        """Yield every set of at most max_size candidates with no Ext^1
-        between or within its members, as (mask, right perpendicular)
-        pairs, in level order: the empty set first, then one size at a
-        time, each size in ascending order of sorted indices.  Extending
-        each set of a level, in order, by its larger candidates in order
-        gives exactly that order, so the first set yielded with some
-        property is the least one by size, then sorted indices.  Each set
-        carries its perpendicular, one AND per step, and the mask of the
-        candidates that may still join it: those above its largest member
-        compatible with every member.  The walk takes that mask's set bits
-        lowest first, so it visits only the children it yields."""
+    def rigid_subsets(self, candidates: int):
+        """Yield every set of candidates with no Ext^1 between or within
+        its members, as (mask, right perpendicular) pairs, in level order:
+        the empty set, then one size at a time, each in ascending order of
+        sorted indices, until a level is empty.  A rigid set is a partial
+        tilting object, so it has at most rank K0 members on a weighted
+        projective line (Bongartz completion; Happel-Ringel, Huebner) and
+        n - 1 in a rank-n tube (Buan-Krause): no bound is needed.
+        Extending each set of a level, in order, by its larger candidates
+        in order gives level order, so the first set yielded with some
+        property is the least one.  Each set carries its perpendicular,
+        one AND per step, and the mask of the candidates that may still
+        join it: those above its largest member compatible with every
+        member.  The walk takes that mask's set bits lowest first, so it
+        visits only the children it yields."""
         right, compatible = self.right, self.compatible
         rigid = sum(1 << i for i in bits(candidates) if compatible[i] >> i & 1)
         yield 0, self.full
         level = [(0, rigid, self.full)]
-        for _ in range(max_size):
+        while level:
             grown = []
             for chosen, allowed, perp in level:
                 while allowed:
@@ -586,7 +589,7 @@ def tube_lattice(n: int) -> tuple:
     if n > MAX_RANK:
         raise ValueError(f"rank {n} above the configured bound {MAX_RANK}")
     uni = tube_universe(n)
-    perps = {perp for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    perps = {perp for _, perp in uni.rigid_subsets(uni.full)}
     return tuple(sorted(perps | set(map(uni.left_perp, perps)), key=level_key))
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from . import tube, widposet
 from .grading import make_line
@@ -22,7 +22,7 @@ from .nilpotent import Arc
 from .sheaves import (TorsionArc, ext_dim_sheaf, ext_dim_sheaf_alt,
                       hom_dim_sheaf, perp_membership, sheaf_sort_key)
 from .widposet import (build_poset, cinv_snapshot, default_window,
-                       enumerate_wid_c, poset_dot, sheaf_universe,
+                       enumerate_wid_c, poset_dot, poset_json, sheaf_universe,
                        window_universe)
 
 TUBE_COUNTS = {1: 2, 2: 6, 3: 20, 4: 70, 5: 252}
@@ -147,42 +147,34 @@ def criterion_4():
     return _report("brute-force enumeration ranks 1..3", ok, t0, "ranks 1..3 exact")
 
 
-def _sample_pairs(line):
-    lo, hi = default_window(line)
-    universe = sheaf_universe(line, lo, hi, ())
-    return [(a, b) for a in universe for b in universe]
+def _sample_pairs():
+    """Every ordered pair of objects of the default window universes of
+    the lines 2 and 2,3."""
+    out = []
+    for weights in ((2,), (2, 3)):
+        line = make_line(weights)
+        universe = sheaf_universe(line, *default_window(line), ())
+        out.extend((a, b) for a in universe for b in universe)
+    return out
 
 
 def criterion_5():
     """Two independent Ext paths agree on at least 200 pairs."""
     t0 = time.monotonic()
-    total = 0
-    bad = 0
-    for weights in ((2,), (2, 3)):
-        line = make_line(weights)
-        for a, b in _sample_pairs(line):
-            total += 1
-            if ext_dim_sheaf(a, b) != ext_dim_sheaf_alt(a, b):
-                bad += 1
-    ok = bad == 0 and total >= 200
-    return _report("Serre duality double computation", ok, t0,
-                   f"pairs={total} disagreements={bad}")
+    pairs = _sample_pairs()
+    bad = sum(ext_dim_sheaf(a, b) != ext_dim_sheaf_alt(a, b) for a, b in pairs)
+    return _report("Serre duality double computation", bad == 0 and len(pairs) >= 200, t0,
+                   f"pairs={len(pairs)} disagreements={bad}")
 
 
 def criterion_6():
     """Euler form matches hom minus ext on the same samples."""
     t0 = time.monotonic()
-    total = 0
-    bad = 0
-    for weights in ((2,), (2, 3)):
-        line = make_line(weights)
-        for a, b in _sample_pairs(line):
-            total += 1
-            lhs = euler_form(line, class_of(a), class_of(b))
-            if lhs != hom_dim_sheaf(a, b) - ext_dim_sheaf(a, b):
-                bad += 1
-    return _report("Euler form consistency", bad == 0 and total >= 200, t0,
-                   f"pairs={total} disagreements={bad}")
+    pairs = _sample_pairs()
+    bad = sum(euler_form(a.line, class_of(a), class_of(b))
+              != hom_dim_sheaf(a, b) - ext_dim_sheaf(a, b) for a, b in pairs)
+    return _report("Euler form consistency", bad == 0 and len(pairs) >= 200, t0,
+                   f"pairs={len(pairs)} disagreements={bad}")
 
 
 def criterion_7():
@@ -306,30 +298,49 @@ def criterion_10():
                    "; ".join(problems) if problems else f"{len(names)} nodes")
 
 
+def order_tag_problems(poset, doc) -> list:
+    """Each ordered pair of nodes from its masks, generators and invariant
+    data alone: every verdict that applies must equal snapshot inclusion,
+    every inclusion must have one, and ord_tags must be the verdicts that
+    hold, the data's alone on an invariant-only upper node they certify."""
+    problems, tags = [], {}
+    for u, v in permutations(poset.nodes, 2):
+        inside, verdicts = u.mask | v.mask == v.mask, {}
+        if u.exc_gens is not None:
+            verdicts["exc"] = u.exc_gens | v.mask == v.mask
+        if u.cinv is not None and v.cinv is not None:
+            a, b = u.cinv, v.cinv
+            verdicts["cinv"] = (all(x | y == y for x, y in zip(a.per_point, b.per_point))
+                                and a.ordinary_support <= b.ordinary_support
+                                and (b.contains_bundle or not a.contains_bundle))
+        problems.extend(f"{m} verdict on {u.name} < {v.name} is {ok}, inclusion {inside}"
+                        for m, ok in verdicts.items() if ok != inside)
+        if inside and not verdicts:
+            problems.append(f"no verdict on {u.name} < {v.name}")
+        if v.exc_gens is None and verdicts.get("cinv"):
+            verdicts.pop("exc", None)
+        if inside and any(verdicts.values()):
+            tags[f"{u.name}<{v.name}"] = [m for m, ok in verdicts.items() if ok]
+    return problems + ["ord_tags differ from the verdicts"] * (doc["ord_tags"] != tags)
+
+
 def criterion_11():
-    """Every comparable pair on both acceptance posets carries a
-    mechanism tag, and tagged steps generate the whole order."""
+    """On both acceptance posets, order_tag_problems finds nothing: the
+    generators and invariant data decide and tag every inclusion."""
     t0 = time.monotonic()
     problems = []
     for weights, window, ids in (((2,), (-2, 3), ()), ((1, 1), (-2, 3), ("0", "1"))):
-        line = make_line(weights)
-        poset = build_poset(line, window[0], window[1], ids)
-        nodes, above = poset.nodes, poset.above
-        untagged = [(u.name, nodes[j].name) for i, u in enumerate(nodes)
-                    for j in tube.bits(above[i] ^ (above[i] & (poset.exc[i] | poset.cinv[i])))]
-        if untagged:
-            problems.append(f"{weights}: untagged {untagged[:3]}")
-        if not poset.certificate_ok():
-            problems.append(f"{weights}: pushout certificate failed")
+        poset = build_poset(make_line(weights), window[0], window[1], ids)
+        problems += [f"{weights}: {p}" for p in order_tag_problems(poset, poset_json(poset))]
     return _report("pushout certificate", not problems, t0,
-                   "; ".join(problems) if problems else "all pairs tagged, both posets")
+                   "; ".join(problems) if problems else "every inclusion tagged, both posets")
 
 
 def _exc_sequence(n: int, mask: int) -> tuple:
     """The least rigid generator, in walk order, of an exc mask of
     tube_lattice(n), ordered into an exceptional sequence."""
     uni = tube.tube_universe(n)
-    gens = next(g for g, perp in uni.rigid_subsets(mask, n - 1) if uni.left_perp(perp) == mask)
+    gens = next(g for g, perp in uni.rigid_subsets(mask) if uni.left_perp(perp) == mask)
     return tube.order_exc_sequence(uni.members(gens))
 
 
@@ -389,7 +400,7 @@ def criterion_13():
     problems = []
     for n in range(1, 5):
         uni = tube.tube_universe(n)
-        rigid_sets = [uni.members(g) for g, _ in uni.rigid_subsets(uni.full, n - 1)]
+        rigid_sets = [uni.members(g) for g, _ in uni.rigid_subsets(uni.full)]
         for part_a in rigid_sets:
             for part_b in rigid_sets:
                 if any(tube.ext_dim(a, b) != 0 for a in part_a for b in part_b):

@@ -7,12 +7,12 @@ simples).  Nodes come from two enumerations that overlap: closures of
 rigid sets of exceptional window objects, and the shift-invariant
 subcategories built from per-point tube data.  The order is snapshot
 containment, decided once per poset as ANDs of per-member holder bitsets
-over node indices, beside the verdicts of generators ("exc") and of
-invariant data ("cinv", from a data mask); the acceptance suite checks
-that their tagged union generates the whole order (pushout property).
-The Hasse diagram stays the cover pairs of node indices that
-tube.inclusion_order lists off the holders table that the generator
-verdicts share, named only when the poset is emitted.
+over node indices and kept as one row per node.  The build checks it
+against the verdicts of generators ("exc") and of invariant data
+("cinv", from a data mask), so a decided pair's tags follow from the
+kinds of its two nodes; the acceptance suite recomputes them pair by
+pair.  The Hasse diagram stays the cover pairs of node indices that
+tube.inclusion_order lists, named only when the poset is emitted.
 
 Snapshots come from the perpendicular calculus of tube.Universe, built
 once per poset over the window enlarged by universe_margin degrees on
@@ -205,15 +205,14 @@ class PosetNode(Record):
 
 class WidPoset:
     """Nodes by snapshot size; bit j of above[i] when node j strictly contains
-    node i, of exc[i] or cinv[i] when that mechanism certifies it.  Nodes
-    and clipped generator sets are masks over the build universe uni,
-    whose objects are named by labels.  index_covers are the cover pairs
-    (i, j) of node indices, in ascending order of i, as
-    tube.inclusion_order lists them; i < j, as a strict superset comes
-    later."""
+    node i, the only node-bitset table.  Nodes and clipped generator sets
+    are masks over the build universe uni, whose objects are named by
+    labels.  index_covers are the cover pairs (i, j) of node indices, in
+    ascending order of i, as tube.inclusion_order lists them; i < j, as a
+    strict superset comes later."""
 
     def __init__(self, line, lo, hi, universe_ids, uni, labels, nodes, clipped, undecidable,
-                 covers, above, exc, cinv):
+                 covers, above):
         self.line = line
         self.lo = lo
         self.hi = hi
@@ -225,8 +224,6 @@ class WidPoset:
         self.undecidable = undecidable
         self.index_covers = covers
         self.above = above
-        self.exc = exc
-        self.cinv = cinv
 
     def covers(self):
         """Cover pairs (lower, upper) by name, sorted.  Names are distinct,
@@ -241,16 +238,6 @@ class WidPoset:
     def member_labels(self, node) -> list:
         """The labels of a node's members, in universe order."""
         return [self.labels[i] for i in tube.bits(node.mask)]
-
-    def certificate_ok(self) -> bool:
-        """Every comparable pair is reachable through tagged steps; steps go
-        to larger indices, so one pass from the top settles reachability."""
-        reach = [0] * len(self.nodes)
-        for i in reversed(range(len(self.nodes))):
-            reach[i] = (self.exc[i] | self.cinv[i]) & self.above[i]
-            for k in tube.bits(reach[i]):
-                reach[i] |= reach[k]
-        return all(up & r == up for up, r in zip(self.above, reach))
 
 
 def _suffix(k: int) -> str:
@@ -356,7 +343,7 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     # docstring is a test; a failed one is reported, never guessed.  Rigid
     # sets come in level order, so the first one of a node is its least.
     clipped, closures, least = [], {}, {}
-    for gens, perp in uni.rigid_subsets(exceptional, max_size=line.k0_rank):
+    for gens, perp in uni.rigid_subsets(exceptional):
         if perp not in closures:
             closures[perp] = uni.left_perp(perp)
         key = snap = closures[perp]
@@ -393,25 +380,19 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
         nodes.append(PosetNode(name, mask, least.get(mask), data))
 
     # Snapshot order must agree with the generators of an exceptional node
-    # against every node, and with the data of two invariant nodes; the exc
-    # tag is left off pairs of invariant nodes that the data certify.
+    # against every node, and with the data of two invariant nodes.
     held = tube.holders(masks)
     above, covers = tube.inclusion_order(masks, held)
     everyone = (1 << len(nodes)) - 1
-    exc_nodes = sum(1 << i for i, n in enumerate(nodes) if n.exc_gens is not None)
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
-    cinv_only = cinv_nodes ^ (cinv_nodes & exc_nodes)
     data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, offset)
                   for n in nodes]
     held_data = tube.holders(data_masks)
     # As in tube.inclusion_order, bits leave a row by XOR, never by AND
     # with a complement; by_data lies in cinv_nodes.
-    exc, cinv = [], []
     for i, u in enumerate(nodes):
         by_gens = 0 if u.exc_gens is None else tube.meet(held, u.exc_gens, everyone)
         by_data = 0 if u.cinv is None else tube.meet(held_data, data_masks[i], cinv_nodes)
-        exc.append(by_gens ^ (by_gens & by_data & cinv_only))
-        cinv.append(by_data)
         by_exc = everyone ^ 1 << i if u.exc_gens is not None else 0
         by_cinv = cinv_nodes ^ 1 << i if u.cinv is not None else 0
         up = above[i]
@@ -423,7 +404,7 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                                for what, flagged in flags if flagged >> j & 1)
 
     return WidPoset(line, lo, hi, universe_ids, uni, labels, tuple(nodes), tuple(clipped),
-                    tuple(undecidable), covers, above, exc, cinv)
+                    tuple(undecidable), covers, above)
 
 
 # ---------------------------------------------------------------------------
@@ -449,18 +430,21 @@ def poset_dot(poset: WidPoset) -> str:
 
 
 def poset_json(poset: WidPoset) -> dict:
-    nodes = []
-    for n in sorted(poset.nodes, key=lambda x: x.name):
-        nodes.append({
-            "name": n.name,
-            "exc": n.exc_gens is not None,
-            "c_invariant": n.cinv is not None,
-            "members": poset.member_labels(n),
-        })
+    """A pair's tags are the verdicts of the build's order check, read off
+    node kinds: "exc" when the lower node has generators, unless it is
+    invariant and the upper one invariant-only, and "cinv" when both are
+    invariant.  Only a passed check makes them verdicts: else ValueError."""
+    if poset.undecidable:
+        raise ValueError("poset has undecidable entries; its order carries no tags")
+    cinv_nodes = sum(1 << i for i, n in enumerate(poset.nodes) if n.cinv is not None)
+    cinv_only = sum(1 << i for i, n in enumerate(poset.nodes) if n.exc_gens is None)
     tags = {}
     for i, u in enumerate(poset.nodes):
-        # the nodes above u split by their set of tags, read off u's rows
-        exc, cinv = poset.above[i] & poset.exc[i], poset.above[i] & poset.cinv[i]
+        # the nodes above u split by their set of tags
+        up = poset.above[i]
+        exc = 0 if u.exc_gens is None else up
+        cinv = 0 if u.cinv is None else up & cinv_nodes
+        exc ^= exc & cinv & cinv_only
         both = exc & cinv
         for mask, found in ((exc ^ both, ("exc",)), (cinv ^ both, ("cinv",)),
                             (both, ("exc", "cinv"))):
@@ -471,10 +455,12 @@ def poset_json(poset: WidPoset) -> dict:
         "weights": list(poset.line.weights),
         "window": [poset.lo, poset.hi],
         "universe": list(poset.universe_ids),
-        "nodes": nodes,
+        "nodes": [{"name": n.name, "exc": n.exc_gens is not None,
+                   "c_invariant": n.cinv is not None, "members": poset.member_labels(n)}
+                  for n in sorted(poset.nodes, key=lambda x: x.name)],
         "covers": [list(c) for c in poset.covers()],
-        "ord_tags": {k: tags[k] for k in sorted(tags)},
-        "undecidable": list(poset.undecidable),
+        "ord_tags": tags,
+        "undecidable": [],
     }
 
 

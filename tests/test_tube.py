@@ -173,7 +173,7 @@ def reference_tube_lattice(n):
     """Two passes: the double perpendicular of every rigid arc set, then
     the right perpendicular of each of those."""
     uni = tube.tube_universe(n)
-    exc = {uni.left_perp(perp) for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    exc = {uni.left_perp(perp) for _, perp in uni.rigid_subsets(uni.full)}
     return tuple(sorted(exc | {uni.right_perp(m) for m in exc}, key=tube.level_key))
 
 
@@ -187,7 +187,7 @@ def test_tube_lattice_closes_each_perpendicular_once(n, monkeypatch):
     """The lattice takes no right perpendicular, since the rigid-set walk
     carries them, and one left perpendicular per distinct carried one."""
     uni = tube.tube_universe(n)
-    perps = {perp for _, perp in uni.rigid_subsets(uni.full, max_size=n - 1)}
+    perps = {perp for _, perp in uni.rigid_subsets(uni.full)}
     expected = tube.tube_lattice(n)
     closed = []
 

@@ -1,6 +1,6 @@
-"""The independent counter of criterion 1, the exact-arithmetic rule,
-the boundary of the linear-algebra oracle and the benchmark's traced
-names."""
+"""The independent counter of criterion 1, the faults criterion 11
+reports, the exact-arithmetic rule, the boundary of the linear-algebra
+oracle and the benchmark's traced names."""
 
 import ast
 import collections
@@ -15,6 +15,8 @@ import pytest
 
 import wpline
 from wpline import verify
+from wpline import widposet as wp
+from wpline.grading import make_line
 
 
 def set_partitions(m: int):
@@ -86,6 +88,49 @@ def time_budgets(tree):
             and isinstance(node.ops[0], ast.LtE)
             and isinstance(node.comparators[0], ast.Constant)
             and isinstance(node.comparators[0].value, float)}
+
+
+def poset_with(weights, lo, hi, ids=(), **changes):
+    """A built poset whose named nodes are rebuilt with other fields:
+    changes maps a node name to a function from the node and the nodes
+    by name to the replacement."""
+    poset = wp.build_poset(make_line(weights), lo, hi, ids)
+    by_name = {n.name: n for n in poset.nodes}
+    poset.nodes = tuple(changes[n.name](n, by_name) if n.name in changes else n
+                        for n in poset.nodes)
+    return poset
+
+
+@pytest.mark.parametrize("weights, lo, hi, ids", [((2,), -2, 3, ()), ((1, 1), -2, 3, ("0", "1")),
+                                                  ((4,), -4, 2, ()), ((2, 2), -4, 4, ("q",))])
+def test_order_tags_of_built_posets_pass(weights, lo, hi, ids):
+    poset = wp.build_poset(make_line(weights), lo, hi, ids)
+    assert verify.order_tag_problems(poset, wp.poset_json(poset)) == []
+
+
+def test_order_tags_report_a_node_without_verdicts():
+    """T0 is exceptional only: without its generators no verdict covers
+    the pairs it lies below."""
+    poset = poset_with((2,), -2, 3, T0=lambda n, _: wp.PosetNode(n.name, n.mask, None, None))
+    assert verify.order_tag_problems(poset, wp.poset_json(poset)) == [
+        f"no verdict on T0 < {v}" for v in ("T1(-1)", "T1", "T2", "coh")]
+
+
+def test_order_tags_report_data_that_contradict_inclusion():
+    """tor(inf) given the invariant data of S[2](inf,0): by the data it
+    lies below T2 and not above S[2](inf,1), against snapshot inclusion."""
+    poset = poset_with((2,), -2, 3, **{"tor(inf)": lambda n, by_name: wp.PosetNode(
+        n.name, n.mask, n.exc_gens, by_name["S[2](inf,0)"].cinv)})
+    problems = verify.order_tag_problems(poset, wp.poset_json(poset))
+    assert "cinv verdict on S[2](inf,1) < tor(inf) is False, inclusion True" in problems
+    assert "cinv verdict on tor(inf) < T2 is True, inclusion False" in problems
+
+
+def test_order_tags_report_a_dropped_json_tag():
+    poset = wp.build_poset(make_line((2,)), -2, 3)
+    doc = wp.poset_json(poset)
+    del doc["ord_tags"]["T0<T1"]
+    assert verify.order_tag_problems(poset, doc) == ["ord_tags differ from the verdicts"]
 
 
 def test_library_arithmetic_is_exact():
@@ -645,7 +690,7 @@ def test_traced_names_are_plain_functions():
 # functions whose ints are node-index bitsets, one bit per poset node
 # (10,323 on 4,4): module file -> function or Class.method names
 NODE_BITSET_FUNCTIONS = {"tube.py": {"inclusion_order"},
-                         "widposet.py": {"WidPoset.certificate_ok", "build_poset", "poset_json"},
+                         "widposet.py": {"build_poset", "poset_json"},
                          "verify.py": {"criterion_11"}}
 
 

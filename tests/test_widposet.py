@@ -150,10 +150,14 @@ def leq(poset, u, v):
     return u is v or bool(poset.above[i] >> j & 1)
 
 
+@functools.cache
+def json_tags(poset):
+    return wp.poset_json(poset)["ord_tags"]
+
+
 def tags(poset, u, v):
-    """Certifying mechanisms for u <= v, read off the exc and cinv rows."""
-    i, j = node_index(poset)[u.name], node_index(poset)[v.name]
-    return tuple(m for m, row in (("exc", poset.exc), ("cinv", poset.cinv)) if row[i] >> j & 1)
+    """Certifying mechanisms for u <= v, read off poset_json's ord_tags."""
+    return tuple(json_tags(poset).get(f"{u.name}<{v.name}", ()))
 
 
 def comparable_pairs(poset):
@@ -177,7 +181,7 @@ def test_poset_order_is_snapshot_inclusion():
 def test_poset_every_comparable_pair_tagged_or_bridged():
     for poset in (wp.build_poset(LINE2, -2, 3),
                   wp.build_poset(LINE11, -2, 3, universe_ids=("0", "1"))):
-        assert poset.certificate_ok()
+        assert ref_certificate_ok(poset)
         for u, v in comparable_pairs(poset):
             if u.exc_gens is not None and v.exc_gens is not None:
                 assert tags(poset, u, v), (u.name, v.name)
@@ -261,8 +265,9 @@ def margin_universe(weights, lo, hi, ids=()):
 
 
 def rigid_window_walk(weights, lo, hi, ids=()):
-    """The poset universe, the mask of its exceptional window objects and
-    the rank of K0: what build_poset walks rigid sets over."""
+    """The poset universe and the mask of its exceptional window objects,
+    what build_poset walks rigid sets over, and the rank of K0, the bound
+    of the reference scan."""
     line = make_line(weights)
     uni = margin_universe(weights, lo, hi, ids)
     window = uni.mask(wp.sheaf_universe(line, lo, hi, ids))
@@ -273,8 +278,8 @@ def rigid_window_walk(weights, lo, hi, ids=()):
 def rigid_window_sets(weights, lo, hi):
     """The poset universe, and the rigid sets of exceptional window
     objects with their right perpendiculars, as build_poset walks them."""
-    uni, exceptional, max_size = rigid_window_walk(weights, lo, hi)
-    return uni, uni.rigid_subsets(exceptional, max_size)
+    uni, exceptional, _ = rigid_window_walk(weights, lo, hi)
+    return uni, uni.rigid_subsets(exceptional)
 
 
 def exc_snapshot(gens, uni, within=None):
@@ -370,6 +375,26 @@ def test_narrow_window_cannot_separate_invariant_nodes(weights, lo, hi):
     poset = wp.build_poset(line, lo, hi)
     assert shared > 0
     assert [m.startswith("window cannot separate ") for m in poset.undecidable] == [True] * shared
+
+
+def test_poset_json_refuses_undecidable_poset():
+    """Tags are the build's verdicts only once its order check has passed:
+    on a window one degree short of delta(c) the JSON refuses."""
+    weights = (2, 3)
+    poset = wp.build_poset(make_line(weights), *period_window(weights, make_line(weights).p - 1))
+    assert poset.undecidable
+    with pytest.raises(ValueError, match="undecidable"):
+        wp.poset_json(poset)
+
+
+def test_poset_keeps_one_node_bitset_table():
+    """Of the poset's attributes, only above is a list of one int per
+    node, so no second N-bit table comes back unnoticed."""
+    for weights, lo, hi, ids in UNIVERSE_INPUTS:
+        poset = wp.build_poset(make_line(weights), lo, hi, ids)
+        assert [name for name, value in vars(poset).items()
+                if isinstance(value, (list, tuple)) and len(value) == len(poset.nodes)
+                and all(isinstance(x, int) for x in value)] == ["above"]
 
 
 @pytest.mark.parametrize("weights", SMALL_TYPES, ids=lambda w: ",".join(map(str, w)))
@@ -540,17 +565,18 @@ def ref_certificate_ok(poset):
     ((2,), -2, 3, ()), ((2, 2), -2, 3, ()), ((4,), -8, 8, ()),
     ((1, 1), -2, 3, ("0", "1")), ((4,), -4, 2, ())])
 def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
-    """The bitset rows give the pairwise definitions: snapshot inclusion,
-    generators inside the larger snapshot, and inclusion of invariant
-    data, also as the JSON tags.  On 4 @ -4..2 the generators are the
-    only certificate of some pairs of a finite and an invariant node."""
+    """The order row and the JSON tags of each pair of distinct nodes give
+    the pairwise definitions: snapshot inclusion, generators inside the
+    larger snapshot, and inclusion of invariant data.  On 4 @ -4..2 the
+    generators are the only certificate of some pairs of a finite and an
+    invariant node."""
     poset = wp.build_poset(make_line(weights), lo, hi, ids)
     nodes = poset.nodes
     for u in nodes:
         for v in nodes:
             small = snapshot(poset, u.mask) <= snapshot(poset, v.mask)
             assert leq(poset, u, v) == small, (u.name, v.name)
-            assert tags(poset, u, v) == ref_tags(poset, u, v), (u.name, v.name)
+            assert u is v or tags(poset, u, v) == ref_tags(poset, u, v), (u.name, v.name)
     assert [(u.name, v.name) for u, v in comparable_pairs(poset)] == \
         [(u.name, v.name) for u in nodes for v in nodes
          if u is not v and snapshot(poset, u.mask) <= snapshot(poset, v.mask)]
@@ -560,7 +586,7 @@ def test_order_rows_match_pairwise_reference(weights, lo, hi, ids):
     order = ref_order_messages(poset)
     rest = [m for m in poset.undecidable if not m.startswith("order of ")]
     assert list(poset.undecidable) == rest + order
-    assert poset.certificate_ok() == ref_certificate_ok(poset)
+    assert ref_certificate_ok(poset)
     assert order == []
     assert poset.undecidable == ()
     mixed = [(u, v) for u, v in comparable_pairs(poset) if u.cinv is None and v.exc_gens is None]
@@ -711,16 +737,17 @@ def test_build_poset_shifts_no_sheaf(weights, lo, hi, ids, monkeypatch):
     monkeypatch.setattr(sh, "shift", forbidden)
     got = wp.build_poset(line, lo, hi, ids)
     assert got.nodes == want.nodes
-    assert (got.above, got.exc, got.cinv, got.index_covers) == \
-        (want.above, want.exc, want.cinv, want.index_covers)
+    assert (got.above, got.index_covers, got.undecidable) == \
+        (want.above, want.index_covers, want.undecidable)
 
 
 @pytest.mark.parametrize("layer", ["tube-1", "tube-2", "tube-3", "tube-4", "sheaf-2", "sheaf-2,2"])
 def test_rigid_subsets_carry_right_perpendicular(layer):
-    """Masks are the rigid sets of at most max_size objects in level
-    order, which is the order of the exhaustive list by size and then by
-    combination, and each carried perpendicular is the right
-    perpendicular of its mask."""
+    """Masks are the rigid sets in level order, which is the order of the
+    exhaustive list by size and then by combination, and each carried
+    perpendicular is the right perpendicular of its mask.  The list runs
+    one size past the bound (n - 1, or the rank of K0), so the unbounded
+    walk misses no larger rigid set."""
     kind, arg = layer.split("-")
     if kind == "tube":
         n = int(arg)
@@ -729,9 +756,9 @@ def test_rigid_subsets_carry_right_perpendicular(layer):
         line = make_line(tuple(int(w) for w in arg.split(",")))
         uni, max_size = wp.window_universe(line, -2, 3, ()), line.k0_rank
         ext = functools.cache(sh.ext_dim_sheaf)
-    found = list(uni.rigid_subsets(uni.full, max_size))
+    found = list(uni.rigid_subsets(uni.full))
     assert [uni.members(m) for m, _ in found] == \
-        [c for r in range(max_size + 1) for c in itertools.combinations(uni.objects, r)
+        [c for r in range(max_size + 2) for c in itertools.combinations(uni.objects, r)
          if tube.is_rigid_set(c, ext)]
     for mask, perp in found:
         assert perp == uni.right_perp(mask), uni.members(mask)
@@ -762,17 +789,17 @@ def test_rigid_subsets_walk_matches_positional_scan(weights, lo, hi, ids):
     yields the (mask, perpendicular) sequence of the positional scan, in
     order, so every node keeps its least generator."""
     uni, exceptional, max_size = rigid_window_walk(weights, lo, hi, ids)
-    got = list(uni.rigid_subsets(exceptional, max_size))
+    got = list(uni.rigid_subsets(exceptional))
     assert got == list(reference_rigid_subsets(uni, exceptional, max_size))
     assert len(got) > 1
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_tube_rigid_subsets_walk_matches_positional_scan(n):
-    """The same on every tube universe of the configured ranks, with the
-    rank bound of the lattice."""
+    """The same on every tube universe of the configured ranks, the
+    reference bounded by n - 1."""
     uni = tube.tube_universe(n)
-    assert list(uni.rigid_subsets(uni.full, n - 1)) == \
+    assert list(uni.rigid_subsets(uni.full)) == \
         list(reference_rigid_subsets(uni, uni.full, n - 1))
 
 
@@ -1106,8 +1133,8 @@ def carried(mask, perm):
 def test_degree_one_shift_carries_the_poset(weights, lo, hi, ids):
     """Shifting by an element l of degree 1 maps the universe of lo..hi
     onto that of lo+1..hi+1, and with it the nodes of the one poset
-    bijectively onto those of the other, carrying the node kinds, the
-    above, exc and cinv rows and the clipped count."""
+    bijectively onto those of the other, carrying the node kinds, which
+    fix the tags of a pair, the above rows and the clipped count."""
     line = make_line(weights)
     l = degree_one_shift(line)
     a, b = wp.build_poset(line, lo, hi, ids), wp.build_poset(line, lo + 1, hi + 1, ids)
@@ -1122,7 +1149,6 @@ def test_degree_one_shift_carries_the_poset(weights, lo, hi, ids):
 
     for i, j in enumerate(nodes):
         assert kind(a.nodes[i]) == kind(b.nodes[j]), a.nodes[i].name
-        for rows in ("above", "exc", "cinv"):
-            assert carried(getattr(a, rows)[i], nodes) == getattr(b, rows)[j], (rows, a.nodes[i].name)
+        assert carried(a.above[i], nodes) == b.above[j], a.nodes[i].name
     assert len(a.clipped) == len(b.clipped)
     assert a.undecidable == b.undecidable == ()
