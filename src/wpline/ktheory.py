@@ -23,32 +23,31 @@ identity matrix of the rank.  Values that repeat across queries live in
 the record's memos, all of one type, `_Memo`: a dict that fills a
 missing key from one function and is emptied at CACHE_LIMIT entries,
 which bounds a line's memory however many degrees a caller asks about.
-Each is read by one subscript.  They hold the class of every bundle's
-coefficient part and of every partial turn of an arc, so a class is one
-read plus a multiple of the null class delta; the exact Euler row x^T E
-of a class, so euler_form is one read and one dot product; the column
-S r of a root r modulo delta, as S delta = 0; and the WeylElement that
-cox_of returned for a product matrix, so equal products share one form
-check and one kept abs_length.  A fill that raises stores nothing, so
-only checked elements are kept.
+Each is read by one subscript.  They hold the class of each sheaf key,
+so class_of is one read; the exact Euler row x^T E of a class, so
+euler_form is one read and one dot product; the column S r of a root r
+modulo delta, as S delta = 0, and S r per class r once <r, r> = 1 is
+checked; and the WeylElement that cox_of returned for a product matrix,
+so equal products share one form check and one kept abs_length.  A fill
+that raises stores nothing, so only checked roots and elements are kept.
 
 Group elements are integer matrices throughout, with fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) where a division is needed.
 The form check compares the upper triangle of the symmetric w^T S w,
 entry (i, j) being w_i . S w_j with S w_j read from the column memo, or
 computed and not stored when it is missing, so a matrix leaves the memo
-as it was whether it passes or not.  The memo's one writer is the
-reflection root of cox_of, after its check <r, r> = 1, so every key is
-a real root modulo delta: S is positive definite on K0 / Z delta, so
-real roots are finitely many modulo delta.  One elimination of a
-difference b - a serves abs_length (b = w, a = 1) and nc_leq, which
-reads the length of u^-1 v off v - u, so it inverts nothing and builds
-no element.  abs_length is kept on each element,
-and lengths are nonnegative, so nc_leq(u, v) is False without an
-elimination when u is longer than v: comparing n elements pairwise takes
-n eliminations for the lengths plus one per ordered pair whose first
-element is no longer than the second.  linalg's exact rational routines
-are the tests' reference.
+as it was whether it passes or not.  The memo's one writer is the fill
+of the roots memo, after its check <r, r> = 1, so every key is a real
+root modulo delta: S is positive definite on K0 / Z delta, so real
+roots are finitely many modulo delta.  One elimination of a difference
+b - a serves abs_length (b = w, a = 1) and nc_leq, which reads the
+length of u^-1 v off v - u, so it inverts nothing and builds no
+element.  abs_length is kept on each element, and lengths are
+nonnegative, so nc_leq(u, v) is False without an elimination when u
+is longer than v: comparing n elements pairwise takes n eliminations
+for the lengths plus one per ordered pair whose first element is no
+longer than the second.  linalg's exact rational routines are the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -95,12 +94,11 @@ class _LineTable:
     bundles, which lines with three weighted points do not model.
 
     The memos are `_Memo`s, each filled from its key on a miss:
-    `bundle_parts`, a coefficient tuple to the class of O(coeffs; 0);
-    `arc_parts`, (point, socle, r) to the class of the first r factors
-    of an arc; `class_rows`, a class x of the rank to x^T E;
-    `sym_cols`, a class modulo delta, keyed by (x0 + x1, x2, ...), to S
-    times it; and `elements`, a product matrix to its checked
-    WeylElement.
+    `classes`, a sheaf's key in class_of to its class; `class_rows`, a
+    class x of the rank to x^T E; `sym_cols`, a class modulo delta,
+    keyed by (x0 + x1, x2, ...), to S times it; `roots`, a class r of
+    unit self-pairing to S r; and `elements`, a product matrix to its
+    checked WeylElement.
     """
 
     def __init__(self, line: WeightData):
@@ -113,10 +111,10 @@ class _LineTable:
                               for u in range(self.rank))
         self.simples = {i: tuple(self._simple(i, j) for j in range(line.weights[i]))
                         for i in line.weighted_indices()}
-        self.bundle_parts = _Memo(self._coeff_class)
-        self.arc_parts = _Memo(self._turn_class)
+        self.classes = _Memo(self._class)
         self.class_rows = _Memo(lambda x: tuple(sum(map(mul, x, col)) for col in zip(*self.euler)))
         self.sym_cols = _Memo(self.sym_of)
+        self.roots = _Memo(self._root_col)
         self.elements = _Memo(lambda w: WeylElement(line, w))
 
     def _simple(self, point: int, j: int) -> tuple[int, ...]:
@@ -136,15 +134,32 @@ class _LineTable:
                 vec[self.index[i, j]] += 1
         return tuple(vec)
 
-    def _turn_class(self, key) -> tuple[int, ...]:
-        """Sum of the simples at socle, socle+1, ..., socle+r-1 of a
-        point, for key (point, socle, r)."""
-        point, socle, r = key
+    def _turn_class(self, point, socle, r) -> tuple[int, ...]:
+        """Sum of the simples at socle, socle+1, ..., socle+r-1 of a point."""
         simples = self.simples[point]
         vec = (0,) * self.rank
         for v in range(socle, socle + r):
             vec = tuple(a + b for a, b in zip(vec, simples[v % len(simples)]))
         return vec
+
+    def _class(self, key) -> tuple[int, ...]:
+        """A part plus k*delta: the coefficient part of a bundle's key
+        (coeffs, k), the partial turn of an arc's (point, socle, length)
+        with k its full turns, or zero for a stalk's length k."""
+        if type(key) is int:
+            vec, k = (0,) * self.rank, key
+        elif len(key) == 2:
+            vec, k = self._coeff_class(key[0]), key[1]
+        else:
+            k, r = divmod(key[2], self.line.weights[key[0]])
+            vec = self._turn_class(key[0], key[1], r)
+        return (vec[0] - k, vec[1] + k) + vec[2:] if k else vec
+
+    def _root_col(self, r) -> tuple:
+        """S r for a class r, which must have unit self-pairing."""
+        if sum(map(mul, self.class_rows[r], r)) != 1:
+            raise ValueError("class does not have unit self-pairing")
+        return self.sym_cols[(r[0] + r[1], *r[2:])]
 
     @cached_property
     def euler(self) -> tuple:
@@ -198,21 +213,19 @@ def basis_sheaves(line: WeightData):
 
 
 def class_of(s: IndecSheaf) -> tuple[int, ...]:
-    """A memoized part plus k*delta, with delta = [O(c)] - [O]: the part of
-    a bundle's coefficients and k its c part, or the partial turn of an
-    arc and k its full turns, or zero and k the length of a stalk."""
-    t = _table(s.line)
-    if isinstance(s, LineBundle):
+    """One read of the line's `classes` memo at the sheaf's key: (coeffs,
+    c part) of a bundle's degree, (point, socle, length) of an arc, or
+    a stalk's length.  Exact type tests dispatch, as in `sheaves._hom`."""
+    classes, ts = _table(s.line).classes, type(s)
+    if ts is LineBundle:
         d = s.degree
-        vec, k = t.bundle_parts[d.coeffs], d.c_part
-    elif isinstance(s, TorsionArc):
-        k, r = divmod(s.arc.length, s.arc.rank)
-        vec = t.arc_parts[s.point, s.arc.socle, r]
-    elif isinstance(s, OrdinaryTorsion):
-        vec, k = (0,) * t.rank, s.length
-    else:
-        raise ValueError("unsupported sheaf kind")
-    return (vec[0] - k, vec[1] + k) + vec[2:] if k else vec
+        return classes[d.coeffs, d.c_part]
+    if ts is TorsionArc:
+        a = s.arc
+        return classes[s.point, a.socle, a.length]
+    if ts is OrdinaryTorsion:
+        return classes[s.length]
+    raise ValueError("unsupported sheaf kind")
 
 
 def euler_matrix(line: WeightData) -> tuple:
@@ -254,17 +267,16 @@ class WeylElement(Record):
 
 def _root(line: WeightData, s: IndecSheaf):
     """(r, c) for the reflection of an exceptional sheaf s on line: its
-    class r, which must have unit self-pairing, and c = sym r, so that
-    the reflection is the matrix 1 - r c^T.  Callers check End and
-    self-Ext of s through `tube.is_exc_sequence`."""
+    class r and c = sym r, so that the reflection is the matrix 1 - r c^T.
+    Each call checks the line and that s is exceptional, then reads c
+    from the `roots` memo, whose fill checks <r, r> = 1 once per class.
+    Callers check End and self-Ext of s through `tube.is_exc_sequence`."""
     if s.line is not line and s.line != line:
         raise ValueError("sheaf over a different line")
     if not sheaves.is_exceptional_sheaf(s):
         raise ValueError("reflections come from exceptional sheaves")
     r = class_of(s)
-    if euler_form(line, r, r) != 1:
-        raise ValueError("class does not have unit self-pairing")
-    return r, _table(line).sym_cols[(r[0] + r[1], *r[2:])]
+    return r, _table(line).roots[r]
 
 
 def cox_of(line: WeightData, seq) -> WeylElement:

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wpline import grading
 from wpline.grading import make_line
 from wpline import ktheory as kt
 from wpline import linalg
@@ -654,14 +655,27 @@ def test_forged_matrix_leaves_no_element_behind():
     assert t.elements[t.identity] is w
 
 
+def test_a_class_without_unit_self_pairing_leaves_no_root_behind():
+    """The roots fill raises on delta, zero and twice a root, and stores
+    nothing; a root's column is kept once."""
+    line = make_line((2, 3))
+    t = kt._table(line)
+    r = kt.class_of(sh.line_bundle(line))
+    for x in (t.delta, (0,) * t.rank, tuple(2 * a for a in r)):
+        before = dict(t.roots)
+        with pytest.raises(ValueError, match="class does not have unit self-pairing"):
+            t.roots[x]
+        assert t.roots == before
+    assert t.roots[r] is t.roots[r] == written_sym_col(line, r)
+
+
 def written_sym_col(line, r):
     """S r from the Euler matrix written out."""
     e = kt.euler_matrix(line)
     return tuple(sum((e[u][j] + e[j][u]) * r[j] for j in range(len(r))) for u in range(len(r)))
 
 
-@pytest.mark.parametrize("name", ("bundle_parts", "arc_parts", "class_rows", "sym_cols",
-                                  "elements"))
+@pytest.mark.parametrize("name", ("classes", "class_rows", "sym_cols", "roots", "elements"))
 def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
     """On a fresh record with CACHE_LIMIT at 3, each memo is emptied when
     a miss finds it full, never holds more than three entries, and every
@@ -673,14 +687,16 @@ def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
     arcs = [sh.TorsionArc(line, i, Arc(line.weights[i], socle, length))
             for i in line.weighted_indices() for socle in range(line.weights[i])
             for length in range(1, 2 * line.weights[i] + 2)]
+    stalks = [sh.OrdinaryTorsion(line, "q", length) for length in (1, 2, 3)]
     classes = [reference_class_of(s) for s in exceptional_pool(line)]
+    root_col = (lambda s: kt._root(line, s)[1], exceptional_pool(line),
+                lambda s: written_sym_col(line, reference_class_of(s)))
     ask, args, reference = {
-        "bundle_parts": (kt.class_of, bundles(line), reference_class_of),
-        "arc_parts": (kt.class_of, arcs, reference_class_of),
+        "classes": (kt.class_of, bundles(line) + arcs + stalks, reference_class_of),
         "class_rows": (lambda x: kt.euler_form(line, x, y), classes,
                        lambda x: sum(x[i] * e[i][j] * y[j] for i in range(5) for j in range(5))),
-        "sym_cols": (lambda s: kt._root(line, s)[1], exceptional_pool(line),
-                     lambda s: written_sym_col(line, reference_class_of(s))),
+        "sym_cols": root_col,
+        "roots": root_col,
         "elements": (lambda k: kt.cox_of(line, seq[:k]), range(len(seq) + 1),
                      lambda k: reference_cox_of(line, seq[:k])),
     }[name]
@@ -694,6 +710,70 @@ def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
         sizes.append(len(memo))
     assert max(sizes) == 3
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
+
+
+def reference_part_plus_delta(s):
+    """The replaced class_of: the class of a bundle's coefficient part, of
+    an arc's partial turn or zero, plus k delta for the bundle's c part,
+    the arc's full turns or the stalk's length."""
+    t = kt._table(s.line)
+    if isinstance(s, sh.LineBundle):
+        vec, k = t._coeff_class(s.degree.coeffs), s.degree.c_part
+    elif isinstance(s, sh.TorsionArc):
+        k, r = divmod(s.arc.length, s.arc.rank)
+        vec = t._turn_class(s.point, s.arc.socle, r)
+    else:
+        vec, k = (0,) * t.rank, s.length
+    return tuple(a + k * d for a, d in zip(vec, t.delta))
+
+
+@pytest.mark.parametrize("line", QUERY_LINES, ids=lambda line: str(line.weights))
+def test_class_of_fills_once_per_sheaf_key(line, monkeypatch):
+    """On a fresh record, asking about every object of the sheaf grid
+    twice, the second time in reverse order, runs the classes fill once
+    per distinct key, and every answer equals the per-factor reference
+    and the replaced part-plus-delta arithmetic."""
+    objs = kind_grid(line, 6, 1)
+    monkeypatch.setitem(line.__dict__, "_k0", kt._LineTable(line))
+    memo = kt._table(line).classes
+    fill, keys = memo.fill, []
+
+    def counting(key):
+        keys.append(key)
+        return fill(key)
+
+    memo.fill = counting
+    for s in objs + objs[::-1]:
+        assert kt.class_of(s) == reference_class_of(s) == reference_part_plus_delta(s), s
+    assert len(keys) == len(set(keys)) == len(set(objs)) == len(memo)
+
+
+def test_warm_classes_forms_and_roots_build_no_objects(monkeypatch):
+    """Once the records are warm, class_of, euler_form and _root on the
+    sheaf grid of the query lines neither shift nor normalize, and
+    construct no grading element, arc or sheaf."""
+    work = []
+    for line in QUERY_LINES:
+        objs = kind_grid(line, 6, 1)
+        work += [(line, s, sh.is_exceptional_sheaf(s)) for s in objs]
+
+    def answers():
+        out = []
+        for line, s, exceptional in work:
+            x = kt.class_of(s)
+            out.append((x, kt.euler_form(line, x, x), kt._root(line, s) if exceptional else None))
+        return out
+
+    expected = answers()
+
+    def forbidden(*args):
+        raise AssertionError("object built on the K0 query path")
+
+    monkeypatch.setattr(sh, "shift", forbidden)
+    monkeypatch.setattr(grading, "normalize", forbidden)
+    for cls in (grading.GradeElement, Arc, sh.LineBundle, sh.TorsionArc, sh.OrdinaryTorsion):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+    assert answers() == expected
 
 
 def test_cox_of_rejects_a_sheaf_from_another_line():
