@@ -675,11 +675,14 @@ def written_sym_col(line, r):
     return tuple(sum((e[u][j] + e[j][u]) * r[j] for j in range(len(r))) for u in range(len(r)))
 
 
-@pytest.mark.parametrize("name", ("classes", "class_rows", "sym_cols", "roots", "elements"))
+@pytest.mark.parametrize("name", ("classes", "bundle_parts", "arc_parts", "class_rows",
+                                  "sym_cols", "roots", "elements"))
 def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
     """On a fresh record with CACHE_LIMIT at 3, each memo is emptied when
     a miss finds it full, never holds more than three entries, and every
-    answer read through it equals its reference."""
+    answer read through it equals its reference.  The bundle_parts and
+    arc_parts cases ask class_of about bundles alone and arcs alone, whose
+    classes the one classes memo now holds."""
     line = make_line((2, 3))
     e = kt.euler_matrix(line)
     y = (1, -2, 3, 0, 2)
@@ -693,6 +696,8 @@ def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
                 lambda s: written_sym_col(line, reference_class_of(s)))
     ask, args, reference = {
         "classes": (kt.class_of, bundles(line) + arcs + stalks, reference_class_of),
+        "bundle_parts": (kt.class_of, bundles(line), reference_class_of),
+        "arc_parts": (kt.class_of, arcs, reference_class_of),
         "class_rows": (lambda x: kt.euler_form(line, x, y), classes,
                        lambda x: sum(x[i] * e[i][j] * y[j] for i in range(5) for j in range(5))),
         "sym_cols": root_col,
@@ -703,7 +708,8 @@ def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
     want = [reference(a) for a in args]
     monkeypatch.setitem(line.__dict__, "_k0", kt._LineTable(line))
     monkeypatch.setattr(kt, "CACHE_LIMIT", 3)
-    memo = getattr(kt._table(line), name)
+    memo = getattr(kt._table(line), name if name not in ("bundle_parts", "arc_parts")
+                   else "classes")
     sizes = []
     for a, w in zip(args, want):
         assert ask(a) == w, a
