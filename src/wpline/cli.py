@@ -115,7 +115,7 @@ def _cmd_classify(args) -> int:
         doc = {
             "schema": 1,
             "weights": list(line.weights),
-            "type": kind.name.lower(),
+            "type": kind,
             "delta_omega": omega.degree(),
             "delta_c": c.degree(),
             "omega": str(omega),
@@ -123,7 +123,7 @@ def _cmd_classify(args) -> int:
         }
         sys.stdout.write(_emit_json(doc))
     else:
-        sys.stdout.write(f"{kind.name.lower()}, delta(omega)={omega.degree()}\n")
+        sys.stdout.write(f"{kind}, delta(omega)={omega.degree()}\n")
     return 0
 
 

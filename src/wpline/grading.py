@@ -15,14 +15,15 @@ domestic, tubular and wild.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import cached_property, reduce
 from operator import add, floordiv, mod
 
 from ._record import Record
 
 
-class LineType(Enum):
+class LineType:
+    """The domestic/tubular/wild split, as the names `classify` prints."""
+
     DOMESTIC = "domestic"
     TUBULAR = "tubular"
     WILD = "wild"

@@ -371,9 +371,23 @@ def bits(mask: int):
         mask ^= low
 
 
+# str.translate table exchanging the digits "0" and "1"
+_SWAP_DIGITS = {48: 49, 49: 48}
+
+
 def level_key(mask: int) -> tuple:
-    """Size, then sorted indices: the order of Universe.rigid_subsets."""
-    return mask.bit_count(), tuple(bits(mask))
+    """Size, then sorted indices: the order of Universe.rigid_subsets,
+    read as (size, the binary digits lowest first with 0 and 1 swapped).
+
+    The strings sort as the index tuples do.  At equal size neither
+    string is a prefix of the other, as the longer one would have a set
+    bit past the end of the shorter and so one more member.  So two
+    distinct masks of equal size first differ at a position p, the least
+    index in exactly one of them.  Below p they hold the same indices, so
+    their index tuples agree up to there and go on with p in the mask
+    holding it and with a larger index in the other: that mask comes
+    first in both orders, its string having the "0" at p."""
+    return mask.bit_count(), bin(mask)[:1:-1].translate(_SWAP_DIGITS)
 
 
 def meet(rows, mask: int, start: int) -> int:
@@ -385,13 +399,35 @@ def meet(rows, mask: int, start: int) -> int:
     return start
 
 
+@functools.cache
+def _bit_digits() -> tuple:
+    """Per bit k of a byte, the bytes.translate table sending each byte
+    to the digit b"0" or b"1" of its bit k, built on first use: bit k
+    runs through 2^k zeros, then 2^k ones, over and over."""
+    return tuple((b"0" * (1 << k) + b"1" * (1 << k)) * (128 >> k) for k in range(8))
+
+
 def holders(masks) -> collections.defaultdict:
     """Per member bit, the bitset over set indices of the sets holding it:
-    the sets containing a mask are the meet of its members' holders."""
+    the sets containing a mask are the meet of its members' holders.  A
+    bit held by no set reads 0.
+
+    This is the bit transpose of the masks, taken by byte columns.  Each
+    mask is packed little-endian to the common width, last set first, so
+    the slice blob[c::width] holds byte c of every mask with the last set
+    first.  For bit k of that byte, one translate writes it as binary
+    digits, most significant first, and int(..., 2) reads the holders of
+    member 8c + k, bit j for set j."""
+    masks = list(masks)
     out = collections.defaultdict(int)
-    for j, m in enumerate(masks):
-        for i in bits(m):
-            out[i] |= 1 << j
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    blob = b"".join(m.to_bytes(width, "little") for m in reversed(masks))
+    for c in range(width):
+        column = blob[c::width]
+        for k, digits in enumerate(_bit_digits()):
+            held = int(column.translate(digits), 2)
+            if held:
+                out[8 * c + k] = held
     return out
 
 
@@ -403,18 +439,27 @@ class Universe:
     Bit j of right[i] is set when Hom and Ext^1 from object i to object j
     both vanish, so the right perpendicular of a set is the AND of its
     rows; left is the bit transpose of right, and compatible[i] marks the
-    objects with no Ext^1 to or from object i.  The rows are filled pair
-    by pair from the layer's own closed-form Hom and Ext dimensions.
+    objects with no Ext^1 to or from object i.  The rows are filled in
+    one pass over the ordered pairs from the layer's own closed-form Hom
+    and Ext dimensions; Hom is asked only where Ext vanishes, since a
+    right bit needs both to vanish.
     """
 
     def __init__(self, objects, hom, ext):
-        self.objects = tuple(objects)
-        self.index = {x: i for i, x in enumerate(self.objects)}
-        self.full = (1 << len(self.objects)) - 1
-        objs = self.objects
-        no_hom = [sum(1 << j for j, y in enumerate(objs) if hom(x, y) == 0) for x in objs]
-        no_ext = [sum(1 << j for j, y in enumerate(objs) if ext(x, y) == 0) for x in objs]
-        self.right = [h & e for h, e in zip(no_hom, no_ext)]
+        self.objects = objs = tuple(objects)
+        self.index = {x: i for i, x in enumerate(objs)}
+        self.full = (1 << len(objs)) - 1
+        ones = [1 << j for j in range(len(objs))]
+        self.right, no_ext = [], []
+        for x in objs:
+            r = e = 0
+            for one, y in zip(ones, objs):
+                if ext(x, y) == 0:
+                    e |= one
+                    if hom(x, y) == 0:
+                        r |= one
+            self.right.append(r)
+            no_ext.append(e)
         # the holders of a row set are its bit transpose
         held, ext_held = holders(self.right), holders(no_ext)
         self.left = [held[i] for i in range(len(objs))]

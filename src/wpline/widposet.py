@@ -330,11 +330,13 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     labels = [format_sheaf(x) for x in uni.objects]
     parts = _tube_parts(line)
 
-    # invariant data and members by window slice, the first one kept
+    # invariant data, members and data mask by window slice, the first one
+    # kept; a torsion-only snapshot is its data mask
     undecidable, invariant = [], {}
     for data in cinv:
         members = cinv_snapshot(line, data, uni, offset)
-        first = invariant.setdefault(members & window, (data, members))[0]
+        data_mask = _cinv_data_mask(line, data, uni, offset) if data.contains_bundle else members
+        first = invariant.setdefault(members & window, (data, members, data_mask))[0]
         if first is not data:
             undecidable.append(f"window cannot separate {_cinv_name(line, first, parts)} "
                                f"and {_cinv_name(line, data, parts)}")
@@ -351,7 +353,7 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
             problem = "torsion generators close on a bundle" if snap & bundles else None
         elif not perp & bundles:
             key = snap & window
-            problem = None if invariant.get(key, (None, None))[1] == snap \
+            problem = None if invariant.get(key, (None, None, 0))[1] == snap \
                 else "closure of a bundle-free perpendicular is not shift-invariant"
         elif snap & outside:
             clipped.append(gens)
@@ -365,11 +367,11 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
             continue
         least.setdefault(key, gens)
 
-    nodes = []
+    nodes, data_masks = [], []
     masks = sorted(invariant.keys() | least.keys(), key=tube.level_key)
     used_names = set()
     for mask in masks:
-        data, _ = invariant.get(mask, (None, None))
+        data, _, data_mask = invariant.get(mask, (None, None, 0))
         name = _cinv_name(line, data, parts) if data is not None \
             else _exc_name(line, uni.objects, labels, bundles, mask)
         if name in used_names:
@@ -378,6 +380,7 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
                         if f"{name}#{i}" not in used_names)
         used_names.add(name)
         nodes.append(PosetNode(name, mask, least.get(mask), data))
+        data_masks.append(data_mask)
 
     # Snapshot order must agree with the generators of an exceptional node
     # against every node, and with the data of two invariant nodes.
@@ -385,8 +388,6 @@ def build_poset(line: WeightData, lo: int, hi: int, universe_ids=()) -> WidPoset
     above, covers = tube.inclusion_order(masks, held)
     everyone = (1 << len(nodes)) - 1
     cinv_nodes = sum(1 << i for i, n in enumerate(nodes) if n.cinv is not None)
-    data_masks = [0 if n.cinv is None else _cinv_data_mask(line, n.cinv, uni, offset)
-                  for n in nodes]
     held_data = tube.holders(data_masks)
     # As in tube.inclusion_order, bits leave a row by XOR, never by AND
     # with a complement; by_data lies in cinv_nodes.

@@ -237,6 +237,24 @@ def test_poset_process_loads_no_fractions_or_verify():
     assert (done.returncode, done.stdout, done.stderr) == (0, "0 []\n", "")
 
 
+def test_cli_import_builds_no_translate_table_or_enum():
+    """`import wpline.cli` builds neither the byte-digit tables of
+    tube.holders, which its first call builds, nor an Enum class, so a
+    fresh process pays for neither before its request."""
+    script = ("import contextlib, enum, io, sys\n"
+              "from wpline import cli, tube\n"
+              "built = tube._bit_digits.cache_info().currsize\n"
+              "enums = [name for name, module in sys.modules.items() if name.startswith('wpline')\n"
+              "         for value in vars(module).values() if isinstance(value, enum.EnumMeta)]\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = cli.run(['poset', '--weights', '2', '--window', '-2..3'])\n"
+              "print(built, enums, code, tube._bit_digits.cache_info().currsize)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 [] 0 1\n", "")
+
+
 def run_entry_point(argv):
     """Exit code, stdout and stderr of a fresh `python -m wpline.cli`
     process, which ends through main()."""

@@ -1,10 +1,12 @@
 """Tube combinatorics: hom/ext oracles, the wide lattice and its maps."""
 
+import collections
 import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wpline.grading import make_line
 from wpline.nilpotent import Arc, decompose, direct_sum, rep_of_arc
@@ -14,7 +16,7 @@ from wpline.widposet import build_poset
 from test_linalg import rank
 from test_nilpotent import reference_cokernel_rep, reference_kernel_rep, tau
 from test_widposet import (BENCH_INPUTS, reference_exc, reference_extract_exc_sequence,
-                           reference_perp_pair, reference_sort_key)
+                           reference_level_key, reference_perp_pair, reference_sort_key)
 
 
 def test_hom_dim_matches_winding_oracle():
@@ -701,7 +703,7 @@ def reference_inclusion_order(masks):
     """Strict inclusion rows and covers with the reduction written out: a
     set above i covers it unless it lies above another set above i, found
     by ORing the rows of every set above i."""
-    held = tube.holders(masks)
+    held = reference_holders(masks)
     everyone = (1 << len(masks)) - 1
     above = [tube.meet(held, m, everyone) & ~(1 << i) for i, m in enumerate(masks)]
     covers = []
@@ -733,3 +735,85 @@ def test_inclusion_order_matches_reference(case):
         weights, lo, hi, ids = case
         masks = [n.mask for n in build_poset(make_line(weights), lo, hi, ids).nodes]
     assert tube.inclusion_order(masks, tube.holders(masks)) == reference_inclusion_order(masks)
+
+
+# ---------------------------------------------------------------------------
+# the bit-table kernels: holders and level_key
+
+def reference_holders(masks):
+    """The holders table ORed one bit at a time into set-wide ints: the
+    loop the byte-column transpose replaced."""
+    out = collections.defaultdict(int)
+    for j, m in enumerate(masks):
+        for i in tube.bits(m):
+            out[i] |= 1 << j
+    return out
+
+
+# widths around the byte boundaries and one far past them
+KERNEL_WIDTHS = (1, 7, 8, 9, 64, 65, 1000)
+
+
+@st.composite
+def mask_lists(draw):
+    """Lists of masks below a drawn width, the empty mask and the full
+    one drawn often."""
+    full = (1 << draw(st.sampled_from(KERNEL_WIDTHS))) - 1
+    mask = st.one_of(st.sampled_from((0, full)), st.integers(0, full))
+    return draw(st.lists(mask, max_size=40))
+
+
+def assert_holders_match(masks):
+    got, want = tube.holders(iter(masks)), reference_holders(masks)
+    assert got == want
+    width = max(masks, default=0).bit_length()
+    assert [got[i] for i in range(width + 9)] == [want[i] for i in range(width + 9)]
+
+
+@settings(max_examples=300)
+@given(mask_lists())
+def test_holders_match_reference_on_drawn_masks(masks):
+    """The byte-column transpose gives the one-bit loop's table, and a
+    bit held by no set, inside or past the width, reads 0."""
+    assert_holders_match(masks)
+
+
+@pytest.mark.parametrize("masks", [[], [0], [0, 0, 0], [1], [(1 << 8) - 1, 0, 1 << 8],
+                                   *([(1 << w) - 1] for w in KERNEL_WIDTHS),
+                                   *([1 << (w - 1), 0, 1] for w in KERNEL_WIDTHS)])
+def test_holders_match_reference_at_the_edges(masks):
+    assert_holders_match(masks)
+
+
+def assert_level_key_matches(masks):
+    for a, b in itertools.product(masks, repeat=2):
+        assert (tube.level_key(a) < tube.level_key(b)) == \
+            (reference_level_key(a) < reference_level_key(b)), (a, b)
+        assert (tube.level_key(a) == tube.level_key(b)) == (a == b), (a, b)
+    assert sorted(masks, key=tube.level_key) == sorted(masks, key=reference_level_key)
+
+
+@settings(max_examples=300)
+@given(mask_lists())
+def test_level_key_sorts_as_index_tuples_on_drawn_masks(masks):
+    """Every pair compares under the string key as under the index
+    tuples, and only equal masks tie."""
+    assert_level_key_matches(masks)
+
+
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+def test_level_key_sorts_as_index_tuples_at_the_edges(width):
+    full = (1 << width) - 1
+    assert_level_key_matches([0, full, 1, 1 << (width - 1), full ^ 1, full >> 1,
+                              full ^ 1 << (width - 1)])
+
+
+@pytest.mark.parametrize("weights, lo, hi", BENCH_INPUTS)
+def test_kernels_match_reference_on_bench_nodes(weights, lo, hi):
+    """On the node masks of the five benchmark posets, holders gives the
+    one-bit loop's table, and the masks, shuffled, sort into the same
+    order under both keys."""
+    masks = [n.mask for n in build_poset(make_line(weights), lo, hi).nodes]
+    assert_holders_match(masks)
+    random.Random(5).shuffle(masks)
+    assert sorted(masks, key=tube.level_key) == sorted(masks, key=reference_level_key)

@@ -724,6 +724,40 @@ def test_tau_fill_matches_pairwise_sheaves(weights, lo, hi, ids):
                                         lambda x: sh.shift(x, x.line.dualizing()))
 
 
+def counted_universe(objects, hom, ext):
+    """A Universe over the objects, with the ordered pairs each of hom
+    and ext was asked about, in call order."""
+    asked = {"hom": [], "ext": []}
+
+    def counted(name, f):
+        def call(x, y):
+            asked[name].append((x, y))
+            return f(x, y)
+        return call
+
+    return tube.Universe(objects, counted("hom", hom), counted("ext", ext)), asked
+
+
+@pytest.mark.parametrize("layer", [*(f"tube-{n}" for n in range(1, 7)),
+                                   *(f"sheaf-{i}" for i in range(len(BENCH_INPUTS)))])
+def test_one_pass_fill_asks_hom_only_where_ext_vanishes(layer):
+    """The one-pass fill gives the pairwise tables on tube ranks 1-6 and on
+    the five benchmark universes; it asks Ext once about every ordered
+    pair and Hom once about exactly the pairs without Ext."""
+    kind, arg = layer.split("-")
+    if kind == "tube":
+        objects, hom, ext = tube.all_arcs(int(arg), int(arg)), tube.hom_dim, tube.ext_dim
+    else:
+        weights, lo, hi = BENCH_INPUTS[int(arg)]
+        objects = margin_universe(weights, lo, hi).objects
+        hom, ext = sh.hom_dim_sheaf, sh.ext_dim_sheaf
+    uni, asked = counted_universe(objects, hom, ext)
+    assert (uni.right, uni.left, uni.compatible) == pairwise_tables(objects, hom, ext)
+    pairs = list(itertools.product(objects, repeat=2))
+    assert asked["ext"] == pairs
+    assert asked["hom"] == [(x, y) for x, y in pairs if ext(x, y) == 0]
+
+
 @pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
 def test_build_poset_shifts_no_sheaf(weights, lo, hi, ids, monkeypatch):
     """The universe reads Ext from the closed form, so the build never
@@ -906,8 +940,9 @@ def test_build_poset_makes_sheaf_objects_for_names_only(weights, lo, hi, monkeyp
     assert all(isinstance(gens, int) for gens in poset.clipped)
 
 
-def reference_mask_key(mask):
-    """Size, then the sorted bit indices."""
+def reference_level_key(mask):
+    """Size, then the sorted bit indices as a tuple: the key that
+    tube.level_key replaced."""
     return mask.bit_count(), tuple(tube.bits(mask))
 
 
@@ -922,11 +957,11 @@ def test_nodes_and_least_generators_follow_reference_key(weights, lo, hi):
         by_perp.setdefault(perp, []).append(gens)
     poset = wp.build_poset(make_line(weights), lo, hi)
     masks = [n.mask for n in poset.nodes]
-    assert masks == sorted(masks, key=reference_mask_key)
+    assert masks == sorted(masks, key=reference_level_key)
     exc = [n for n in poset.nodes if n.exc_gens is not None]
     assert exc
     for n in exc:
-        assert n.exc_gens == min(by_perp[perp_of[n.exc_gens]], key=reference_mask_key), n.name
+        assert n.exc_gens == min(by_perp[perp_of[n.exc_gens]], key=reference_level_key), n.name
 
 
 def reference_extract_exc_sequence(n: int, mask: int) -> int:
