@@ -40,11 +40,11 @@ class WeightData(Record):
     them never changes the group, the degree map or dim_S, which is what
     makes the padding harmless.
 
-    `p`, `k0_rank`, `dualizing()`, `weighted_indices()` and the field
-    hash are computed once per instance and kept outside the fields, so
-    equality, hashing and repr see only the weights and the labels.  The
-    class keeps its `__dict__` for these per-instance constants;
-    `ktheory` keeps the line's Grothendieck-group record there too.
+    `p`, `k0_rank`, `dualizing()`, `weighted_indices()`, the field hash
+    and `_k0`, the line's Grothendieck-group record, are computed once
+    per instance and kept outside the fields, so equality, hashing and
+    repr see only the weights and the labels.  The class keeps its
+    `__dict__` for these per-instance constants.
     """
 
     _fields = ("weights", "points")
@@ -105,6 +105,12 @@ class WeightData(Record):
     @cached_property
     def _weighted(self) -> tuple[int, ...]:
         return tuple(i for i, p in enumerate(self.weights) if p >= 2)
+
+    @cached_property
+    def _k0(self):
+        """The line's K0 record; only K-theory callers load `ktheory`."""
+        from .ktheory import _LineTable
+        return _LineTable(self)
 
 
 def make_line(weights) -> WeightData:

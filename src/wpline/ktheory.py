@@ -15,21 +15,23 @@ matrix, which preserve the form by construction, and checks the
 product.  The full form identity (E C = -E^T) is still enforced for the
 distinguished element produced by the canonical bundle sequence.
 
-Each line's constants live in one record, built on first use and kept
-on the line itself (in its instance `__dict__`, like its cached `p` and
-hash), so no query hashes the line: the rank, the basis index, the
-simple classes, the Euler matrix and its symmetrization, and the
+Each line's constants live in one record, `line._k0`, a cached property
+of WeightData like its `p`: built on first read, by a body that imports
+this module, and kept in the line's instance `__dict__`, so every later
+read is one plain attribute read.  It holds the rank, the basis index,
+the simple classes, the Euler matrix and its symmetrization, and the
 identity matrix of the rank.  Values that repeat across queries live in
 the record's memos, all of one type, `_Memo`: a dict that fills a
 missing key from one function and is emptied at CACHE_LIMIT entries,
 which bounds a line's memory however many degrees a caller asks about.
 Each is read by one subscript.  They hold the class of each sheaf key,
-so class_of is one read; the exact Euler row x^T E of a class, so
-euler_form is one read and one dot product; the column S r of a root r
-modulo delta, as S delta = 0, and S r per class r once <r, r> = 1 is
-checked; and the WeylElement that cox_of returned for a product matrix,
-so equal products share one form check and one kept abs_length.  A fill
-that raises stores nothing, so only checked roots and elements are kept.
+so class_of is one read; the exact Euler row x^T E of a class, whose
+fill checks its rank, so euler_form is one read and one dot product;
+the column S r of a root r modulo delta, as S delta = 0, and S r per
+class r once <r, r> = 1 is checked; and the WeylElement that cox_of
+returned for a product matrix, so equal products share one form check
+and one kept abs_length.  A fill that raises stores nothing, so only
+checked roots and elements are kept.
 
 Group elements are integer matrices throughout, with fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) where a division is needed.
@@ -42,12 +44,12 @@ root modulo delta: S is positive definite on K0 / Z delta, so real
 roots are finitely many modulo delta.  One elimination of a difference
 b - a serves abs_length (b = w, a = 1) and nc_leq, which reads the
 length of u^-1 v off v - u, so it inverts nothing and builds no
-element.  abs_length is kept on each element, and lengths are
-nonnegative, so nc_leq(u, v) is False without an elimination when u
-is longer than v: comparing n elements pairwise takes n eliminations
-for the lengths plus one per ordered pair whose first element is no
-longer than the second.  linalg's exact rational routines are the
-tests' reference.
+element.  abs_length is a cached property of each element, and
+lengths are nonnegative, so nc_leq(u, v) is False without an
+elimination when u is longer than v: comparing n elements pairwise
+takes n eliminations for the lengths plus one per ordered pair whose
+first element is no longer than the second.  linalg's exact rational
+routines are the tests' reference.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ class _Memo(dict):
 
 class _LineTable:
     """Constants of one line's Grothendieck group, computed once per line
-    and kept in the line's own `__dict__`.
+    by the line's cached property `_k0`.
 
     The rank, the basis index and the simple classes are filled on
     construction.  The Euler matrix and its symmetrization are filled on
@@ -95,10 +97,10 @@ class _LineTable:
 
     The memos are `_Memo`s, each filled from its key on a miss:
     `classes`, a sheaf's key in class_of to its class; `class_rows`, a
-    class x of the rank to x^T E; `sym_cols`, a class modulo delta,
-    keyed by (x0 + x1, x2, ...), to S times it; `roots`, a class r of
-    unit self-pairing to S r; and `elements`, a product matrix to its
-    checked WeylElement.
+    class x of the rank, which its fill checks, to x^T E; `sym_cols`, a
+    class modulo delta, keyed by (x0 + x1, x2, ...), to S times it;
+    `roots`, a class r of unit self-pairing to S r; and `elements`, a
+    product matrix to its checked WeylElement.
     """
 
     def __init__(self, line: WeightData):
@@ -112,7 +114,7 @@ class _LineTable:
         self.simples = {i: tuple(self._simple(i, j) for j in range(line.weights[i]))
                         for i in line.weighted_indices()}
         self.classes = _Memo(self._class)
-        self.class_rows = _Memo(lambda x: tuple(sum(map(mul, x, col)) for col in zip(*self.euler)))
+        self.class_rows = _Memo(self._class_row)
         self.sym_cols = _Memo(self.sym_of)
         self.roots = _Memo(self._root_col)
         self.elements = _Memo(lambda w: WeylElement(line, w))
@@ -155,6 +157,12 @@ class _LineTable:
             vec = self._turn_class(key[0], key[1], r)
         return (vec[0] - k, vec[1] + k) + vec[2:] if k else vec
 
+    def _class_row(self, x) -> tuple:
+        """x^T E for a class x, which must be of the rank."""
+        if len(x) != self.rank:
+            raise ValueError("class vector of wrong rank")
+        return tuple(sum(map(mul, x, col)) for col in zip(*self.euler))
+
     def _root_col(self, r) -> tuple:
         """S r for a class r, which must have unit self-pairing."""
         if sum(map(mul, self.class_rows[r], r)) != 1:
@@ -187,15 +195,6 @@ class _LineTable:
         return tuple(sum(map(mul, row, rep)) for row in self.sym)
 
 
-def _table(line: WeightData) -> _LineTable:
-    """The line's K0 record, kept in its instance `__dict__` beside the
-    cached `p` and hash, so reading it hashes nothing."""
-    t = line.__dict__.get("_k0")
-    if t is None:
-        t = line.__dict__["_k0"] = _LineTable(line)
-    return t
-
-
 def _mul(a, b) -> tuple:
     """Integer matrix product on tuples of rows."""
     cols = tuple(zip(*b))
@@ -216,7 +215,7 @@ def class_of(s: IndecSheaf) -> tuple[int, ...]:
     """One read of the line's `classes` memo at the sheaf's key: (coeffs,
     c part) of a bundle's degree, (point, socle, length) of an arc, or
     a stalk's length.  Exact type tests dispatch, as in `sheaves._hom`."""
-    classes, ts = _table(s.line).classes, type(s)
+    classes, ts = s.line._k0.classes, type(s)
     if ts is LineBundle:
         d = s.degree
         return classes[d.coeffs, d.c_part]
@@ -229,17 +228,18 @@ def class_of(s: IndecSheaf) -> tuple[int, ...]:
 
 
 def euler_matrix(line: WeightData) -> tuple:
-    return _table(line).euler
+    return line._k0.euler
 
 
 def euler_form(line: WeightData, x, y) -> int:
     """<x, y> = x^T E y for classes x and y, tuples or lists of the rank:
-    one read of x in the line's `class_rows` and one dot product."""
-    t = _table(line)
-    x = tuple(x)
-    if len(x) != t.rank or len(y) != t.rank:
+    one read of x in the line's `class_rows`, whose fill checks the rank
+    of x, a rank check of y and one dot product."""
+    t = line._k0
+    row = t.class_rows[x if type(x) is tuple else tuple(x)]
+    if len(y) != t.rank:
         raise ValueError("class vector of wrong rank")
-    return sum(map(mul, t.class_rows[x], y))
+    return sum(map(mul, row, y))
 
 
 class WeylElement(Record):
@@ -248,7 +248,7 @@ class WeylElement(Record):
     _fields = ("line", "matrix")
 
     def __post_init__(self):
-        t = _table(self.line)
+        t = self.line._k0
         if len(self.matrix) != t.rank or any(len(row) != t.rank for row in self.matrix):
             raise ValueError("matrix of wrong size")
         # w^T S w is symmetric, so its upper triangle decides: entry (i, j)
@@ -264,6 +264,11 @@ class WeylElement(Record):
                 if sum(map(mul, cols[i], sw)) != row[i]:
                     raise ValueError("matrix does not preserve the symmetrized form")
 
+    @cached_property
+    def _abs_length(self) -> int:
+        """abs_length of the element, computed on first read and kept."""
+        return _moved(self.line, self.line._k0.identity, self.matrix)
+
 
 def _root(line: WeightData, s: IndecSheaf):
     """(r, c) for the reflection of an exceptional sheaf s on line: its
@@ -276,7 +281,7 @@ def _root(line: WeightData, s: IndecSheaf):
     if not sheaves.is_exceptional_sheaf(s):
         raise ValueError("reflections come from exceptional sheaves")
     r = class_of(s)
-    return r, _table(line).roots[r]
+    return r, line._k0.roots[r]
 
 
 def cox_of(line: WeightData, seq) -> WeylElement:
@@ -302,7 +307,7 @@ def cox_of(line: WeightData, seq) -> WeylElement:
     seq = list(seq)
     if not tube.is_exc_sequence(seq, hom_dim_sheaf, ext_dim_sheaf):
         raise ValueError("not an exceptional sequence")
-    t = _table(line)
+    t = line._k0
     w = list(map(list, t.identity))
     for s in seq:
         r, c = _root(line, s)
@@ -351,7 +356,7 @@ def _moved(line: WeightData, a, b) -> int:
     is when the pivot equals the previous one: (p x - 0 y) / p = x."""
     m = len(a)
     rows = [[y - x for x, y in zip(ca, cb)] for ca, cb in zip(zip(*a), zip(*b))]
-    rows.append(list(_table(line).delta))
+    rows.append(list(line._k0.delta))
     rank, prev = 0, 1
     for c in range(m):
         piv = next((i for i in range(rank, m) if rows[i][c]), None)
@@ -373,15 +378,11 @@ def abs_length(w: WeylElement) -> int:
     """Dimension of the moved space, plus one when the null class is moved
     into reach: `_moved` of the identity and w.  Computable surrogate for
     reflection length: 0 on the identity, 1 on reflections, 2 on
-    translations, rank(K0) on the coxeter element.  Computed once per
-    element and kept in its instance `__dict__`, as a line keeps its K0
-    record, so the memo lives as long as the element; cox_of returns one
-    element per product matrix from the line's `elements` memo, so
-    equal products share the one length."""
-    k = w.__dict__.get("_abs_length")
-    if k is None:
-        k = w.__dict__["_abs_length"] = _moved(w.line, _table(w.line).identity, w.matrix)
-    return k
+    translations, rank(K0) on the coxeter element.  Read from the
+    element's cached property, so it is computed once per element, and
+    cox_of returns one element per product matrix from the line's
+    `elements` memo, so equal products share the one length."""
+    return w._abs_length
 
 
 def nc_leq(u: WeylElement, v: WeylElement) -> bool:
@@ -396,5 +397,5 @@ def nc_leq(u: WeylElement, v: WeylElement) -> bool:
     elimination of v - u; both lengths are kept on their elements."""
     if u.line is not v.line and u.line != v.line:
         raise ValueError("elements over different lines")
-    lu, lv = abs_length(u), abs_length(v)
+    lu, lv = u._abs_length, v._abs_length
     return lu <= lv and lu + _moved(u.line, u.matrix, v.matrix) == lv

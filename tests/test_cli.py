@@ -302,6 +302,27 @@ NO_JSON_ARGVS = [
 ]
 
 
+def test_requests_other_than_cox_load_no_ktheory():
+    """A fresh process that runs hom, ext, classify, perp and poset
+    requests never imports the Grothendieck group, and the first read of
+    a line's K0 record, `line._k0`, does."""
+    argvs = [argv for argv in VERB_ARGVS if argv[0] in {"hom", "ext", "classify", "perp", "poset"}]
+    assert len(argvs) == 5
+    script = ("import contextlib, io, sys\n"
+              "from wpline import cli\n"
+              "from wpline.grading import make_line\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [cli.run(argv) for argv in {argvs!r}]\n"
+              "before = 'wpline.ktheory' in sys.modules\n"
+              "record = make_line((2, 3))._k0\n"
+              "print(codes, before, 'wpline.ktheory' in sys.modules, type(record).__name__)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, f"{[0] * len(argvs)} False True _LineTable\n", "")
+
+
 def test_processes_load_no_dataclasses_or_inspect():
     """A fresh process that runs a well-formed request of every verb, and
     one that imports the tube layer alone as a closure request does,

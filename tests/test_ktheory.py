@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ def identity_weyl(line):
 
 def delta_class(line):
     """The null class [O(c)] - [O], as the class table stores it."""
-    return kt._table(line).delta
+    return line._k0.delta
 
 
 def apply(w, x):
@@ -410,7 +411,7 @@ def test_weyl_element_rejects_form_breaking_matrix():
 
 def reference_preserves_form(line, matrix):
     """The full form check: w^T S w == S from two matrix products."""
-    sym = [list(row) for row in kt._table(line).sym]
+    sym = [list(row) for row in line._k0.sym]
     w = [list(row) for row in matrix]
     return mat_mul([list(col) for col in zip(*w)], mat_mul(sym, w)) == sym
 
@@ -419,7 +420,7 @@ def is_real_root_mod_delta(line, key):
     """Whether the representative (key[0], 0, key[1], ...) pairs to 2
     with itself under the symmetrized form."""
     rep = (key[0], 0) + tuple(key[1:])
-    sym = kt._table(line).sym
+    sym = line._k0.sym
     return sum(rep[i] * sym[i][j] * rep[j] for i in range(len(rep)) for j in range(len(rep))) == 2
 
 
@@ -465,7 +466,7 @@ def test_triangular_form_check_matches_full_product(case, kind, i, j, k):
     for pick in picks:
         w = compose(w, reference_reflection(line, POOLS[li][pick]))
     matrix = perturb(w.matrix, kind, i, j, k)
-    memo = kt._table(line).sym_cols
+    memo = line._k0.sym_cols
     before = dict(memo)
     try:
         kt.WeylElement(line, matrix)
@@ -616,7 +617,7 @@ def test_cox_of_keeps_one_checked_element_per_product(weights, monkeypatch):
     assert kt.abs_length(c) == kt.abs_length(kt.cox_of(line, shifted)) == line.k0_rank
     assert len(calls) == 1
 
-    elements = kt._table(line).elements
+    elements = line._k0.elements
     before = dict(elements)
     with pytest.raises(ValueError, match="not an exceptional sequence"):
         kt.cox_of(line, canonical[::-1])
@@ -643,7 +644,7 @@ def test_cox_of_keeps_one_checked_element_per_product(weights, monkeypatch):
 def test_forged_matrix_leaves_no_element_behind():
     """A matrix that breaks the form raises in the fill of the elements
     memo and stores nothing; a valid one is built once and kept."""
-    t = kt._table(make_line((2, 3)))
+    t = make_line((2, 3))._k0
     shear = tuple(tuple(int(u == v or (u, v) == (0, 1)) for v in range(t.rank))
                   for u in range(t.rank))
     before = dict(t.elements)
@@ -659,7 +660,7 @@ def test_a_class_without_unit_self_pairing_leaves_no_root_behind():
     """The roots fill raises on delta, zero and twice a root, and stores
     nothing; a root's column is kept once."""
     line = make_line((2, 3))
-    t = kt._table(line)
+    t = line._k0
     r = kt.class_of(sh.line_bundle(line))
     for x in (t.delta, (0,) * t.rank, tuple(2 * a for a in r)):
         before = dict(t.roots)
@@ -708,7 +709,7 @@ def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
     want = [reference(a) for a in args]
     monkeypatch.setitem(line.__dict__, "_k0", kt._LineTable(line))
     monkeypatch.setattr(kt, "CACHE_LIMIT", 3)
-    memo = getattr(kt._table(line), name if name not in ("bundle_parts", "arc_parts")
+    memo = getattr(line._k0, name if name not in ("bundle_parts", "arc_parts")
                    else "classes")
     sizes = []
     for a, w in zip(args, want):
@@ -722,7 +723,7 @@ def reference_part_plus_delta(s):
     """The replaced class_of: the class of a bundle's coefficient part, of
     an arc's partial turn or zero, plus k delta for the bundle's c part,
     the arc's full turns or the stalk's length."""
-    t = kt._table(s.line)
+    t = s.line._k0
     if isinstance(s, sh.LineBundle):
         vec, k = t._coeff_class(s.degree.coeffs), s.degree.c_part
     elif isinstance(s, sh.TorsionArc):
@@ -741,7 +742,7 @@ def test_class_of_fills_once_per_sheaf_key(line, monkeypatch):
     and the replaced part-plus-delta arithmetic."""
     objs = kind_grid(line, 6, 1)
     monkeypatch.setitem(line.__dict__, "_k0", kt._LineTable(line))
-    memo = kt._table(line).classes
+    memo = line._k0.classes
     fill, keys = memo.fill, []
 
     def counting(key):
@@ -854,7 +855,7 @@ def test_euler_rows_match_bilinear_form(weights):
     def written_row(x):
         return tuple(sum(x[i] * e[i][j] for i in range(m)) for j in range(m))
 
-    table = kt._table(line)
+    table = line._k0
     seen = set()
     for n in range(300):
         x, y = draw(), draw()
@@ -889,3 +890,85 @@ def test_euler_rows_match_bilinear_form(weights):
         if n % 500 == 0:
             assert got == form(x, y)
             assert table.class_rows[x] == written_row(x)
+
+
+def written_form(line, x, y):
+    e = kt.euler_matrix(line)
+    return sum(x[i] * e[i][j] * y[j] for i in range(len(e)) for j in range(len(e)))
+
+
+@pytest.mark.parametrize("line", QUERY_LINES, ids=lambda line: str(line.weights))
+def test_euler_form_rejects_wrong_ranks_on_cold_and_warm_records(line, monkeypatch):
+    """The class_rows fill checks the rank of x, once per class, and
+    euler_form the rank of y on every call.  A wrong-rank x, as a tuple
+    or a list, or a wrong-rank y raises the same ValueError on a fresh
+    record and again once the record holds x's row; no wrong-rank key
+    enters class_rows.  A list x of the rank answers as its tuple."""
+    m = line.k0_rank
+    x, y = tuple(range(1, m + 1)), tuple(range(m, 0, -1))
+    want = written_form(line, x, y)
+    bad = [(x[:-1], y), (list(x[:-1]), y), (x + (1,), y), (list(x) + [1], y), ((), y),
+           (x, y[:-1]), (list(x), list(y) + [0]), (x, ())]
+    for a, b in bad:
+        monkeypatch.setitem(line.__dict__, "_k0", kt._LineTable(line))
+        table = line._k0
+        for warm in (False, True):
+            if warm:
+                assert kt.euler_form(line, x, y) == want
+            with pytest.raises(ValueError, match="class vector of wrong rank"):
+                kt.euler_form(line, a, b)
+            assert all(type(k) is tuple and len(k) == m for k in table.class_rows), (a, b)
+        assert kt.euler_form(line, list(x), y) == kt.euler_form(line, x, list(y)) == want
+        assert list(table.class_rows) == [x]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(QUERY_LINES), st.data())
+def test_drawn_ranks_answer_or_raise_and_store_no_wrong_key(line, data):
+    """Classes of the rank or one or two off it, tuples or lists: the
+    form answers as written out exactly when both are of the rank, and
+    raises the wrong-rank ValueError otherwise; every key of class_rows
+    stays a tuple of the rank."""
+    m = line.k0_rank
+
+    def vector():
+        v = data.draw(st.lists(st.integers(-5, 5), min_size=max(m - 2, 0), max_size=m + 2))
+        return v if data.draw(st.booleans()) else tuple(v)
+
+    x, y = vector(), vector()
+    if len(x) == len(y) == m:
+        assert kt.euler_form(line, x, y) == written_form(line, x, y)
+    else:
+        with pytest.raises(ValueError, match="class vector of wrong rank"):
+            kt.euler_form(line, x, y)
+    assert all(type(k) is tuple and len(k) == m for k in line._k0.class_rows)
+
+
+def test_warm_class_of_and_euler_form_open_no_nested_frame():
+    """On warm records class_of is one read of the line's record and of
+    its classes memo, and euler_form one read of class_rows, a rank
+    check and one dot product: under sys.setprofile neither opens a
+    Python frame besides its own, on sheaves of every kind and on tuple
+    and list classes."""
+    work = []
+    for line in QUERY_LINES:
+        for s in kind_grid(line, 6, 1):
+            x = kt.class_of(s)
+            kt.euler_form(line, x, x)
+            work.append((line, s, x))
+    frames = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            frames.append(frame.f_code.co_name)
+
+    for line, s, x in work:
+        for f, args in ((kt.class_of, (s,)), (kt.euler_form, (line, x, x)),
+                        (kt.euler_form, (line, list(x), list(x)))):
+            del frames[:]
+            sys.setprofile(profile)
+            try:
+                f(*args)
+            finally:
+                sys.setprofile(None)
+            assert frames == [f.__name__], (f.__name__, s, frames)

@@ -150,9 +150,10 @@ def test_library_arithmetic_is_exact():
     assert budgets == 3
 
 
-def imported_modules(tree):
-    """Names of the package modules a module imports, relative or absolute."""
-    for node in ast.walk(tree):
+def imported_modules(tree, walk=ast.walk):
+    """Names of the package modules a module imports, relative or
+    absolute, among the nodes walk(tree) yields."""
+    for node in walk(tree):
         if isinstance(node, ast.ImportFrom):
             base = (node.module or "").removeprefix("wpline").lstrip(".")
             if base:
@@ -161,6 +162,43 @@ def imported_modules(tree):
                 yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             yield from (alias.name.removeprefix("wpline.") for alias in node.names)
+
+
+def import_time_nodes(tree):
+    """The nodes of tree outside every function and lambda body: the code
+    a module runs when it is imported."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_import_time_verdict_on_synthetic_module():
+    """Imports at the top level, under an if and in a class body run on
+    import; those in a function or method body do not."""
+    tree = ast.parse("from . import a\n"
+                     "if flag:\n"
+                     "    import wpline.b\n"
+                     "class C:\n"
+                     "    from .c import y\n"
+                     "    def f(self):\n"
+                     "        from .d import z\n"
+                     "def g():\n"
+                     "    import wpline.e\n")
+    assert sorted(imported_modules(tree, import_time_nodes)) == ["a", "b", "c"]
+    assert sorted(imported_modules(tree)) == ["a", "b", "c", "d", "e"]
+
+
+def test_grading_imports_ktheory_only_for_a_record():
+    """grading imports ktheory only in the body of WeightData._k0, which
+    builds a line's K0 record on its first read, so the grading group
+    never loads the Grothendieck group on import."""
+    path = pathlib.Path(wpline.__file__).parent / "grading.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert "ktheory" not in set(imported_modules(tree, import_time_nodes))
+    assert "ktheory" in set(imported_modules(tree))
 
 
 def test_only_the_oracle_imports_linalg():
