@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals on plain list-of-list matrices.
+"""Exact linear algebra over the rationals on plain list-of-list matrices:
+reduced row echelon form and nullspaces, for nilpotent, its one user.
 
 Entries are `int` or `Fraction`, never `float`: the two mix exactly, so
 integral matrices stay in `int` until a division is needed.  `rref`
@@ -9,14 +10,6 @@ inverted as `Fraction(p.denominator, p.numerator)`, never as `1 / p`
 """
 
 from __future__ import annotations
-
-
-def mat_mul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    cols = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
-            for i in range(len(a))]
 
 
 def rref(rows):

@@ -9,9 +9,10 @@ the cokernel of one commuting map, from Ringel's standard resolution),
 extension middles and direct-summand decompositions are all computed
 exactly, for representations of any shape: matrix entries are `int`
 while they stay integral and `Fraction` once a division makes them
-rational (see linalg), never `float`.  The kernel and the cokernel of a
-map between arcs need no representation: they are a sub-arc and a
-quotient arc (tube._pair_row).
+rational (see linalg), never `float`.  This is the one module that
+uses linalg: `rref` and `nullspace`, no matrix product.  The kernel and
+the cokernel of a map between arcs need no representation: they are a
+sub-arc and a quotient arc (tube._pair_row).
 """
 
 from __future__ import annotations
@@ -88,27 +89,6 @@ def rep_of_arc(arc: Arc) -> NilpRep:
     return NilpRep(n, dims, _freeze_maps(maps))
 
 
-def direct_sum(reps):
-    reps = list(reps)
-    if not reps:
-        raise ValueError("empty direct sum")
-    n = reps[0].rank
-    dims = tuple(sum(r.dims[i] for r in reps) for i in range(n))
-    maps = []
-    for i in range(n):
-        t = (i - 1) % n
-        m = [[0] * dims[i] for _ in range(dims[t])]
-        roff, coff = 0, 0
-        for r in reps:
-            for a in range(r.dims[t]):
-                for b in range(r.dims[i]):
-                    m[roff + a][coff + b] = r.maps[i][a][b]
-            roff += r.dims[t]
-            coff += r.dims[i]
-        maps.append(m)
-    return NilpRep(n, dims, _freeze_maps(maps))
-
-
 def _commuting_map(a: NilpRep, b: NilpRep):
     """Matrix of d(f)_i = f_{i-1} a_i - b_i f_i, from the tuples f of
     matrices f_i : a_i -> b_i to the tuples of matrices a_i -> b_{i-1}:
@@ -170,12 +150,12 @@ def pushout_middle(a: NilpRep, b: NilpRep, h) -> NilpRep:
     b + a with the maps [[b_i, h_i], [0, a_i]], the pushout of the
     standard resolution of a along h.  b is its subrepresentation and a
     its quotient."""
-    mid = direct_sum([b, a])
-    maps = [[list(row) for row in m] for m in mid.maps]
-    for i, hi in enumerate(h):
-        for r, row in enumerate(hi):
-            maps[i][r][b.dims[i]:] = row
-    return NilpRep(mid.rank, mid.dims, _freeze_maps(maps))
+    maps = []
+    for i, (bm, hm, am) in enumerate(zip(b.maps, h, a.maps)):
+        zero = (0,) * b.dims[i]
+        maps.append(tuple((*rb, *rh) for rb, rh in zip(bm, hm))
+                    + tuple((*zero, *ra) for ra in am))
+    return NilpRep(a.rank, tuple(x + y for x, y in zip(b.dims, a.dims)), tuple(maps))
 
 
 def _image_ranks(rep: NilpRep, start: int, limit: int) -> list:

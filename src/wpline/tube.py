@@ -19,19 +19,20 @@ perpendiculars, Geigle-Lenzing) and rigid subsets are read off.  The
 inclusion order of a list of masks is read off their holders table,
 which the caller builds once and may share.
 
-The linear-algebra oracle (nilpotent, linalg) serves only as an
-independent check: _pair_row, closure_members, wide_closure,
-extension_middles, enumerate_wide_bruteforce, ext_dim_via_presentation
-and bongartz_complete run on it and read neither the closed form nor a
-universe table.  Only this module and nilpotent use linalg; here it and
-the nilpotent names but Arc stay inside _rep, arc_hom_basis, _compose,
-ext_classes and _middle_summands.  Hom and Ext of a pair are the kernel
-and the cokernel of one linear map, from the standard resolution
-(nilpotent.ext_basis), so no arc longer than the pair is built.  The
-kernel and the cokernel of a Hom basis map are a sub-arc and a quotient
-arc, read off its rank.  Extension middles are enumerated exactly, one
-per orbit of Ext classes.  The closure indexes the arcs of rank n by
-integer ids, (length - 1) * n + socle, and reads one cached row per
+The linear-algebra oracle (nilpotent) serves only as an independent
+check: _pair_row, closure_members, wide_closure, extension_middles,
+enumerate_wide_bruteforce, ext_dim_via_presentation and
+bongartz_complete run on it and read neither the closed form nor a
+universe table.  This module imports no linalg; the nilpotent names but
+Arc stay inside _rep, arc_hom_basis, ext_classes and _middle_summands.
+Hom and Ext of a pair are the kernel and the cokernel of one linear map,
+from the standard resolution (nilpotent.ext_basis), so no arc longer
+than the pair is built.  The kernel and the cokernel of a Hom basis map
+are a sub-arc and a quotient arc, read off its rank.  Between arcs of
+length at most the rank, the only ones the closures meet, Hom and Ext^1
+are at most one-dimensional, so each pair has at most one extension
+middle, that of its one Ext class.  The closure indexes the arcs of rank
+n by integer ids, (length - 1) * n + socle, and reads one cached row per
 ordered pair of ids (`_pair_row`): the id mask of the oracle's kernels,
 cokernels and extension middles of that pair.  It closes at the rank:
 no member longer than n is needed to reach one of length at most n (the
@@ -47,7 +48,7 @@ up, so a rotated pair has the same matrices on rotated vertices, and
 nothing cached depends on the order in which the oracle meets the
 vertices: an Ext count, the kernels and cokernels over the Hom basis
 (one rank per class indicator of _image_length, whatever the order of
-unknowns) and the middles of every nonzero Ext orbit.  The Ext count
+unknowns) and the middle of its Ext class.  The Ext count
 (`_ext_count`) is cached on the integers (rank, socle difference,
 lengths), and the closures read pair rows through `_rotated_row`, which
 fills `_pair_row` only at first socle 0.  Each memo is functools.cache
@@ -61,7 +62,6 @@ import collections
 import functools
 import itertools
 
-from . import linalg
 from ._record import Record
 from .nilpotent import Arc, NilpRep, decompose, ext_basis, hom_basis, pushout_middle, rep_of_arc
 
@@ -123,12 +123,6 @@ def all_arcs(n: int, max_len: int):
 # ---------------------------------------------------------------------------
 # extensions via the standard resolution
 
-def _compose(t, h):
-    # the class h pushed out along t in End(b), (t h)_i = t_{i-1} h_i, as
-    # tuples so that a pushed class stays hashable
-    return tuple(tuple(map(tuple, linalg.mat_mul(t[i - 1], x))) for i, x in enumerate(h))
-
-
 @functools.cache
 def ext_classes(a: Arc, b: Arc):
     """Basis of Ext^1(a, b) from the linear-algebra oracle: the cokernel
@@ -159,46 +153,15 @@ def _middle_summands(a: Arc, b: Arc, h) -> tuple:
 
 
 def extension_middles(a: Arc, b: Arc):
-    """Iso-types of the middle terms of the nonsplit extensions of a by b.
-
-    Exact, from the oracle alone (ext_classes and the Hom basis of
-    End(b)), by one middle per orbit representative:
-
-    - End(b) is the uniserial ring k[t]/(t^m), t the shift of b down by
-      the rank; its basis map of image length len b - j * rank is t^j
-      (times a unit).  Precomposing a map b -> tau a with t shortens its
-      image by the rank, so Hom(b, tau a) is cyclic over End(b), and so
-      is its dual Ext^1(a, b) (Serre duality is natural in b): it is
-      k[t]/(t^d), d its dimension, d <= m.
-    - Aut(b) has the orbits {0} and t^i g Aut(b), i < d, g a generator,
-      on it.  Aut(a) acts End(b)-linearly, so the orbits of
-      Aut(a) x Aut(b) are the same d + 1, and the middle is constant on
-      each.
-    - The generators are the classes h with t^(d-1) h != 0, those outside
-      the hyperplane t Ext^1, so every basis has one.  The pushouts t^i g,
-      i < d, of one generator g along the d longest-image basis maps of
-      End(b) meet every nonzero orbit.
-    - A class is zero exactly when its middle is a + b: a nonsplit short
-      exact sequence of modules of finite length never has the direct
-      sum of its ends as middle (Miyata 1967).  So the basis classes are
-      walked until the pushout of one along the shortest of those maps,
-      t^(d-1), has a nonsplit middle; that class is a generator, and it
-      is pushed out along the other d - 1 maps.
-    """
+    """Iso-types of the middle terms of the nonsplit extensions of a by b,
+    for a pair with at most one Ext class: the middle of that class, read
+    from the oracle alone.  Nonzero classes of a one-dimensional Ext^1 are
+    scalar multiples of one class, and multiples share a middle.  Raises
+    ValueError when Ext^1(a, b) has dimension above one."""
     classes = ext_classes(a, b)
-    if not classes:
-        return set()
-    *longer, shortest = sorted(arc_hom_basis(b, b), key=_image_length, reverse=True)[:len(classes)]
-    split = tuple(sorted((a, b), key=Arc.sort_key))
-
-    def pushout(h, t):
-        return _middle_summands(a, b, _compose(t, h))
-
-    for h in classes:
-        last = pushout(h, shortest)
-        if last != split:
-            return {last} | {pushout(h, t) for t in longer}
-    raise AssertionError("no generator among the basis classes of Ext^1")
+    if len(classes) > 1:
+        raise ValueError("Ext^1 of dimension above one")
+    return {_middle_summands(a, b, h) for h in classes}
 
 
 def _image_length(f) -> int:
@@ -209,9 +172,8 @@ def _image_length(f) -> int:
     forced to zero, and the reduced echelon form leaves one entry per
     class free: each basis map is one 0/1 class indicator.  A class sends
     a top segment of a's basis vectors one to one onto the image's, so it
-    has one entry per basis vector of the image.  It orders End(b) in
-    extension_middles and gives the kernel and the cokernel of each basis
-    map in _pair_row."""
+    has one entry per basis vector of the image.  It gives the kernel and
+    the cokernel of each basis map in _pair_row."""
     return sum(x != 0 for m in f for row in m for x in row)
 
 

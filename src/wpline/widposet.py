@@ -491,5 +491,4 @@ def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, perp):
         "block_sheaf_members": block_sheaf,
         "cross_orthogonal": all(perp_membership(x, (t,)) and perp_membership(t, (x,))
                                 for x in block_sheaf for t in block_tube),
-        "perp_covered": set(perp) <= {*block_sheaf, *block_tube},
     }

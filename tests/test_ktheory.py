@@ -14,10 +14,9 @@ from wpline import ktheory as kt
 from wpline import linalg
 from wpline import sheaves as sh
 from wpline import tube
-from wpline.linalg import mat_mul
 from wpline.nilpotent import Arc
 from wpline.widposet import build_poset
-from test_linalg import rank
+from test_linalg import mat_mul, rank
 from test_sheaves import kind_grid
 
 

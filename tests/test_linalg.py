@@ -15,6 +15,16 @@ def rank(rows):
     return len(linalg.rref(rows)[1])
 
 
+def mat_mul(a, b):
+    """Matrix product of list-of-list matrices: the reference product the
+    tests share (the library multiplies no matrices)."""
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("shape mismatch")
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)]
+            for i in range(len(a))]
+
+
 def reference_rref(rows):
     """Reduced row echelon form with every entry rebuilt as a Fraction."""
     m = [[Fraction(x) for x in row] for row in rows]

@@ -8,13 +8,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpline import linalg, tube
-from wpline.nilpotent import (Arc, NilpRep, _freeze_maps, _image_ranks, decompose, direct_sum,
-                              ext_basis, hom_basis, rep_of_arc)
-from test_linalg import rank, reference_solve
+from wpline.nilpotent import (Arc, NilpRep, _freeze_maps, _image_ranks, decompose, ext_basis,
+                              hom_basis, pushout_middle, rep_of_arc)
+from test_linalg import mat_mul, rank, reference_solve
 
 
 def all_arcs_raw(n, max_len):
     return [Arc(n, s, l) for s in range(n) for l in range(1, max_len + 1)]
+
+
+def reference_direct_sum(reps):
+    """Block-diagonal direct sum of representations of one rank: the
+    summands' maps on the diagonal, in order."""
+    reps = list(reps)
+    if not reps:
+        raise ValueError("empty direct sum")
+    n = reps[0].rank
+    dims = tuple(sum(r.dims[i] for r in reps) for i in range(n))
+    maps = []
+    for i in range(n):
+        t = (i - 1) % n
+        m = [[0] * dims[i] for _ in range(dims[t])]
+        roff, coff = 0, 0
+        for r in reps:
+            for a in range(r.dims[t]):
+                for b in range(r.dims[i]):
+                    m[roff + a][coff + b] = r.maps[i][a][b]
+            roff += r.dims[t]
+            coff += r.dims[i]
+        maps.append(m)
+    return NilpRep(n, dims, _freeze_maps(maps))
 
 
 def hom_dim_rep(a: NilpRep, b: NilpRep) -> int:
@@ -210,7 +233,7 @@ def test_hom_and_ext_come_from_one_map():
     for n in (1, 2, 3):
         sums = list(itertools.combinations_with_replacement(all_arcs_raw(n, n), 2))
         for a, b in itertools.product(sums, repeat=2):
-            ra, rb = (direct_sum(map(rep_of_arc, x)) for x in (a, b))
+            ra, rb = (reference_direct_sum(map(rep_of_arc, x)) for x in (a, b))
             ext = len(ext_basis(ra, rb))
             assert len(hom_basis(ra, rb)) - ext == euler_form(ra, rb), (a, b)
             assert ext == sum(tube.ext_dim(x, y) for x in a for y in b), (a, b)
@@ -219,17 +242,43 @@ def test_hom_and_ext_come_from_one_map():
 def test_hom_dim_additive_on_sums():
     a = rep_of_arc(Arc(2, 0, 1))
     b = rep_of_arc(Arc(2, 1, 2))
-    s = direct_sum([a, b])
+    s = reference_direct_sum([a, b])
     c = rep_of_arc(Arc(2, 0, 2))
     assert hom_dim_rep(s, c) == hom_dim_rep(a, c) + hom_dim_rep(b, c)
     assert hom_dim_rep(c, s) == hom_dim_rep(c, a) + hom_dim_rep(c, b)
+
+
+def reference_pushout_middle(a: NilpRep, b: NilpRep, h) -> NilpRep:
+    """The direct sum b + a with the class h written into its upper right
+    blocks: the middle as it was built before its blocks were written
+    directly."""
+    mid = reference_direct_sum([b, a])
+    maps = [[list(row) for row in m] for m in mid.maps]
+    for i, hi in enumerate(h):
+        for r, row in enumerate(hi):
+            maps[i][r][b.dims[i]:] = row
+    return NilpRep(mid.rank, mid.dims, _freeze_maps(maps))
+
+
+def test_pushout_middle_matches_block_reference():
+    """Every Ext basis class between arcs up to twice the rank at ranks
+    1-3: the middle written block by block is the direct sum with the
+    class in its corner, entry for entry."""
+    classes = 0
+    for n in (1, 2, 3):
+        for a, b in itertools.product(all_arcs_raw(n, 2 * n), repeat=2):
+            ra, rb = rep_of_arc(a), rep_of_arc(b)
+            for h in ext_basis(ra, rb):
+                classes += 1
+                assert pushout_middle(ra, rb, h) == reference_pushout_middle(ra, rb, h), (a, b)
+    assert classes
 
 
 def test_decompose_round_trip():
     for n in (2, 3):
         arcs = all_arcs_raw(n, n)
         for picked in itertools.combinations_with_replacement(arcs, 2):
-            rep = direct_sum([rep_of_arc(a) for a in picked])
+            rep = reference_direct_sum([rep_of_arc(a) for a in picked])
             found = decompose(rep)
             expected = {}
             for a in picked:
@@ -365,7 +414,7 @@ def reference_composite_ranks(rep, start, max_steps):
     ranks = [rep.dims[start]]
     v = start
     for _ in range(max_steps):
-        m = linalg.mat_mul(rep.maps[v], m)
+        m = mat_mul(rep.maps[v], m)
         ranks.append(rank(m))
         v = (v - 1) % rep.rank
     return ranks
@@ -385,7 +434,7 @@ def unimodular(draw, d):
            for r in range(d)]
     up = [[1 if r == c else draw(entry) if c > r else 0 for c in range(d)]
           for r in range(d)]
-    return linalg.mat_mul(low, up)
+    return mat_mul(low, up)
 
 
 def conjugate(rep, bases):
@@ -393,7 +442,7 @@ def conjugate(rep, bases):
     n = rep.rank
     maps = []
     for i in range(n):
-        m = linalg.mat_mul(linalg.mat_mul(bases[(i - 1) % n], rep.maps[i]),
+        m = mat_mul(mat_mul(bases[(i - 1) % n], rep.maps[i]),
                            invert(bases[i]))
         maps.append(tuple(tuple(Fraction(x) for x in row) for row in m))
     return NilpRep(n, rep.dims, tuple(maps))
@@ -406,7 +455,7 @@ def conjugated_sums(draw):
                                    st.integers(1, n + 2)),
                          min_size=1, max_size=3))
     extra = [cycle_rep(n)] if draw(st.booleans()) else []
-    rep = direct_sum([rep_of_arc(a) for a in arcs] + extra)
+    rep = reference_direct_sum([rep_of_arc(a) for a in arcs] + extra)
     bases = [draw(unimodular(d)) for d in rep.dims]
     return arcs, bool(extra), conjugate(rep, bases)
 

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpline.grading import make_line
-from wpline.nilpotent import Arc, decompose, direct_sum, rep_of_arc
+from wpline.nilpotent import Arc, decompose, rep_of_arc
 from wpline import linalg, tube, verify
 from wpline.widposet import build_poset
 
-from test_linalg import rank
-from test_nilpotent import reference_cokernel_rep, reference_kernel_rep, tau
+from test_linalg import mat_mul, rank
+from test_nilpotent import reference_cokernel_rep, reference_direct_sum, reference_kernel_rep, tau
 from test_widposet import (BENCH_INPUTS, reference_exc, reference_extract_exc_sequence,
                            reference_level_key, reference_perp_pair, reference_sort_key)
 
@@ -311,10 +311,18 @@ def test_exc_perp_decompose_stack():
 
 REF_PAIR_KC: dict = {}
 REF_PAIR_MID: dict = {}
-# one memo per oracle call for the whole module: the pair-table and the
-# middle tests read the same extensions
-extension_middles = functools.cache(tube.extension_middles)
+# one memo per middle for the whole module: the pair-table and the middle
+# tests read the same extensions
 middle_summands = functools.cache(tube._middle_summands)
+
+
+@functools.cache
+def sampled_middles(a: Arc, b: Arc) -> frozenset:
+    """The sampler's middles over the oracle's Ext basis, for arcs of any
+    length: extension_middles answers only where Ext^1 has at most one
+    class."""
+    return frozenset(reference_extension_middles(tube.ext_classes(a, b),
+                                                 functools.partial(middle_summands, a, b)))
 
 
 def reference_pair_kernel_cokernel(a: Arc, b: Arc) -> frozenset:
@@ -333,7 +341,7 @@ def reference_pair_middles(a: Arc, b: Arc) -> frozenset:
     key = (a, b)
     if key not in REF_PAIR_MID:
         found = set()
-        for summands in tube.extension_middles(a, b):
+        for summands in sampled_middles(a, b):
             found.update(summands)
         REF_PAIR_MID[key] = frozenset(found)
     return REF_PAIR_MID[key]
@@ -366,19 +374,42 @@ def test_arc_ids_enumerate_arcs_by_length():
             assert tube.arc_of_id(n, tube.arc_id(a)) == a
 
 
+@functools.cache
+def long_pair_row(n: int, ia: int, ib: int) -> int:
+    """The pair-table row of a pair of ids, built test-side for arcs of any
+    length: the id mask of the kernels and cokernels of the Hom basis maps
+    and of the summands of the sampler's middles."""
+    a, b = tube.arc_of_id(n, ia), tube.arc_of_id(n, ib)
+    row = 0
+    for f in tube.arc_hom_basis(a, b):
+        row |= tube._id_mask(tube._kernel_and_cokernel(a, b, f))
+    for summands in sampled_middles(a, b):
+        row |= tube._id_mask(summands)
+    return row
+
+
+def pair_row(n: int, ia: int, ib: int) -> int:
+    """The oracle's row below n * n, where the closures read it, and the
+    test-side row of a pair with an arc longer than the rank."""
+    return tube._pair_row(n, ia, ib) if max(ia, ib) < n * n else long_pair_row(n, ia, ib)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pair_table_matches_reference(n, monkeypatch):
-    """Every ordered pair of arcs up to three times the rank: the table
-    row is the set of summands the reference collects for the pair.
-    Both read extension middles through one memo, because the oracle
-    call is shared code and only the bookkeeping around it changed."""
-    monkeypatch.setattr(tube, "extension_middles", extension_middles)
+    """Every ordered pair of arcs up to three times the rank: the
+    test-side row is the set of summands the reference collects for the
+    pair, and on arcs up to the rank so is the table row.  All read
+    extension middles through one memo, because the oracle call is shared
+    code and only the bookkeeping around it changed."""
     monkeypatch.setattr(tube, "_middle_summands", middle_summands)
     arcs = tube.all_arcs(n, 3 * n)
     for a, b in itertools.product(arcs, repeat=2):
         want = reference_pair_kernel_cokernel(a, b) | reference_pair_middles(a, b)
-        row = tube._pair_row(n, tube.arc_id(a), tube.arc_id(b))
+        ia, ib = tube.arc_id(a), tube.arc_id(b)
+        row = long_pair_row(n, ia, ib)
         assert {tube.arc_of_id(n, i) for i in tube.bits(row)} == want, (a, b)
+        if max(ia, ib) < n * n:
+            assert tube._pair_row(n, ia, ib) == row, (a, b)
 
 
 def test_kernels_and_cokernels_are_sub_and_quotient_arcs():
@@ -492,8 +523,8 @@ def test_closure_reads_no_pair_longer_than_rank(monkeypatch):
 
 def reference_pair_row_closure(n: int, gens, cap: int) -> frozenset:
     """Arcs of length <= cap in the wide closure: a naive fixpoint over id
-    masks that ORs the pair-table row of every ordered member pair on
-    every pass."""
+    masks that ORs the pair row (`pair_row`) of every ordered member pair
+    on every pass."""
     capped = (1 << cap * n) - 1
     members = tube._id_mask(gens) & capped
     while True:
@@ -501,7 +532,7 @@ def reference_pair_row_closure(n: int, gens, cap: int) -> frozenset:
         found = members
         for ia in ids:
             for ib in ids:
-                found |= tube._pair_row(n, ia, ib)
+                found |= pair_row(n, ia, ib)
         found &= capped
         if found == members:
             return frozenset(tube.arc_of_id(n, i) for i in ids)
@@ -570,44 +601,64 @@ def reference_extension_middles(classes, middle):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_extension_middles_match_sampler(n, monkeypatch):
-    """Every ordered pair of arcs up to three times the rank: the orbit
-    enumeration equals the sampler, no basis class has the split middle
-    (the premise that lets the enumeration drop it), and every middle
-    has the total length of its ends."""
+    """Every ordered pair of arcs up to three times the rank: no basis
+    class has the split middle, every sampled middle has the total length
+    of its ends, and extension_middles gives the sampler's middles where
+    Ext^1 has at most one class and raises where it has more."""
     monkeypatch.setattr(tube, "_middle_summands", middle_summands)
     arcs = tube.all_arcs(n, 3 * n)
     for a, b in itertools.product(arcs, repeat=2):
-        mids = extension_middles(a, b)
         classes, middle = tube.ext_classes(a, b), functools.partial(middle_summands, a, b)
-        assert mids == reference_extension_middles(classes, middle), (a, b)
+        mids = sampled_middles(a, b)
         split = tuple(sorted((a, b), key=Arc.sort_key))
         assert all(middle(h) != split for h in classes), (a, b)
         assert all(sum(x.length for x in m) == a.length + b.length for m in mids), (a, b)
+        if len(classes) <= 1:
+            assert tube.extension_middles(a, b) == mids, (a, b)
+        else:
+            with pytest.raises(ValueError, match="dimension above one"):
+                tube.extension_middles(a, b)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_extension_middles_any_basis(n, monkeypatch):
-    """The enumeration holds for any basis of Ext, not only the oracle's
-    {g, t g, ...}: the basis h_j + (h_1 + ... + h_d) made from that one
-    has only generators, and the middles still match the sampler's."""
-    arcs = tube.all_arcs(n, 3 * n)
-    pairs = [(a, b) for a, b in itertools.product(arcs, repeat=2)
-             if len(tube.ext_classes(a, b)) >= 2]
-    assert pairs
-    monkeypatch.setattr(tube, "_middle_summands", middle_summands)
-    want = [reference_extension_middles(tube.ext_classes(a, b),
-                                        functools.partial(middle_summands, a, b))
-            for a, b in pairs]
-    ext_classes = tube.ext_classes
+def test_short_pairs_have_at_most_one_hom_map_and_ext_class():
+    """Every ordered pair of ids below n * n at ranks 1-6, so of arcs of
+    length at most the rank: the oracle finds at most one Hom basis map
+    and at most one Ext class, so extension_middles answers on every pair
+    the closures read."""
+    pairs = 0
+    for n in range(1, 7):
+        for ia, ib in itertools.product(range(n * n), repeat=2):
+            pairs += 1
+            a, b = tube.arc_of_id(n, ia), tube.arc_of_id(n, ib)
+            assert len(tube.arc_hom_basis(a, b)) <= 1, (a, b)
+            assert len(tube.ext_classes(a, b)) <= 1, (a, b)
+    assert pairs == 2275
 
-    def rotated(a, b):
-        classes = ext_classes(a, b)
-        total = functools.reduce(lambda h1, h2: scaled_sum_class(h1, h2, 1), classes)
-        return [scaled_sum_class(h, total, 1) for h in classes]
 
-    monkeypatch.setattr(tube, "ext_classes", rotated)
-    for (a, b), mids in zip(pairs, want):
-        assert tube.extension_middles(a, b) == mids, (a, b)
+def test_extension_middles_refuses_two_dimensional_ext():
+    """The rank-1 arc of length 2 has a two-dimensional Ext^1 with itself,
+    where classes that are not multiples of one another may have distinct
+    middles."""
+    a = Arc(1, 0, 2)
+    assert len(tube.ext_classes(a, a)) == 2
+    with pytest.raises(ValueError, match="dimension above one"):
+        tube.extension_middles(a, a)
+
+
+def test_scaled_class_shares_its_middle():
+    """Every ordered pair of arcs of length at most the rank at ranks 1-6
+    with Ext^1 != 0: the class times 2 and times -1 has the middle of the
+    class, as extension_middles assumes."""
+    pairs = 0
+    for n in range(1, 7):
+        for a, b in itertools.product(tube.all_arcs(n, n), repeat=2):
+            for h in tube.ext_classes(a, b):
+                pairs += 1
+                mid = tube._middle_summands(a, b, h)
+                for coef in (2, -1):
+                    scaled = scaled_sum_class(h, h, coef - 1)
+                    assert tube._middle_summands(a, b, scaled) == mid, (a, b, coef)
+    assert pairs == 994
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +686,7 @@ def reference_presentation_ext_classes(a: Arc, b: Arc) -> tuple:
     restrictions of Hom(P, b)."""
     k_arc, p_arc, incl = reference_presentation(a, b)
     k_hom = tube.arc_hom_basis(k_arc, b)
-    restricted = [tuple(map(linalg.mat_mul, f, incl)) for f in tube.arc_hom_basis(p_arc, b)]
+    restricted = [tuple(map(mat_mul, f, incl)) for f in tube.arc_hom_basis(p_arc, b)]
     # as columns after the restrictions, a basis map is a pivot exactly
     # when it is independent of the maps before it
     cols = [[x for m in f for row in m for x in row] for f in (*restricted, *k_hom)]
@@ -650,32 +701,32 @@ def reference_presentation_middle(a: Arc, b: Arc, g) -> tuple:
     K to P + b."""
     k_arc, p_arc, incl = reference_presentation(a, b)
     f = [[*map(list, incl[i]), *([-x for x in row] for row in g[i])] for i in range(a.rank)]
-    pb = direct_sum([tube._rep(p_arc), tube._rep(b)])
+    pb = reference_direct_sum([tube._rep(p_arc), tube._rep(b)])
     parts = decompose(reference_cokernel_rep(tube._rep(k_arc), pb, f))
     return tuple(arc for arc in sorted(parts, key=Arc.sort_key) for _ in range(parts[arc]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_ext_matches_truncated_presentation(n, monkeypatch):
+def test_ext_matches_truncated_presentation(n):
     """Every ordered pair of arcs up to three times the rank: the standard
     resolution counts as many Ext classes as the truncated presentation
-    and, up to rank 3, its orbit middles are the ones the sampler finds
-    over the presentation's classes."""
-    monkeypatch.setattr(tube, "_middle_summands", middle_summands)
+    and, up to rank 3, the sampler finds the same middles over the
+    classes of either."""
     for a, b in itertools.product(tube.all_arcs(n, 3 * n), repeat=2):
         classes = reference_presentation_ext_classes(a, b)
         assert tube.ext_dim_via_presentation(a, b) == len(classes), (a, b)
         if n <= 3:
             middle = functools.partial(reference_presentation_middle, a, b)
-            assert extension_middles(a, b) == reference_extension_middles(classes, middle), (a, b)
+            assert sampled_middles(a, b) == reference_extension_middles(classes, middle), (a, b)
 
 
 def test_oracle_builds_no_arc_longer_than_its_inputs(monkeypatch):
     """With the oracle caches cleared before each pair, every ordered pair
-    of arcs up to three times the rank at ranks 1-3: the Ext count and
-    the extension middles build the representation of no arc longer than
-    the longer of the two, where the truncated presentation, which trips
-    the same guard, built one of length len a + len b + rank."""
+    of arcs up to three times the rank at ranks 1-3: the Ext count, the
+    middles of the Ext basis classes and, where there is at most one
+    class, extension_middles build the representation of no arc longer
+    than the longer of the two, where the truncated presentation, which
+    trips the same guard, built one of length len a + len b + rank."""
     caches = (tube._rep, tube.arc_hom_basis, tube.ext_classes, tube._ext_count)
     limit = 0
 
@@ -691,7 +742,11 @@ def test_oracle_builds_no_arc_longer_than_its_inputs(monkeypatch):
                 cache.cache_clear()
             limit = max(a.length, b.length)
             tube.ext_dim_via_presentation(a, b)
-            tube.extension_middles(a, b)
+            classes = tube.ext_classes(a, b)
+            for h in classes:
+                tube._middle_summands(a, b, h)
+            if len(classes) <= 1:
+                tube.extension_middles(a, b)
     with pytest.raises(AssertionError, match="representation of"):
         reference_presentation_ext_classes.__wrapped__(a, b)
 
