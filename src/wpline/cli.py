@@ -8,7 +8,7 @@ byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
 declared once, in _VERBS: a well-formed argv is read straight off that
 table, and the argparse parser built from it is loaded only for help and
 usage errors, whose bytes and exit codes are argparse's own.  Only `cox`
-loads the Grothendieck group, `ktheory`.
+loads `ktheory`, and only `verify` the oracle, `nilpotent` and `linalg`.
 
 `main` ends the process: once `run` has written the answer it freezes
 the heap (gc.freeze), so the interpreter's exit skips the full
@@ -27,10 +27,10 @@ import types
 
 from . import tube
 from .grading import line_invariants, make_line, normalize, parse_weights
-from .nilpotent import Arc
 from .sheaves import (OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
                       hom_dim_sheaf, is_exceptional_sheaf, line_bundle, perp_membership,
                       simple_at, stack_at)
+from .tube import Arc
 from .widposet import (build_poset, default_window, exc_torsion_perp_decompose,
                        poset_dot, poset_json, sheaf_universe)
 

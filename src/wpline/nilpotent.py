@@ -12,50 +12,15 @@ while they stay integral and `Fraction` once a division makes them
 rational (see linalg), never `float`.  This is the one module that
 uses linalg: `rref` and `nullspace`, no matrix product.  The kernel and
 the cokernel of a map between arcs need no representation: they are a
-sub-arc and a quotient arc (tube._pair_row).
+sub-arc and a quotient arc (tube._pair_row).  Arc is tube's, imported
+from there; no module imports this one at module level.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from ._record import Record
-
-
-class Arc(Record):
-    """Indecomposable with socle vertex `socle` (mod rank) and `length` >= 1.
-
-    Composition factors from the socle upward are the simples at
-    socle, socle+1, ..., socle+length-1.
-    """
-
-    __slots__ = _fields = ("rank", "socle", "length")
-
-    def __post_init__(self):
-        if self.rank < 1 or self.length < 1:
-            raise ValueError("rank and length must be positive")
-        if not 0 <= self.socle < self.rank:
-            raise ValueError("socle must be a vertex residue")
-
-    @property
-    def top(self) -> int:
-        return (self.socle + self.length - 1) % self.rank
-
-    def factors(self):
-        """Multiset of composition-factor vertices, socle first."""
-        return [(self.socle + j) % self.rank for j in range(self.length)]
-
-    def multiplicity(self, v: int) -> int:
-        """How often the simple at vertex v (taken mod rank) is a
-        composition factor: once per full turn, plus once when v lies
-        among the first length mod rank vertices from the socle up."""
-        n = self.rank
-        return self.length // n + ((v - self.socle) % n < self.length % n)
-
-    def factor_counts(self) -> tuple[int, ...]:
-        return tuple(map(self.multiplicity, range(self.rank)))
-
-    def sort_key(self):
-        return (self.socle, self.length)
+from .tube import Arc
 
 
 class NilpRep(Record):

@@ -35,7 +35,7 @@ from operator import add, le, lt, sub
 from . import tube
 from ._record import Record
 from .grading import GradeElement, WeightData, dim_S
-from .nilpotent import Arc
+from .tube import Arc
 
 
 class LineBundle(Record):

@@ -1,6 +1,6 @@
 """Wide subcategories of a rank-n tube, and the perpendicular calculus.
 
-Objects of the tube are arcs (see nilpotent.Arc).  Hom and Ext between
+Objects of the tube are arcs (Arc, defined here).  Hom and Ext between
 arcs are closed-form winding counts (`windings`, which the sheaf layer
 shares), Ext counted as Hom into the translate (Serre duality) without
 building it.  The lattice of wide subcategories (tube_lattice) holds
@@ -23,8 +23,9 @@ The linear-algebra oracle (nilpotent) serves only as an independent
 check: _pair_row, closure_members, wide_closure, extension_middles,
 enumerate_wide_bruteforce, ext_dim_via_presentation and
 bongartz_complete run on it and read neither the closed form nor a
-universe table.  This module imports no linalg; the nilpotent names but
-Arc stay inside _rep, arc_hom_basis, ext_classes and _middle_summands.
+universe table.  This module imports no linalg, and the nilpotent names
+only in the bodies of _rep, arc_hom_basis, ext_classes and
+_middle_summands, so a process loads nilpotent on its first oracle call.
 Hom and Ext of a pair are the kernel and the cokernel of one linear map,
 from the standard resolution (nilpotent.ext_basis), so no arc longer
 than the pair is built.  The kernel and the cokernel of a Hom basis map
@@ -63,17 +64,55 @@ import functools
 import itertools
 
 from ._record import Record
-from .nilpotent import Arc, NilpRep, decompose, ext_basis, hom_basis, pushout_middle, rep_of_arc
+
+
+class Arc(Record):
+    """Indecomposable with socle vertex `socle` (mod rank) and `length` >= 1.
+
+    Composition factors from the socle upward are the simples at
+    socle, socle+1, ..., socle+length-1.
+    """
+
+    __slots__ = _fields = ("rank", "socle", "length")
+
+    def __post_init__(self):
+        if self.rank < 1 or self.length < 1:
+            raise ValueError("rank and length must be positive")
+        if not 0 <= self.socle < self.rank:
+            raise ValueError("socle must be a vertex residue")
+
+    @property
+    def top(self) -> int:
+        return (self.socle + self.length - 1) % self.rank
+
+    def factors(self):
+        """Multiset of composition-factor vertices, socle first."""
+        return [(self.socle + j) % self.rank for j in range(self.length)]
+
+    def multiplicity(self, v: int) -> int:
+        """How often the simple at vertex v (taken mod rank) is a
+        composition factor: once per full turn, plus once when v lies
+        among the first length mod rank vertices from the socle up."""
+        n = self.rank
+        return self.length // n + ((v - self.socle) % n < self.length % n)
+
+    def factor_counts(self) -> tuple[int, ...]:
+        return tuple(map(self.multiplicity, range(self.rank)))
+
+    def sort_key(self):
+        return (self.socle, self.length)
 
 
 @functools.cache
-def _rep(arc: Arc) -> NilpRep:
+def _rep(arc: Arc):
+    from .nilpotent import rep_of_arc
     return rep_of_arc(arc)
 
 
 @functools.cache
 def arc_hom_basis(a: Arc, b: Arc):
     """Basis of Hom(a, b) from the linear-algebra oracle."""
+    from .nilpotent import hom_basis
     return tuple(hom_basis(_rep(a), _rep(b)))
 
 
@@ -128,6 +167,7 @@ def ext_classes(a: Arc, b: Arc):
     """Basis of Ext^1(a, b) from the linear-algebra oracle: the cokernel
     classes of nilpotent.ext_basis, each a tuple of matrices from vertex
     i of a to vertex i - 1 of b."""
+    from .nilpotent import ext_basis
     return tuple(ext_basis(_rep(a), _rep(b)))
 
 
@@ -148,6 +188,7 @@ def _ext_count(n: int, d: int, la: int, lb: int) -> int:
 
 
 def _middle_summands(a: Arc, b: Arc, h) -> tuple:
+    from .nilpotent import decompose, pushout_middle
     parts = decompose(pushout_middle(_rep(a), _rep(b), h))
     return tuple(arc for arc in sorted(parts, key=Arc.sort_key) for _ in range(parts[arc]))
 

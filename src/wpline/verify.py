@@ -18,9 +18,9 @@ from . import tube, widposet
 from .grading import make_line
 from .ktheory import (abs_length, class_of, cox_of, coxeter_element,
                       euler_form, nc_leq)
-from .nilpotent import Arc
-from .sheaves import (TorsionArc, ext_dim_sheaf, ext_dim_sheaf_alt,
+from .sheaves import (OrdinaryTorsion, TorsionArc, ext_dim_sheaf, ext_dim_sheaf_alt,
                       hom_dim_sheaf, perp_membership, sheaf_sort_key)
+from .tube import Arc
 from .widposet import (build_poset, cinv_snapshot, default_window,
                        enumerate_wid_c, poset_dot, poset_json, sheaf_universe,
                        window_universe)
@@ -149,11 +149,13 @@ def criterion_4():
 
 def _sample_pairs():
     """Every ordered pair of objects of the default window universes of
-    the lines 2 and 2,3."""
+    the lines 2 and 2,3, with the ordinary points 1 and 2 declared and
+    stalks of lengths 2 and 3 at point 1."""
     out = []
     for weights in ((2,), (2, 3)):
         line = make_line(weights)
-        universe = sheaf_universe(line, *default_window(line), ())
+        universe = sheaf_universe(line, *default_window(line), ("1", "2"))
+        universe += tuple(OrdinaryTorsion(line, "1", length) for length in (2, 3))
         out.extend((a, b) for a in universe for b in universe)
     return out
 

@@ -60,9 +60,9 @@ import itertools
 from . import tube
 from ._record import Record
 from .grading import WeightData
-from .nilpotent import Arc
 from .sheaves import (LineBundle, OrdinaryTorsion, TorsionArc, ext_dim_sheaf, format_sheaf,
                       hom_dim_sheaf, is_exceptional_sheaf, perp_membership, sheaf_sort_key)
+from .tube import Arc
 
 
 class CInvData(Record):

@@ -2,10 +2,15 @@
 
 Each test delegates to the corresponding check in wpline.verify and
 asserts both the verdict and the stated time budget, so a slow pass
-fails here even if the computation is right.
+fails here even if the computation is right.  A single-line fault in any
+branch of the closed forms must make some criterion fail.
 """
 
-from wpline import verify
+import inspect
+
+import pytest
+
+from wpline import grading, sheaves, tube, verify
 
 
 def _run(criterion, budget=None):
@@ -78,3 +83,47 @@ def test_all_reported_names_unique():
     names = [c.__doc__ for c in verify.CRITERIA]
     assert len(verify.CRITERIA) == 13
     assert len(set(names)) == 13
+
+
+# one single-line fault per branch of the closed forms: (module, function,
+# text as written, the same text with the fault)
+CLOSED_FORM_FAULTS = [
+    (sheaves, "_hom", "return t + 1 if t >= 0 else 0", "return t + 1 if t > 0 else 0"),
+    (sheaves, "_hom", "- b.arc.socle + k) % p", "- b.arc.socle - k) % p"),
+    (sheaves, "_hom", "        return b.length", "        return 1"),
+    (sheaves, "_hom", "ta is not tb:\n        return 0", "ta is not tb:\n        return 1"),
+    (sheaves, "_hom", "a.point != b.point:\n            return 0",
+     "a.point != b.point:\n            return 1"),
+    (sheaves, "_hom", "tube.ext_dim(b.arc, a.arc)", "tube.ext_dim(a.arc, b.arc)"),
+    (sheaves, "_hom", "tube.hom_dim(a.arc, b.arc)", "tube.hom_dim(b.arc, a.arc)"),
+    (sheaves, "_hom", "min(a.length, b.length)", "max(a.length, b.length)"),
+    (sheaves, "_hom", "a.point_id == b.point_id else 0", "a.point_id == b.point_id else 1"),
+    (tube, "hom_dim", "(a.top - b.socle) % n", "(a.top - b.socle + 1) % n"),
+    (tube, "ext_dim", "(b.top - a.socle + 1) % n", "(b.top - a.socle) % n"),
+    (grading, "normalize", "c_part + sum(", "c_part - sum("),
+]
+
+
+def clear_closed_form_caches():
+    """The memos filled from the closed forms; the oracle's never read them."""
+    tube.tube_universe.cache_clear()
+    tube.tube_lattice.cache_clear()
+
+
+@pytest.mark.parametrize("module, name, text, fault", CLOSED_FORM_FAULTS,
+                         ids=[f"{m.__name__.removeprefix('wpline.')}.{n}-{i}"
+                              for i, (m, n, _, _) in enumerate(CLOSED_FORM_FAULTS)])
+def test_each_closed_form_fault_fails_a_criterion(monkeypatch, module, name, text, fault):
+    """The function recompiled in process from its source with one fault,
+    no file written, makes run_all report a failed criterion."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(text) == 1
+    scope = dict(vars(module))
+    exec(compile(source.replace(text, fault), module.__file__, "exec"), scope)
+    monkeypatch.setattr(module, name, scope[name])
+    clear_closed_form_caches()
+    try:
+        reports = verify.run_all()
+    finally:
+        clear_closed_form_caches()
+    assert not all(r["ok"] for r in reports)

@@ -323,6 +323,37 @@ def test_requests_other_than_cox_load_no_ktheory():
         (0, f"{[0] * len(argvs)} False True _LineTable\n", "")
 
 
+def test_only_verify_loads_the_oracle():
+    """`import wpline.cli` loads seven wpline modules, and a fresh process
+    that runs every VERB_ARGVS request loads neither the linear-algebra
+    oracle, nilpotent and linalg, nor fractions.  A first oracle call
+    loads the oracle, and so does `verify`; neither loads fractions."""
+    loaded = ("sorted({'wpline.nilpotent', 'wpline.linalg', 'fractions'}"
+              " & set(sys.modules) - before)")
+    head = ("import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from wpline import cli, tube\n"
+            "from wpline.tube import Arc\n"
+            "print(sorted(m for m in sys.modules if m.startswith('wpline')))\n")
+    verbs = head + ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                    f"    codes = [cli.run(argv) for argv in {VERB_ARGVS!r}]\n"
+                    f"print(codes, {loaded})\n"
+                    "dim = tube.ext_dim_via_presentation(Arc(2, 0, 1), Arc(2, 1, 1))\n"
+                    f"print(dim, {loaded})\n")
+    run_verify = head + ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    code = cli.run(['verify'])\n"
+                         f"print(code, {loaded})\n")
+    modules = ("['wpline', 'wpline._record', 'wpline.cli', 'wpline.grading', 'wpline.sheaves', "
+               "'wpline.tube', 'wpline.widposet']\n")
+    oracle = "['wpline.linalg', 'wpline.nilpotent']"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    for script, want in ((verbs, f"{modules}{[0] * len(VERB_ARGVS)} []\n1 {oracle}\n"),
+                         (run_verify, f"{modules}0 {oracle}\n")):
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
 def test_processes_load_no_dataclasses_or_inspect():
     """A fresh process that runs a well-formed request of every verb, and
     one that imports the tube layer alone as a closure request does,

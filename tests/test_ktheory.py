@@ -1,7 +1,10 @@
 """Numerical invariants: Euler pairing, reflections, absolute order."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -943,12 +946,9 @@ def test_drawn_ranks_answer_or_raise_and_store_no_wrong_key(line, data):
     assert all(type(k) is tuple and len(k) == m for k in line._k0.class_rows)
 
 
-def test_warm_class_of_and_euler_form_open_no_nested_frame():
-    """On warm records class_of is one read of the line's record and of
-    its classes memo, and euler_form one read of class_rows, a rank
-    check and one dot product: under sys.setprofile neither opens a
-    Python frame besides its own, on sheaves of every kind and on tuple
-    and list classes."""
+def check_warm_calls_open_no_nested_frame():
+    """The check of the test below, run in a child interpreter: it sets
+    and clears its own profile hook there."""
     work = []
     for line in QUERY_LINES:
         for s in kind_grid(line, 6, 1):
@@ -971,3 +971,19 @@ def test_warm_class_of_and_euler_form_open_no_nested_frame():
             finally:
                 sys.setprofile(None)
             assert frames == [f.__name__], (f.__name__, s, frames)
+
+
+def test_warm_class_of_and_euler_form_open_no_nested_frame():
+    """On warm records class_of is one read of the line's record and of
+    its classes memo, and euler_form one read of class_rows, a rank
+    check and one dot product: under sys.setprofile neither opens a
+    Python frame besides its own, on sheaves of every kind and on tuple
+    and list classes.  The check runs in a fresh interpreter, so that
+    clearing its hook leaves an outer profiler of this process, such as
+    `python -m cProfile -m pytest`, in place."""
+    paths = (pathlib.Path(kt.__file__).parents[1], pathlib.Path(__file__).parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    script = "import test_ktheory\ntest_ktheory.check_warm_calls_open_no_nested_frame()\n"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")

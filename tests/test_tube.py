@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from wpline.grading import make_line
 from wpline.nilpotent import Arc, decompose, rep_of_arc
-from wpline import linalg, tube, verify
+from wpline import linalg, nilpotent, tube, verify
 from wpline.widposet import build_poset
 
 from test_linalg import mat_mul, rank
@@ -735,7 +735,7 @@ def test_oracle_builds_no_arc_longer_than_its_inputs(monkeypatch):
             raise AssertionError(f"representation of {arc} built")
         return rep_of_arc(arc)
 
-    monkeypatch.setattr(tube, "rep_of_arc", guarded)
+    monkeypatch.setattr(nilpotent, "rep_of_arc", guarded)
     for n in (1, 2, 3):
         for a, b in itertools.product(tube.all_arcs(n, 3 * n), repeat=2):
             for cache in caches:

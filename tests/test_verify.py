@@ -14,7 +14,7 @@ import pathlib
 import pytest
 
 import wpline
-from wpline import verify
+from wpline import nilpotent, tube, verify
 from wpline import widposet as wp
 from wpline.grading import make_line
 
@@ -215,11 +215,27 @@ def test_only_the_oracle_imports_linalg():
 TUBE_ORACLE_FUNCTIONS = {"_rep", "arc_hom_basis", "ext_classes", "_middle_summands"}
 
 
+def test_only_the_tube_oracle_functions_import_nilpotent():
+    """No module imports nilpotent on import, so a process loads it, and
+    linalg, only on a first oracle call: tube imports it inside its
+    oracle functions alone, and nilpotent takes Arc from tube."""
+    root = pathlib.Path(wpline.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in root.glob("*.py")}
+    assert [name for name, tree in trees.items()
+            if "nilpotent" in imported_modules(tree, import_time_nodes)] == []
+    assert {name for name, tree in trees.items() if "nilpotent" in imported_modules(tree)} == \
+        {"tube"}
+    assert {node.name for node in trees["tube"].body
+            if "nilpotent" in imported_modules(node)} == TUBE_ORACLE_FUNCTIONS
+    assert nilpotent.Arc is tube.Arc
+
+
 def oracle_uses_outside(tree, oracle) -> set:
     """(top-level definition, name) of each use of linalg, or of a name
-    imported from nilpotent other than Arc, outside the top-level
-    functions named in oracle; module-level code counts as "<module>"."""
-    guarded = {"linalg"} | {alias.asname or alias.name for node in tree.body
+    imported from nilpotent anywhere in the module other than Arc, outside
+    the top-level functions named in oracle; module-level code counts as
+    "<module>"."""
+    guarded = {"linalg"} | {alias.asname or alias.name for node in ast.walk(tree)
                             if isinstance(node, ast.ImportFrom) and node.module == "nilpotent"
                             for alias in node.names} - {"Arc"}
     found = set()
@@ -517,10 +533,10 @@ def reached_functions(trees, module, name) -> set:
     body and theirs; trees maps module file names to parsed modules, and
     a method is named Class.method.  Uses resolve as in dead_functions: a
     module-level function by its bare name in its own module, by
-    `from .mod import name` or by `mod.name`; a method by an attribute
-    of its name, but only one that is called or names a property, since
-    a field may share a method's name (LineBundle.degree and
-    GradeElement.degree)."""
+    `from .mod import name` at module level or in a function body, or by
+    `mod.name`; a method by an attribute of its name, but only one that
+    is called or names a property, since a field may share a method's
+    name (LineBundle.degree and GradeElement.degree)."""
     defs, methods = {}, collections.defaultdict(list)
     for mod, tree in trees.items():
         for node in tree.body:
@@ -532,7 +548,7 @@ def reached_functions(trees, module, name) -> set:
                         defs[mod, f"{node.name}.{f.name}"] = f
                         methods[f.name].append((mod, f"{node.name}.{f.name}"))
     imports = {mod: {alias.asname or alias.name: (f"{node.module}.py", alias.name)
-                     for node in tree.body if isinstance(node, ast.ImportFrom) and node.module
+                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
                      for alias in node.names}
                for mod, tree in trees.items()}
 
@@ -597,6 +613,31 @@ def test_reached_functions_verdict_on_synthetic_modules():
         ("a.py", "C.size"), ("a.py", "deep"), ("a.py", "C.top")}
 
 
+def test_reached_functions_follow_function_level_imports():
+    """A name imported inside a function body resolves to its module, as
+    tube's oracle functions import nilpotent's."""
+    trees = {"a.py": ast.parse("def start(x):\n"
+                               "    from .b import helper\n"
+                               "    return helper(x)\n"),
+             "b.py": ast.parse("def helper(x):\n"
+                               "    return leaf(x)\n"
+                               "def leaf(x):\n"
+                               "    return x\n")}
+    assert reached_functions(trees, "a.py", "start") == {("b.py", "helper"), ("b.py", "leaf")}
+
+
+def test_oracle_entry_points_reach_nilpotent():
+    """The call graph follows tube's function-level imports into
+    nilpotent, so the two lints below walk the oracle to its end."""
+    root = pathlib.Path(wpline.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(root.glob("*.py"))}
+    for name, wanted in (("_pair_row", {"hom_basis"}),
+                         ("extension_middles", {"decompose", "pushout_middle"}),
+                         ("ext_dim_via_presentation", {"ext_basis", "rep_of_arc"})):
+        assert {("nilpotent.py", f) for f in wanted} <= reached_functions(trees, "tube.py", name)
+
+
 def test_ext_paths_share_no_helper():
     """The alternate Ext path (dual degree, closed multiplicity, the
     standard resolution) and the closed Ext (borrow and winding counts) reach
@@ -608,7 +649,7 @@ def test_ext_paths_share_no_helper():
     closed = reached_functions(trees, "sheaves.py", "ext_dim_sheaf")
     alt = reached_functions(trees, "sheaves.py", "ext_dim_sheaf_alt")
     assert {("sheaves.py", "_hom"), ("tube.py", "ext_dim"), ("tube.py", "windings")} <= closed
-    assert {("grading.py", "dim_S"), ("nilpotent.py", "Arc.multiplicity"),
+    assert {("grading.py", "dim_S"), ("tube.py", "Arc.multiplicity"),
             ("tube.py", "ext_classes")} <= alt
     assert closed & alt == {("sheaves.py", "_same_line")}
 
