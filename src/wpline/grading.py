@@ -40,10 +40,10 @@ class WeightData(Record):
     them never changes the group, the degree map or dim_S, which is what
     makes the padding harmless.
 
-    `p`, `k0_rank`, `dualizing()`, `weighted_indices()`, the field hash
-    and `_k0`, the line's Grothendieck-group record, are computed once
-    per instance and kept outside the fields, so equality, hashing and
-    repr see only the weights and the labels.  The class keeps its
+    `p`, `k0_rank`, `dualizing()`, `weighted_indices()` and `_k0`, the
+    line's Grothendieck-group record, are computed once per instance and
+    kept outside the fields, so equality, the field-tuple hash of Record
+    and repr see only the weights and the labels.  The class keeps its
     `__dict__` for these per-instance constants.
     """
 
@@ -58,13 +58,6 @@ class WeightData(Record):
             raise ValueError("point labels must be distinct")
         if len(self.weights) < 2:
             raise ValueError("use make_line(), which pads to two points")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.weights, self.points))
 
     @property
     def n(self) -> int:

@@ -27,21 +27,20 @@ which bounds a line's memory however many degrees a caller asks about.
 Each is read by one subscript.  They hold the class of each sheaf key,
 so class_of is one read; the exact Euler row x^T E of a class, whose
 fill checks its rank, so euler_form is one read and one dot product;
-the column S r of a root r modulo delta, as S delta = 0, and S r per
-class r once <r, r> = 1 is checked; and the WeylElement that cox_of
-returned for a product matrix, so equal products share one form check
-and one kept abs_length.  A fill that raises stores nothing, so only
-checked roots and elements are kept.
+the column S r of a root r, keyed by r modulo delta, as S delta = 0 and
+<r + delta, r + delta> = <r, r>, once <r, r> = 1 is checked; and the
+WeylElement that cox_of returned for a product matrix, so equal
+products share one form check and one kept abs_length.  A fill that
+raises stores nothing, so only checked roots and elements are kept.
 
 Group elements are integer matrices throughout, with fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968) where a division is needed.
 The form check compares the upper triangle of the symmetric w^T S w,
-entry (i, j) being w_i . S w_j with S w_j read from the column memo, or
-computed and not stored when it is missing, so a matrix leaves the memo
-as it was whether it passes or not.  The memo's one writer is the fill
-of the roots memo, after its check <r, r> = 1, so every key is a real
-root modulo delta: S is positive definite on K0 / Z delta, so real
-roots are finitely many modulo delta.  One elimination of a difference
+entry (i, j) being w_i . S w_j, with S w_j computed per column and read
+from no memo, so a matrix leaves every memo as it was whether it passes
+or not.  Every key of the roots memo is a real root modulo delta: S is
+positive definite on K0 / Z delta, so real roots are finitely many
+modulo delta.  One elimination of a difference
 b - a serves abs_length (b = w, a = 1) and nc_leq, which reads the
 length of u^-1 v off v - u, so it inverts nothing and builds no
 element.  abs_length is a cached property of each element, and
@@ -97,10 +96,10 @@ class _LineTable:
 
     The memos are `_Memo`s, each filled from its key on a miss:
     `classes`, a sheaf's key in class_of to its class; `class_rows`, a
-    class x of the rank, which its fill checks, to x^T E; `sym_cols`, a
-    class modulo delta, keyed by (x0 + x1, x2, ...), to S times it;
-    `roots`, a class r of unit self-pairing to S r; and `elements`, a
-    product matrix to its checked WeylElement.
+    class x of the rank, which its fill checks, to x^T E; `roots`, a
+    class r of unit self-pairing modulo delta, keyed by (r0 + r1, r2,
+    ...), to S r; and `elements`, a product matrix to its checked
+    WeylElement.
     """
 
     def __init__(self, line: WeightData):
@@ -115,7 +114,6 @@ class _LineTable:
                         for i in line.weighted_indices()}
         self.classes = _Memo(self._class)
         self.class_rows = _Memo(self._class_row)
-        self.sym_cols = _Memo(self.sym_of)
         self.roots = _Memo(self._root_col)
         self.elements = _Memo(lambda w: WeylElement(line, w))
 
@@ -163,11 +161,14 @@ class _LineTable:
             raise ValueError("class vector of wrong rank")
         return tuple(sum(map(mul, x, col)) for col in zip(*self.euler))
 
-    def _root_col(self, r) -> tuple:
-        """S r for a class r, which must have unit self-pairing."""
-        if sum(map(mul, self.class_rows[r], r)) != 1:
+    def _root_col(self, key) -> tuple:
+        """S r for the class r = (key[0], 0, key[1], ...) modulo delta,
+        which must have unit self-pairing: r^T S r = 2 <r, r> = 2."""
+        r = (key[0], 0) + key[1:]
+        sr = self.sym_of(r)
+        if sum(map(mul, r, sr)) != 2:
             raise ValueError("class does not have unit self-pairing")
-        return self.sym_cols[(r[0] + r[1], *r[2:])]
+        return sr
 
     @cached_property
     def euler(self) -> tuple:
@@ -188,11 +189,9 @@ class _LineTable:
             raise ArithmeticError("the null class is not in the radical of the symmetrized form")
         return s
 
-    def sym_of(self, key) -> tuple:
-        """S times the representative (key[0], 0, key[1], ...) of a class
-        modulo delta."""
-        rep = (key[0], 0) + key[1:]
-        return tuple(sum(map(mul, row, rep)) for row in self.sym)
+    def sym_of(self, x) -> tuple:
+        """S x for a class x."""
+        return tuple(sum(map(mul, row, x)) for row in self.sym)
 
 
 def _mul(a, b) -> tuple:
@@ -252,13 +251,10 @@ class WeylElement(Record):
         if len(self.matrix) != t.rank or any(len(row) != t.rank for row in self.matrix):
             raise ValueError("matrix of wrong size")
         # w^T S w is symmetric, so its upper triangle decides: entry (i, j)
-        # is w_i . S w_j for columns w_i, w_j.  The column memo is only
-        # read here; a missing S w_j is computed and not stored.
+        # is w_i . S w_j for columns w_i, w_j
         cols = tuple(zip(*self.matrix))
-        memo = t.sym_cols
         for j, w in enumerate(cols):
-            key = (w[0] + w[1], *w[2:])
-            sw = memo.get(key) or t.sym_of(key)
+            sw = t.sym_of(w)
             row = t.sym[j]
             for i in range(j + 1):
                 if sum(map(mul, cols[i], sw)) != row[i]:
@@ -274,14 +270,15 @@ def _root(line: WeightData, s: IndecSheaf):
     """(r, c) for the reflection of an exceptional sheaf s on line: its
     class r and c = sym r, so that the reflection is the matrix 1 - r c^T.
     Each call checks the line and that s is exceptional, then reads c
-    from the `roots` memo, whose fill checks <r, r> = 1 once per class.
+    from the `roots` memo, whose fill checks <r, r> = 1 once per class
+    modulo delta.
     Callers check End and self-Ext of s through `tube.is_exc_sequence`."""
     if s.line is not line and s.line != line:
         raise ValueError("sheaf over a different line")
     if not sheaves.is_exceptional_sheaf(s):
         raise ValueError("reflections come from exceptional sheaves")
     r = class_of(s)
-    return r, line._k0.roots[r]
+    return r, line._k0.roots[(r[0] + r[1], *r[2:])]
 
 
 def cox_of(line: WeightData, seq) -> WeylElement:

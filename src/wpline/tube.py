@@ -32,12 +32,14 @@ than the pair is built.  The kernel and the cokernel of a Hom basis map
 are a sub-arc and a quotient arc, read off its rank.  Between arcs of
 length at most the rank, the only ones the closures meet, Hom and Ext^1
 are at most one-dimensional, so each pair has at most one extension
-middle, that of its one Ext class.  The closure indexes the arcs of rank
-n by integer ids, (length - 1) * n + socle, and reads one cached row per
-ordered pair of ids (`_pair_row`): the id mask of the oracle's kernels,
-cokernels and extension middles of that pair.  It closes at the rank:
-no member longer than n is needed to reach one of length at most n (the
-proof is at closure_members).
+middle, that of its one Ext class.  The closure indexes the arcs of
+length at most the rank n by integer ids, socle * n + length - 1, their
+indices in tube_universe(n), so an oracle mask is a lattice mask.  It
+reads one cached row per ordered pair of ids (`_pair_row`): the id mask
+of the oracle's kernels, cokernels and extension middles of that pair.
+It closes at the rank: no member longer than n is needed to reach one of
+length at most n (the proof is at closure_members), so `_id_mask` gives
+a longer arc no id.
 
 The oracle is filled once per rotation class of arc pairs.  Rotating
 the cyclic quiver by d vertices is an automorphism of the tube, so the
@@ -222,19 +224,23 @@ def _image_length(f) -> int:
 # wide closure and fingerprints
 
 def arc_id(a: Arc) -> int:
-    """Integer id of an arc among the arcs of its rank: the arcs of
-    length at most L are exactly the ids below L * rank."""
-    return (a.length - 1) * a.rank + a.socle
+    """Integer id of an arc of length at most its rank: socle * rank +
+    length - 1, its index in tube_universe and its place in Arc.sort_key
+    order."""
+    return a.socle * a.rank + a.length - 1
 
 
 def arc_of_id(n: int, i: int) -> Arc:
-    return Arc(n, i % n, i // n + 1)
+    return Arc(n, i // n, i % n + 1)
 
 
 def _id_mask(arcs) -> int:
+    """Id mask of the arcs of length at most their rank; a longer arc gets
+    no id, since no closure needs one (the proof is at closure_members)."""
     mask = 0
     for a in arcs:
-        mask |= 1 << arc_id(a)
+        if a.length <= a.rank:
+            mask |= 1 << arc_id(a)
     return mask
 
 
@@ -275,13 +281,12 @@ def _pair_row(n: int, ia: int, ib: int) -> int:
 
 def _rotated_row(n: int, ia: int, ib: int) -> int:
     """`_pair_row` of a pair of ids, read at the pair rotated so that the
-    first socle is vertex 0 and rotated back: the arc of id i rotated by
-    d vertices has id i - i % n + (i + d) % n."""
-    d = ia % n
-    out = 0
-    for i in bits(_pair_row(n, ia - d, ib - ib % n + (ib - d) % n)):
-        out |= 1 << (i - i % n + (i + d) % n)
-    return out
+    first socle is vertex 0 and rotated back.  Rotating by d vertices adds
+    d * n to every id modulo n * n, so the row is rotated back by one
+    cyclic shift of its n * n bits."""
+    k, m = ia - ia % n, n * n
+    row = _pair_row(n, ia % n, (ib - k) % m)
+    return (row << k | row >> (m - k)) & ((1 << m) - 1)
 
 
 class TubeWideFingerprint(Record):
@@ -294,11 +299,12 @@ def closure_members(gens) -> frozenset:
     """Arcs of length at most the rank n in the wide closure of the
     generators.
 
-    Members are a mask over integer arc ids (`arc_id`), kept below n * n.
-    The closure is semi-naive: rows never change, so a pass ORs the
-    pair-table rows (`_rotated_row`: kernels, cokernels and extension
-    middles) of only the ordered pairs with a member that the previous
-    pass added, each pair once; the loop stops when a pass adds nothing.
+    Members are a mask over integer arc ids (`arc_id`), all below n * n,
+    as `_id_mask` drops longer arcs.  The closure is semi-naive: rows
+    never change, so a pass ORs the pair-table rows (`_rotated_row`:
+    kernels, cokernels and extension middles) of only the ordered pairs
+    with a member that the previous pass added, each pair once; the loop
+    stops when a pass adds nothing.
     The table is filled from the linear-algebra oracle alone, so the
     closure reads neither the closed-form Hom nor a universe.
 
@@ -328,8 +334,7 @@ def closure_members(gens) -> frozenset:
     if not gens:
         return frozenset()
     n = gens[0].rank
-    capped = (1 << n * n) - 1
-    members = new = _id_mask(gens) & capped
+    members = new = _id_mask(gens)
     while new:
         ids = list(bits(members))
         old = list(bits(members & ~new))
@@ -339,7 +344,7 @@ def closure_members(gens) -> frozenset:
                 found |= _rotated_row(n, ia, ib)
             for ib in old:
                 found |= _rotated_row(n, ib, ia)
-        new = found & capped & ~members
+        new = found & ~members
         members |= new
     return frozenset(arc_of_id(n, i) for i in bits(members))
 
@@ -652,16 +657,14 @@ def enumerate_wide_bruteforce(n: int) -> frozenset:
     for closure fixpoints.
 
     A set is a fixpoint of closure_members exactly when no pair-table
-    row (`_rotated_row`) of an ordered pair of its members leaves the set
-    below the rank, so each id mask below 1 << n*n is tested against the
-    rows of its pairs, read once.  Exponential in n*n; meant for small
-    ranks as an independent check of the classification-driven
-    enumeration.
+    row (`_rotated_row`) of an ordered pair of its members leaves the
+    set, so each id mask below 1 << n*n is tested against the rows of its
+    pairs, read once.  Exponential in n*n; meant for small ranks as an
+    independent check of the classification-driven enumeration.
     """
-    capped = (1 << n * n) - 1
-    rows = [[_rotated_row(n, ia, ib) & capped for ib in range(n * n)] for ia in range(n * n)]
+    rows = [[_rotated_row(n, ia, ib) for ib in range(n * n)] for ia in range(n * n)]
     found = set()
-    for mask in range(capped + 1):
+    for mask in range(1 << n * n):
         ids = list(bits(mask))
         if not any(rows[ia][ib] & ~mask for ia in ids for ib in ids):
             found.add(TubeWideFingerprint(n, frozenset(arc_of_id(n, i) for i in ids)))

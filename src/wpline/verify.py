@@ -10,6 +10,7 @@ results.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time
 from itertools import combinations, permutations, product
@@ -64,12 +65,14 @@ def _blocks_cross(a, b) -> bool:
     return switches >= 3
 
 
+@functools.cache
 def noncrossing_symmetric_count(n: int) -> int:
     """Partitions of 2n cyclic labels, invariant under the half-turn,
     with no two blocks interleaving.  Independent of the tube module.
 
     Only noncrossing partitions are generated; each one counted is
-    asserted to have no crossing pair of blocks."""
+    asserted to have no crossing pair of blocks.  The count is cached per
+    n, so a process counts once however often verify runs."""
     m = 2 * n
     count = 0
     for blocks in noncrossing_partitions(m):

@@ -460,7 +460,7 @@ def perturb(matrix, kind, i, j, k):
 def test_triangular_form_check_matches_full_product(case, kind, i, j, k):
     """The upper-triangle check accepts and rejects exactly the matrices
     that the full product w^T S w == S does, an accepted or a rejected
-    matrix leaves the column memo as it was, and every memoized column
+    matrix leaves the roots memo as it was, and every key of that memo
     is a real root modulo delta, so the memo stays bounded."""
     li, picks = case
     line = QUERY_LINES[li]
@@ -468,7 +468,7 @@ def test_triangular_form_check_matches_full_product(case, kind, i, j, k):
     for pick in picks:
         w = compose(w, reference_reflection(line, POOLS[li][pick]))
     matrix = perturb(w.matrix, kind, i, j, k)
-    memo = line._k0.sym_cols
+    memo = line._k0.roots
     before = dict(memo)
     try:
         kt.WeylElement(line, matrix)
@@ -659,17 +659,26 @@ def test_forged_matrix_leaves_no_element_behind():
 
 
 def test_a_class_without_unit_self_pairing_leaves_no_root_behind():
-    """The roots fill raises on delta, zero and twice a root, and stores
-    nothing; a root's column is kept once."""
+    """The roots memo is keyed by classes modulo delta, (x0 + x1, x2,
+    ...).  Its fill raises on the zero key, which is delta's, on twice a
+    root and on a class of self-pairing 2, and stores nothing; a root's
+    column is kept once."""
     line = make_line((2, 3))
     t = line._k0
+
+    def key(x):
+        return (x[0] + x[1], *x[2:])
+
     r = kt.class_of(sh.line_bundle(line))
-    for x in (t.delta, (0,) * t.rank, tuple(2 * a for a in r)):
+    non_root = (0, 0, 1, 1, 0)
+    assert key(t.delta) == (0,) * (t.rank - 1)
+    assert written_form(line, non_root, non_root) == 2
+    for x in (t.delta, tuple(2 * a for a in r), non_root):
         before = dict(t.roots)
         with pytest.raises(ValueError, match="class does not have unit self-pairing"):
-            t.roots[x]
+            t.roots[key(x)]
         assert t.roots == before
-    assert t.roots[r] is t.roots[r] == written_sym_col(line, r)
+    assert t.roots[key(r)] is t.roots[key(r)] == written_sym_col(line, r)
 
 
 def written_sym_col(line, r):
@@ -679,7 +688,7 @@ def written_sym_col(line, r):
 
 
 @pytest.mark.parametrize("name", ("classes", "bundle_parts", "arc_parts", "class_rows",
-                                  "sym_cols", "roots", "elements"))
+                                  "roots", "elements"))
 def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
     """On a fresh record with CACHE_LIMIT at 3, each memo is emptied when
     a miss finds it full, never holds more than three entries, and every
@@ -695,16 +704,14 @@ def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
             for length in range(1, 2 * line.weights[i] + 2)]
     stalks = [sh.OrdinaryTorsion(line, "q", length) for length in (1, 2, 3)]
     classes = [reference_class_of(s) for s in exceptional_pool(line)]
-    root_col = (lambda s: kt._root(line, s)[1], exceptional_pool(line),
-                lambda s: written_sym_col(line, reference_class_of(s)))
     ask, args, reference = {
         "classes": (kt.class_of, bundles(line) + arcs + stalks, reference_class_of),
         "bundle_parts": (kt.class_of, bundles(line), reference_class_of),
         "arc_parts": (kt.class_of, arcs, reference_class_of),
         "class_rows": (lambda x: kt.euler_form(line, x, y), classes,
                        lambda x: sum(x[i] * e[i][j] * y[j] for i in range(5) for j in range(5))),
-        "sym_cols": root_col,
-        "roots": root_col,
+        "roots": (lambda s: kt._root(line, s)[1], exceptional_pool(line),
+                  lambda s: written_sym_col(line, reference_class_of(s))),
         "elements": (lambda k: kt.cox_of(line, seq[:k]), range(len(seq) + 1),
                      lambda k: reference_cox_of(line, seq[:k])),
     }[name]
@@ -875,7 +882,7 @@ def test_euler_rows_match_bilinear_form(weights):
         r, c = kt._root(line, s)
         assert r == kt.class_of(s)
         assert c == written_sym_col(line, r), s
-    assert len(table.sym_cols) <= len({modulo_delta(kt.class_of(s)) for s in exceptional})
+    assert len(table.roots) <= len({modulo_delta(kt.class_of(s)) for s in exceptional})
 
     hit = next(iter(table.class_rows))
     for x, y in (((0,) * (m - 1), (0,) * m), ((0,) * m, [0] * (m + 1)),

@@ -367,49 +367,65 @@ def reference_closure_members(gens, cap: int) -> frozenset:
 
 
 def test_arc_ids_enumerate_arcs_by_length():
-    for n in (1, 2, 3, 4):
-        arcs = tube.all_arcs(n, 3 * n)
-        assert sorted(tube.arc_id(a) for a in arcs) == list(range(3 * n * n))
-        for a in arcs:
+    """The ids below n * n are the arcs of length at most the rank in the
+    order of tube_universe(n), socle-major; a longer arc gets no id."""
+    for n in range(1, 7):
+        assert [tube.arc_of_id(n, i) for i in range(n * n)] == list(tube.tube_universe(n).objects)
+        for a in tube.all_arcs(n, n):
             assert tube.arc_of_id(n, tube.arc_id(a)) == a
+        longer = [a for a in tube.all_arcs(n, 3 * n) if a.length > n]
+        assert tube._id_mask(longer) == 0
+
+
+def long_id(a: Arc) -> int:
+    """Test-side id of an arc of any length, length-major: the arcs of
+    length at most L are exactly the ids below L * rank."""
+    return (a.length - 1) * a.rank + a.socle
+
+
+def arc_of_long_id(n: int, i: int) -> Arc:
+    return Arc(n, i % n, i // n + 1)
+
+
+def long_id_mask(arcs) -> int:
+    mask = 0
+    for a in arcs:
+        mask |= 1 << long_id(a)
+    return mask
 
 
 @functools.cache
 def long_pair_row(n: int, ia: int, ib: int) -> int:
-    """The pair-table row of a pair of ids, built test-side for arcs of any
-    length: the id mask of the kernels and cokernels of the Hom basis maps
-    and of the summands of the sampler's middles."""
-    a, b = tube.arc_of_id(n, ia), tube.arc_of_id(n, ib)
+    """The pair-table row of a pair of test-side ids (`long_id`), built
+    for arcs of any length: the id mask of the kernels and cokernels of
+    the Hom basis maps and of the summands of the sampler's middles."""
+    a, b = arc_of_long_id(n, ia), arc_of_long_id(n, ib)
     row = 0
     for f in tube.arc_hom_basis(a, b):
-        row |= tube._id_mask(tube._kernel_and_cokernel(a, b, f))
+        row |= long_id_mask(tube._kernel_and_cokernel(a, b, f))
     for summands in sampled_middles(a, b):
-        row |= tube._id_mask(summands)
+        row |= long_id_mask(summands)
     return row
-
-
-def pair_row(n: int, ia: int, ib: int) -> int:
-    """The oracle's row below n * n, where the closures read it, and the
-    test-side row of a pair with an arc longer than the rank."""
-    return tube._pair_row(n, ia, ib) if max(ia, ib) < n * n else long_pair_row(n, ia, ib)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pair_table_matches_reference(n, monkeypatch):
     """Every ordered pair of arcs up to three times the rank: the
     test-side row is the set of summands the reference collects for the
-    pair, and on arcs up to the rank so is the table row.  All read
-    extension middles through one memo, because the oracle call is shared
-    code and only the bookkeeping around it changed."""
+    pair, and on arcs up to the rank the table row is its members of
+    length at most the rank.  All read extension middles through one
+    memo, because the oracle call is shared code and only the bookkeeping
+    around it changed."""
     monkeypatch.setattr(tube, "_middle_summands", middle_summands)
     arcs = tube.all_arcs(n, 3 * n)
     for a, b in itertools.product(arcs, repeat=2):
         want = reference_pair_kernel_cokernel(a, b) | reference_pair_middles(a, b)
-        ia, ib = tube.arc_id(a), tube.arc_id(b)
-        row = long_pair_row(n, ia, ib)
-        assert {tube.arc_of_id(n, i) for i in tube.bits(row)} == want, (a, b)
-        if max(ia, ib) < n * n:
-            assert tube._pair_row(n, ia, ib) == row, (a, b)
+        row = long_pair_row(n, long_id(a), long_id(b))
+        assert {arc_of_long_id(n, i) for i in tube.bits(row)} == want, (a, b)
+        if max(a.length, b.length) <= n:
+            short = {tube.arc_of_id(n, i)
+                     for i in tube.bits(tube._pair_row(n, tube.arc_id(a), tube.arc_id(b)))}
+            assert short == {x for x in want if x.length <= n}, (a, b)
 
 
 def test_kernels_and_cokernels_are_sub_and_quotient_arcs():
@@ -471,7 +487,7 @@ def test_presentation_ext_rejects_arcs_of_different_rank():
 
 def test_bruteforce_fills_pair_rows_once_per_rotation_class(monkeypatch):
     """The rank-3 scan asks the oracle for the rows of the 27 pairs whose
-    first socle is 0, not all 81."""
+    first socle is 0, the first ids below 3, not all 81."""
     pair_row, asked = tube._pair_row, set()
 
     def recording(n, ia, ib):
@@ -481,7 +497,7 @@ def test_bruteforce_fills_pair_rows_once_per_rotation_class(monkeypatch):
     monkeypatch.setattr(tube, "_pair_row", recording)
     tube.enumerate_wide_bruteforce(3)
     assert len(asked) == 27
-    assert all(ia % 3 == 0 for _, ia, _ in asked)
+    assert all(ia < 3 for _, ia, _ in asked)
 
 
 def generator_subsets(n):
@@ -505,12 +521,13 @@ def test_closure_members_matches_reference(n, sample):
 
 
 def test_closure_reads_no_pair_longer_than_rank(monkeypatch):
-    """The closure never reads the pair-table row of an arc longer than
-    the rank, and still finds every fingerprint at rank 3."""
+    """The closure reads the oracle's pair-table rows only at first socle
+    0, the first ids below the rank, so never of an arc longer than the
+    rank, and still finds every fingerprint at rank 3."""
     pair_row = tube._pair_row
 
     def guarded(n, ia, ib):
-        if max(ia, ib) >= n * n:
+        if not (ia < n and ib < n * n):
             raise AssertionError(f"pair row read for ids {ia}, {ib} at rank {n}")
         return pair_row(n, ia, ib)
 
@@ -522,20 +539,20 @@ def test_closure_reads_no_pair_longer_than_rank(monkeypatch):
 
 
 def reference_pair_row_closure(n: int, gens, cap: int) -> frozenset:
-    """Arcs of length <= cap in the wide closure: a naive fixpoint over id
-    masks that ORs the pair row (`pair_row`) of every ordered member pair
-    on every pass."""
+    """Arcs of length <= cap in the wide closure: a naive fixpoint over
+    test-side id masks (`long_id`) that ORs the test-side row
+    (`long_pair_row`) of every ordered member pair on every pass."""
     capped = (1 << cap * n) - 1
-    members = tube._id_mask(gens) & capped
+    members = long_id_mask(gens) & capped
     while True:
         ids = list(tube.bits(members))
         found = members
         for ia in ids:
             for ib in ids:
-                found |= pair_row(n, ia, ib)
+                found |= long_pair_row(n, ia, ib)
         found &= capped
         if found == members:
-            return frozenset(tube.arc_of_id(n, i) for i in ids)
+            return frozenset(arc_of_long_id(n, i) for i in ids)
         members = found
 
 

@@ -65,6 +65,23 @@ def test_symmetric_count_matches_set_partition_reference(n):
     assert verify.noncrossing_symmetric_count(n) == want == verify.TUBE_COUNTS[n]
 
 
+def test_criterion_1_counts_noncrossing_partitions_once_per_process(monkeypatch):
+    """After the first criterion_1 of a process, a second one reads the
+    symmetric counts from their cache: it generates no noncrossing
+    partition and reports the same detail, apart from its seconds."""
+    verify.noncrossing_symmetric_count.cache_clear()
+    first = verify.criterion_1()
+
+    def forbidden(m):
+        raise AssertionError("noncrossing partitions generated again")
+
+    monkeypatch.setattr(verify, "noncrossing_partitions", forbidden)
+    second = verify.criterion_1()
+    assert first["ok"] and second["ok"]
+    assert first["detail"].split(" elapsed=")[0] == second["detail"].split(" elapsed=")[0]
+    assert "noncrossing={1: 2, 2: 6, 3: 20, 4: 70, 5: 252}" in second["detail"]
+
+
 def float_uses(tree, allowed):
     """Line numbers and kinds of true division, float() calls and float
     literals in a module, skipping the allowed literal nodes."""
