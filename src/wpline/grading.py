@@ -15,7 +15,7 @@ domestic, tubular and wild.
 from __future__ import annotations
 
 import math
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import add, floordiv, mod
 
 from ._record import Record
@@ -27,10 +27,6 @@ class LineType:
     DOMESTIC = "domestic"
     TUBULAR = "tubular"
     WILD = "wild"
-
-
-def _lcm(values):
-    return reduce(math.lcm, values, 1)
 
 
 class WeightData(Record):
@@ -65,7 +61,7 @@ class WeightData(Record):
 
     @cached_property
     def p(self) -> int:
-        return _lcm(self.weights)
+        return math.lcm(*self.weights)
 
     @cached_property
     def k0_rank(self) -> int:

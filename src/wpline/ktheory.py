@@ -56,7 +56,7 @@ from __future__ import annotations
 from functools import cached_property
 from operator import mul
 
-from . import sheaves, tube
+from . import tube
 from ._record import Record
 from .grading import WeightData
 from .sheaves import (IndecSheaf, LineBundle, OrdinaryTorsion, TorsionArc,
@@ -90,7 +90,10 @@ class _LineTable:
     by the line's cached property `_k0`.
 
     The rank, the basis index and the simple classes are filled on
-    construction.  The Euler matrix and its symmetrization are filled on
+    construction.  The basis index maps each step (i, j), 1 <= j < p_i at
+    a weighted point i, to its basis position from 2 on, and is the one
+    list of the steps: basis_sheaves and canonical_interval_sequence read
+    them off it.  The Euler matrix and its symmetrization are filled on
     first use from Hom and Ext of the basis, because they need line
     bundles, which lines with three weighted points do not model.
 
@@ -201,13 +204,11 @@ def _mul(a, b) -> tuple:
 
 
 def basis_sheaves(line: WeightData):
-    """Basis objects in order: O, O(c), then S_{i,j} for each weighted
-    point i and 1 <= j <= p_i - 1."""
-    out = [line_bundle(line), LineBundle(line, line.canonical())]
-    for i in line.weighted_indices():
-        for j in range(1, line.weights[i]):
-            out.append(simple_at(line, i, j))
-    return out
+    """Basis objects in order: O, O(c), then S_{i,j} for the steps (i, j)
+    of the record's basis index, in its order, so position u of the list
+    is basis position u."""
+    return [line_bundle(line), LineBundle(line, line.canonical()),
+            *(simple_at(line, i, j) for i, j in line._k0.index)]
 
 
 def class_of(s: IndecSheaf) -> tuple[int, ...]:
@@ -269,14 +270,11 @@ class WeylElement(Record):
 def _root(line: WeightData, s: IndecSheaf):
     """(r, c) for the reflection of an exceptional sheaf s on line: its
     class r and c = sym r, so that the reflection is the matrix 1 - r c^T.
-    Each call checks the line and that s is exceptional, then reads c
-    from the `roots` memo, whose fill checks <r, r> = 1 once per class
-    modulo delta.
-    Callers check End and self-Ext of s through `tube.is_exc_sequence`."""
+    Each call checks the line, then reads c from the `roots` memo, whose
+    fill checks <r, r> = 1 once per class modulo delta.  Its one caller,
+    cox_of, has checked that s is exceptional (`tube.is_exc_sequence`)."""
     if s.line is not line and s.line != line:
         raise ValueError("sheaf over a different line")
-    if not sheaves.is_exceptional_sheaf(s):
-        raise ValueError("reflections come from exceptional sheaves")
     r = class_of(s)
     return r, line._k0.roots[(r[0] + r[1], *r[2:])]
 
@@ -318,15 +316,13 @@ def cox_of(line: WeightData, seq) -> WeylElement:
 def canonical_interval_sequence(line: WeightData):
     """Line bundles O(l) for 0 <= l <= c, ordered by (degree, point, step).
 
-    The interval consists of 0, the single-branch elements j*x_i, and c;
-    that is exactly rank(K0) many bundles.
+    The interval consists of 0, c and the single-branch elements j*x_i,
+    one per step (i, j) of the record's basis index; that is exactly
+    rank(K0) many bundles.
     """
-    degs = [line.zero(), line.canonical()]
-    for i in line.weighted_indices():
-        for j in range(1, line.weights[i]):
-            coeffs = [0] * line.n
-            coeffs[i] = j
-            degs.append(line.element(coeffs))
+    degs = [line.zero(), line.canonical(),
+            *(line.element([j if k == i else 0 for k in range(line.n)])
+              for i, j in line._k0.index)]
     degs.sort(key=lambda l: (l.degree(), l.coeffs, l.c_part))
     return [LineBundle(line, l) for l in degs]
 

@@ -103,10 +103,13 @@ def _same_line(a: IndecSheaf, b: IndecSheaf):
 
 
 def shift(s: IndecSheaf, l: GradeElement) -> IndecSheaf:
-    """Grading shift.  Torsion at a weighted point rotates its socle by
-    the matching coefficient of l; ordinary torsion is fixed."""
+    """Grading shift by l, which must lie over the line of s.  Torsion at a
+    weighted point rotates its socle by the matching coefficient of l;
+    ordinary torsion is fixed."""
     if isinstance(s, LineBundle):
         return LineBundle(s.line, s.degree + l)
+    if s.line is not l.line and s.line != l.line:
+        raise ValueError("shift by an element of a different line")
     if isinstance(s, TorsionArc):
         step = l.coeffs[s.point]
         arc = Arc(s.arc.rank, (s.arc.socle + step) % s.arc.rank, s.arc.length)

@@ -55,8 +55,8 @@ unknowns) and the middle of its Ext class.  The Ext count
 (`_ext_count`) is cached on the integers (rank, socle difference,
 lengths), and the closures read pair rows through `_rotated_row`, which
 fills `_pair_row` only at first socle 0.  Each memo is functools.cache
-on the function that fills it, and the oracle functions themselves stay
-per pair.
+on the function that fills it; `arc_hom_basis` keeps none, as its one
+caller, `_pair_row`, is cached per pair.
 """
 
 from __future__ import annotations
@@ -111,9 +111,8 @@ def _rep(arc: Arc):
     return rep_of_arc(arc)
 
 
-@functools.cache
 def arc_hom_basis(a: Arc, b: Arc):
-    """Basis of Hom(a, b) from the linear-algebra oracle."""
+    """Basis of Hom(a, b) from the linear-algebra oracle, not cached."""
     from .nilpotent import hom_basis
     return tuple(hom_basis(_rep(a), _rep(b)))
 
@@ -450,12 +449,12 @@ class Universe:
     objects with no Ext^1 to or from object i.  The rows are filled in
     one pass over the ordered pairs from the layer's own closed-form Hom
     and Ext dimensions; Hom is asked only where Ext vanishes, since a
-    right bit needs both to vanish.
+    right bit needs both to vanish.  No object is hashed: no dict of
+    positions is kept, and mask finds each object by equality.
     """
 
     def __init__(self, objects, hom, ext):
         self.objects = objs = tuple(objects)
-        self.index = {x: i for i, x in enumerate(objs)}
         self.full = (1 << len(objs)) - 1
         ones = [1 << j for j in range(len(objs))]
         self.right, no_ext = [], []
@@ -474,9 +473,10 @@ class Universe:
         self.compatible = [e & ext_held[i] for i, e in enumerate(no_ext)]
 
     def mask(self, objs) -> int:
+        """The mask of objs, each found by equality in the object tuple."""
         out = 0
         for x in objs:
-            out |= 1 << self.index[x]
+            out |= 1 << self.objects.index(x)
         return out
 
     def members(self, mask: int) -> tuple:

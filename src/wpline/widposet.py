@@ -474,6 +474,8 @@ def exc_torsion_perp_decompose(line: WeightData, e: TorsionArc, perp):
     reduced-weight sheaf part, the members perpendicular to every simple
     of e, and a tube part, the closure of those simples but the top one;
     verify the two blocks have no Hom or Ext between them."""
+    if e.line is not line and e.line != line:
+        raise ValueError("sheaf over a different line")
     if not is_exceptional_sheaf(e):
         raise ValueError("torsion sheaf is not exceptional")
     weight = line.weights[e.point]

@@ -188,13 +188,19 @@ PAIR_QUERIES = [sh.hom_dim_sheaf, sh.ext_dim_sheaf, sh.ext_dim_sheaf_alt]
 
 def test_mixed_lines_rejected():
     """Each pair query tests line identity inline and falls back to
-    _same_line, which refuses two unequal lines whatever the kinds."""
+    _same_line, which refuses two unequal lines whatever the kinds; a
+    shift by an element of another line is refused for every kind too."""
     pairs = [(sh.line_bundle(LINE2, (0, 0)), sh.line_bundle(LINE11, (0, 0))),
              (sh.simple_at(LINE2, 0, 1), sh.simple_at(LINE23, 0, 1)),
              (sh.OrdinaryTorsion(LINE23, "q", 1), sh.line_bundle(LINE2, (0, 0)))]
     for query, (a, b) in itertools.product(PAIR_QUERIES, pairs):
         with pytest.raises(ValueError, match="sheaves from different lines"):
             query(a, b)
+    other = make_line((3, 2)).element((0, 1))
+    for s in (sh.line_bundle(LINE23, (0, 0)), sh.simple_at(LINE23, 1, 0),
+              sh.OrdinaryTorsion(LINE23, "q", 1)):
+        with pytest.raises(ValueError, match="different"):
+            sh.shift(s, other)
 
 
 QUERY_LINES = [make_line(w) for w in ((2,), (2, 3), (3, 3), (4,), (2, 2), (1, 1))]

@@ -744,7 +744,7 @@ def test_oracle_builds_no_arc_longer_than_its_inputs(monkeypatch):
     class, extension_middles build the representation of no arc longer
     than the longer of the two, where the truncated presentation, which
     trips the same guard, built one of length len a + len b + rank."""
-    caches = (tube._rep, tube.arc_hom_basis, tube.ext_classes, tube._ext_count)
+    caches = (tube._rep, tube.ext_classes, tube._ext_count)
     limit = 0
 
     def guarded(arc):

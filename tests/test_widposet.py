@@ -481,6 +481,12 @@ def test_decompose_rejects_full_arc():
         wp.exc_torsion_perp_decompose(LINE2, e, [])
 
 
+def test_decompose_rejects_sheaf_over_another_line():
+    e = sh.TorsionArc(make_line((2, 3)), 0, Arc(2, 0, 1))
+    with pytest.raises(ValueError, match="sheaf over a different line"):
+        wp.exc_torsion_perp_decompose(make_line((3,)), e, [])
+
+
 def test_poset_rejects_three_weighted_points():
     with pytest.raises(ValueError):
         wp.build_poset(make_line((2, 3, 5)), -2, 3)
@@ -763,14 +769,17 @@ def test_one_pass_fill_asks_hom_only_where_ext_vanishes(layer):
 @pytest.mark.parametrize("weights, lo, hi, ids", UNIVERSE_INPUTS)
 def test_build_poset_shifts_no_sheaf(weights, lo, hi, ids, monkeypatch):
     """The universe reads Ext from the closed form, so the build never
-    shifts a sheaf, and gives the same nodes and rows without it."""
+    shifts a sheaf, and keeps no dict of its objects, so it hashes none;
+    it gives the same nodes and rows without either."""
     line = make_line(weights)
     want = wp.build_poset(line, lo, hi, ids)
 
     def forbidden(*args):
-        raise AssertionError("sheaf shifted in the poset build")
+        raise AssertionError("sheaf shifted or hashed in the poset build")
 
     monkeypatch.setattr(sh, "shift", forbidden)
+    for cls in (sh.LineBundle, sh.TorsionArc, sh.OrdinaryTorsion):
+        monkeypatch.setattr(cls, "__hash__", forbidden)
     got = wp.build_poset(line, lo, hi, ids)
     assert got.nodes == want.nodes
     assert (got.above, got.index_covers, got.undecidable) == \
@@ -1175,7 +1184,7 @@ def test_degree_one_shift_carries_the_poset(weights, lo, hi, ids):
     line = make_line(weights)
     l = degree_one_shift(line)
     a, b = wp.build_poset(line, lo, hi, ids), wp.build_poset(line, lo + 1, hi + 1, ids)
-    perm = [b.uni.index[sh.shift(x, l)] for x in a.uni.objects]
+    perm = [b.uni.objects.index(sh.shift(x, l)) for x in a.uni.objects]
     assert sorted(perm) == list(range(len(b.uni.objects)))
     at = {n.mask: j for j, n in enumerate(b.nodes)}
     nodes = [at[carried(n.mask, perm)] for n in a.nodes]
