@@ -8,8 +8,8 @@ each one as the mask of its member arcs of length at most n over
 tube_universe(n), where the arc of socle s and length l has index
 s * n + l - 1.  A mask is exceptional-side ("exc") exactly when it has
 no full-length member, equivalently when its factors miss a simple.
-Frozenset fingerprints are output only (enumerate_wide, wide_closure,
-enumerate_wide_bruteforce).
+Frozenset fingerprints are output only: `_fingerprint` builds them from
+id masks for enumerate_wide, wide_closure and enumerate_wide_bruteforce.
 
 The perpendicular calculus is shared with the sheaf layer: a Universe
 indexes a finite set of objects and keeps, per object, the bitsets of
@@ -34,12 +34,12 @@ length at most the rank, the only ones the closures meet, Hom and Ext^1
 are at most one-dimensional, so each pair has at most one extension
 middle, that of its one Ext class.  The closure indexes the arcs of
 length at most the rank n by integer ids, socle * n + length - 1, their
-indices in tube_universe(n), so an oracle mask is a lattice mask.  It
-reads one cached row per ordered pair of ids (`_pair_row`): the id mask
-of the oracle's kernels, cokernels and extension middles of that pair.
-It closes at the rank: no member longer than n is needed to reach one of
-length at most n (the proof is at closure_members), so `_id_mask` gives
-a longer arc no id.
+indices in tube_universe(n), and runs on id masks, which are lattice
+masks.  It reads one cached row per ordered pair of ids (`_pair_row`):
+the id mask of the oracle's kernels, cokernels and extension middles of
+that pair.  It closes at the rank: no member longer than n is needed to
+reach one of length at most n (the proof is at closure_members), so
+`_id_mask` gives a longer arc no id.
 
 The oracle is filled once per rotation class of arc pairs.  Rotating
 the cyclic quiver by d vertices is an automorphism of the tube, so the
@@ -294,16 +294,19 @@ class TubeWideFingerprint(Record):
     _fields = ("rank", "arcs")
 
 
-def closure_members(gens) -> frozenset:
-    """Arcs of length at most the rank n in the wide closure of the
-    generators.
+def _fingerprint(n: int, mask: int) -> TubeWideFingerprint:
+    """The fingerprint of an id mask at rank n."""
+    return TubeWideFingerprint(n, frozenset(arc_of_id(n, i) for i in bits(mask)))
 
-    Members are a mask over integer arc ids (`arc_id`), all below n * n,
-    as `_id_mask` drops longer arcs.  The closure is semi-naive: rows
-    never change, so a pass ORs the pair-table rows (`_rotated_row`:
-    kernels, cokernels and extension middles) of only the ordered pairs
-    with a member that the previous pass added, each pair once; the loop
-    stops when a pass adds nothing.
+
+def closure_members(n: int, mask: int) -> int:
+    """Id mask of the wide closure at rank n of the arcs of an id mask.
+
+    Ids are `arc_id`s, all below n * n: the arcs of length at most n.
+    The closure is semi-naive: rows never change, so a pass ORs the
+    pair-table rows (`_rotated_row`: kernels, cokernels and extension
+    middles) of only the ordered pairs with a member that the previous
+    pass added, each pair once; the loop stops when a pass adds nothing.
     The table is filled from the linear-algebra oracle alone, so the
     closure reads neither the closed-form Hom nor a universe.
 
@@ -329,11 +332,7 @@ def closure_members(gens) -> frozenset:
     So no member longer than n is ever needed to reach a member of
     length <= n: C is every arc of length <= n in W.
     """
-    gens = list(gens)
-    if not gens:
-        return frozenset()
-    n = gens[0].rank
-    members = new = _id_mask(gens)
+    members = new = mask
     while new:
         ids = list(bits(members))
         old = list(bits(members & ~new))
@@ -345,17 +344,17 @@ def closure_members(gens) -> frozenset:
                 found |= _rotated_row(n, ib, ia)
         new = found & ~members
         members |= new
-    return frozenset(arc_of_id(n, i) for i in bits(members))
+    return members
 
 
 @functools.cache
-def _closure(n: int, gens: frozenset) -> TubeWideFingerprint:
-    return TubeWideFingerprint(n, closure_members(gens))
+def _closure(n: int, mask: int) -> int:
+    return closure_members(n, mask)
 
 
 def wide_closure(gens) -> TubeWideFingerprint:
     """Fingerprint of the wide closure of a set of arcs of length at most
-    the rank (see closure_members)."""
+    the rank, closed on their id mask (see closure_members)."""
     gens = list(gens)
     if not gens:
         raise ValueError("closure of no generators: pass the rank explicitly via an arc")
@@ -364,7 +363,7 @@ def wide_closure(gens) -> TubeWideFingerprint:
         raise ValueError("generators from tubes of different rank")
     if any(g.length > n for g in gens):
         raise ValueError("generators longer than the rank")
-    return _closure(n, frozenset(gens))
+    return _fingerprint(n, _closure(n, _id_mask(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +647,7 @@ def tube_lattice(n: int) -> tuple:
 
 def enumerate_wide(n: int) -> frozenset:
     """All wide-subcategory fingerprints of the rank-n tube."""
-    members = tube_universe(n).members
-    return frozenset(TubeWideFingerprint(n, frozenset(members(m))) for m in tube_lattice(n))
+    return frozenset(_fingerprint(n, m) for m in tube_lattice(n))
 
 
 def enumerate_wide_bruteforce(n: int) -> frozenset:
@@ -667,7 +665,7 @@ def enumerate_wide_bruteforce(n: int) -> frozenset:
     for mask in range(1 << n * n):
         ids = list(bits(mask))
         if not any(rows[ia][ib] & ~mask for ia in ids for ib in ids):
-            found.add(TubeWideFingerprint(n, frozenset(arc_of_id(n, i) for i in ids)))
+            found.add(_fingerprint(n, mask))
     return frozenset(found)
 
 
@@ -682,12 +680,15 @@ def bongartz_complete(part_a, part_b):
     it is the second set plus the fewest arcs of one pool, the
     exceptional arcs of that closure outside the second set, found by an
     exhaustive search over the pool by size.  The first set lies in the
-    closure, so it is in the pool.  Ext is taken from the standard
-    resolution, so the search runs on the linear-algebra oracle alone.
+    closure, so it is in the pool.  Rigid arcs are shorter than the rank,
+    so the search runs on id masks: the pool in id order, which is
+    Arc.sort_key order, and each candidate's closure mask against the
+    union's.  Ext is taken from the standard resolution, so the search
+    runs on the linear-algebra oracle alone.
     """
     ext = ext_dim_via_presentation
-    part_a = sorted(set(part_a), key=lambda a: a.sort_key())
-    part_b = sorted(set(part_b), key=lambda a: a.sort_key())
+    part_a = sorted(set(part_a), key=Arc.sort_key)
+    part_b = sorted(set(part_b), key=Arc.sort_key)
     if not part_a and not part_b:
         return ()
     n = (part_a or part_b)[0].rank
@@ -698,15 +699,15 @@ def bongartz_complete(part_a, part_b):
         for b in part_b:
             if ext(a, b) != 0:
                 raise ValueError("Ext from the first set to the second must vanish")
-    union = sorted(set(part_a) | set(part_b), key=lambda a: a.sort_key())
+    union = sorted(set(part_a) | set(part_b), key=Arc.sort_key)
     if is_rigid_set(union, ext):
         return tuple(union)
-    target = wide_closure(union)
-    pool = [x for x in sorted(target.arcs, key=Arc.sort_key)
-            if is_exceptional(x) and x not in part_b]
+    held, target = _id_mask(part_b), _closure(n, _id_mask(union))
+    pool = [1 << i for i in bits(target & ~held) if i % n < n - 1]
     for size in range(min(len(pool), n) + 1):
         for extra in itertools.combinations(pool, size):
-            cand = sorted((*part_b, *extra), key=Arc.sort_key)
-            if is_rigid_set(cand, ext) and wide_closure(cand) == target:
+            mask = held | sum(extra)
+            cand = [arc_of_id(n, i) for i in bits(mask)]
+            if is_rigid_set(cand, ext) and _closure(n, mask) == target:
                 return tuple(cand)
     raise AssertionError("no rigid completion found in the closure")

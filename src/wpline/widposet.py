@@ -290,8 +290,6 @@ def _exc_name(line, objects, labels, bundles, mask) -> str:
     held = mask & bundles
     torsion = mask ^ held
     widx = line.weighted_indices()
-    if not mask:
-        return "0"
     if not widx and held.bit_count() == 1 and not torsion:
         k = objects[held.bit_length() - 1].degree.degree()
         return f"<O({k:+d})>" if k else "<O(0)>"

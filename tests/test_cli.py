@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wpline import cli, tube, verify, widposet
-from wpline.grading import make_line
+from wpline.grading import make_line, parse_weights
 from wpline.widposet import build_poset
 
 from test_widposet import ref_order_messages, thin_inclusion_order
@@ -158,6 +159,40 @@ def test_perp_members():
     assert doc["members"] == ["O(0,0;-1)", "O(0,0;0)", "O(0,0;1)", "S[2](inf,0)"]
     assert doc["decomposition"]["reduced_weights"] == [1, 1]
     assert doc["decomposition"]["cross_orthogonal"] is True
+
+
+# text output of the verbs whose default format is not text, and of
+# tube-enum, pinned byte for byte
+TEXT_OUTPUTS = [
+    (["tube-enum", "--rank", "2"],
+     "{} exc\n{(0,1)} exc\n{(0,2)} non-exc\n{(1,1)} exc\n{(1,2)} non-exc\n"
+     "{(0,1),(0,2),(1,1),(1,2)} non-exc\ntotal 6\n"),
+    (["cox", "--weights", "2", "--format", "text"],
+     "sequence: O(0,0;0); O(1,0;0); O(0,0;1)\n"
+     "     3    2   -1\n    -2   -1    1\n     1    1   -1\nabs_length = 3\n"),
+    (["perp", "--weights", "2", "--sheaves", "S(inf,0)", "--window", "-2..3", "--format", "text"],
+     "O(0,0;-1)\nO(0,0;0)\nO(0,0;1)\nS[2](inf,0)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, text", TEXT_OUTPUTS, ids=["tube-enum", "cox", "perp"])
+def test_text_output_matches_pinned_bytes(argv, text):
+    assert run_cli(argv) == (0, text, "")
+
+
+def test_poset_text_matches_golden_and_dot_names():
+    """The text listing of 2 @ -2..3 is pinned byte for byte, the empty
+    node's line with its trailing space, and names the nodes and covers of
+    the golden DOT in its order."""
+    code, out, err = run_cli(["poset", "--weights", "2", "--format", "text"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN.parent / "poset_w2.txt").read_text()
+    assert out.startswith("0: \n")
+    dot = GOLDEN.read_text()
+    lines = out.splitlines()
+    assert [x.split(": ")[0] for x in lines if ": " in x] == re.findall(r'^  "([^"]+)";$', dot, re.M)
+    assert [tuple(x.split(" < ")) for x in lines if " < " in x] == \
+        re.findall(r'^  "([^"]+)" -> "([^"]+)";$', dot, re.M)
 
 
 def test_poset_dot_matches_golden_bytes():
@@ -556,6 +591,28 @@ def test_verb_table_declines_what_argparse_must_answer(argv):
     take, stray positionals, missing options and values: the table
     declines them all, so argparse answers with its own bytes."""
     assert cli._read_argv(cli._join_windows(argv)) is None
+
+
+@pytest.mark.parametrize("weights, text, same", [
+    ("2", "arc(inf,1,2)", "S[2](inf,0)"),
+    ("2,3", "S(1,0)", "S(0,0)"),
+], ids=["arc", "point-index"])
+def test_parse_sheaf_forms_name_the_same_sheaf(weights, text, same):
+    """An arc names its point, socle and length; a numeric point token
+    that names no point resolves by index, so 1 on 2,3 is the point 0."""
+    line = make_line(parse_weights(weights))
+    assert cli.parse_sheaf(line, text) == cli.parse_sheaf(line, same)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hom", "--weights", "2", "--from", "O(1,0,0;0)", "--to", "O"],
+     "coefficient count must match the point count"),
+    (["hom", "--weights", "2", "--from", "S(5,0)", "--to", "O"], "unknown point '5'"),
+    (["perp", "--weights", "2", "--sheaves", "S(inf,0)", "--window", "3"],
+     "window must look like -2..3"),
+], ids=["coefficients", "point", "window"])
+def test_malformed_sheaf_or_window_exits_2(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
 
 
 def test_parse_sheaf_rejects_unknown_point():
