@@ -43,10 +43,6 @@ def _emit_json(doc) -> str:
 def _resolve_point(line, token: str) -> int:
     if token in line.points:
         return line.points.index(token)
-    if re.fullmatch(r"-?\d+", token):
-        idx = int(token)
-        if 0 <= idx < line.n:
-            return idx
     raise ValueError(f"unknown point {token!r}")
 
 

@@ -19,8 +19,11 @@ Each line's constants live in one record, `line._k0`, a cached property
 of WeightData like its `p`: built on first read, by a body that imports
 this module, and kept in the line's instance `__dict__`, so every later
 read is one plain attribute read.  It holds the rank, the basis index,
-the simple classes, the Euler matrix and its symmetrization, and the
-identity matrix of the rank.  Values that repeat across queries live in
+the null class delta, the Euler matrix and its symmetrization, and the
+identity matrix of the rank.  Every class is read off one step formula,
+[O(l x_i)] - [O]: the simple S_{i,j} is the cokernel of x_i:
+O((j-1) x_i) -> O(j x_i) (Geigle-Lenzing, LNM 1273, 1987), so a run of
+simples telescopes to two steps.  Values that repeat across queries live in
 the record's memos, all of one type, `_Memo`: a dict that fills a
 missing key from one function and is emptied at CACHE_LIMIT entries,
 which bounds a line's memory however many degrees a caller asks about.
@@ -54,7 +57,7 @@ routines are the tests' reference.
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 
 from . import tube
 from ._record import Record
@@ -89,13 +92,14 @@ class _LineTable:
     """Constants of one line's Grothendieck group, computed once per line
     by the line's cached property `_k0`.
 
-    The rank, the basis index and the simple classes are filled on
-    construction.  The basis index maps each step (i, j), 1 <= j < p_i at
-    a weighted point i, to its basis position from 2 on, and is the one
-    list of the steps: basis_sheaves and canonical_interval_sequence read
-    them off it.  The Euler matrix and its symmetrization are filled on
-    first use from Hom and Ext of the basis, because they need line
-    bundles, which lines with three weighted points do not model.
+    The rank, the basis index and delta are filled on construction, and
+    every class is read off `_step`.  The basis index maps each step
+    (i, j), 1 <= j < p_i at a weighted point i, to its basis position
+    from 2 on, and is the one list of the steps: basis_sheaves and
+    canonical_interval_sequence read them off it.  The Euler matrix and
+    its symmetrization are filled on first use from Hom and Ext of the
+    basis, because they need line bundles, which lines with three
+    weighted points do not model.
 
     The memos are `_Memo`s, each filled from its key on a miss:
     `classes`, a sheaf's key in class_of to its class; `class_rows`, a
@@ -113,50 +117,36 @@ class _LineTable:
         self.delta = (-1, 1) + (0,) * (self.rank - 2)   # [O(c)] - [O]
         self.identity = tuple(tuple(int(u == v) for v in range(self.rank))
                               for u in range(self.rank))
-        self.simples = {i: tuple(self._simple(i, j) for j in range(line.weights[i]))
-                        for i in line.weighted_indices()}
         self.classes = _Memo(self._class)
         self.class_rows = _Memo(self._class_row)
         self.roots = _Memo(self._root_col)
         self.elements = _Memo(lambda w: WeylElement(line, w))
 
-    def _simple(self, point: int, j: int) -> tuple[int, ...]:
-        if j != 0:
-            return tuple(int(u == self.index[point, j]) for u in range(self.rank))
-        # the index-0 simple closes the cycle: delta minus the other p-1
-        vec = list(self.delta)
-        for jj in range(1, self.line.weights[point]):
-            vec[self.index[point, jj]] -= 1
+    def _step(self, point: int, l: int) -> tuple[int, ...]:
+        """[O(l x_i)] - [O] at a point i: the basis steps (i, 1), ...,
+        (i, l mod p_i) plus (l // p_i) delta, as p_i x_i = c."""
+        k, r = divmod(l, self.line.weights[point])
+        vec = [-k, k] + [0] * (self.rank - 2)
+        for j in range(1, r + 1):
+            vec[self.index[point, j]] = 1
         return tuple(vec)
-
-    def _coeff_class(self, coeffs) -> tuple[int, ...]:
-        """[O] plus the simples S_{i,1..l_i} of every weighted point i."""
-        vec = [int(u == 0) for u in range(self.rank)]
-        for i in self.line.weighted_indices():
-            for j in range(1, coeffs[i] + 1):
-                vec[self.index[i, j]] += 1
-        return tuple(vec)
-
-    def _turn_class(self, point, socle, r) -> tuple[int, ...]:
-        """Sum of the simples at socle, socle+1, ..., socle+r-1 of a point."""
-        simples = self.simples[point]
-        vec = (0,) * self.rank
-        for v in range(socle, socle + r):
-            vec = tuple(a + b for a, b in zip(vec, simples[v % len(simples)]))
-        return vec
 
     def _class(self, key) -> tuple[int, ...]:
-        """A part plus k*delta: the coefficient part of a bundle's key
-        (coeffs, k), the partial turn of an arc's (point, socle, length)
-        with k its full turns, or zero for a stalk's length k."""
+        """The class of a sheaf key, read off `_step`: k delta for a
+        stalk's length k; [O] plus the step of each weighted coefficient
+        plus k delta for a bundle's (coeffs, k); and the step to the top
+        factor minus the step below the socle for an arc's (point, socle,
+        length), whose factors are the simples socle, ..., socle + length
+        - 1, each the difference of two consecutive steps."""
         if type(key) is int:
-            vec, k = (0,) * self.rank, key
-        elif len(key) == 2:
-            vec, k = self._coeff_class(key[0]), key[1]
-        else:
-            k, r = divmod(key[2], self.line.weights[key[0]])
-            vec = self._turn_class(key[0], key[1], r)
-        return (vec[0] - k, vec[1] + k) + vec[2:] if k else vec
+            return tuple(key * d for d in self.delta)
+        if len(key) == 3:
+            i, socle, length = key
+            return tuple(map(sub, self._step(i, socle + length - 1), self._step(i, socle - 1)))
+        coeffs, k = key
+        return tuple(map(sum, zip((1 - k, k) + (0,) * (self.rank - 2),
+                                  *(self._step(i, coeffs[i])
+                                    for i in self.line.weighted_indices()))))
 
     def _class_row(self, x) -> tuple:
         """x^T E for a class x, which must be of the rank."""

@@ -595,11 +595,9 @@ def test_verb_table_declines_what_argparse_must_answer(argv):
 
 @pytest.mark.parametrize("weights, text, same", [
     ("2", "arc(inf,1,2)", "S[2](inf,0)"),
-    ("2,3", "S(1,0)", "S(0,0)"),
-], ids=["arc", "point-index"])
+], ids=["arc"])
 def test_parse_sheaf_forms_name_the_same_sheaf(weights, text, same):
-    """An arc names its point, socle and length; a numeric point token
-    that names no point resolves by index, so 1 on 2,3 is the point 0."""
+    """An arc names its point, socle and length."""
     line = make_line(parse_weights(weights))
     assert cli.parse_sheaf(line, text) == cli.parse_sheaf(line, same)
 
@@ -608,9 +606,11 @@ def test_parse_sheaf_forms_name_the_same_sheaf(weights, text, same):
     (["hom", "--weights", "2", "--from", "O(1,0,0;0)", "--to", "O"],
      "coefficient count must match the point count"),
     (["hom", "--weights", "2", "--from", "S(5,0)", "--to", "O"], "unknown point '5'"),
+    # a point is named by its label, never by its index: 1 is no label on 2,3
+    (["hom", "--weights", "2,3", "--from", "S(1,0)", "--to", "O"], "unknown point '1'"),
     (["perp", "--weights", "2", "--sheaves", "S(inf,0)", "--window", "3"],
      "window must look like -2..3"),
-], ids=["coefficients", "point", "window"])
+], ids=["coefficients", "point", "point-index", "window"])
 def test_malformed_sheaf_or_window_exits_2(argv, message):
     assert run_cli(argv) == (2, "", f"error: {message}\n")
 

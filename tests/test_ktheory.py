@@ -728,16 +728,47 @@ def test_each_memo_empties_at_the_cap_and_still_answers(name, monkeypatch):
     assert any(b < a for a, b in zip(sizes, sizes[1:]))
 
 
+def _simple(t, point, p, j):
+    """The replaced simple table's entry S_{point,j} for 0 <= j < p, read
+    off the record's basis index, rank and delta."""
+    if j != 0:
+        return tuple(int(u == t.index[point, j]) for u in range(t.rank))
+    # the index-0 simple closes the cycle: delta minus the other p-1
+    vec = list(t.delta)
+    for jj in range(1, p):
+        vec[t.index[point, jj]] -= 1
+    return tuple(vec)
+
+
+def _coeff_class(t, line, coeffs):
+    """[O] plus the simples S_{i,1..l_i} of every weighted point i."""
+    vec = [int(u == 0) for u in range(t.rank)]
+    for i in line.weighted_indices():
+        for j in range(1, coeffs[i] + 1):
+            vec[t.index[i, j]] += 1
+    return tuple(vec)
+
+
+def _turn_class(t, line, point, socle, r):
+    """Sum of the simples at socle, socle+1, ..., socle+r-1 of a point."""
+    p = line.weights[point]
+    vec = (0,) * t.rank
+    for v in range(socle, socle + r):
+        vec = tuple(a + b for a, b in zip(vec, _simple(t, point, p, v % p)))
+    return vec
+
+
 def reference_part_plus_delta(s):
     """The replaced class_of: the class of a bundle's coefficient part, of
     an arc's partial turn or zero, plus k delta for the bundle's c part,
-    the arc's full turns or the stalk's length."""
+    the arc's full turns or the stalk's length.  Its helpers read only the
+    record's basis index, rank and delta."""
     t = s.line._k0
     if isinstance(s, sh.LineBundle):
-        vec, k = t._coeff_class(s.degree.coeffs), s.degree.c_part
+        vec, k = _coeff_class(t, s.line, s.degree.coeffs), s.degree.c_part
     elif isinstance(s, sh.TorsionArc):
         k, r = divmod(s.arc.length, s.arc.rank)
-        vec = t._turn_class(s.point, s.arc.socle, r)
+        vec = _turn_class(t, s.line, s.point, s.arc.socle, r)
     else:
         vec, k = (0,) * t.rank, s.length
     return tuple(a + k * d for a, d in zip(vec, t.delta))
@@ -804,6 +835,11 @@ def test_cox_of_rejects_a_sheaf_from_another_line():
             kt.cox_of(a, seq)
     twin = make_line((2, 3))
     assert kt.cox_of(twin, kt.canonical_interval_sequence(a)) == kt.coxeter_element(a)
+
+
+def test_nc_leq_rejects_elements_over_different_lines():
+    with pytest.raises(ValueError, match="elements over different lines"):
+        kt.nc_leq(kt.cox_of(LINE2, []), kt.cox_of(LINE23, []))
 
 
 def test_reflection_rejects_non_exceptional_sheaves():

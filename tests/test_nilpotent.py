@@ -382,6 +382,11 @@ def test_composite_rank_nilpotence():
         assert composite_rank(rep, i, rep.total_dim) == 0
 
 
+def test_hom_basis_rejects_representations_of_different_rank():
+    with pytest.raises(ValueError, match="rank mismatch"):
+        hom_basis(rep_of_arc(Arc(2, 0, 1)), rep_of_arc(Arc(3, 0, 1)))
+
+
 def test_decompose_rejects_non_nilpotent():
     rep = NilpRep(1, (1,), (((1,),),))
     with pytest.raises(ValueError):

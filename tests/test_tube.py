@@ -237,6 +237,32 @@ def test_bongartz_complete_rejects_non_orthogonal():
         tube.bongartz_complete((Arc(2, 0, 2),), ())
 
 
+def test_bongartz_complete_of_no_arcs_is_empty():
+    assert tube.bongartz_complete([], []) == ()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tube.hom_dim(Arc(2, 0, 1), Arc(3, 0, 1)), "arcs from tubes of different rank"),
+    (lambda: tube.ext_dim(Arc(2, 0, 1), Arc(3, 0, 1)), "arcs from tubes of different rank"),
+    (lambda: tube.wide_closure([Arc(2, 0, 1), Arc(3, 0, 1)]),
+     "generators from tubes of different rank"),
+    (lambda: tube.order_exc_sequence([Arc(2, 0, 1), Arc(2, 0, 1)]),
+     "members must be pairwise distinct"),
+    # Hom both ways, so the extraction loop finds no member to place last
+    (lambda: tube.order_exc_sequence([Arc(4, 0, 3), Arc(4, 2, 3)]),
+     "set admits no exceptional ordering"),
+    # Hom neither way but Ext both ways, so the final check refuses the order
+    (lambda: tube.order_exc_sequence([Arc(2, 0, 1), Arc(2, 1, 1)]),
+     "set admits no exceptional ordering"),
+    (lambda: tube.bongartz_complete([Arc(2, 1, 1)], [Arc(2, 0, 1)]),
+     "Ext from the first set to the second must vanish"),
+], ids=["hom-rank", "ext-rank", "closure-rank", "order-repeat", "order-hom-cycle",
+        "order-ext-cycle", "bongartz-ext"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_order_exc_sequence_gives_exc_sequence():
     for n in (2, 3):
         uni = tube.tube_universe(n)

@@ -487,6 +487,15 @@ def test_decompose_rejects_sheaf_over_another_line():
         wp.exc_torsion_perp_decompose(make_line((3,)), e, [])
 
 
+@pytest.mark.parametrize("weights, masks, message", [
+    ((2, 3), [0], "one tube mask per weighted point required"),
+    ((2,), [max(tube.tube_lattice(2))], "defining data must be exceptional-side"),
+], ids=["mask-count", "full-mask"])
+def test_c_inv_from_torsion_exc_checks_its_masks(weights, masks, message):
+    with pytest.raises(ValueError, match=message):
+        wp.c_inv_from_torsion_exc(make_line(weights), masks, ())
+
+
 def test_poset_rejects_three_weighted_points():
     with pytest.raises(ValueError):
         wp.build_poset(make_line((2, 3, 5)), -2, 3)
