@@ -21,14 +21,6 @@ from operator import add, floordiv, mod
 from ._record import Record
 
 
-class LineType:
-    """The domestic/tubular/wild split, as the names `classify` prints."""
-
-    DOMESTIC = "domestic"
-    TUBULAR = "tubular"
-    WILD = "wild"
-
-
 class WeightData(Record):
     """Weight sequence with point labels, padded to at least two points.
 
@@ -167,15 +159,11 @@ def normalize(line: WeightData, coeffs, c_part: int) -> GradeElement:
 
 
 def line_invariants(line: WeightData):
-    """Return (c, omega, type) where type is the domestic/tubular/wild split."""
+    """Return (c, omega, type), type the domestic/tubular/wild split by
+    the sign of degree(omega), as the name `classify` prints."""
     omega = line.dualizing()
     d = omega.degree()
-    if d < 0:
-        kind = LineType.DOMESTIC
-    elif d == 0:
-        kind = LineType.TUBULAR
-    else:
-        kind = LineType.WILD
+    kind = "domestic" if d < 0 else "tubular" if d == 0 else "wild"
     return line.canonical(), omega, kind
 
 

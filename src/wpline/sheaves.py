@@ -21,11 +21,16 @@ for bundles (dim_S reduces only its c part, by the carries of the
 normal form), one composition-factor multiplicity of an arc
 (Arc.multiplicity) against a bundle, and the standard resolution for
 torsion pairs.  Like ext_dim_sheaf it builds no grading element per
-call.  It shares no helper with ext_dim_sheaf but the line guard, so
-the two Ext paths remain independent (tests/test_verify.py checks
-this).  The value classes are slotted and the line guards test identity
+call, though a pair of ordinary stalks builds two rank-1 arcs for the
+oracle's cached count.  It shares no helper with ext_dim_sheaf but the
+line guard, so the two Ext paths remain independent
+(tests/test_verify.py checks this).
+
+The value classes are slotted and the line guards test identity
 inline, calling _same_line only on a miss, because every object of a
-query shares one WeightData.
+query shares one WeightData.  The three kinds have no subclasses, so
+_hom and ext_dim_sheaf_alt read type(a) and type(b) once and dispatch
+on exact types, cheaper than isinstance on the query path.
 """
 
 from __future__ import annotations
@@ -143,8 +148,6 @@ def _hom(a: IndecSheaf, b: IndecSheaf, k: int) -> int:
     """
     if a.line is not b.line:
         _same_line(a, b)
-    # the three kinds have no subclasses, so exact type tests dispatch,
-    # cheaper than isinstance on the query path
     ta, tb = type(a), type(b)
     if ta is LineBundle:
         if tb is LineBundle:
@@ -181,27 +184,28 @@ def ext_dim_sheaf_alt(a: IndecSheaf, b: IndecSheaf) -> int:
     the standard resolution for torsion pairs."""
     if a.line is not b.line:
         _same_line(a, b)
-    if isinstance(a, LineBundle):
-        if isinstance(b, LineBundle):
+    ta, tb = type(a), type(b)
+    if ta is LineBundle:
+        if tb is LineBundle:
             # dim_S of the raw degree a + omega - b
             x, y, omega = a.degree, b.degree, a.line.dualizing()
             return dim_S(a.line, map(sub, map(add, x.coeffs, omega.coeffs), y.coeffs),
                          x.c_part + omega.c_part - y.c_part)
         return 0
-    if isinstance(b, LineBundle):
-        if isinstance(a, TorsionArc):
+    if tb is LineBundle:
+        if ta is TorsionArc:
             # the factors of a with the index of b's degree at the point, plus one
             return a.arc.multiplicity(b.degree.coeffs[a.point] + 1)
         return a.length
-    if isinstance(a, TorsionArc) and isinstance(b, TorsionArc):
+    if ta is not tb:
+        return 0
+    if ta is TorsionArc:
         if a.point != b.point:
             return 0
         return tube.ext_dim_via_presentation(a.arc, b.arc)
-    if isinstance(a, OrdinaryTorsion) and isinstance(b, OrdinaryTorsion):
-        if a.point_id != b.point_id:
-            return 0
-        return tube.ext_dim_via_presentation(Arc(1, 0, a.length), Arc(1, 0, b.length))
-    return 0
+    if a.point_id != b.point_id:
+        return 0
+    return tube.ext_dim_via_presentation(Arc(1, 0, a.length), Arc(1, 0, b.length))
 
 
 def is_exceptional_sheaf(s: IndecSheaf) -> bool:

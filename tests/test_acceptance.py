@@ -3,10 +3,12 @@
 Each test delegates to the corresponding check in wpline.verify and
 asserts both the verdict and the stated time budget, so a slow pass
 fails here even if the computation is right.  A single-line fault in any
-branch of the closed forms must make some criterion fail.
+branch of the closed forms must make some criterion fail, and a fault
+that a criterion exists to catch must make that one fail and name it.
 """
 
 import inspect
+import itertools
 
 import pytest
 
@@ -127,3 +129,37 @@ def test_each_closed_form_fault_fails_a_criterion(monkeypatch, module, name, tex
     finally:
         clear_closed_form_caches()
     assert not all(r["ok"] for r in reports)
+
+
+def answer_on_every_other_call(real, fixed):
+    """real, but answering fixed on every second call."""
+    calls = itertools.count()
+    return lambda *args: fixed if next(calls) % 2 else real(*args)
+
+
+# one fault per failure branch of a criterion that no closed-form fault
+# reaches: (criterion, module, function, its replacement, what the report
+# must name)
+CRITERION_FAULTS = [
+    (verify.criterion_3, tube, "perp_pair", lambda n, mask: mask, "bad=98"),
+    (verify.criterion_7, verify, "abs_length", lambda c: 0, "abs_length=0"),
+    (verify.criterion_12, tube, "perp_pair", lambda n, mask: mask,
+     "members at point 0 are not the perpendicular data"),
+    (verify.criterion_13, tube, "wide_closure",
+     answer_on_every_other_call(tube.wide_closure, tube.TubeWideFingerprint(1, frozenset())),
+     "closure mismatch"),
+    (verify.criterion_13, tube, "is_rigid_set", lambda objs, ext: False,
+     "first set is not rigid"),
+]
+
+
+@pytest.mark.parametrize("criterion, module, name, fault, named", CRITERION_FAULTS,
+                         ids=[f"{c.__name__}-{n}" for c, _, n, _, _ in CRITERION_FAULTS])
+def test_each_criterion_fault_fails_its_criterion(monkeypatch, criterion, module, name, fault,
+                                                  named):
+    """One function replaced by a fault makes its criterion report a
+    failure that names the problem."""
+    monkeypatch.setattr(module, name, fault)
+    r = criterion()
+    assert not r["ok"]
+    assert named in r["detail"]

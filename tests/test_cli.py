@@ -595,7 +595,8 @@ def test_verb_table_declines_what_argparse_must_answer(argv):
 
 @pytest.mark.parametrize("weights, text, same", [
     ("2", "arc(inf,1,2)", "S[2](inf,0)"),
-], ids=["arc"])
+    ("2,2,2,2", "arc(l4,1,1)", "S(l4,1)"),
+], ids=["arc", "fourth-point"])
 def test_parse_sheaf_forms_name_the_same_sheaf(weights, text, same):
     """An arc names its point, socle and length."""
     line = make_line(parse_weights(weights))
